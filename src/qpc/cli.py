@@ -143,10 +143,18 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _analysis(family, zero_tol: float):
+def _analysis(family, args):
+    """Everything the analyze report shows; writes the --emit-* files on the way."""
+    zero_tol = args.zero_tol
     g = comparisons.gram(family)
     p = comparisons.probabilities(g)
     u = comparisons.phases(g, zero_tol)
+    if args.emit_gram:
+        save_text(args.emit_gram, matrix_to_json("gram", g.entries))
+    if args.emit_probability:
+        save_text(args.emit_probability, matrix_to_json("probability", p.entries))
+    if args.emit_phase:
+        save_text(args.emit_phase, matrix_to_json("phase", u))
     og = comparisons.orthogonality_graph(g, zero_tol)
     matching = comparisons.check_matching(og)
     triangles = invariants.all_triangles(g, zero_tol)
@@ -169,13 +177,13 @@ def _analysis(family, zero_tol: float):
     return g, p, u, og, matching, triangles, warnings
 
 
-def _analysis_doc(family, load_warnings, zero_tol: float) -> dict:
-    g, p, u, og, matching, triangles, warnings = _analysis(family, zero_tol)
+def _analysis_doc(family, load_warnings, args) -> dict:
+    g, p, u, og, matching, triangles, warnings = _analysis(family, args)
     return {
         "version": 1,
         "n": len(family),
         "labels": list(family.labels) if family.labels is not None else None,
-        "zero_tol": zero_tol,
+        "zero_tol": args.zero_tol,
         "gram": matrix_doc("gram", g.entries),
         "probability": matrix_doc("probability", p.entries),
         "phase": matrix_doc("phase", u),
@@ -198,8 +206,8 @@ def _analysis_doc(family, load_warnings, zero_tol: float) -> dict:
     }
 
 
-def _analysis_text(family, load_warnings, zero_tol: float) -> str:
-    g, p, u, og, matching, triangles, warnings = _analysis(family, zero_tol)
+def _analysis_text(family, load_warnings, args) -> str:
+    g, p, u, og, matching, triangles, warnings = _analysis(family, args)
     n = len(family)
     lines = [f"family of {n} state(s)"]
     if family.labels is not None:
@@ -244,24 +252,10 @@ def _analysis_text(family, load_warnings, zero_tol: float) -> str:
 
 def cmd_analyze(args) -> int:
     family, load_warnings = family_from_json(load_text(args.family))
-    if args.emit_gram or args.emit_probability or args.emit_phase:
-        g = comparisons.gram(family)
-        if args.emit_gram:
-            save_text(args.emit_gram, matrix_to_json("gram", g.entries))
-        if args.emit_probability:
-            save_text(
-                args.emit_probability,
-                matrix_to_json("probability", comparisons.probabilities(g).entries),
-            )
-        if args.emit_phase:
-            save_text(
-                args.emit_phase,
-                matrix_to_json("phase", comparisons.phases(g, args.zero_tol)),
-            )
     if args.format == "structured":
-        _emit(args, dump_doc(_analysis_doc(family, load_warnings, args.zero_tol)))
+        _emit(args, dump_doc(_analysis_doc(family, load_warnings, args)))
     else:
-        _emit(args, _analysis_text(family, load_warnings, args.zero_tol))
+        _emit(args, _analysis_text(family, load_warnings, args))
     return EXIT_OK
 
 

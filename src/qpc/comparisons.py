@@ -15,7 +15,8 @@ has two distinct orthogonal rays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,15 @@ from .states import StateFamily
 DEFAULT_ZERO_TOL = 1e-10  # |g_ij| at or below this counts as orthogonal
 
 TOL_STRUCT = 1e-12  # structural tolerances of the matrix types
+
+
+def moduli(a: np.ndarray) -> np.ndarray:
+    """Elementwise |a|, rounded exactly as the scalar abs() rounds it.
+
+    np.abs on complex arrays may take a vectorized path that differs
+    from the scalar modulus in the last bit; hypot of the parts does not.
+    """
+    return np.hypot(a.real, a.imag)
 
 
 @dataclass(frozen=True)
@@ -37,10 +47,10 @@ class GramMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         herm = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-        if herm > TOL_STRUCT:
+        if not herm <= TOL_STRUCT:
             raise ValueError(f"matrix is not Hermitian: max |g - g*| = {herm!r}")
         diag = np.max(np.abs(np.diagonal(a) - 1.0))
-        if diag > TOL_STRUCT:
+        if not diag <= TOL_STRUCT:
             raise ValueError(f"diagonal is not 1: max |g_ii - 1| = {diag!r}")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -64,12 +74,12 @@ class ProbabilityMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         sym = np.max(np.abs(a - a.T)) if a.size else 0.0
-        if sym > TOL_STRUCT:
+        if not sym <= TOL_STRUCT:
             raise ValueError(f"matrix is not symmetric: max |p - p^T| = {sym!r}")
         diag = np.max(np.abs(np.diagonal(a) - 1.0))
-        if diag > TOL_STRUCT:
+        if not diag <= TOL_STRUCT:
             raise ValueError(f"diagonal is not 1: max |p_ii - 1| = {diag!r}")
-        if np.min(a) < -TOL_STRUCT or np.max(a) > 1.0 + TOL_STRUCT:
+        if not (np.min(a) >= -TOL_STRUCT and np.max(a) <= 1.0 + TOL_STRUCT):
             raise ValueError("probabilities must lie in [0, 1]")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -99,46 +109,56 @@ class SupportGraph:
             norm.add((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", frozenset(norm))
 
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "SupportGraph":
+        """Graph whose edges are the True pairs i < j of a square mask."""
+        i, j = np.nonzero(np.triu(mask, 1))
+        return cls(len(mask), frozenset(zip(i.tolist(), j.tolist())))
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Read-only symmetric boolean adjacency matrix, False on the diagonal."""
+        i, j = np.array(list(self.edges), dtype=int).reshape(-1, 2).T
+        m = np.zeros((self.n, self.n), dtype=bool)
+        m[i, j] = m[j, i] = True
+        m.setflags(write=False)
+        return m
+
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return int(np.count_nonzero(self.mask[v]))
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
 
     def complement(self) -> "SupportGraph":
-        missing = {
-            (i, j)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if (i, j) not in self.edges
-        }
-        return SupportGraph(self.n, frozenset(missing))
+        return SupportGraph.from_mask(~self.mask)
+
+    def bfs(self, start: int) -> list[tuple[int, int]]:
+        """Tree edges (parent, child) of a breadth-first search from start,
+        in visiting order, each vertex's neighbours taken in ascending order."""
+        seen = np.zeros(self.n, dtype=bool)
+        seen[start] = True
+        queue, tree = [start], []
+        for v in queue:
+            new = np.flatnonzero(self.mask[v] & ~seen).tolist()
+            seen[new] = True
+            queue.extend(new)
+            tree.extend((v, w) for w in new)
+        return tree
 
     def connected_components(self) -> list[list[int]]:
         """Vertex sets of the connected components, each sorted, in order
         of their smallest vertex.  Isolated vertices form singletons."""
-        adj = {v: [] for v in range(self.n)}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = [False] * self.n
+        seen = np.zeros(self.n, dtype=bool)
         comps = []
         for start in range(self.n):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
+            if not seen[start]:
+                comp = sorted([start] + [w for _, w in self.bfs(start)])
+                seen[comp] = True
+                comps.append(comp)
         return comps
 
 
@@ -163,20 +183,21 @@ class PhaseMatrix:
         if self.support.n != self.n:
             raise ValueError("support graph size does not match the matrix")
         diag = np.max(np.abs(np.diagonal(a) - 1.0))
-        if diag > TOL_STRUCT:
+        if not diag <= TOL_STRUCT:
             raise ValueError(f"diagonal phases must be 1: max deviation {diag!r}")
-        for i, j in sorted(self.support.edges):
-            if abs(abs(a[i, j]) - 1.0) > TOL_STRUCT:
-                raise ValueError(
-                    f"phase for pair ({i}, {j}) is not unimodular: |u| = {abs(a[i, j])!r}"
-                )
-            if abs(a[j, i] - a[i, j].conjugate()) > TOL_STRUCT:
-                raise ValueError(f"phases for pair ({i}, {j}) are not reciprocal")
-        mask = np.ones((self.n, self.n), dtype=bool)
-        np.fill_diagonal(mask, False)
-        for i, j in self.support.edges:
-            mask[i, j] = mask[j, i] = False
-        if mask.any() and np.max(np.abs(a[mask])) != 0.0:
+        i, j = np.nonzero(np.triu(self.support.mask))
+        bad = ~(np.abs(moduli(a[i, j]) - 1.0) <= TOL_STRUCT)
+        if bad.any():
+            i, j = i[bad][0], j[bad][0]
+            raise ValueError(
+                f"phase for pair ({i}, {j}) is not unimodular: |u| = {abs(a[i, j])!r}"
+            )
+        bad = ~(moduli(a[j, i] - a[i, j].conj()) <= TOL_STRUCT)
+        if bad.any():
+            raise ValueError(f"phases for pair ({i[bad][0]}, {j[bad][0]}) are not reciprocal")
+        off = ~self.support.mask
+        np.fill_diagonal(off, False)
+        if a[off].any():
             raise ValueError("entries off the support graph must be zeroed")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -230,34 +251,22 @@ def phases(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> PhaseMatrix:
     """Unit phases u_ij = g_ij / |g_ij| where |g_ij| exceeds zero_tol.
 
     Pairs with overlap modulus at or below zero_tol carry no phase and
-    are left off the support graph.
+    are left off the support graph.  Both u_ij and u_ji divide by the
+    modulus of the upper entry g_ij, i < j.
     """
-    n = g.n
-    a = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(a, 1.0)
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = abs(g.entries[i, j])
-            if m > zero_tol:
-                a[i, j] = g.entries[i, j] / m
-                a[j, i] = g.entries[j, i] / m
-                edges.add((i, j))
-    return PhaseMatrix(n, a, SupportGraph(n, frozenset(edges)))
+    m = np.triu(moduli(g.entries), 1)
+    m = m + m.T
+    support = SupportGraph.from_mask(m > zero_tol)
+    a = np.eye(g.n, dtype=complex)
+    a[support.mask] = g.entries[support.mask] / m[support.mask]
+    return PhaseMatrix(g.n, a, support)
 
 
 def orthogonality_graph(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> SupportGraph:
     """Graph of pairs with vanishing overlap, |g_ij| <= zero_tol."""
-    n = g.n
-    edges = {
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if abs(g.entries[i, j]) <= zero_tol
-    }
-    return SupportGraph(n, frozenset(edges))
+    return SupportGraph.from_mask(moduli(g.entries) <= zero_tol)
 
 
 def check_matching(graph: SupportGraph) -> bool:
     """Whether every vertex has degree at most one."""
-    return all(graph.degree(v) <= 1 for v in range(graph.n))
+    return bool(np.all(np.count_nonzero(graph.mask, axis=1) <= 1))

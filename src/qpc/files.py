@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .comparisons import PhaseMatrix, SupportGraph
+from .comparisons import PhaseMatrix, ProbabilityMatrix
 from .states import TOL_NORM, QubitState, StateFamily, from_bloch
 
 FAMILY_VERSION = 1
@@ -47,19 +47,27 @@ def _c(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def _number(x, where: str) -> float:
+    # JSON admits NaN and Infinity (and 1e999 parses as infinity), while a
+    # guard written "dev > tol" lets NaN through; refuse them where they enter.
+    try:
+        v = float(x)
+    except TypeError:
+        raise FileFormatError(f"{where}: expected a number, got {x!r}") from None
+    if not math.isfinite(v):
+        raise FileFormatError(f"{where}: non-finite number {v!r}")
+    return v
+
+
 def _parse_c(obj, where: str) -> complex:
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise FileFormatError(f"{where}: expected a {{re, im}} pair")
-    return complex(float(obj["re"]), float(obj["im"]))
-
-
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return complex(_number(obj["re"], where), _number(obj["im"], where))
 
 
 def dump_doc(doc: dict) -> str:
     """Canonical rendering of a JSON document; stable byte for byte."""
-    return _dump(doc)
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def family_doc(family: StateFamily) -> dict:
@@ -75,7 +83,7 @@ def family_doc(family: StateFamily) -> dict:
 
 
 def family_to_json(family: StateFamily) -> str:
-    return _dump(family_doc(family))
+    return dump_doc(family_doc(family))
 
 
 def family_from_json(text: str):
@@ -130,7 +138,7 @@ def family_from_json(text: str):
             vec = rec["bloch"]
             if not isinstance(vec, list) or len(vec) != 3:
                 raise FileFormatError(f"state {idx}: bloch must be a 3-vector")
-            arr = np.array([float(x) for x in vec])
+            arr = np.array([_number(x, f"state {idx} bloch") for x in vec])
             norm = float(np.linalg.norm(arr))
             dev = abs(norm - 1.0)
             if dev > RENORM_TOL:
@@ -187,7 +195,7 @@ def matrix_doc(kind: str, data) -> dict:
 
 
 def matrix_to_json(kind: str, data) -> str:
-    return _dump(matrix_doc(kind, data))
+    return dump_doc(matrix_doc(kind, data))
 
 
 def matrix_from_json(text: str):
@@ -225,17 +233,12 @@ def matrix_from_json(text: str):
         if len(entries) != n * n:
             raise FileFormatError(f"expected {n * n} entries, got {len(entries)}")
         try:
-            a = np.array([float(x) for x in entries]).reshape(n, n)
-        except (TypeError, ValueError) as e:
-            raise FileFormatError(f"probability entries must be numbers: {e}") from e
-        sym = float(np.max(np.abs(a - a.T)))
-        if sym > 1e-12:
-            raise FileFormatError(f"probability matrix not symmetric: {sym!r}")
-        if float(np.max(np.abs(np.diagonal(a) - 1.0))) > 1e-12:
-            raise FileFormatError("probability diagonal must be 1")
-        if a.min() < -1e-12 or a.max() > 1.0 + 1e-12:
-            raise FileFormatError("probabilities must lie in [0, 1]")
-        return kind, a
+            p = ProbabilityMatrix(
+                np.array([_number(x, f"entry {i}") for i, x in enumerate(entries)]).reshape(n, n)
+            )
+        except ValueError as e:
+            raise FileFormatError(f"invalid probability matrix: {e}") from e
+        return kind, p.entries
     support = doc.get("support")
     if not isinstance(support, list):
         raise FileFormatError("phase kind requires a support edge list")
@@ -244,14 +247,17 @@ def matrix_from_json(text: str):
             f"{len(support)} support edges but {len(entries)} entries"
         )
     values = {}
+    pairs = set()
     for pos, (edge, entry) in enumerate(zip(support, entries)):
         if not isinstance(edge, list) or len(edge) != 2:
             raise FileFormatError(f"support edge {pos} must be a pair")
         i, j = edge
         if not isinstance(i, int) or not isinstance(j, int):
             raise FileFormatError(f"support edge {pos} must hold integers")
-        if (min(i, j), max(i, j)) in {(min(a_, b_), max(a_, b_)) for a_, b_ in values}:
+        pair = (min(i, j), max(i, j))
+        if pair in pairs:
             raise FileFormatError(f"support edge {pos} repeats pair ({i}, {j})")
+        pairs.add(pair)
         values[(i, j)] = _parse_c(entry, f"entry {pos}")
     try:
         u = PhaseMatrix.from_edges(n, values)

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .comparisons import PhaseMatrix, SupportGraph, GramMatrix
+from .comparisons import GramMatrix, PhaseMatrix, moduli
+from .invariants import cycle_products, support_triples
 from .states import QubitState, StateFamily
 
 PSD_TOL = 1e-10        # eigenvalue floor, relative to max(1, largest eigenvalue)
@@ -165,21 +165,7 @@ def factor_states(g: GramMatrix) -> StateFamily:
             f"{', '.join(verdict.failed_conditions())}; "
             f"worst violation {verdict.worst_violation!r}"
         )
-    a = g.entries
-    n = g.n
-    h = (a + a.conj().T) / 2.0
-    w, q = np.linalg.eigh(h)
-    l1 = max(float(w[-1]), 0.0)
-    u1 = q[:, -1]
-    if n >= 2:
-        l2 = max(float(w[-2]), 0.0)
-        u2 = q[:, -2]
-    else:
-        l2 = 0.0
-        u2 = np.zeros(n, dtype=complex)
-    vecs = np.column_stack(
-        [math.sqrt(l1) * u1.conj(), math.sqrt(l2) * u2.conj()]
-    )
+    vecs = _top_two((g.entries + g.entries.conj().T) / 2.0)
     norms = np.linalg.norm(vecs, axis=1)
     if np.min(norms) < 0.5:
         raise ArithmeticError("factorization produced a near-zero state")
@@ -187,20 +173,29 @@ def factor_states(g: GramMatrix) -> StateFamily:
     return StateFamily(tuple(QubitState(v[0], v[1]) for v in vecs))
 
 
-def _support_triangles(u: PhaseMatrix):
-    for i, j, k in combinations(range(u.n), 3):
-        if u.has(i, j) and u.has(j, k) and u.has(k, i):
-            yield i, j, k
+def _top_two(a: np.ndarray) -> np.ndarray:
+    """Rows (sqrt(l1) conj(q1[i]), sqrt(l2) conj(q2[i])) from the top two
+    eigenpairs of a Hermitian matrix; negative eigenvalues count as 0 and
+    a 1 x 1 matrix gets a zero second column."""
+    w, q = np.linalg.eigh(a)
+    l1 = max(float(w[-1]), 0.0)
+    u1 = q[:, -1]
+    if len(w) >= 2:
+        l2 = max(float(w[-2]), 0.0)
+        u2 = q[:, -2]
+    else:
+        l2, u2 = 0.0, np.zeros(len(w), dtype=complex)
+    return np.column_stack([math.sqrt(l1) * u1.conj(), math.sqrt(l2) * u2.conj()])
 
 
 def _worst_triangle(u: PhaseMatrix):
     """Triple maximizing |u_ij u_jk u_ki - 1|, or None without triangles."""
-    worst = None
-    for i, j, k in _support_triangles(u):
-        dev = abs(u.entry(i, j) * u.entry(j, k) * u.entry(k, i) - 1.0)
-        if worst is None or dev > worst[1]:
-            worst = ((i, j, k), dev)
-    return worst
+    t = support_triples(u.support.mask)
+    if not len(t):
+        return None
+    dev = moduli(cycle_products(u.entries, t) - 1.0)
+    w = int(np.argmax(dev))
+    return tuple(t[w].tolist()), float(dev[w])
 
 
 def is_coherent(u: PhaseMatrix, tol: float) -> bool:
@@ -240,31 +235,16 @@ def realize_coherent(u: PhaseMatrix, tol: float = COHERENCE_TOL) -> StateFamily:
         )
     n = u.n
     lam = np.ones(n, dtype=complex)
-    seen = [False] * n
-    seen[0] = True
-    queue = [0]
-    adj = {v: [] for v in range(n)}
-    for i, j in u.support.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    while queue:
-        i = queue.pop(0)
-        for j in sorted(adj[i]):
-            if not seen[j]:
-                seen[j] = True
-                lam[j] = lam[i] * u.entry(j, i)
-                queue.append(j)
+    for i, j in u.support.bfs(0):
+        lam[j] = lam[i] * u.entry(j, i)
     lam = lam / np.abs(lam)
-    worst_edge = (None, 0.0)
-    for i, j in sorted(u.support.edges):
-        dev = abs(lam[i] * lam[j].conjugate() - u.entry(i, j))
-        if dev > worst_edge[1]:
-            worst_edge = ((i, j), dev)
-    if worst_edge[1] > POTENTIAL_TOL:
-        (i, j), dev = worst_edge
+    i, j = np.nonzero(np.triu(u.support.mask))
+    dev = moduli(lam[i] * lam[j].conj() - u.entries[i, j])
+    if not dev.max(initial=0.0) <= POTENTIAL_TOL:
+        e = int(np.argmax(dev))
         raise ValueError(
             "phases admit no consistent rephasing potential: the cycle "
-            f"closed by edge ({i}, {j}) has holonomy deviation {dev!r}"
+            f"closed by edge ({i[e]}, {j[e]}) has holonomy deviation {float(dev[e])!r}"
         )
     return StateFamily(tuple(QubitState(lam[i].conjugate(), 0.0) for i in range(n)))
 
@@ -399,17 +379,7 @@ def _spectral_guess(u: PhaseMatrix, layout: _AngleLayout) -> np.ndarray:
     Treats the prescription itself as if it were a Gram matrix; for
     realizable data this lands near a feasible family.
     """
-    w, q = np.linalg.eigh(u.entries)
-    l1 = max(float(w[-1]), 0.0)
-    v1 = q[:, -1]
-    if u.n >= 2:
-        l2 = max(float(w[-2]), 0.0)
-        v2 = q[:, -2]
-    else:
-        l2, v2 = 0.0, np.zeros(u.n, dtype=complex)
-    vecs = np.column_stack(
-        [math.sqrt(l1) * v1.conj(), math.sqrt(l2) * v2.conj()]
-    )
+    vecs = _top_two(u.entries)
     norms = np.linalg.norm(vecs, axis=1)
     for i in range(u.n):
         if norms[i] < 1e-9:
@@ -430,31 +400,19 @@ def _random_guess(rng: np.random.Generator, layout: _AngleLayout) -> np.ndarray:
 
 def _phase_residual(vecs: np.ndarray, u: PhaseMatrix) -> float:
     """Largest chordal distance between realized and prescribed phases."""
-    g = vecs.conj() @ vecs.T
-    worst = 0.0
-    for i, j in u.support.edges:
-        m = abs(g[i, j])
-        d = 2.0 if m == 0.0 else abs(g[i, j] / m - u.entries[i, j])
-        worst = max(worst, d)
-    return worst
+    i, j = np.nonzero(np.triu(u.support.mask))
+    g = (vecs.conj() @ vecs.T)[i, j]
+    m = moduli(g)
+    d = np.where(m == 0.0, 2.0, moduli(g / np.where(m == 0.0, 1.0, m) - u.entries[i, j]))
+    return float(d.max(initial=0.0))
 
 
 def _restrict(u: PhaseMatrix, comp: list[int]) -> PhaseMatrix:
     idx = {v: p for p, v in enumerate(comp)}
-    values = {}
-    for i, j in u.support.edges:
-        if i in idx:
-            values[(idx[i], idx[j])] = u.entries[i, j]
-    if not values and len(comp) > 1:
-        raise AssertionError("component of size > 1 without edges")
-    a = np.zeros((len(comp), len(comp)), dtype=complex)
-    np.fill_diagonal(a, 1.0)
-    edges = set()
-    for (i, j), val in values.items():
-        a[i, j] = val
-        a[j, i] = complex(val).conjugate()
-        edges.add((min(i, j), max(i, j)))
-    return PhaseMatrix(len(comp), a, SupportGraph(len(comp), frozenset(edges)))
+    return PhaseMatrix.from_edges(
+        len(comp),
+        {(idx[i], idx[j]): u.entries[i, j] for i, j in u.support.edges if i in idx},
+    )
 
 
 def _search_component(u: PhaseMatrix, cfg: SearchConfig, rng: np.random.Generator):
@@ -468,15 +426,13 @@ def _search_component(u: PhaseMatrix, cfg: SearchConfig, rng: np.random.Generato
     if u.n == 1:
         return np.array([[1.0 + 0.0j, 0.0 + 0.0j]]), 0.0, 0
     layout = _AngleLayout(u.n)
-    edges = sorted(u.support.edges)
-    idx_i = np.array([e[0] for e in edges])
-    idx_j = np.array([e[1] for e in edges])
-    targets = np.array([u.entries[i, j] for i, j in edges])
+    idx_i, idx_j = np.nonzero(np.triu(u.support.mask))
+    targets = u.entries[idx_i, idx_j]
     best_vecs = None
     best_res = np.inf
     used = 0
     fun_args = (layout, idx_i, idx_j, targets, cfg.soft_floor)
-    method = "lm" if 2 * len(edges) >= layout.size else "trf"
+    method = "lm" if 2 * len(idx_i) >= layout.size else "trf"
     for r in range(cfg.restarts):
         x0 = _spectral_guess(u, layout) if r == 0 else _random_guess(rng, layout)
         res = least_squares(

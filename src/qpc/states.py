@@ -52,7 +52,7 @@ class QubitState:
         object.__setattr__(self, "c0", complex(self.c0))
         object.__setattr__(self, "c1", complex(self.c1))
         norm_sq = abs(self.c0) ** 2 + abs(self.c1) ** 2
-        if abs(norm_sq - 1.0) > TOL_NORM:
+        if not abs(norm_sq - 1.0) <= TOL_NORM:
             raise ValueError(
                 f"state not normalized: |c0|^2 + |c1|^2 = {norm_sq!r}"
             )
@@ -89,7 +89,7 @@ class BlochVector:
         object.__setattr__(self, "ny", float(self.ny))
         object.__setattr__(self, "nz", float(self.nz))
         norm = math.sqrt(self.nx**2 + self.ny**2 + self.nz**2)
-        if abs(norm - 1.0) > TOL_NORM:
+        if not abs(norm - 1.0) <= TOL_NORM:
             raise ValueError(f"Bloch vector not on the unit sphere: |n| = {norm!r}")
 
     @property

@@ -9,6 +9,7 @@ property with a shared seed, deterministically.
 from __future__ import annotations
 
 import cmath
+from itertools import combinations
 
 import numpy as np
 
@@ -16,23 +17,14 @@ from . import comparisons, invariants, realizability, states
 from .oracles import OracleReport, oracle_bargmann_direct, oracle_pauli_traces, oracle_trace_product
 
 
-def _haar_family(rng: np.random.Generator, n: int) -> states.StateFamily:
-    return states.random_family(n, rng)
-
-
 def _family_with_support(rng: np.random.Generator, n: int, min_overlap: float = 1e-6):
     """Random family whose pairwise overlaps all exceed min_overlap."""
     while True:
-        fam = _haar_family(rng, n)
+        fam = states.random_family(n, rng)
         g = comparisons.gram(fam)
         off = np.abs(g.entries[~np.eye(n, dtype=bool)])
         if off.min() > min_overlap:
             return fam, g
-
-
-def _random_triple(rng: np.random.Generator):
-    fam, g = _family_with_support(rng, 3)
-    return fam, g
 
 
 def _prop_pauli(cases: int, rng: np.random.Generator) -> OracleReport:
@@ -53,7 +45,7 @@ def _prop_bargmann_direct(cases: int, rng: np.random.Generator) -> OracleReport:
 def _prop_bargmann_trace(cases: int, rng: np.random.Generator) -> OracleReport:
     worst = 0.0
     for _ in range(cases):
-        fam, g = _random_triple(rng)
+        fam, g = _family_with_support(rng, 3)
         main = invariants.bargmann(g, 0, 1, 2)
         worst = max(worst, abs(main - oracle_trace_product(fam, 0, 1, 2)))
     return OracleReport("bargmann_matches_projector_trace_oracle", cases, worst, 1e-12)
@@ -77,7 +69,7 @@ def _prop_probability_bloch(cases: int, rng: np.random.Generator) -> OracleRepor
     worst = 0.0
     for _ in range(cases):
         n = int(rng.integers(2, 9))
-        fam = _haar_family(rng, n)
+        fam = states.random_family(n, rng)
         p = comparisons.probabilities(comparisons.gram(fam)).entries
         bloch = np.array([states.to_bloch(s).vector for s in fam.states])
         predicted = (1.0 + bloch @ bloch.T) / 2.0
@@ -88,7 +80,7 @@ def _prop_probability_bloch(cases: int, rng: np.random.Generator) -> OracleRepor
 def _prop_bargmann_bloch(cases: int, rng: np.random.Generator) -> OracleReport:
     worst = 0.0
     for _ in range(cases):
-        fam = _haar_family(rng, 3)
+        fam = states.random_family(3, rng)
         g = comparisons.gram(fam)
         ns = [states.to_bloch(s) for s in fam.states]
         main = invariants.bargmann(g, 0, 1, 2)
@@ -99,7 +91,7 @@ def _prop_bargmann_bloch(cases: int, rng: np.random.Generator) -> OracleReport:
 def _prop_solid_angle(cases: int, rng: np.random.Generator) -> OracleReport:
     worst = 0.0
     for _ in range(cases):
-        fam, g = _random_triple(rng)
+        fam, g = _family_with_support(rng, 3)
         rep = invariants.triangle_report(g, 0, 1, 2)
         ns = [states.to_bloch(s) for s in fam.states]
         omega = invariants.solid_angle(*ns)
@@ -110,7 +102,7 @@ def _prop_solid_angle(cases: int, rng: np.random.Generator) -> OracleReport:
 def _prop_rephasing_invariance(cases: int, rng: np.random.Generator) -> OracleReport:
     worst = 0.0
     for _ in range(cases):
-        fam, g = _random_triple(rng)
+        fam, g = _family_with_support(rng, 3)
         before = invariants.bargmann(g, 0, 1, 2)
         rephased = states.StateFamily(
             tuple(s.rephased(float(t)) for s, t in zip(fam.states, rng.uniform(0, 2 * np.pi, 3)))
@@ -141,7 +133,7 @@ def _prop_orthogonality_matching(cases: int, rng: np.random.Generator) -> Oracle
     violations = 0.0
     for _ in range(cases):
         n = int(rng.integers(2, 9))
-        fam = _haar_family(rng, n)
+        fam = states.random_family(n, rng)
         distinct = all(
             not states.rays_equal(fam[i], fam[j], 1e-9)
             for i in range(n)
@@ -159,7 +151,7 @@ def _prop_factorization(cases: int, rng: np.random.Generator) -> OracleReport:
     worst = 0.0
     for _ in range(cases):
         n = int(rng.integers(2, 11))
-        fam = _haar_family(rng, n)
+        fam = states.random_family(n, rng)
         g = comparisons.gram(fam)
         rebuilt = comparisons.gram(realizability.factor_states(g))
         worst = max(worst, float(np.max(np.abs(rebuilt.entries - g.entries))))
@@ -204,7 +196,7 @@ def _prop_coherent_realization(cases: int, rng: np.random.Generator) -> OracleRe
 def _prop_permutation(cases: int, rng: np.random.Generator) -> OracleReport:
     worst = 0.0
     for _ in range(cases):
-        fam, g = _random_triple(rng)
+        fam, g = _family_with_support(rng, 3)
         b = invariants.bargmann(g, 0, 1, 2)
         worst = max(worst, abs(invariants.bargmann(g, 1, 2, 0) - b))
         worst = max(worst, abs(invariants.bargmann(g, 0, 2, 1) - b.conjugate()))
@@ -214,7 +206,7 @@ def _prop_permutation(cases: int, rng: np.random.Generator) -> OracleReport:
 def _prop_ray_independence(cases: int, rng: np.random.Generator) -> OracleReport:
     worst = 0.0
     for _ in range(cases):
-        fam, g = _random_triple(rng)
+        fam, g = _family_with_support(rng, 3)
         rep = invariants.triangle_report(g, 0, 1, 2)
         rephased = states.StateFamily(
             tuple(s.rephased(float(t)) for s, t in zip(fam.states, rng.uniform(0, 2 * np.pi, 3)))
@@ -253,6 +245,24 @@ def _prop_reciprocity(cases: int, rng: np.random.Generator) -> OracleReport:
     return OracleReport("phase_reciprocity", cases, worst, 1e-12)
 
 
+def _prop_triangle_kernel(cases: int, rng: np.random.Generator) -> OracleReport:
+    mismatches = 0.0
+    for _ in range(cases):
+        n = int(rng.integers(3, 9))
+        vecs = states.random_family(n, rng).vectors
+        if rng.random() < 0.5:  # an orthogonal pair, so that some triples are skipped
+            vecs[1] = (-vecs[0, 1].conjugate(), vecs[0, 0].conjugate())
+        g = comparisons.gram(states.StateFamily(tuple(states.QubitState(*v) for v in vecs)))
+        reference = [
+            invariants.triangle_report(g, *t)
+            for t in combinations(range(n), 3)
+            if min(abs(g.entries[a, b]) for a, b in combinations(t, 2))
+            > comparisons.DEFAULT_ZERO_TOL
+        ]
+        mismatches += invariants.all_triangles(g) != reference
+    return OracleReport("triangle_kernel_matches_triangle_report", cases, mismatches, 0.0)
+
+
 PROPERTIES = [
     _prop_pauli,
     _prop_bargmann_direct,
@@ -271,6 +281,7 @@ PROPERTIES = [
     _prop_ray_independence,
     _prop_purity,
     _prop_reciprocity,
+    _prop_triangle_kernel,
 ]
 
 

@@ -299,6 +299,33 @@ class TestVerify:
         assert a == b
 
 
+NAN_C = {"re": math.nan, "im": 0.0}
+ONE_C = {"re": 1.0, "im": 0.0}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("analyze", {"version": 1, "states": [{"c0": NAN_C, "c1": ONE_C}]}),
+            ("analyze", {"version": 1, "states": [{"bloch": [0.0, math.inf, 1.0]}]}),
+            ("check", {"version": 1, "kind": "gram", "n": 1, "entries": [NAN_C]}),
+            ("check", {"version": 1, "kind": "probability", "n": 1, "entries": [math.nan]}),
+            ("realize", {"version": 1, "kind": "phase", "n": 2,
+                         "support": [[0, 1]], "entries": [NAN_C]}),
+            ("realize", {"version": 1, "kind": "phase", "n": 2,
+                         "support": [[0, 1]], "entries": [{"re": 1.0, "im": -math.inf}]}),
+        ],
+    )
+    def test_exits_2(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "input.json"
+        save_text(str(path), json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite number" in captured.err
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert main([]) == 2

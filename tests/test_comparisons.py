@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpc import (
+    DEFAULT_ZERO_TOL,
+    BlochVector,
     GramMatrix,
     PhaseMatrix,
     ProbabilityMatrix,
@@ -22,6 +24,8 @@ from qpc import (
     random_family,
     to_bloch,
 )
+
+from tests.conftest import family_with_orthogonal_pairs
 
 SQ2 = 2.0 ** -0.5
 
@@ -201,6 +205,18 @@ class TestSupportGraph:
         g = SupportGraph(5, frozenset({(0, 3), (1, 2)}))
         assert g.connected_components() == [[0, 3], [1, 2], [4]]
 
+    def test_mask_is_read_only_and_round_trips(self):
+        g = SupportGraph(5, frozenset({(3, 0), (1, 2), (2, 4)}))
+        m = g.mask
+        assert m[0, 3] and m[3, 0] and m.sum() == 6 and not m.diagonal().any()
+        assert not m.flags.writeable
+        assert SupportGraph.from_mask(m) == g
+
+    def test_bfs_visits_neighbours_in_ascending_order(self):
+        g = SupportGraph(6, frozenset({(0, 3), (0, 1), (1, 4), (3, 4), (2, 4)}))
+        assert g.bfs(0) == [(0, 1), (0, 3), (1, 4), (4, 2)]
+        assert g.bfs(5) == []
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             SupportGraph(3, frozenset({(1, 1)}))
@@ -240,6 +256,52 @@ class TestOrthogonalityGraph:
     def test_complements_phase_support(self):
         g = gram(random_family(5, seed=5))
         assert orthogonality_graph(g).complement().edges == phases(g).support.edges
+
+
+class TestMaskOperationsMatchScalarLoops:
+    def test_phases_and_orthogonality_graph(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5, 11, 24):
+            g = gram(family_with_orthogonal_pairs(rng, n, n // 3))
+            e = g.entries
+            a = np.eye(n, dtype=complex)
+            support, ortho = set(), set()
+            for i in range(n):
+                for j in range(i + 1, n):
+                    m = abs(e[i, j])
+                    if m > DEFAULT_ZERO_TOL:
+                        a[i, j], a[j, i] = e[i, j] / m, e[j, i] / m
+                        support.add((i, j))
+                    else:
+                        ortho.add((i, j))
+            u = phases(g)
+            assert u.support.edges == support
+            assert np.array_equal(u.entries, a)
+            og = orthogonality_graph(g)
+            assert og.edges == ortho
+            degrees = [sum(v in pair for pair in ortho) for v in range(n)]
+            assert [og.degree(v) for v in range(n)] == degrees
+            assert check_matching(og) == (max(degrees) <= 1)
+
+
+class TestRejectsNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_matrix_types(self, bad):
+        g = np.eye(2, dtype=complex)
+        g[0, 1] = g[1, 0] = bad
+        with pytest.raises(ValueError):
+            GramMatrix(g)
+        with pytest.raises(ValueError):
+            ProbabilityMatrix(g.real)
+        with pytest.raises(ValueError):
+            PhaseMatrix(2, g, SupportGraph(2, frozenset({(0, 1)})))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_state_types(self, bad):
+        with pytest.raises(ValueError):
+            QubitState(bad, 0.0)
+        with pytest.raises(ValueError):
+            BlochVector(bad, 0.0, 1.0)
 
 
 class TestRephasingCovariance:

@@ -174,6 +174,25 @@ class TestMatrixFiles:
         with pytest.raises(FileFormatError, match="repeats"):
             matrix_from_json(json.dumps(doc))
 
+    def test_phase_round_trip_complete_support_n200(self):
+        n = 200
+        angles = np.random.default_rng(200).uniform(-math.pi, math.pi, n * (n - 1) // 2)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        u = PhaseMatrix.from_edges(n, {e: complex(math.cos(t), math.sin(t)) for e, t in zip(pairs, angles)})
+        text = matrix_to_json("phase", u)
+        kind, back = matrix_from_json(text)
+        assert kind == "phase" and back.support.is_complete()
+        assert np.array_equal(back.entries, u.entries)
+        assert matrix_to_json("phase", back) == text
+
+    @pytest.mark.parametrize("value", [None, [1.0], {"x": 1}])
+    def test_rejects_non_numbers(self, value):
+        doc = {"version": 1, "kind": "gram", "n": 1, "entries": [{"re": value, "im": 0.0}]}
+        with pytest.raises(FileFormatError, match="expected a number"):
+            matrix_from_json(json.dumps(doc))
+        with pytest.raises(FileFormatError, match="expected a number"):
+            family_from_json(json.dumps({"version": 1, "states": [{"bloch": [value, 0.0, 1.0]}]}))
+
     def test_phase_rejects_non_unimodular_entry(self):
         doc = {
             "version": 1,

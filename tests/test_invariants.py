@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpc import (
+    DEFAULT_ZERO_TOL,
     GramMatrix,
     QubitState,
     StateFamily,
@@ -22,7 +24,8 @@ from qpc import (
     to_bloch,
     triangle_report,
 )
-from tests.conftest import family_with_support
+from qpc.invariants import support_triples
+from tests.conftest import family_with_orthogonal_pairs, family_with_support
 
 SQ2 = 2.0 ** -0.5
 GOLDEN_B = 0.25 + 0.25j
@@ -285,3 +288,25 @@ class TestAllTriangles:
         assert len(triples) == 20
         assert triples == sorted(triples)
         assert all(i < j < k for i, j, k in triples)
+
+    def test_kernel_equals_scalar_reference(self):
+        rng = np.random.default_rng(2026)
+        for n in (3, 4, 7, 12, 20, 30):
+            fam = family_with_orthogonal_pairs(rng, n, n // 4)
+            # a repeated ray as well, so some defects are exactly real
+            fam = StateFamily(fam.states[:-1] + (fam.states[0].rephased(0.3),))
+            g = gram(fam)
+            expected = [
+                triangle_report(g, i, j, k)
+                for i, j, k in combinations(range(n), 3)
+                if min(abs(g.entries[i, j]), abs(g.entries[j, k]), abs(g.entries[k, i]))
+                > DEFAULT_ZERO_TOL
+            ]
+            assert all_triangles(g) == expected
+
+    def test_support_triples_of_partial_mask(self):
+        rng = np.random.default_rng(9)
+        m = np.triu(rng.random((9, 9)) < 0.6, 1)
+        m = m | m.T
+        expected = [t for t in combinations(range(9), 3) if all(m[a, b] for a, b in combinations(t, 2))]
+        assert support_triples(m).tolist() == [list(t) for t in expected]
