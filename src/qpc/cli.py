@@ -158,15 +158,12 @@ def _analysis(family, args):
     og = comparisons.orthogonality_graph(g, zero_tol)
     matching = comparisons.check_matching(og)
     triangles = invariants.all_triangles(g, zero_tol)
-    warnings = []
-    n = len(family)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if states.rays_equal(family[i], family[j], DUPLICATE_RAY_TOL):
-                warnings.append(
-                    f"states {i} and {j} represent the same ray; the "
-                    "orthogonality matching criterion assumes distinct rays"
-                )
+    # the test of states.rays_equal, 1 - |g_ij|^2 <= tol, on every pair i < j
+    warnings = [
+        f"states {i} and {j} represent the same ray; the "
+        "orthogonality matching criterion assumes distinct rays"
+        for i, j in zip(*np.nonzero(np.triu(1.0 - p.entries <= DUPLICATE_RAY_TOL, 1)))
+    ]
     for rep in triangles:
         if abs(rep.pancharatnam) > math.pi - BRANCH_CUT_MARGIN:
             i, j, k = rep.triple

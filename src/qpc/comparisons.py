@@ -36,6 +36,12 @@ def moduli(a: np.ndarray) -> np.ndarray:
     return np.hypot(a.real, a.imag)
 
 
+def require_finite(a: np.ndarray) -> None:
+    """Raise ValueError if any entry of a is NaN or infinite."""
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+
+
 @dataclass(frozen=True)
 class GramMatrix:
     """Hermitian matrix of pairwise overlaps with unit diagonal."""
@@ -46,6 +52,7 @@ class GramMatrix:
         a = np.array(self.entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        require_finite(a)
         herm = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
         if not herm <= TOL_STRUCT:
             raise ValueError(f"matrix is not Hermitian: max |g - g*| = {herm!r}")
@@ -73,6 +80,7 @@ class ProbabilityMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        require_finite(a)
         sym = np.max(np.abs(a - a.T)) if a.size else 0.0
         if not sym <= TOL_STRUCT:
             raise ValueError(f"matrix is not symmetric: max |p - p^T| = {sym!r}")
@@ -180,6 +188,7 @@ class PhaseMatrix:
         a = np.array(self.entries, dtype=complex)
         if a.shape != (self.n, self.n):
             raise ValueError(f"expected shape ({self.n}, {self.n}), got {a.shape}")
+        require_finite(a)
         if self.support.n != self.n:
             raise ValueError("support graph size does not match the matrix")
         diag = np.max(np.abs(np.diagonal(a) - 1.0))

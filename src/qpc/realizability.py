@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .comparisons import GramMatrix, PhaseMatrix, moduli
+from .comparisons import GramMatrix, PhaseMatrix, moduli, require_finite
 from .invariants import cycle_products, support_triples
 from .states import QubitState, StateFamily
 
@@ -116,18 +116,25 @@ def check_gram(g) -> GramVerdict:
     """Judge whether a square complex matrix is a qubit Gram matrix.
 
     Accepts a GramMatrix or a raw array; raw input may violate any of
-    the conditions, that is what the verdict is for.  Eigenvalues are
-    taken from the Hermitian part, which coincides with the input
-    whenever hermitian_ok holds.
+    the conditions, that is what the verdict is for, but it must be
+    finite.  Eigenvalues are taken from the Hermitian part, which
+    coincides with the input whenever hermitian_ok holds.
     """
     a = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    require_finite(a)
+    # eigvalsh, not eigh: the two differ in the last bit, and the verdict
+    # prints every eigenvalue.
+    return _verdict(a, np.linalg.eigvalsh((a + a.conj().T) / 2.0)[::-1])
+
+
+def _verdict(a: np.ndarray, eigs: np.ndarray) -> GramVerdict:
+    """The four conditions on a, given the eigenvalues of its Hermitian
+    part in descending order."""
     n = a.shape[0]
     herm_dev = float(np.max(np.abs(a - a.conj().T))) if n else 0.0
     diag_dev = float(np.max(np.abs(np.diagonal(a) - 1.0))) if n else 0.0
-    h = (a + a.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(h)[::-1]
     lam_max = float(eigs[0])
     lam_min = float(eigs[-1])
     psd_ok = lam_min >= -PSD_TOL * max(1.0, lam_max)
@@ -153,19 +160,21 @@ def check_gram(g) -> GramVerdict:
 def factor_states(g: GramMatrix) -> StateFamily:
     """Reconstruct a state family whose Gram matrix is g.
 
-    Splits the top two eigenpairs: state i gets the amplitudes
-    (sqrt(l1) conj(q1[i]), sqrt(l2) conj(q2[i])), renormalized
+    One eigendecomposition of the Hermitian part serves both the
+    verdict and the split of the top two eigenpairs: state i gets the
+    amplitudes (sqrt(l1) conj(q1[i]), sqrt(l2) conj(q2[i])), renormalized
     defensively.  The family reproduces g up to the discarded
     eigenvalue mass, which the verdict bounds.
     """
-    verdict = check_gram(g)
+    w, q = np.linalg.eigh((g.entries + g.entries.conj().T) / 2.0)
+    verdict = _verdict(g.entries, w[::-1])
     if not verdict.all_ok:
         raise ValueError(
             "matrix is not a qubit Gram matrix: failed "
             f"{', '.join(verdict.failed_conditions())}; "
             f"worst violation {verdict.worst_violation!r}"
         )
-    vecs = _top_two((g.entries + g.entries.conj().T) / 2.0)
+    vecs = _top_two(w, q)
     norms = np.linalg.norm(vecs, axis=1)
     if np.min(norms) < 0.5:
         raise ArithmeticError("factorization produced a near-zero state")
@@ -173,11 +182,11 @@ def factor_states(g: GramMatrix) -> StateFamily:
     return StateFamily(tuple(QubitState(v[0], v[1]) for v in vecs))
 
 
-def _top_two(a: np.ndarray) -> np.ndarray:
+def _top_two(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Rows (sqrt(l1) conj(q1[i]), sqrt(l2) conj(q2[i])) from the top two
-    eigenpairs of a Hermitian matrix; negative eigenvalues count as 0 and
-    a 1 x 1 matrix gets a zero second column."""
-    w, q = np.linalg.eigh(a)
+    eigenpairs of an eigh result (w ascending, eigenvectors in the columns
+    of q); negative eigenvalues count as 0 and a 1 x 1 matrix gets a zero
+    second column."""
     l1 = max(float(w[-1]), 0.0)
     u1 = q[:, -1]
     if len(w) >= 2:
@@ -379,7 +388,7 @@ def _spectral_guess(u: PhaseMatrix, layout: _AngleLayout) -> np.ndarray:
     Treats the prescription itself as if it were a Gram matrix; for
     realizable data this lands near a feasible family.
     """
-    vecs = _top_two(u.entries)
+    vecs = _top_two(*np.linalg.eigh(u.entries))
     norms = np.linalg.norm(vecs, axis=1)
     for i in range(u.n):
         if norms[i] < 1e-9:

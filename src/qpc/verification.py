@@ -1,9 +1,18 @@
 """Registered cross-checks between the main code paths and the oracles.
 
-Each property draws seeded random instances, evaluates a claimed
-identity along two independent routes, and reports the worst
-discrepancy as an OracleReport.  run_all drives every registered
-property with a shared seed, deterministically.
+Each property evaluates a claimed identity along two independent routes
+on seeded random instances and reports the worst discrepancy as an
+OracleReport.  run_all drives every registered property with a shared
+seed, deterministically: property idx draws from the stream
+np.random.default_rng([seed, idx]).
+
+To add a property, write one case function that draws a single instance
+from the generator it is given and returns that instance's discrepancy
+as a float, and register it with @_property(name, tolerance) below the
+last registered case.  Appending keeps the seed streams of all earlier
+properties, so their reports do not change.  The shared driver runs the
+cases and takes their maximum; a NaN discrepancy propagates into the
+report and fails it.
 """
 
 from __future__ import annotations
@@ -17,6 +26,33 @@ from . import comparisons, invariants, realizability, states
 from .oracles import OracleReport, oracle_bargmann_direct, oracle_pauli_traces, oracle_trace_product
 
 
+def _worst(discrepancies) -> float:
+    """Largest discrepancy, 0 for none; NaN if any of them is NaN."""
+    return float(np.max([0.0, *discrepancies]))
+
+
+def _prop_pauli(cases: int, rng: np.random.Generator) -> OracleReport:
+    """The 36 fixed Pauli trace identities; nothing is sampled."""
+    return oracle_pauli_traces()
+
+
+PROPERTIES = [_prop_pauli]
+
+
+def _property(name: str, tolerance: float):
+    """Register a one-case check as the next property of PROPERTIES."""
+
+    def register(case):
+        def prop(cases: int, rng: np.random.Generator) -> OracleReport:
+            worst = _worst(case(rng) for _ in range(cases))
+            return OracleReport(name, cases, worst, tolerance)
+
+        PROPERTIES.append(prop)
+        return case
+
+    return register
+
+
 def _family_with_support(rng: np.random.Generator, n: int, min_overlap: float = 1e-6):
     """Random family whose pairwise overlaps all exceed min_overlap."""
     while True:
@@ -27,262 +63,181 @@ def _family_with_support(rng: np.random.Generator, n: int, min_overlap: float = 
             return fam, g
 
 
-def _prop_pauli(cases: int, rng: np.random.Generator) -> OracleReport:
-    return oracle_pauli_traces()
+def _rephased(family: states.StateFamily, thetas) -> states.StateFamily:
+    """The family with state i multiplied by exp(i thetas[i])."""
+    return states.StateFamily(tuple(s.rephased(float(t)) for s, t in zip(family.states, thetas)))
 
 
-def _prop_bargmann_direct(cases: int, rng: np.random.Generator) -> OracleReport:
-    worst = 0.0
-    for _ in range(cases):
-        n = int(rng.integers(3, 9))
-        fam, g = _family_with_support(rng, n)
-        i, j, k = rng.choice(n, size=3, replace=False)
-        main = invariants.bargmann(g, int(i), int(j), int(k))
-        worst = max(worst, abs(main - oracle_bargmann_direct(fam, int(i), int(j), int(k))))
-    return OracleReport("bargmann_matches_componentwise_oracle", cases, worst, 1e-12)
+@_property("bargmann_matches_componentwise_oracle", 1e-12)
+def _bargmann_direct(rng: np.random.Generator) -> float:
+    n = int(rng.integers(3, 9))
+    fam, g = _family_with_support(rng, n)
+    i, j, k = (int(v) for v in rng.choice(n, size=3, replace=False))
+    return abs(invariants.bargmann(g, i, j, k) - oracle_bargmann_direct(fam, i, j, k))
 
 
-def _prop_bargmann_trace(cases: int, rng: np.random.Generator) -> OracleReport:
-    worst = 0.0
-    for _ in range(cases):
-        fam, g = _family_with_support(rng, 3)
-        main = invariants.bargmann(g, 0, 1, 2)
-        worst = max(worst, abs(main - oracle_trace_product(fam, 0, 1, 2)))
-    return OracleReport("bargmann_matches_projector_trace_oracle", cases, worst, 1e-12)
+@_property("bargmann_matches_projector_trace_oracle", 1e-12)
+def _bargmann_trace(rng: np.random.Generator) -> float:
+    fam, g = _family_with_support(rng, 3)
+    return abs(invariants.bargmann(g, 0, 1, 2) - oracle_trace_product(fam, 0, 1, 2))
 
 
-def _prop_defect_normalized(cases: int, rng: np.random.Generator) -> OracleReport:
-    worst = 0.0
-    for _ in range(cases):
-        n = int(rng.integers(3, 9))
-        fam, g = _family_with_support(rng, n)
-        u = comparisons.phases(g)
-        for rep in invariants.all_triangles(g):
-            i, j, k = rep.triple
-            kappa = invariants.defect(u, i, j, k)
-            b = invariants.bargmann(g, i, j, k)
-            worst = max(worst, abs(kappa - b / abs(b)))
-    return OracleReport("defect_equals_normalized_bargmann", cases, worst, 1e-12)
+@_property("defect_equals_normalized_bargmann", 1e-12)
+def _defect_normalized(rng: np.random.Generator) -> float:
+    n = int(rng.integers(3, 9))
+    _, g = _family_with_support(rng, n)
+    u = comparisons.phases(g)
+    ds = []
+    for rep in invariants.all_triangles(g):
+        i, j, k = rep.triple
+        b = invariants.bargmann(g, i, j, k)
+        ds.append(abs(invariants.defect(u, i, j, k) - b / abs(b)))
+    return _worst(ds)
 
 
-def _prop_probability_bloch(cases: int, rng: np.random.Generator) -> OracleReport:
-    worst = 0.0
-    for _ in range(cases):
-        n = int(rng.integers(2, 9))
-        fam = states.random_family(n, rng)
-        p = comparisons.probabilities(comparisons.gram(fam)).entries
-        bloch = np.array([states.to_bloch(s).vector for s in fam.states])
-        predicted = (1.0 + bloch @ bloch.T) / 2.0
-        worst = max(worst, float(np.max(np.abs(p - predicted))))
-    return OracleReport("probability_matches_bloch_dot_formula", cases, worst, 1e-12)
+@_property("probability_matches_bloch_dot_formula", 1e-12)
+def _probability_bloch(rng: np.random.Generator) -> float:
+    n = int(rng.integers(2, 9))
+    fam = states.random_family(n, rng)
+    p = comparisons.probabilities(comparisons.gram(fam)).entries
+    bloch = np.array([states.to_bloch(s).vector for s in fam.states])
+    predicted = (1.0 + bloch @ bloch.T) / 2.0
+    return float(np.max(np.abs(p - predicted)))
 
 
-def _prop_bargmann_bloch(cases: int, rng: np.random.Generator) -> OracleReport:
-    worst = 0.0
-    for _ in range(cases):
-        fam = states.random_family(3, rng)
-        g = comparisons.gram(fam)
-        ns = [states.to_bloch(s) for s in fam.states]
-        main = invariants.bargmann(g, 0, 1, 2)
-        worst = max(worst, abs(main - invariants.bargmann_bloch(*ns)))
-    return OracleReport("bargmann_matches_bloch_formula", cases, worst, 1e-12)
+@_property("bargmann_matches_bloch_formula", 1e-12)
+def _bargmann_bloch(rng: np.random.Generator) -> float:
+    fam = states.random_family(3, rng)
+    main = invariants.bargmann(comparisons.gram(fam), 0, 1, 2)
+    return abs(main - invariants.bargmann_bloch(*(states.to_bloch(s) for s in fam.states)))
 
 
-def _prop_solid_angle(cases: int, rng: np.random.Generator) -> OracleReport:
-    worst = 0.0
-    for _ in range(cases):
-        fam, g = _family_with_support(rng, 3)
-        rep = invariants.triangle_report(g, 0, 1, 2)
-        ns = [states.to_bloch(s) for s in fam.states]
-        omega = invariants.solid_angle(*ns)
-        worst = max(worst, abs(cmath.exp(-0.5j * omega) - rep.defect))
-    return OracleReport("defect_equals_solid_angle_exponential", cases, worst, 1e-9)
+@_property("defect_equals_solid_angle_exponential", 1e-9)
+def _solid_angle(rng: np.random.Generator) -> float:
+    fam, g = _family_with_support(rng, 3)
+    omega = invariants.solid_angle(*(states.to_bloch(s) for s in fam.states))
+    return abs(cmath.exp(-0.5j * omega) - invariants.triangle_report(g, 0, 1, 2).defect)
 
 
-def _prop_rephasing_invariance(cases: int, rng: np.random.Generator) -> OracleReport:
-    worst = 0.0
-    for _ in range(cases):
-        fam, g = _family_with_support(rng, 3)
-        before = invariants.bargmann(g, 0, 1, 2)
-        rephased = states.StateFamily(
-            tuple(s.rephased(float(t)) for s, t in zip(fam.states, rng.uniform(0, 2 * np.pi, 3)))
-        )
-        after = invariants.bargmann(comparisons.gram(rephased), 0, 1, 2)
-        worst = max(worst, abs(before - after))
-    return OracleReport("bargmann_rephasing_invariance", cases, worst, 1e-12)
+@_property("bargmann_rephasing_invariance", 1e-12)
+def _rephasing_invariance(rng: np.random.Generator) -> float:
+    fam, g = _family_with_support(rng, 3)
+    after = comparisons.gram(_rephased(fam, rng.uniform(0, 2 * np.pi, 3)))
+    return abs(invariants.bargmann(g, 0, 1, 2) - invariants.bargmann(after, 0, 1, 2))
 
 
-def _prop_phase_covariance(cases: int, rng: np.random.Generator) -> OracleReport:
-    worst = 0.0
-    for _ in range(cases):
-        n = int(rng.integers(2, 7))
-        fam, g = _family_with_support(rng, n)
-        u = comparisons.phases(g)
-        thetas = rng.uniform(0, 2 * np.pi, n)
-        rephased = states.StateFamily(
-            tuple(s.rephased(float(t)) for s, t in zip(fam.states, thetas))
-        )
-        u2 = comparisons.phases(comparisons.gram(rephased))
-        for i, j in u.support.edges:
-            expected = cmath.exp(1j * (thetas[j] - thetas[i])) * u.entries[i, j]
-            worst = max(worst, abs(u2.entries[i, j] - expected))
-    return OracleReport("phase_matrix_rephasing_covariance", cases, worst, 1e-12)
+@_property("phase_matrix_rephasing_covariance", 1e-12)
+def _phase_covariance(rng: np.random.Generator) -> float:
+    n = int(rng.integers(2, 7))
+    fam, g = _family_with_support(rng, n)
+    u = comparisons.phases(g)
+    thetas = rng.uniform(0, 2 * np.pi, n)
+    u2 = comparisons.phases(comparisons.gram(_rephased(fam, thetas)))
+    return _worst(
+        abs(u2.entries[i, j] - cmath.exp(1j * (thetas[j] - thetas[i])) * u.entries[i, j])
+        for i, j in u.support.edges
+    )
 
 
-def _prop_orthogonality_matching(cases: int, rng: np.random.Generator) -> OracleReport:
-    violations = 0.0
-    for _ in range(cases):
-        n = int(rng.integers(2, 9))
-        fam = states.random_family(n, rng)
-        distinct = all(
-            not states.rays_equal(fam[i], fam[j], 1e-9)
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-        if not distinct:
-            continue
-        og = comparisons.orthogonality_graph(comparisons.gram(fam))
-        if not comparisons.check_matching(og):
-            violations += 1.0
-    return OracleReport("orthogonality_graph_is_matching", cases, violations, 0.0)
+@_property("orthogonality_graph_is_matching", 0.0)
+def _orthogonality_matching(rng: np.random.Generator) -> float:
+    """1 for a family of distinct rays whose orthogonality graph is no matching."""
+    n = int(rng.integers(2, 9))
+    fam = states.random_family(n, rng)
+    if any(states.rays_equal(fam[i], fam[j], 1e-9) for i, j in combinations(range(n), 2)):
+        return 0.0
+    og = comparisons.orthogonality_graph(comparisons.gram(fam))
+    return float(not comparisons.check_matching(og))
 
 
-def _prop_factorization(cases: int, rng: np.random.Generator) -> OracleReport:
-    worst = 0.0
-    for _ in range(cases):
-        n = int(rng.integers(2, 11))
-        fam = states.random_family(n, rng)
-        g = comparisons.gram(fam)
-        rebuilt = comparisons.gram(realizability.factor_states(g))
-        worst = max(worst, float(np.max(np.abs(rebuilt.entries - g.entries))))
-    return OracleReport("gram_factorization_round_trip", cases, worst, 1e-9)
+@_property("gram_factorization_round_trip", 1e-9)
+def _factorization(rng: np.random.Generator) -> float:
+    n = int(rng.integers(2, 11))
+    g = comparisons.gram(states.random_family(n, rng))
+    rebuilt = comparisons.gram(realizability.factor_states(g))
+    return float(np.max(np.abs(rebuilt.entries - g.entries)))
 
 
-def _prop_bloch_round_trip(cases: int, rng: np.random.Generator) -> OracleReport:
-    worst = 0.0
-    for _ in range(cases):
-        s = states.random_state(rng)
-        n = states.to_bloch(s)
-        worst = max(
-            worst,
-            float(np.max(np.abs(states.to_bloch(states.from_bloch(n)).vector - n.vector))),
-        )
-        if not states.rays_equal(states.from_bloch(n), s, 1e-9):
-            worst = max(worst, 1.0)
-    return OracleReport("bloch_round_trip", cases, worst, 1e-9)
+@_property("bloch_round_trip", 1e-9)
+def _bloch_round_trip(rng: np.random.Generator) -> float:
+    s = states.random_state(rng)
+    n = states.to_bloch(s)
+    back = states.from_bloch(n)
+    dev = float(np.max(np.abs(states.to_bloch(back).vector - n.vector)))
+    return _worst([dev, float(not states.rays_equal(back, s, 1e-9))])
 
 
-def _prop_coherent_realization(cases: int, rng: np.random.Generator) -> OracleReport:
-    worst = 0.0
-    for _ in range(cases):
-        n = int(rng.integers(2, 13))
-        lam = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-        values = {
-            (i, j): lam[i] * lam[j].conjugate()
-            for i in range(n)
-            for j in range(i + 1, n)
-        }
-        u = comparisons.PhaseMatrix.from_edges(n, values)
-        fam = realizability.realize_coherent(u)
-        realized = comparisons.phases(comparisons.gram(fam))
-        for i, j in u.support.edges:
-            worst = max(worst, abs(realized.entries[i, j] - u.entries[i, j]))
-        for i in range(1, n):
-            if not states.rays_equal(fam[0], fam[i], 1e-9):
-                worst = max(worst, 1.0)
-    return OracleReport("coherent_realization_single_ray", cases, worst, 1e-9)
+@_property("coherent_realization_single_ray", 1e-9)
+def _coherent_realization(rng: np.random.Generator) -> float:
+    n = int(rng.integers(2, 13))
+    lam = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    values = {(i, j): lam[i] * lam[j].conjugate() for i, j in combinations(range(n), 2)}
+    u = comparisons.PhaseMatrix.from_edges(n, values)
+    fam = realizability.realize_coherent(u)
+    realized = comparisons.phases(comparisons.gram(fam))
+    ds = [abs(realized.entries[i, j] - u.entries[i, j]) for i, j in u.support.edges]
+    ds += [float(not states.rays_equal(fam[0], fam[i], 1e-9)) for i in range(1, n)]
+    return _worst(ds)
 
 
-def _prop_permutation(cases: int, rng: np.random.Generator) -> OracleReport:
-    worst = 0.0
-    for _ in range(cases):
-        fam, g = _family_with_support(rng, 3)
-        b = invariants.bargmann(g, 0, 1, 2)
-        worst = max(worst, abs(invariants.bargmann(g, 1, 2, 0) - b))
-        worst = max(worst, abs(invariants.bargmann(g, 0, 2, 1) - b.conjugate()))
-    return OracleReport("bargmann_permutation_symmetry", cases, worst, 1e-12)
+@_property("bargmann_permutation_symmetry", 1e-12)
+def _permutation(rng: np.random.Generator) -> float:
+    _, g = _family_with_support(rng, 3)
+    b = invariants.bargmann(g, 0, 1, 2)
+    cyclic = abs(invariants.bargmann(g, 1, 2, 0) - b)
+    reversed_ = abs(invariants.bargmann(g, 0, 2, 1) - b.conjugate())
+    return _worst([cyclic, reversed_])
 
 
-def _prop_ray_independence(cases: int, rng: np.random.Generator) -> OracleReport:
-    worst = 0.0
-    for _ in range(cases):
-        fam, g = _family_with_support(rng, 3)
-        rep = invariants.triangle_report(g, 0, 1, 2)
-        rephased = states.StateFamily(
-            tuple(s.rephased(float(t)) for s, t in zip(fam.states, rng.uniform(0, 2 * np.pi, 3)))
-        )
-        rep2 = invariants.triangle_report(comparisons.gram(rephased), 0, 1, 2)
-        worst = max(worst, abs(rep.defect - rep2.defect))
-        worst = max(worst, abs(rep.pancharatnam - rep2.pancharatnam))
-    return OracleReport("triangle_report_ray_independence", cases, worst, 1e-12)
+@_property("triangle_report_ray_independence", 1e-12)
+def _ray_independence(rng: np.random.Generator) -> float:
+    fam, g = _family_with_support(rng, 3)
+    rep = invariants.triangle_report(g, 0, 1, 2)
+    after = comparisons.gram(_rephased(fam, rng.uniform(0, 2 * np.pi, 3)))
+    rep2 = invariants.triangle_report(after, 0, 1, 2)
+    return _worst([abs(rep.defect - rep2.defect), abs(rep.pancharatnam - rep2.pancharatnam)])
 
 
-def _prop_purity(cases: int, rng: np.random.Generator) -> OracleReport:
-    worst = 0.0
-    for _ in range(cases):
-        s = states.random_state(rng)
-        n = states.to_bloch(s)
-        rho = 0.5 * (
-            np.eye(2, dtype=complex)
-            + n.nx * states.SIGMA_X
-            + n.ny * states.SIGMA_Y
-            + n.nz * states.SIGMA_Z
-        )
-        worst = max(worst, abs(np.trace(rho) - 1.0))
-        worst = max(worst, abs(np.trace(rho @ rho) - 1.0))
-        worst = max(worst, float(np.max(np.abs(rho - states.projector(s)))))
-    return OracleReport("bloch_projector_purity", cases, worst, 1e-12)
+@_property("bloch_projector_purity", 1e-12)
+def _purity(rng: np.random.Generator) -> float:
+    s = states.random_state(rng)
+    n = states.to_bloch(s)
+    rho = 0.5 * (
+        np.eye(2, dtype=complex)
+        + n.nx * states.SIGMA_X
+        + n.ny * states.SIGMA_Y
+        + n.nz * states.SIGMA_Z
+    )
+    return _worst([
+        abs(np.trace(rho) - 1.0),
+        abs(np.trace(rho @ rho) - 1.0),
+        float(np.max(np.abs(rho - states.projector(s)))),
+    ])
 
 
-def _prop_reciprocity(cases: int, rng: np.random.Generator) -> OracleReport:
-    worst = 0.0
-    for _ in range(cases):
-        n = int(rng.integers(2, 9))
-        fam, g = _family_with_support(rng, n)
-        u = comparisons.phases(g)
-        for i, j in u.support.edges:
-            worst = max(worst, abs(u.entries[i, j] * u.entries[j, i] - 1.0))
-    return OracleReport("phase_reciprocity", cases, worst, 1e-12)
+@_property("phase_reciprocity", 1e-12)
+def _reciprocity(rng: np.random.Generator) -> float:
+    n = int(rng.integers(2, 9))
+    _, g = _family_with_support(rng, n)
+    u = comparisons.phases(g)
+    return _worst(abs(u.entries[i, j] * u.entries[j, i] - 1.0) for i, j in u.support.edges)
 
 
-def _prop_triangle_kernel(cases: int, rng: np.random.Generator) -> OracleReport:
-    mismatches = 0.0
-    for _ in range(cases):
-        n = int(rng.integers(3, 9))
-        vecs = states.random_family(n, rng).vectors
-        if rng.random() < 0.5:  # an orthogonal pair, so that some triples are skipped
-            vecs[1] = (-vecs[0, 1].conjugate(), vecs[0, 0].conjugate())
-        g = comparisons.gram(states.StateFamily(tuple(states.QubitState(*v) for v in vecs)))
-        reference = [
-            invariants.triangle_report(g, *t)
-            for t in combinations(range(n), 3)
-            if min(abs(g.entries[a, b]) for a, b in combinations(t, 2))
-            > comparisons.DEFAULT_ZERO_TOL
-        ]
-        mismatches += invariants.all_triangles(g) != reference
-    return OracleReport("triangle_kernel_matches_triangle_report", cases, mismatches, 0.0)
-
-
-PROPERTIES = [
-    _prop_pauli,
-    _prop_bargmann_direct,
-    _prop_bargmann_trace,
-    _prop_defect_normalized,
-    _prop_probability_bloch,
-    _prop_bargmann_bloch,
-    _prop_solid_angle,
-    _prop_rephasing_invariance,
-    _prop_phase_covariance,
-    _prop_orthogonality_matching,
-    _prop_factorization,
-    _prop_bloch_round_trip,
-    _prop_coherent_realization,
-    _prop_permutation,
-    _prop_ray_independence,
-    _prop_purity,
-    _prop_reciprocity,
-    _prop_triangle_kernel,
-]
+@_property("triangle_kernel_matches_triangle_report", 0.0)
+def _triangle_kernel(rng: np.random.Generator) -> float:
+    """1 when all_triangles differs from triangle_report on any supported triple."""
+    n = int(rng.integers(3, 9))
+    vecs = states.random_family(n, rng).vectors
+    if rng.random() < 0.5:  # an orthogonal pair, so that some triples are skipped
+        vecs[1] = (-vecs[0, 1].conjugate(), vecs[0, 0].conjugate())
+    g = comparisons.gram(states.StateFamily(tuple(states.QubitState(*v) for v in vecs)))
+    reference = [
+        invariants.triangle_report(g, *t)
+        for t in combinations(range(n), 3)
+        if min(abs(g.entries[a, b]) for a, b in combinations(t, 2))
+        > comparisons.DEFAULT_ZERO_TOL
+    ]
+    return float(invariants.all_triangles(g) != reference)
 
 
 def run_all(cases: int, seed: int) -> list[OracleReport]:

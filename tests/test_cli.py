@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
 import cmath
+import itertools
 import json
 import math
 import subprocess
@@ -18,6 +19,7 @@ from qpc import (
     gram,
     matrix_from_json,
     matrix_to_json,
+    rays_equal,
     save_text,
 )
 from qpc.cli import main
@@ -140,6 +142,30 @@ class TestAnalyze:
         code, out = run_cli(capsys, "analyze", str(path))
         assert code == 0
         assert "represent the same ray" in out
+
+    def test_duplicate_ray_warnings_follow_rays_equal(self, capsys, tmp_path):
+        fam = StateFamily(
+            (
+                QubitState(1.0, 0.0),
+                QubitState(SQ2, SQ2),
+                QubitState(1j, 0.0),
+                QubitState(-SQ2, -SQ2),
+                QubitState(0.0, 1.0),
+                QubitState(0.0, -1j),
+            )
+        )
+        path = tmp_path / "dups.json"
+        save_text(str(path), family_to_json(fam))
+        code, out = run_cli(capsys, "analyze", str(path))
+        assert code == 0
+        expected = [
+            f"warning: states {i} and {j} represent the same ray; the "
+            "orthogonality matching criterion assumes distinct rays"
+            for i, j in itertools.combinations(range(len(fam)), 2)
+            if rays_equal(fam[i], fam[j], 1e-9)
+        ]
+        assert len(expected) == 3
+        assert [line for line in out.splitlines() if "same ray" in line] == expected
 
     def test_branch_cut_warning(self, capsys, tmp_path):
         # equatorial states 120 degrees apart: the loop phase sits at pi

@@ -1,6 +1,7 @@
 """Tests for the three comparison levels and their container types."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -289,12 +290,14 @@ class TestRejectsNonFinite:
     def test_matrix_types(self, bad):
         g = np.eye(2, dtype=complex)
         g[0, 1] = g[1, 0] = bad
-        with pytest.raises(ValueError):
-            GramMatrix(g)
-        with pytest.raises(ValueError):
-            ProbabilityMatrix(g.real)
-        with pytest.raises(ValueError):
-            PhaseMatrix(2, g, SupportGraph(2, frozenset({(0, 1)})))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                GramMatrix(g)
+            with pytest.raises(ValueError, match="non-finite"):
+                ProbabilityMatrix(g.real)
+            with pytest.raises(ValueError, match="non-finite"):
+                PhaseMatrix(2, g, SupportGraph(2, frozenset({(0, 1)})))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_state_types(self, bad):

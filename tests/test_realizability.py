@@ -112,6 +112,13 @@ class TestCheckGram:
             n = int(rng.integers(2, 9))
             assert check_gram(gram(random_family(n, rng))).all_ok
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        a = np.eye(3, dtype=complex)
+        a[0, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_gram(a)
+
 
 class TestFactorStates:
     def test_octant_round_trip(self, octant_family):
@@ -153,6 +160,14 @@ class TestFactorStates:
     def test_rejects_rank_three(self):
         with pytest.raises(ValueError, match="rank"):
             factor_states(GramMatrix(np.eye(3, dtype=complex)))
+
+    def test_one_decomposition_serves_verdict_and_factors(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh"))
+        factor_states(gram(random_family(5, seed=3)))
+        assert calls == ["eigh"]
 
 
 class TestCoherence:

@@ -1,8 +1,20 @@
 """Tests for the self-check property registry."""
 
+import math
+
 import pytest
 
+from qpc import invariants
 from qpc.verification import PROPERTIES, run_all
+
+BARGMANN_PROPERTIES = {
+    "bargmann_matches_componentwise_oracle",
+    "bargmann_matches_projector_trace_oracle",
+    "defect_equals_normalized_bargmann",
+    "bargmann_matches_bloch_formula",
+    "bargmann_rephasing_invariance",
+    "bargmann_permutation_symmetry",
+}
 
 
 def test_every_property_passes():
@@ -26,3 +38,12 @@ def test_deterministic_per_seed():
 def test_rejects_non_positive_cases():
     with pytest.raises(ValueError, match="positive"):
         run_all(cases=0, seed=0)
+
+
+def test_nan_discrepancy_fails_its_property(monkeypatch):
+    monkeypatch.setattr(invariants, "bargmann", lambda *args: complex(math.nan, 0.0))
+    reports = {r.name: r for r in run_all(cases=3, seed=0)}
+    for name in BARGMANN_PROPERTIES:
+        assert math.isnan(reports[name].max_discrepancy)
+        assert reports[name].passed is False
+        assert reports[name].line().endswith("FAIL")
