@@ -25,14 +25,17 @@ import numpy as np
 from . import comparisons, invariants, realizability, states, verification
 from .files import (
     FileFormatError,
+    Records,
     dump_doc,
     family_doc,
     family_from_json,
     family_to_json,
+    fill_rows,
     load_text,
     matrix_doc,
     matrix_from_json,
     matrix_to_json,
+    re_im,
     save_text,
 )
 
@@ -52,13 +55,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# A real number, and a complex one from (real part, sign, |imag|): the
+# sign is "+" when imag >= 0, so an imaginary part of -0.0 prints "+0".
+_REAL = "%.15g"
+_COMPLEX = "%.15g%s%.15gi"
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.15g}"
+    return _REAL % x
 
 
 def _fmt_c(z: complex) -> str:
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{_fmt(z.real)}{sign}{_fmt(abs(z.imag))}i"
+    return _COMPLEX % (z.real, "+" if z.imag >= 0 else "-", abs(z.imag))
+
+
+def _complex_columns(z: np.ndarray) -> list:
+    """The _COMPLEX values of every entry of a 1-d complex array, as columns."""
+    return [z.real, np.where(z.imag >= 0, "+", "-"), np.abs(z.imag)]
+
+
+def _section(lines: list, row: str, rows: int, columns: list) -> None:
+    """Append rows lines of the template row, or "  none" when there are none."""
+    lines.append(fill_rows(row, "\n", rows, columns) if rows else "  none")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,13 +182,12 @@ def _analysis(family, args):
         "orthogonality matching criterion assumes distinct rays"
         for i, j in zip(*np.nonzero(np.triu(1.0 - p.entries <= DUPLICATE_RAY_TOL, 1)))
     ]
-    for rep in triangles:
-        if abs(rep.pancharatnam) > math.pi - BRANCH_CUT_MARGIN:
-            i, j, k = rep.triple
-            warnings.append(
-                f"triangle ({i}, {j}, {k}) is near the phase branch cut; "
-                "its solid angle is reported on the principal branch"
-            )
+    near_cut = np.abs(triangles.pancharatnam) > math.pi - BRANCH_CUT_MARGIN
+    warnings += [
+        f"triangle ({i}, {j}, {k}) is near the phase branch cut; "
+        "its solid angle is reported on the principal branch"
+        for i, j, k in triangles.triples[near_cut].tolist()
+    ]
     return g, p, u, og, matching, triangles, warnings
 
 
@@ -185,20 +202,17 @@ def _analysis_doc(family, load_warnings, args) -> dict:
         "probability": matrix_doc("probability", p.entries),
         "phase": matrix_doc("phase", u),
         "orthogonality": {
-            "edges": [[i, j] for i, j in sorted(og.edges)],
+            "edges": Records(list(np.nonzero(np.triu(og.mask, 1)))),
             "matching": matching,
         },
-        "triangles": [
-            {
-                "triple": list(rep.triple),
-                "bargmann": {"re": rep.bargmann.real, "im": rep.bargmann.imag},
-                "defect": {"re": rep.defect.real, "im": rep.defect.imag},
-                "pancharatnam": rep.pancharatnam,
-                "solid_angle": rep.solid_angle,
-                "amplitude_factor": rep.amplitude_factor,
-            }
-            for rep in triangles
-        ],
+        "triangles": Records({
+            "triple": list(triangles.triples.T),
+            "bargmann": re_im(triangles.bargmann),
+            "defect": re_im(triangles.defect),
+            "pancharatnam": triangles.pancharatnam,
+            "solid_angle": triangles.solid_angle,
+            "amplitude_factor": triangles.amplitude_factor,
+        }),
         "warnings": list(load_warnings) + warnings,
     }
 
@@ -210,19 +224,15 @@ def _analysis_text(family, load_warnings, args) -> str:
     if family.labels is not None:
         lines.append("labels: " + ", ".join(family.labels))
     lines.append("gram matrix:")
-    for i in range(n):
-        lines.append("  " + "  ".join(_fmt_c(g.entries[i, j]) for j in range(n)))
+    _section(lines, "  " + "  ".join([_COMPLEX] * n), n, _complex_columns(g.entries.ravel()))
     lines.append("probability matrix:")
-    for i in range(n):
-        lines.append("  " + "  ".join(_fmt(p.entries[i, j]) for j in range(n)))
+    _section(lines, "  " + "  ".join([_REAL] * n), n, [p.entries.ravel()])
     lines.append("phases on support pairs:")
-    if u.support.edges:
-        for i, j in sorted(u.support.edges):
-            lines.append(
-                f"  ({i}, {j}): {_fmt_c(u.entries[i, j])}  angle {_fmt(u.angle(i, j))}"
-            )
-    else:
-        lines.append("  none")
+    i, j = np.nonzero(np.triu(u.support.mask, 1))
+    z = u.entries[i, j]
+    angle = np.angle(z)
+    _section(lines, "  (%d, %d): " + _COMPLEX + "  angle " + _REAL, len(z),
+             [i, j, *_complex_columns(z), np.where(angle == -np.pi, np.pi, angle)])
     ortho = sorted(og.edges)
     lines.append(
         "orthogonal pairs: "
@@ -230,21 +240,14 @@ def _analysis_text(family, load_warnings, args) -> str:
     )
     lines.append(f"orthogonality graph is a matching: {'yes' if matching else 'no'}")
     lines.append("triangles:")
-    if triangles:
-        for rep in triangles:
-            i, j, k = rep.triple
-            lines.append(
-                f"  ({i}, {j}, {k}): bargmann {_fmt_c(rep.bargmann)}  "
-                f"defect {_fmt_c(rep.defect)}  "
-                f"pancharatnam {_fmt(rep.pancharatnam)}  "
-                f"solid_angle {_fmt(rep.solid_angle)}  "
-                f"amplitude {_fmt(rep.amplitude_factor)}"
-            )
-    else:
-        lines.append("  none")
-    for w in list(load_warnings) + warnings:
-        lines.append(f"warning: {w}")
-    return "\n".join(lines) + "\n"
+    _section(lines, "  (%d, %d, %d): bargmann " + _COMPLEX + "  defect " + _COMPLEX
+             + "  pancharatnam " + _REAL + "  solid_angle " + _REAL + "  amplitude " + _REAL,
+             len(triangles),
+             [*triangles.triples.T, *_complex_columns(triangles.bargmann),
+              *_complex_columns(triangles.defect), triangles.pancharatnam,
+              triangles.solid_angle, triangles.amplitude_factor])
+    lines += [f"warning: {w}" for w in list(load_warnings) + warnings]
+    return "\n".join(lines + [""])
 
 
 def cmd_analyze(args) -> int:
@@ -338,7 +341,7 @@ def cmd_realize(args) -> int:
             return EXIT_NEGATIVE
         # The verdict allows slack below the strict type tolerance; fold the
         # matrix onto its Hermitian, unit-diagonal part before factoring.
-        h = (payload + payload.conj().T) / 2.0
+        h = realizability.hermitian_part(payload)
         np.fill_diagonal(h, 1.0)
         family = realizability.factor_states(comparisons.GramMatrix(h))
         rebuilt = comparisons.gram(family)

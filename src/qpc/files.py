@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -41,10 +43,6 @@ MATRIX_KINDS = ("gram", "probability", "phase")
 
 class FileFormatError(ValueError):
     """A document that cannot be parsed into the requested type."""
-
-
-def _c(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
 
 
 def _number(x, where: str) -> float:
@@ -65,17 +63,131 @@ def _parse_c(obj, where: str) -> complex:
     return complex(_number(obj["re"], where), _number(obj["im"], where))
 
 
-def dump_doc(doc: dict) -> str:
-    """Canonical rendering of a JSON document; stable byte for byte."""
-    return json.dumps(doc, indent=2) + "\n"
+def re_im(z: np.ndarray) -> dict:
+    """The {re, im} record shape of a complex column, for Records."""
+    return {"re": z.real, "im": z.imag}
+
+
+class Records(Sequence):
+    """A JSON array of records of one fixed shape, held as columns.
+
+    shape is one record, a nested dict/list whose leaves are whole 1-d
+    columns of equal length, of finite ints or floats; record t takes
+    element t of every column.  The columns are referenced, not copied.
+    Indexing and iteration yield plain records, so
+    json.dumps(doc, default=list) encodes a document holding Records
+    exactly as dump_doc does.
+    """
+
+    def __init__(self, shape):
+        self.shape = shape
+        columns = [np.asarray(c) for c in _leaves(shape)]
+        if len({len(c) for c in columns}) != 1 or not all(
+            c.ndim == 1 and c.dtype.kind in "iuf" and np.isfinite(c).all() for c in columns
+        ):
+            raise ValueError("record columns must be equally long, of finite ints or floats")
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, t: int):
+        return _fill(self.shape, iter([c[t].item() for c in self.columns]))
+
+    def render(self, level: int) -> str:
+        """The array as json.dumps(..., indent=2) writes it at nesting level."""
+        if not self:
+            return "[]"
+        row = _indent(level + 1) + _template(self.shape, level + 1)
+        return "".join(["[", fill_rows(row, ",", len(self), self.columns), _indent(level), "]"])
+
+
+_FILL_CHUNK = 4096  # rows per % operation: bounds the template and the values' Python copies
+
+
+def fill_rows(row: str, sep: str, rows: int, columns: list) -> str:
+    """rows copies of the %-template row, joined by sep, filled with the
+    values of the 1-d array columns taken element by element: element 0
+    of every column, then element 1, and so on; each row takes
+    len(column) // rows elements of every column."""
+    per_row = len(columns[0]) // rows if rows else 0
+    pieces = []
+    for start in range(0, rows, _FILL_CHUNK):
+        count = min(_FILL_CHUNK, rows - start)
+        part = [c[start * per_row:(start + count) * per_row].tolist() for c in columns]
+        pieces.append(sep.join([row] * count) % tuple(chain.from_iterable(zip(*part))))
+    return sep.join(pieces)
+
+
+def _leaves(shape) -> list:
+    if isinstance(shape, (dict, list)):
+        parts = shape.values() if isinstance(shape, dict) else shape
+        return [leaf for part in parts for leaf in _leaves(part)]
+    return [shape]
+
+
+def _fill(shape, values):
+    if isinstance(shape, dict):
+        return {key: _fill(part, values) for key, part in shape.items()}
+    if isinstance(shape, list):
+        return [_fill(part, values) for part in shape]
+    return next(values)
+
+
+def _indent(level: int) -> str:
+    return "\n" + "  " * level
+
+
+def _template(shape, level: int) -> str:
+    # One record at nesting level `level`, with %r at every leaf: %r is
+    # float.__repr__ and int.__repr__, which is how json writes numbers.
+    if isinstance(shape, dict):
+        items = [json.dumps(key).replace("%", "%%") + ": " + _template(part, level + 1)
+                 for key, part in shape.items()]
+        left, right = "{", "}"
+    elif isinstance(shape, list):
+        items = [_template(part, level + 1) for part in shape]
+        left, right = "[", "]"
+    else:
+        return "%r"
+    inner = _indent(level + 1)
+    return left + inner + ("," + inner).join(items) + _indent(level) + right
+
+
+_MARK = "\x00records\x00"
+
+
+def dump_doc(doc) -> str:
+    """Canonical rendering of a JSON document; stable byte for byte.
+
+    The result is exactly json.dumps(doc, indent=2) + "\n", where each
+    Records array counts as the list of its records.  Records are
+    written from one row template over their columns and spliced into
+    the json rendering of the rest of the document.
+    """
+    found = []
+
+    def mark(obj):
+        if not isinstance(obj, Records):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        found.append(obj)
+        return _MARK
+
+    parts = json.dumps(doc, indent=2, default=mark).split(json.dumps(_MARK))
+    if len(parts) != len(found) + 1:  # a string of the document contains the mark
+        return json.dumps(doc, indent=2, default=list) + "\n"
+    out = [parts[0]]
+    for records, part in zip(found, parts[1:]):
+        line = out[-1].rpartition("\n")[2]
+        out += [records.render((len(line) - len(line.lstrip(" "))) // 2), part]
+    return "".join(out + ["\n"])
 
 
 def family_doc(family: StateFamily) -> dict:
+    v = family.vectors
     doc = {
         "version": FAMILY_VERSION,
-        "states": [
-            {"c0": _c(s.c0), "c1": _c(s.c1)} for s in family.states
-        ],
+        "states": Records({"c0": re_im(v[:, 0]), "c1": re_im(v[:, 1])}),
     }
     if family.labels is not None:
         doc["labels"] = list(family.labels)
@@ -164,30 +276,26 @@ def matrix_doc(kind: str, data) -> dict:
     """Document for one comparison matrix.
 
     kind "gram" and "probability" take a square ndarray; kind "phase"
-    takes a PhaseMatrix.
+    takes a PhaseMatrix.  The arrays of the document are Records.
     """
     if kind == "gram":
         a = np.asarray(data, dtype=complex)
-        entries = [_c(z) for z in a.ravel()]
-        doc = {"version": MATRIX_VERSION, "kind": kind, "n": a.shape[0], "entries": entries}
+        doc = {"version": MATRIX_VERSION, "kind": kind, "n": a.shape[0],
+               "entries": Records(re_im(a.ravel()))}
     elif kind == "probability":
         a = np.asarray(data, dtype=float)
-        doc = {
-            "version": MATRIX_VERSION,
-            "kind": kind,
-            "n": a.shape[0],
-            "entries": [float(x) for x in a.ravel()],
-        }
+        doc = {"version": MATRIX_VERSION, "kind": kind, "n": a.shape[0],
+               "entries": Records(a.ravel())}
     elif kind == "phase":
         if not isinstance(data, PhaseMatrix):
             raise ValueError("phase kind requires a PhaseMatrix")
-        edges = sorted(data.support.edges)
+        i, j = np.nonzero(np.triu(data.support.mask, 1))
         doc = {
             "version": MATRIX_VERSION,
             "kind": kind,
             "n": data.n,
-            "support": [[i, j] for i, j in edges],
-            "entries": [_c(data.entries[i, j]) for i, j in edges],
+            "support": Records([i, j]),
+            "entries": Records(re_im(data.entries[i, j])),
         }
     else:
         raise ValueError(f"unknown matrix kind {kind!r}")

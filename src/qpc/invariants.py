@@ -62,6 +62,42 @@ class TriangleReport:
     amplitude_factor: float
 
 
+@dataclass(frozen=True, eq=False)
+class TriangleTable:
+    """The TriangleReport fields of many triples, one read-only column each.
+
+    Row t describes triples[t]: triples is a (T, 3) integer array,
+    bargmann and defect are complex columns, pancharatnam, solid_angle
+    and amplitude_factor float columns, all of length T.  len() is T,
+    and iterating yields one TriangleReport per row, in row order.
+    """
+
+    triples: np.ndarray
+    bargmann: np.ndarray
+    defect: np.ndarray
+    pancharatnam: np.ndarray
+    solid_angle: np.ndarray
+    amplitude_factor: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in vars(self).values():
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.triples)
+
+    def __iter__(self):
+        return map(
+            TriangleReport,
+            map(tuple, self.triples.tolist()),
+            self.bargmann.tolist(),
+            self.defect.tolist(),
+            self.pancharatnam.tolist(),
+            self.solid_angle.tolist(),
+            self.amplitude_factor.tolist(),
+        )
+
+
 def _check_triple(n: int, i: int, j: int, k: int) -> None:
     for v in (i, j, k):
         if not 0 <= v < n:
@@ -209,14 +245,15 @@ def cycle_products(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _mul(_mul(a[i, j], a[j, k]), a[k, i])
 
 
-def all_triangles(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> list:
-    """Reports for every triple i < j < k with full phase support.
+def all_triangles(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> TriangleTable:
+    """Invariants of every triple i < j < k with full phase support.
 
-    Triples with a vanishing overlap are skipped; the rest are listed in
-    lexicographic order of their canonical orientation.  This is the
-    array kernel; triangle_report is its scalar reference, which it
-    matches bit for bit on exactly Hermitian g (every gram() result),
-    including the 1e-12 refusal when the two defect routes disagree.
+    Triples with a vanishing overlap are skipped; the rest are the rows
+    of the table, in lexicographic order of their canonical orientation.
+    This is the array kernel; triangle_report is its scalar reference:
+    the table's reports match it bit for bit on exactly Hermitian g
+    (every gram() result), including the 1e-12 refusal when the two
+    defect routes disagree.
     """
     u = phases(g, zero_tol)
     t = support_triples(u.support.mask)
@@ -230,11 +267,7 @@ def all_triangles(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> list:
         raise ArithmeticError(
             f"defect and normalized Bargmann invariant disagree: |delta| = {worst!r}"
         )
-    kappas = kappa.tolist()
-    gammas = (_principal(math.atan2(z.imag, z.real)) for z in kappas)
-    return [
-        TriangleReport(triple, b_t, kappa_t, gamma, -2.0 * gamma, amp)
-        for triple, b_t, kappa_t, gamma, amp in zip(
-            zip(*t.T.tolist()), b.tolist(), kappas, gammas, amplitude.tolist()
-        )
-    ]
+    # math.atan2 on the parts, as triangle_report's cmath.phase computes it
+    gamma = np.array(list(map(math.atan2, kappa.imag.tolist(), kappa.real.tolist())))
+    gamma = np.where(gamma == -math.pi, math.pi, gamma)
+    return TriangleTable(t, b, kappa, gamma, -2.0 * gamma, amplitude)

@@ -126,14 +126,22 @@ def check_gram(g) -> GramVerdict:
     require_finite(a)
     # eigvalsh, not eigh: the two differ in the last bit, and the verdict
     # prints every eigenvalue.
-    return _verdict(a, np.linalg.eigvalsh((a + a.conj().T) / 2.0)[::-1])
+    return _verdict(a, np.linalg.eigvalsh(hermitian_part(a))[::-1])
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a*) / 2, halved before adding so that large finite entries do
+    not overflow; on ordinary input the bits are those of (a + a*) / 2."""
+    return a / 2.0 + a.conj().T / 2.0
 
 
 def _verdict(a: np.ndarray, eigs: np.ndarray) -> GramVerdict:
     """The four conditions on a, given the eigenvalues of its Hermitian
     part in descending order."""
     n = a.shape[0]
-    herm_dev = float(np.max(np.abs(a - a.conj().T))) if n else 0.0
+    # halved like hermitian_part; the doubling overflows to inf, silently,
+    # only when the deviation itself exceeds the largest float
+    herm_dev = 2.0 * float(np.max(np.abs(a / 2.0 - a.conj().T / 2.0))) if n else 0.0
     diag_dev = float(np.max(np.abs(np.diagonal(a) - 1.0))) if n else 0.0
     lam_max = float(eigs[0])
     lam_min = float(eigs[-1])
@@ -166,7 +174,7 @@ def factor_states(g: GramMatrix) -> StateFamily:
     defensively.  The family reproduces g up to the discarded
     eigenvalue mass, which the verdict bounds.
     """
-    w, q = np.linalg.eigh((g.entries + g.entries.conj().T) / 2.0)
+    w, q = np.linalg.eigh(hermitian_part(g.entries))
     verdict = _verdict(g.entries, w[::-1])
     if not verdict.all_ok:
         raise ValueError(

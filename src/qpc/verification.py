@@ -237,7 +237,7 @@ def _triangle_kernel(rng: np.random.Generator) -> float:
         if min(abs(g.entries[a, b]) for a, b in combinations(t, 2))
         > comparisons.DEFAULT_ZERO_TOL
     ]
-    return float(invariants.all_triangles(g) != reference)
+    return float(list(invariants.all_triangles(g)) != reference)
 
 
 def run_all(cases: int, seed: int) -> list[OracleReport]:

@@ -1,11 +1,14 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
+import argparse
 import cmath
 import itertools
 import json
 import math
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,17 +17,21 @@ from qpc import (
     PhaseMatrix,
     QubitState,
     StateFamily,
+    all_triangles,
     family_from_json,
     family_to_json,
     gram,
+    load_text,
     matrix_from_json,
     matrix_to_json,
+    random_family,
     rays_equal,
     save_text,
 )
-from qpc.cli import main
+from qpc.cli import BRANCH_CUT_MARGIN, _analysis, _fmt, _fmt_c, main
 
 SQ2 = 2.0 ** -0.5
+DATA = Path(__file__).parent / "data" / "analyze"
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +188,41 @@ class TestAnalyze:
         assert code == 0
         assert "branch cut" in out
 
+    @pytest.mark.parametrize("name", ["branch_cut", "negative_zero", "labels"])
+    def test_branch_cut_warnings_equal_the_report_loop(self, name):
+        fam, _ = family_from_json(load_text(str(DATA / f"{name}.json")))
+        args = argparse.Namespace(zero_tol=1e-10, emit_gram=None, emit_probability=None,
+                                  emit_phase=None)
+        *_, table, warnings = _analysis(fam, args)
+        expected = [
+            f"triangle {rep.triple} is near the phase branch cut; "
+            "its solid angle is reported on the principal branch"
+            for rep in table
+            if abs(rep.pancharatnam) > math.pi - BRANCH_CUT_MARGIN
+        ]
+        assert [w for w in warnings if "branch cut" in w] == expected
+        assert len(expected) == {"branch_cut": 1, "negative_zero": 2, "labels": 0}[name]
+
+    def test_triangle_lines_equal_the_per_report_rendering(self, capsys, tmp_path):
+        # 31 states give more triangles than one fill chunk of rows
+        vecs = random_family(31, 12).vectors
+        vecs[1] = (-vecs[0, 1].conjugate(), vecs[0, 0].conjugate())
+        fam = StateFamily(tuple(QubitState(*v) for v in vecs))
+        path = tmp_path / "fam31.json"
+        save_text(str(path), family_to_json(fam))
+        code, out = run_cli(capsys, "analyze", str(path))
+        assert code == 0
+        expected = [
+            f"  {rep.triple}: bargmann {_fmt_c(rep.bargmann)}  defect {_fmt_c(rep.defect)}  "
+            f"pancharatnam {_fmt(rep.pancharatnam)}  solid_angle {_fmt(rep.solid_angle)}  "
+            f"amplitude {_fmt(rep.amplitude_factor)}"
+            for rep in all_triangles(gram(fam))
+        ]
+        assert len(expected) > 4096
+        lines = out.splitlines()
+        start = lines.index("triangles:") + 1
+        assert [line for line in lines[start:] if line.startswith("  (")] == expected
+
     def test_zero_tol_flag_prunes_support(self, capsys, tmp_path):
         eps = 1e-4
         fam = StateFamily(
@@ -224,6 +266,17 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["realizable"] is True
         assert doc["rank_estimate"] <= 2
+
+    def test_huge_finite_entries_keep_the_verdict_finite(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        save_text(str(path), matrix_to_json("gram", np.array([[1, 1e308], [1e308, 1]], dtype=complex)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run_cli(capsys, "check", str(path))
+        assert code == 1
+        assert "eigenvalues: 1e+308  -1e+308" in out
+        assert "worst violation: 1e+308" in out
+        assert "positive semidefinite: FAIL" in out
 
     def test_wrong_kind_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "p.json"

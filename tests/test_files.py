@@ -2,25 +2,35 @@
 
 import json
 import math
+from argparse import Namespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpc import (
+    DEFAULT_ZERO_TOL,
     FileFormatError,
     PhaseMatrix,
     QubitState,
+    Records,
     StateFamily,
+    dump_doc,
+    family_doc,
     family_from_json,
     family_to_json,
     gram,
     load_text,
+    matrix_doc,
     matrix_from_json,
     matrix_to_json,
     phases,
     random_family,
     save_text,
 )
+from qpc.cli import _analysis_doc
+from qpc.files import re_im
 
 SQ2 = 2.0 ** -0.5
 
@@ -249,3 +259,97 @@ class TestTextIO:
 
     def test_error_is_a_value_error(self):
         assert issubclass(FileFormatError, ValueError)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7, 3.0, -2.0, 0.1]
+
+
+def reference(doc) -> str:
+    """json's own rendering, each Records array written as its list of records."""
+    return json.dumps(doc, indent=2, default=list) + "\n"
+
+
+class TestDumpDoc:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_analysis_docs_match_json(self, n, seed, orthogonal, labelled):
+        vecs = random_family(n, seed).vectors
+        if orthogonal and n >= 2:
+            vecs[1] = (-vecs[0, 1].conjugate(), vecs[0, 0].conjugate())
+        labels = tuple(f"état {k} \"%r\"" for k in range(n)) if labelled else None
+        fam = StateFamily(tuple(QubitState(*v) for v in vecs), labels)
+        args = Namespace(zero_tol=DEFAULT_ZERO_TOL, emit_gram=None, emit_probability=None,
+                         emit_phase=None)
+        doc = _analysis_doc(fam, ["state 0: renormalized"], args)
+        assert dump_doc(doc) == reference(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+                 max_size=6),
+        st.integers(0, 3),
+    )
+    def test_edge_floats_match_json(self, values, depth):
+        col = np.array(values, dtype=float)
+        doc = {
+            "x": values,
+            "100% keys": Records({"re": col, "im": col[::-1], "pair": [col, np.arange(len(col))]}),
+            "bare": Records(col),
+        }
+        for _ in range(depth):
+            doc = {"nested": [doc, Records(-col), [], {}], "scalar": values[0] if values else None}
+        assert dump_doc(doc) == reference(doc)
+
+    def test_records_longer_than_a_fill_chunk(self):
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal(10_001) + 1j * rng.standard_normal(10_001)
+        doc = {"entries": Records({"k": np.arange(len(z)), "z": re_im(z)})}
+        assert dump_doc(doc) == reference(doc)
+
+    def test_plain_documents_are_json(self):
+        doc = {"a": [1, 2.5, -0.0, None, True, "ψ"], "b": {}, "c": [[], [{}]], "d": 1e16}
+        assert dump_doc(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_string_equal_to_the_splice_mark(self):
+        doc = {"s": "\x00records\x00", "r": Records(np.array([1.0, 2.0]))}
+        assert dump_doc(doc) == reference(doc)
+
+    def test_unknown_objects_are_refused_as_json_does(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dump_doc({"x": object()})
+
+
+class TestRecords:
+    def test_sequence_of_plain_records(self):
+        z = np.array([1 + 2j, -0.5 - 0.0j])
+        r = Records({"re": z.real, "im": z.imag})
+        assert len(r) == 2
+        assert list(r) == [{"re": 1.0, "im": 2.0}, {"re": -0.5, "im": -0.0}]
+        assert r[-1] == {"re": -0.5, "im": -0.0}
+        assert list(Records([np.arange(2), np.arange(2) + 5])) == [[0, 5], [1, 6]]
+
+    def test_empty_records_are_an_empty_list(self):
+        r = Records({"re": np.array([]), "im": np.array([])})
+        assert len(r) == 0 and list(r) == []
+        assert dump_doc({"r": r}) == '{\n  "r": []\n}\n'
+
+    @pytest.mark.parametrize("columns", [
+        [np.array([1.0, np.nan])],
+        [np.array([np.inf])],
+        [np.array([True])],
+        [np.array([1.0]), np.array([1.0, 2.0])],
+        [np.ones((2, 2))],
+    ])
+    def test_refuses_what_json_would_write_differently(self, columns):
+        with pytest.raises(ValueError, match="record columns"):
+            Records(columns)
+
+    def test_documents_hold_records(self):
+        fam = random_family(3, seed=4)
+        g = gram(fam)
+        assert isinstance(family_doc(fam)["states"], Records)
+        assert list(matrix_doc("gram", g.entries)["entries"]) == [
+            {"re": float(z.real), "im": float(z.imag)} for z in g.entries.ravel()
+        ]
+        doc = matrix_doc("phase", phases(g))
+        assert list(doc["support"]) == [[0, 1], [0, 2], [1, 2]]

@@ -3,6 +3,7 @@
 import cmath
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,14 @@ from qpc import (
     GramMatrix,
     QubitState,
     StateFamily,
+    TriangleTable,
     all_triangles,
     bargmann,
     bargmann_bloch,
     defect,
+    family_from_json,
     gram,
+    load_text,
     phases,
     solid_angle,
     to_bloch,
@@ -272,14 +276,14 @@ class TestSolidAngle:
 class TestAllTriangles:
     def test_two_states_yield_empty_list(self):
         fam = StateFamily((QubitState(1.0, 0.0), QubitState(SQ2, SQ2)))
-        assert all_triangles(gram(fam)) == []
+        assert list(all_triangles(gram(fam))) == []
 
     def test_octant_yields_single_report(self, octant_family):
         reports = all_triangles(gram(octant_family))
         assert [r.triple for r in reports] == [(0, 1, 2)]
 
     def test_orthogonal_pairs_suppress_all_triples(self):
-        assert all_triangles(gram(orthogonal_pairs_family())) == []
+        assert list(all_triangles(gram(orthogonal_pairs_family()))) == []
 
     def test_full_support_counts_and_order(self):
         _, g = family_with_support(np.random.default_rng(55), 6)
@@ -302,7 +306,41 @@ class TestAllTriangles:
                 if min(abs(g.entries[i, j]), abs(g.entries[j, k]), abs(g.entries[k, i]))
                 > DEFAULT_ZERO_TOL
             ]
-            assert all_triangles(g) == expected
+            assert list(all_triangles(g)) == expected
+
+    def test_table_columns(self):
+        _, g = family_with_support(np.random.default_rng(55), 6)
+        table = all_triangles(g)
+        assert isinstance(table, TriangleTable) and len(table) == 20
+        assert table.triples.shape == (20, 3) and table.triples.dtype.kind == "i"
+        for name, dtype in (("bargmann", complex), ("defect", complex), ("pancharatnam", float),
+                            ("solid_angle", float), ("amplitude_factor", float)):
+            column = getattr(table, name)
+            assert column.shape == (20,) and column.dtype == dtype
+            assert not column.flags.writeable
+        assert not table.triples.flags.writeable
+
+    def test_empty_table(self):
+        table = all_triangles(gram(orthogonal_pairs_family()))
+        assert len(table) == 0 and list(table) == []
+        assert table.triples.shape == (0, 3)
+        assert table.pancharatnam.shape == (0,) and table.bargmann.dtype == complex
+
+    def test_reports_carry_the_reference_bits(self):
+        # signed zeros in the defects and pancharatnam phases, which == ignores
+        path = Path(__file__).parent / "data" / "analyze" / "negative_zero.json"
+        g = gram(family_from_json(load_text(str(path)))[0])
+        reports = list(all_triangles(g))
+        expected = [triangle_report(g, *t) for t in combinations(range(g.n), 3)]
+
+        def bits(r):
+            return (r.triple, repr(complex(r.bargmann)), repr(complex(r.defect)),
+                    repr(float(r.pancharatnam)), repr(float(r.solid_angle)),
+                    repr(float(r.amplitude_factor)))
+
+        assert [bits(r) for r in reports] == [bits(r) for r in expected]
+        assert "pancharatnam=-0.0" in repr(reports)
+        assert all(type(v) is int for r in reports for v in r.triple)
 
     def test_support_triples_of_partial_mask(self):
         rng = np.random.default_rng(9)
