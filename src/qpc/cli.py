@@ -79,59 +79,62 @@ def _section(lines: list, row: str, rows: int, columns: list) -> None:
     lines.append(fill_rows(row, "\n", rows, columns) if rows else "  none")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--zero-tol", type=float, default=comparisons.DEFAULT_ZERO_TOL,
-                        help="overlap modulus at or below this counts as orthogonal")
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed (falls back to QPC_SEED, then 0)")
-    common.add_argument("--out", default=None, help="write the main output to this path")
-    common.add_argument("--format", choices=("text", "structured"), default="text",
-                        help="report style: human text or a JSON document")
+# The options shared between subcommands; each takes those it reads.
+_OPTIONS = {
+    "--seed": dict(type=int, default=None,
+                   help="random seed (falls back to QPC_SEED, then 0)"),
+    "--out": dict(default=None, help="write the main output to this path"),
+    "--format": dict(choices=("text", "structured"), default="text",
+                     help="report style: human text or a JSON document"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpc",
         description="Pairwise comparison geometry of qubit state families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", parents=[common],
-                           help="write a seeded random state family")
+    def command(name, func, summary, options):
+        p = sub.add_parser(name, help=summary)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
+        return p
+
+    p_gen = command("gen", cmd_gen, "write a seeded random state family", ["--seed", "--out"])
     p_gen.add_argument("--n", type=_positive_int, required=True,
                        help="number of states to draw")
-    p_gen.set_defaults(func=cmd_gen)
 
-    p_analyze = sub.add_parser("analyze", parents=[common],
-                               help="full comparison report of a family file")
+    p_analyze = command("analyze", cmd_analyze, "full comparison report of a family file",
+                        ["--out", "--format"])
     p_analyze.add_argument("family", help="path to a family file")
+    p_analyze.add_argument("--zero-tol", type=float, default=comparisons.DEFAULT_ZERO_TOL,
+                           help="overlap modulus at or below this counts as orthogonal")
     p_analyze.add_argument("--emit-gram", default=None, metavar="PATH",
                            help="also write the gram matrix file")
     p_analyze.add_argument("--emit-probability", default=None, metavar="PATH",
                            help="also write the probability matrix file")
     p_analyze.add_argument("--emit-phase", default=None, metavar="PATH",
                            help="also write the phase matrix file")
-    p_analyze.set_defaults(func=cmd_analyze)
 
-    p_check = sub.add_parser("check", parents=[common],
-                             help="judge a gram matrix file")
+    p_check = command("check", cmd_check, "judge a gram matrix file", ["--out", "--format"])
     p_check.add_argument("matrix", help="path to a gram matrix file")
-    p_check.set_defaults(func=cmd_check)
 
-    p_realize = sub.add_parser("realize", parents=[common],
-                               help="reconstruct states from a matrix file")
+    p_realize = command("realize", cmd_realize, "reconstruct states from a matrix file",
+                        ["--seed", "--out", "--format"])
     p_realize.add_argument("matrix", help="path to a gram or phase matrix file")
     p_realize.add_argument("--restarts", type=_positive_int, default=32)
     p_realize.add_argument("--max-iters", type=_positive_int, default=500)
     p_realize.add_argument("--soft-floor", type=float, default=1e-6)
     p_realize.add_argument("--realize-tol", type=float,
                            default=realizability.REALIZE_TOL)
-    p_realize.set_defaults(func=cmd_realize)
 
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run the registered self-check properties")
+    p_verify = command("verify", cmd_verify, "run the registered self-check properties",
+                       ["--seed", "--out", "--format"])
     p_verify.add_argument("--cases", type=_positive_int, default=100,
                           help="random instances per property")
-    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -410,13 +413,7 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else 0
     try:
         return args.func(args)
-    except FileFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (OSError, ValueError) as e:  # FileFormatError and LinAlgError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

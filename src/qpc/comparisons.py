@@ -36,10 +36,26 @@ def moduli(a: np.ndarray) -> np.ndarray:
     return np.hypot(a.real, a.imag)
 
 
-def require_finite(a: np.ndarray) -> None:
-    """Raise ValueError if any entry of a is NaN or infinite."""
+def require_square(a: np.ndarray) -> None:
+    """Raise ValueError unless a is a nonempty, finite square matrix."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not a.size:
+        raise ValueError("matrix is empty: a family has at least one state")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
+
+
+def deviations(a: np.ndarray) -> tuple[float, float]:
+    """(max |a - a*|, max |a_ii - 1|) of a nonempty square matrix.
+
+    The first is taken as 2 max |a/2 - a*/2|: halving before subtracting
+    keeps large finite entries from overflowing, and the doubling goes to
+    inf, silently, only when the deviation itself exceeds the largest
+    float.  On a real matrix a* is the transpose.
+    """
+    herm = 2.0 * float(np.max(np.abs(a / 2.0 - a.conj().T / 2.0)))
+    return herm, float(np.max(np.abs(np.diagonal(a) - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -50,13 +66,10 @@ class GramMatrix:
 
     def __post_init__(self) -> None:
         a = np.array(self.entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        require_finite(a)
-        herm = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+        require_square(a)
+        herm, diag = deviations(a)
         if not herm <= TOL_STRUCT:
             raise ValueError(f"matrix is not Hermitian: max |g - g*| = {herm!r}")
-        diag = np.max(np.abs(np.diagonal(a) - 1.0))
         if not diag <= TOL_STRUCT:
             raise ValueError(f"diagonal is not 1: max |g_ii - 1| = {diag!r}")
         a.setflags(write=False)
@@ -78,13 +91,10 @@ class ProbabilityMatrix:
 
     def __post_init__(self) -> None:
         a = np.array(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        require_finite(a)
-        sym = np.max(np.abs(a - a.T)) if a.size else 0.0
+        require_square(a)
+        sym, diag = deviations(a)
         if not sym <= TOL_STRUCT:
             raise ValueError(f"matrix is not symmetric: max |p - p^T| = {sym!r}")
-        diag = np.max(np.abs(np.diagonal(a) - 1.0))
         if not diag <= TOL_STRUCT:
             raise ValueError(f"diagonal is not 1: max |p_ii - 1| = {diag!r}")
         if not (np.min(a) >= -TOL_STRUCT and np.max(a) <= 1.0 + TOL_STRUCT):
@@ -188,10 +198,10 @@ class PhaseMatrix:
         a = np.array(self.entries, dtype=complex)
         if a.shape != (self.n, self.n):
             raise ValueError(f"expected shape ({self.n}, {self.n}), got {a.shape}")
-        require_finite(a)
+        require_square(a)
         if self.support.n != self.n:
             raise ValueError("support graph size does not match the matrix")
-        diag = np.max(np.abs(np.diagonal(a) - 1.0))
+        diag = deviations(a)[1]
         if not diag <= TOL_STRUCT:
             raise ValueError(f"diagonal phases must be 1: max deviation {diag!r}")
         i, j = np.nonzero(np.triu(self.support.mask))
@@ -199,7 +209,7 @@ class PhaseMatrix:
         if bad.any():
             i, j = i[bad][0], j[bad][0]
             raise ValueError(
-                f"phase for pair ({i}, {j}) is not unimodular: |u| = {abs(a[i, j])!r}"
+                f"phase for pair ({i}, {j}) is not unimodular: |u| = {float(abs(a[i, j]))!r}"
             )
         bad = ~(moduli(a[j, i] - a[i, j].conj()) <= TOL_STRUCT)
         if bad.any():

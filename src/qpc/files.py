@@ -15,6 +15,9 @@ normalized: deviations up to 1e-9 are accepted silently, up to 1e-6 the
 record is renormalized with a warning, and anything worse is rejected.
 The same windows apply to the length of a Bloch record.
 
+Every number is a finite JSON number, never a string or a boolean, and
+version, n and support indices are JSON integers.
+
 Matrix files carry a kind tag.  Kind "gram" stores the full row-major
 complex matrix, "probability" the full row-major real matrix, and
 "phase" a support edge list with one unit complex entry per edge.
@@ -45,13 +48,23 @@ class FileFormatError(ValueError):
     """A document that cannot be parsed into the requested type."""
 
 
+def _is_int(x) -> bool:
+    """Whether x is a JSON integer; json reads true and false as bools,
+    which Python counts as ints but a file does not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _number(x, where: str) -> float:
-    # JSON admits NaN and Infinity (and 1e999 parses as infinity), while a
-    # guard written "dev > tol" lets NaN through; refuse them where they enter.
+    # JSON numbers only, never a bool or a string.  JSON admits NaN and
+    # Infinity, 1e999 parses as infinity and an integer literal past the
+    # double range has no float at all; a guard written "dev > tol" lets
+    # NaN through, so all of them are refused here as non-finite.
+    if not (_is_int(x) or isinstance(x, float)):
+        raise FileFormatError(f"{where}: expected a number, got {x!r}")
     try:
         v = float(x)
-    except TypeError:
-        raise FileFormatError(f"{where}: expected a number, got {x!r}") from None
+    except OverflowError:
+        v = math.inf if x > 0 else -math.inf
     if not math.isfinite(v):
         raise FileFormatError(f"{where}: non-finite number {v!r}")
     return v
@@ -61,6 +74,29 @@ def _parse_c(obj, where: str) -> complex:
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise FileFormatError(f"{where}: expected a {{re, im}} pair")
     return complex(_number(obj["re"], where), _number(obj["im"], where))
+
+
+def _document(text: str, what: str, version: int) -> dict:
+    """The top-level object of a document, checked for its version."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:  # a JSONDecodeError, too many digits, too deep
+        raise FileFormatError(f"not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise FileFormatError("top level must be an object")
+    if not _is_int(doc.get("version")) or doc["version"] != version:
+        raise FileFormatError(f"unsupported {what} file version {doc.get('version')!r}")
+    return doc
+
+
+def _window(norm: float, where: str, refusal: str, length: str, warnings: list) -> None:
+    """Accept a record whose length deviates from 1 by up to ACCEPT_TOL,
+    warn up to RENORM_TOL (the caller renormalizes), refuse beyond."""
+    dev = abs(norm - 1.0)
+    if dev > RENORM_TOL:
+        raise FileFormatError(f"{where}: {refusal}, {length} = {norm!r}")
+    if dev > ACCEPT_TOL:
+        warnings.append(f"{where}: renormalized, {length} deviated by {dev:.3e}")
 
 
 def re_im(z: np.ndarray) -> dict:
@@ -204,43 +240,26 @@ def family_from_json(text: str):
     Returns (family, warnings); warnings list the records that needed
     renormalization.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FileFormatError(f"not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise FileFormatError("top level must be an object")
-    if doc.get("version") != FAMILY_VERSION:
-        raise FileFormatError(f"unsupported family file version {doc.get('version')!r}")
+    doc = _document(text, "family", FAMILY_VERSION)
     records = doc.get("states")
     if not isinstance(records, list) or not records:
         raise FileFormatError("states must be a nonempty list")
     warnings = []
     parsed = []
     for idx, rec in enumerate(records):
+        where = f"state {idx}"
         if not isinstance(rec, dict):
-            raise FileFormatError(f"state {idx}: expected an object")
+            raise FileFormatError(f"{where}: expected an object")
         has_amp = "c0" in rec or "c1" in rec
-        has_bloch = "bloch" in rec
-        if has_amp == has_bloch:
-            raise FileFormatError(
-                f"state {idx}: exactly one of amplitudes or bloch is required"
-            )
+        if has_amp == ("bloch" in rec):
+            raise FileFormatError(f"{where}: exactly one of amplitudes or bloch is required")
         if has_amp:
             if "c0" not in rec or "c1" not in rec:
-                raise FileFormatError(f"state {idx}: both c0 and c1 are required")
-            c0 = _parse_c(rec["c0"], f"state {idx} c0")
-            c1 = _parse_c(rec["c1"], f"state {idx} c1")
+                raise FileFormatError(f"{where}: both c0 and c1 are required")
+            c0 = _parse_c(rec["c0"], f"{where} c0")
+            c1 = _parse_c(rec["c1"], f"{where} c1")
             norm = math.hypot(abs(c0), abs(c1))
-            dev = abs(norm - 1.0)
-            if dev > RENORM_TOL:
-                raise FileFormatError(
-                    f"state {idx}: not normalized, |amplitudes| = {norm!r}"
-                )
-            if dev > ACCEPT_TOL:
-                warnings.append(
-                    f"state {idx}: renormalized, |amplitudes| deviated by {dev:.3e}"
-                )
+            _window(norm, where, "not normalized", "|amplitudes|", warnings)
             # mirror the constructor's own acceptance predicate so that
             # records already valid as states are kept bit for bit
             if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > TOL_NORM:
@@ -249,16 +268,10 @@ def family_from_json(text: str):
         else:
             vec = rec["bloch"]
             if not isinstance(vec, list) or len(vec) != 3:
-                raise FileFormatError(f"state {idx}: bloch must be a 3-vector")
-            arr = np.array([_number(x, f"state {idx} bloch") for x in vec])
+                raise FileFormatError(f"{where}: bloch must be a 3-vector")
+            arr = np.array([_number(x, f"{where} bloch") for x in vec])
             norm = float(np.linalg.norm(arr))
-            dev = abs(norm - 1.0)
-            if dev > RENORM_TOL:
-                raise FileFormatError(f"state {idx}: not on sphere, |n| = {norm!r}")
-            if dev > ACCEPT_TOL:
-                warnings.append(
-                    f"state {idx}: renormalized, |n| deviated by {dev:.3e}"
-                )
+            _window(norm, where, "not on sphere", "|n|", warnings)
             parsed.append(from_bloch(arr / norm))
     labels = doc.get("labels")
     if labels is not None:
@@ -313,40 +326,27 @@ def matrix_from_json(text: str):
     it is the caller's job), a validated ndarray for "probability", and
     a validated PhaseMatrix for "phase".
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FileFormatError(f"not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise FileFormatError("top level must be an object")
-    if doc.get("version") != MATRIX_VERSION:
-        raise FileFormatError(f"unsupported matrix file version {doc.get('version')!r}")
+    doc = _document(text, "matrix", MATRIX_VERSION)
     kind = doc.get("kind")
     if kind not in MATRIX_KINDS:
         raise FileFormatError(f"unknown matrix kind {kind!r}")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise FileFormatError(f"n must be a positive integer, got {n!r}")
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise FileFormatError("entries must be a list")
-    if kind == "gram":
+    if kind != "phase":
         if len(entries) != n * n:
             raise FileFormatError(f"expected {n * n} entries, got {len(entries)}")
-        a = np.array(
-            [_parse_c(e, f"entry {i}") for i, e in enumerate(entries)], dtype=complex
-        ).reshape(n, n)
-        return kind, a
-    if kind == "probability":
-        if len(entries) != n * n:
-            raise FileFormatError(f"expected {n * n} entries, got {len(entries)}")
+        if kind == "gram":
+            g = [_parse_c(e, f"entry {i}") for i, e in enumerate(entries)]
+            return kind, np.array(g).reshape(n, n)
         try:
-            p = ProbabilityMatrix(
-                np.array([_number(x, f"entry {i}") for i, x in enumerate(entries)]).reshape(n, n)
-            )
+            p = [_number(x, f"entry {i}") for i, x in enumerate(entries)]
+            return kind, ProbabilityMatrix(np.array(p).reshape(n, n)).entries
         except ValueError as e:
             raise FileFormatError(f"invalid probability matrix: {e}") from e
-        return kind, p.entries
     support = doc.get("support")
     if not isinstance(support, list):
         raise FileFormatError("phase kind requires a support edge list")
@@ -360,7 +360,7 @@ def matrix_from_json(text: str):
         if not isinstance(edge, list) or len(edge) != 2:
             raise FileFormatError(f"support edge {pos} must be a pair")
         i, j = edge
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not (_is_int(i) and _is_int(j)):
             raise FileFormatError(f"support edge {pos} must hold integers")
         pair = (min(i, j), max(i, j))
         if pair in pairs:

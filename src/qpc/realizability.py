@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .comparisons import GramMatrix, PhaseMatrix, moduli, require_finite
+from .comparisons import GramMatrix, PhaseMatrix, SupportGraph, deviations, moduli, require_square
 from .invariants import cycle_products, support_triples
 from .states import QubitState, StateFamily
 
@@ -121,9 +121,7 @@ def check_gram(g) -> GramVerdict:
     coincides with the input whenever hermitian_ok holds.
     """
     a = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    require_finite(a)
+    require_square(a)
     # eigvalsh, not eigh: the two differ in the last bit, and the verdict
     # prints every eigenvalue.
     return _verdict(a, np.linalg.eigvalsh(hermitian_part(a))[::-1])
@@ -139,10 +137,7 @@ def _verdict(a: np.ndarray, eigs: np.ndarray) -> GramVerdict:
     """The four conditions on a, given the eigenvalues of its Hermitian
     part in descending order."""
     n = a.shape[0]
-    # halved like hermitian_part; the doubling overflows to inf, silently,
-    # only when the deviation itself exceeds the largest float
-    herm_dev = 2.0 * float(np.max(np.abs(a / 2.0 - a.conj().T / 2.0))) if n else 0.0
-    diag_dev = float(np.max(np.abs(np.diagonal(a) - 1.0))) if n else 0.0
+    herm_dev, diag_dev = deviations(a)
     lam_max = float(eigs[0])
     lam_min = float(eigs[-1])
     psd_ok = lam_min >= -PSD_TOL * max(1.0, lam_max)
@@ -228,14 +223,36 @@ def is_coherent(u: PhaseMatrix, tol: float) -> bool:
     return worst is None or worst[1] <= tol
 
 
+def _potential(u: PhaseMatrix, comps: list[list[int]]) -> np.ndarray:
+    """Unit numbers lam with u_ij = lam_i conj(lam_j) on every support edge.
+
+    comps are the connected components of the support.  lam is 1 at the
+    smallest vertex of each, is propagated over a breadth-first spanning
+    forest, and is then checked on every support edge, which also catches
+    incoherent cycles that contain no triangle.
+    """
+    lam = np.ones(u.n, dtype=complex)
+    for comp in comps:
+        for i, j in u.support.bfs(comp[0]):
+            lam[j] = lam[i] * u.entry(j, i)
+    lam = lam / np.abs(lam)
+    i, j = np.nonzero(np.triu(u.support.mask))
+    dev = moduli(lam[i] * lam[j].conj() - u.entries[i, j])
+    if not dev.max(initial=0.0) <= POTENTIAL_TOL:
+        e = int(np.argmax(dev))
+        raise ValueError(
+            "phases admit no consistent rephasing potential: the cycle "
+            f"closed by edge ({i[e]}, {j[e]}) has holonomy deviation {float(dev[e])!r}"
+        )
+    return lam
+
+
 def realize_coherent(u: PhaseMatrix, tol: float = COHERENCE_TOL) -> StateFamily:
     """Realize a coherent phase prescription on a single ray.
 
-    Phases of a rank-1 family split as u_ij = lam_i / lam_j.  The
-    potential lam is propagated over a spanning tree of the support
-    graph and then checked on every support edge, which also catches
-    incoherent cycles that contain no triangle.  The states returned
-    are conj(lam_i) times a fixed base state.
+    Phases of a rank-1 family split as u_ij = lam_i / lam_j, with lam the
+    rephasing potential of a connected support.  The states returned are
+    conj(lam_i) times a fixed base state.
     """
     comps = u.support.connected_components()
     if len(comps) > 1:
@@ -250,20 +267,7 @@ def realize_coherent(u: PhaseMatrix, tol: float = COHERENCE_TOL) -> StateFamily:
             f"phase matrix is not coherent: triangle ({i}, {j}, {k}) "
             f"has |defect - 1| = {dev!r}"
         )
-    n = u.n
-    lam = np.ones(n, dtype=complex)
-    for i, j in u.support.bfs(0):
-        lam[j] = lam[i] * u.entry(j, i)
-    lam = lam / np.abs(lam)
-    i, j = np.nonzero(np.triu(u.support.mask))
-    dev = moduli(lam[i] * lam[j].conj() - u.entries[i, j])
-    if not dev.max(initial=0.0) <= POTENTIAL_TOL:
-        e = int(np.argmax(dev))
-        raise ValueError(
-            "phases admit no consistent rephasing potential: the cycle "
-            f"closed by edge ({i[e]}, {j[e]}) has holonomy deviation {float(dev[e])!r}"
-        )
-    return StateFamily(tuple(QubitState(lam[i].conjugate(), 0.0) for i in range(n)))
+    return StateFamily(tuple(QubitState(z.conjugate(), 0.0) for z in _potential(u, comps)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +429,8 @@ def _phase_residual(vecs: np.ndarray, u: PhaseMatrix) -> float:
 
 
 def _restrict(u: PhaseMatrix, comp: list[int]) -> PhaseMatrix:
-    idx = {v: p for p, v in enumerate(comp)}
-    return PhaseMatrix.from_edges(
-        len(comp),
-        {(idx[i], idx[j]): u.entries[i, j] for i, j in u.support.edges if i in idx},
-    )
+    sub = np.ix_(comp, comp)
+    return PhaseMatrix(len(comp), u.entries[sub], SupportGraph.from_mask(u.support.mask[sub]))
 
 
 def _search_component(u: PhaseMatrix, cfg: SearchConfig, rng: np.random.Generator):
@@ -492,21 +493,18 @@ def realize_phases(u: PhaseMatrix, cfg: SearchConfig = SearchConfig()) -> Realiz
         )
     if is_coherent(u, COHERENCE_TOL):
         try:
-            vecs = np.zeros((u.n, 2), dtype=complex)
-            for comp in comps:
-                sub = realize_coherent(_restrict(u, comp))
-                vecs[comp] = sub.vectors
-            residual = _phase_residual(vecs, u)
-            if residual <= cfg.realize_tol:
-                fam = StateFamily(tuple(QubitState(v[0], v[1]) for v in vecs))
-                notes.append(
-                    "coherent phase data; realized by rephasing a single base state"
-                )
-                return RealizabilityResult(REALIZABLE, fam, residual, "; ".join(notes))
+            lam = _potential(u, comps)
         except ValueError:
             # No consistent potential (a cycle without triangles can hide
             # incoherence); fall back to the numerical search.
             pass
+        else:
+            vecs = np.column_stack([lam.conj(), np.zeros(u.n, dtype=complex)])
+            residual = _phase_residual(vecs, u)
+            if residual <= cfg.realize_tol:
+                fam = StateFamily(tuple(QubitState(v[0], v[1]) for v in vecs))
+                notes.append("coherent phase data; realized by rephasing a single base state")
+                return RealizabilityResult(REALIZABLE, fam, residual, "; ".join(notes))
     vecs = np.zeros((u.n, 2), dtype=complex)
     vecs[:, 0] = 1.0
     total_restarts = 0

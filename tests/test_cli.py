@@ -405,6 +405,90 @@ class TestNonFiniteInput:
         assert "non-finite number" in captured.err
 
 
+ZERO_C = {"re": 0.0, "im": 0.0}
+BLOCH_UP = {"version": 1, "states": [{"bloch": [0, 0, 1]}]}
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize(
+        "command, doc, error",
+        [
+            ("analyze", {"version": 1, "states": [{"c0": {"re": "1", "im": False}, "c1": ZERO_C}]},
+             "error: state 0 c0: expected a number, got '1'"),
+            ("analyze", {"version": 1, "states": [{"c0": {"re": True, "im": 0}, "c1": ZERO_C}]},
+             "error: state 0 c0: expected a number, got True"),
+            ("analyze", {"version": 1, "states": [{"bloch": [0, 0, False]}]},
+             "error: state 0 bloch: expected a number, got False"),
+            ("analyze", {**BLOCH_UP, "version": True},
+             "error: unsupported family file version True"),
+            ("analyze", {**BLOCH_UP, "version": 1.0},
+             "error: unsupported family file version 1.0"),
+            ("check", {"version": True, "kind": "gram", "n": 1, "entries": [ONE_C]},
+             "error: unsupported matrix file version True"),
+            ("check", {"version": 1, "kind": "gram", "n": True, "entries": [ONE_C]},
+             "error: n must be a positive integer, got True"),
+            ("check", {"version": 1, "kind": "probability", "n": 1, "entries": ["1"]},
+             "error: invalid probability matrix: entry 0: expected a number, got '1'"),
+            ("realize", {"version": 1, "kind": "phase", "n": 3, "support": [[True, 2]],
+                         "entries": [ONE_C]},
+             "error: support edge 0 must hold integers"),
+        ],
+    )
+    def test_exits_2_naming_the_field(self, capsys, tmp_path, command, doc, error):
+        path = tmp_path / "input.json"
+        save_text(str(path), json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == error + "\n"
+
+    @pytest.mark.parametrize("command, text, error", [
+        ("analyze", '{"version": 1, "states": [{"bloch": [0, 0, 1%s]}]}' % ("0" * 400),
+         "error: state 0 bloch: non-finite number inf"),
+        ("check", '{"version": 1, "kind": "gram", "n": 1, "entries": [{"re": 1, "im": -1%s}]}'
+         % ("0" * 400), "error: entry 0: non-finite number -inf"),
+        ("analyze", '{"version": 1, "states": [{"bloch": [0, 0, 1e999]}]}',
+         "error: state 0 bloch: non-finite number inf"),
+    ], ids=["bloch-integer", "gram-integer", "bloch-1e999"])
+    def test_integer_literals_beyond_a_double_are_non_finite(
+            self, capsys, tmp_path, command, text, error):
+        path = tmp_path / "input.json"
+        save_text(str(path), text)
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == error + "\n"
+
+    def test_nesting_too_deep_is_not_valid_json(self, capsys, tmp_path):
+        path = tmp_path / "input.json"
+        save_text(str(path), "[" * 100_000)
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: not valid JSON: maximum recursion depth")
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "2", "--zero-tol", "5"],
+        ["gen", "--n", "2", "--format", "structured"],
+        ["analyze", "family.json", "--seed", "1"],
+        ["check", "gram.json", "--seed", "1"],
+        ["check", "gram.json", "--zero-tol", "5"],
+        ["realize", "gram.json", "--zero-tol", "5"],
+        ["verify", "--zero-tol", "5"],
+    ])
+    def test_a_subcommand_refuses_options_it_does_not_read(self, capsys, argv):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_linalg_error_exits_2(self, capsys, monkeypatch, octant_gram_file):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert main(["check", octant_gram_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Eigenvalues did not converge\n"
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert main([]) == 2

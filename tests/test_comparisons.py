@@ -17,6 +17,7 @@ from qpc import (
     QubitState,
     StateFamily,
     SupportGraph,
+    check_gram,
     check_matching,
     gram,
     orthogonality_graph,
@@ -26,6 +27,7 @@ from qpc import (
     to_bloch,
 )
 
+from qpc.comparisons import deviations
 from tests.conftest import family_with_orthogonal_pairs
 
 SQ2 = 2.0 ** -0.5
@@ -305,6 +307,52 @@ class TestRejectsNonFinite:
             QubitState(bad, 0.0)
         with pytest.raises(ValueError):
             BlochVector(bad, 0.0, 1.0)
+
+
+class TestMatrixConditions:
+    def test_huge_finite_non_hermitian_input_does_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"not Hermitian: max \|g - g\*\| = inf$"):
+                GramMatrix([[1, 1e308], [-1e308, 1]])
+            assert deviations(np.array([[1, 1e308], [-1e308, 1]], dtype=complex)) == (
+                math.inf, 0.0)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: GramMatrix([[1, 0.1], [0.0, 1]]), "max |g - g*| = 0.1"),
+        (lambda: GramMatrix([[1.5, 0.0], [0.0, 1]]), "max |g_ii - 1| = 0.5"),
+        (lambda: ProbabilityMatrix([[1, 0.2], [0.3, 1]]), "max |p - p^T| = 0.09999999999999998"),
+        (lambda: ProbabilityMatrix([[1, 0.2], [0.2, 0.5]]), "max |p_ii - 1| = 0.5"),
+        (lambda: PhaseMatrix(1, [[1j]], SupportGraph(1, frozenset())),
+         "max deviation 1.4142135623730951"),
+        (lambda: PhaseMatrix.from_edges(2, {(0, 1): 0.5}), "|u| = 0.5"),
+    ])
+    def test_messages_print_plain_floats(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value).endswith(message)
+        assert "np." not in str(info.value)
+
+    def test_deviations_are_python_floats_with_the_unhalved_bits(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 9):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            herm, diag = deviations(a)
+            assert type(herm) is float and type(diag) is float
+            assert herm == np.max(np.abs(a - a.conj().T))
+            assert diag == np.max(np.abs(np.diagonal(a) - 1.0))
+
+    def test_empty_matrix_is_refused_with_a_reason(self):
+        empty = np.zeros((0, 0))
+        for make in (GramMatrix, ProbabilityMatrix, check_gram,
+                     lambda a: PhaseMatrix(0, a, None)):
+            with pytest.raises(ValueError, match="matrix is empty"):
+                make(empty)
+
+    def test_non_square_is_refused(self):
+        for make in (GramMatrix, ProbabilityMatrix, check_gram):
+            with pytest.raises(ValueError, match="expected a square matrix"):
+                make(np.ones((2, 3)))
 
 
 class TestRephasingCovariance:

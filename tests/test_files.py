@@ -195,7 +195,7 @@ class TestMatrixFiles:
         assert np.array_equal(back.entries, u.entries)
         assert matrix_to_json("phase", back) == text
 
-    @pytest.mark.parametrize("value", [None, [1.0], {"x": 1}])
+    @pytest.mark.parametrize("value", [None, [1.0], {"x": 1}, True, False, "1", "nan"])
     def test_rejects_non_numbers(self, value):
         doc = {"version": 1, "kind": "gram", "n": 1, "entries": [{"re": value, "im": 0.0}]}
         with pytest.raises(FileFormatError, match="expected a number"):

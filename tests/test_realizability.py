@@ -29,6 +29,7 @@ from qpc.realizability import (
     SEARCH_FAILED,
     _AngleLayout,
     _residuals,
+    _restrict,
 )
 from tests.conftest import family_with_support
 
@@ -257,6 +258,53 @@ class TestRealizeCoherent:
     def test_rejects_cycle_without_potential(self):
         with pytest.raises(ValueError, match="no consistent rephasing potential"):
             realize_coherent(holonomy_square())
+
+
+def per_component_restrict(u: PhaseMatrix, comp: list) -> PhaseMatrix:
+    idx = {v: p for p, v in enumerate(comp)}
+    return PhaseMatrix.from_edges(
+        len(comp), {(idx[i], idx[j]): u.entries[i, j] for i, j in u.support.edges if i in idx})
+
+
+def coherent_components(rng, n: int, comps: list) -> PhaseMatrix:
+    """Potential phases on the given vertex sets, each one connected."""
+    lam = np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    values = {}
+    for comp in comps:
+        for a, i in enumerate(comp):
+            for b, j in enumerate(comp[a + 1:], a + 1):
+                if b == a + 1 or rng.uniform() < 0.6:
+                    values[(i, j)] = lam[i] * lam[j].conjugate()
+    return PhaseMatrix.from_edges(n, values)
+
+
+class TestCoherentShortcut:
+    @pytest.mark.parametrize("n, comps", [
+        (5, [[0, 1, 2, 3, 4]]),
+        (6, [[0, 2, 4], [1, 3, 5]]),
+        (9, [[0, 1, 5], [2, 6], [3, 4, 7]]),
+        (8, [[1, 3, 4, 6], [2, 7]]),
+        (4, []),
+    ])
+    def test_certificate_equals_the_per_component_construction(self, n, comps):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            u = coherent_components(rng, n, comps)
+            vecs = np.zeros((n, 2), dtype=complex)
+            for comp in u.support.connected_components():
+                vecs[comp] = realize_coherent(per_component_restrict(u, comp)).vectors
+            res = realize_phases(u)
+            assert res.status == REALIZABLE and "single base state" in res.diagnostics
+            assert res.certificate.vectors.tobytes() == vecs.tobytes()
+
+    def test_restriction_slices_the_matrix(self):
+        rng = np.random.default_rng(3)
+        pairs = [(0, 2), (0, 6), (2, 3), (3, 6), (1, 4)]
+        u = PhaseMatrix.from_edges(7, {e: cmath.exp(1j * rng.uniform(-3, 3)) for e in pairs})
+        for comp in u.support.connected_components():
+            got, want = _restrict(u, comp), per_component_restrict(u, comp)
+            assert got.entries.tobytes() == want.entries.tobytes()
+            assert got.support == want.support
 
 
 class TestRealizePhases:
