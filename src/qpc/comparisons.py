@@ -32,8 +32,10 @@ def moduli(a: np.ndarray) -> np.ndarray:
 
     np.abs on complex arrays may take a vectorized path that differs
     from the scalar modulus in the last bit; hypot of the parts does not.
+    A modulus past the float range is inf, without an overflow warning.
     """
-    return np.hypot(a.real, a.imag)
+    with np.errstate(over="ignore"):
+        return np.hypot(a.real, a.imag)
 
 
 def require_square(a: np.ndarray) -> None:
@@ -230,6 +232,8 @@ class PhaseMatrix:
         for (i, j), u in values.items():
             if i == j:
                 raise ValueError(f"pair ({i}, {j}) is not an edge")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i}, {j}) out of range for n = {n}")
             a[i, j] = u
             a[j, i] = complex(u).conjugate()
             edges.add((min(i, j), max(i, j)))

@@ -33,7 +33,7 @@ from itertools import chain
 import numpy as np
 
 from .comparisons import PhaseMatrix, ProbabilityMatrix
-from .states import TOL_NORM, QubitState, StateFamily, from_bloch
+from .states import TOL_NORM, QubitState, StateFamily, _length, _modulus, from_bloch
 
 FAMILY_VERSION = 1
 MATRIX_VERSION = 1
@@ -258,7 +258,7 @@ def family_from_json(text: str):
                 raise FileFormatError(f"{where}: both c0 and c1 are required")
             c0 = _parse_c(rec["c0"], f"{where} c0")
             c1 = _parse_c(rec["c1"], f"{where} c1")
-            norm = math.hypot(abs(c0), abs(c1))
+            norm = _modulus(c0, c1)
             _window(norm, where, "not normalized", "|amplitudes|", warnings)
             # mirror the constructor's own acceptance predicate so that
             # records already valid as states are kept bit for bit
@@ -270,7 +270,7 @@ def family_from_json(text: str):
             if not isinstance(vec, list) or len(vec) != 3:
                 raise FileFormatError(f"{where}: bloch must be a 3-vector")
             arr = np.array([_number(x, f"{where} bloch") for x in vec])
-            norm = float(np.linalg.norm(arr))
+            norm = _length(arr)
             _window(norm, where, "not on sphere", "|n|", warnings)
             parsed.append(from_bloch(arr / norm))
     labels = doc.get("labels")
@@ -369,7 +369,7 @@ def matrix_from_json(text: str):
         values[(i, j)] = _parse_c(entry, f"entry {pos}")
     try:
         u = PhaseMatrix.from_edges(n, values)
-    except (ValueError, IndexError) as e:
+    except ValueError as e:
         raise FileFormatError(f"invalid phase matrix: {e}") from e
     return kind, u
 

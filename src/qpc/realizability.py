@@ -6,11 +6,16 @@ and of rank at most two.  check_gram judges the four conditions and
 factor_states reconstructs a witness family from the top two eigenpairs.
 
 For phase-level data the full matrix is not available, only unit phases
-on the support graph.  Coherent prescriptions (every support triangle
-multiplies to 1) are realized exactly by rephasing copies of a single
-base state.  General prescriptions are attacked by a seeded multi-start
-local search over gauge-fixed Bloch angles; a successful search returns
-a certificate family, while an unsuccessful one is inconclusive.
+on the support graph.  Coherent prescriptions, u_ij = lam_i conj(lam_j)
+for some unit numbers lam, are realized exactly by rephasing copies of
+a single base state.  realize_phases decides coherence by the rephasing
+potential alone: lam is propagated over a spanning forest of the
+support, and the single-ray family it gives is accepted when its phase
+residual, checked on every support edge, meets the tolerance.  The
+triangle test is_coherent stays public but is not on that path.  Other
+prescriptions are attacked by a seeded multi-start local search over
+gauge-fixed Bloch angles; a successful search returns a certificate
+family, while an unsuccessful one is inconclusive.
 """
 
 from __future__ import annotations
@@ -181,7 +186,11 @@ def factor_states(g: GramMatrix) -> StateFamily:
     norms = np.linalg.norm(vecs, axis=1)
     if np.min(norms) < 0.5:
         raise ArithmeticError("factorization produced a near-zero state")
-    vecs = vecs / norms[:, None]
+    return _family(vecs / norms[:, None])
+
+
+def _family(vecs: np.ndarray) -> StateFamily:
+    """The family whose amplitudes are the rows of an (n, 2) array."""
     return StateFamily(tuple(QubitState(v[0], v[1]) for v in vecs))
 
 
@@ -224,27 +233,19 @@ def is_coherent(u: PhaseMatrix, tol: float) -> bool:
 
 
 def _potential(u: PhaseMatrix, comps: list[list[int]]) -> np.ndarray:
-    """Unit numbers lam with u_ij = lam_i conj(lam_j) on every support edge.
+    """Single-ray amplitudes (conj(lam_i), 0) from a rephasing potential.
 
     comps are the connected components of the support.  lam is 1 at the
-    smallest vertex of each, is propagated over a breadth-first spanning
-    forest, and is then checked on every support edge, which also catches
-    incoherent cycles that contain no triangle.
+    smallest vertex of each and is propagated over a breadth-first
+    spanning forest, so u_ij = lam_i conj(lam_j) holds on the tree edges;
+    whether it holds on the others is what _edge_distances measures.
     """
     lam = np.ones(u.n, dtype=complex)
     for comp in comps:
         for i, j in u.support.bfs(comp[0]):
             lam[j] = lam[i] * u.entry(j, i)
     lam = lam / np.abs(lam)
-    i, j = np.nonzero(np.triu(u.support.mask))
-    dev = moduli(lam[i] * lam[j].conj() - u.entries[i, j])
-    if not dev.max(initial=0.0) <= POTENTIAL_TOL:
-        e = int(np.argmax(dev))
-        raise ValueError(
-            "phases admit no consistent rephasing potential: the cycle "
-            f"closed by edge ({i[e]}, {j[e]}) has holonomy deviation {float(dev[e])!r}"
-        )
-    return lam
+    return np.column_stack([lam.conj(), np.zeros(u.n, dtype=complex)])
 
 
 def realize_coherent(u: PhaseMatrix, tol: float = COHERENCE_TOL) -> StateFamily:
@@ -267,7 +268,15 @@ def realize_coherent(u: PhaseMatrix, tol: float = COHERENCE_TOL) -> StateFamily:
             f"phase matrix is not coherent: triangle ({i}, {j}, {k}) "
             f"has |defect - 1| = {dev!r}"
         )
-    return StateFamily(tuple(QubitState(z.conjugate(), 0.0) for z in _potential(u, comps)))
+    vecs = _potential(u, comps)
+    i, j, dev = _edge_distances(vecs, u)
+    if not dev.max(initial=0.0) <= POTENTIAL_TOL:
+        e = int(np.argmax(dev))
+        raise ValueError(
+            "phases admit no consistent rephasing potential: the cycle "
+            f"closed by edge ({i[e]}, {j[e]}) has holonomy deviation {float(dev[e])!r}"
+        )
+    return _family(vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -280,35 +289,20 @@ def realize_coherent(u: PhaseMatrix, tol: float = COHERENCE_TOL) -> StateFamily:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _AngleLayout:
-    """Packing of the free angles into one flat parameter vector."""
+def _free(n: int) -> np.ndarray:
+    """Mask of the free entries of the (3, n) array of angles (theta,
+    azimuth, gauge): all but theta_0, a_0, a_1 and p_0, which the gauge
+    fixing pins to 0.  A parameter vector is angles[free]."""
+    free = np.ones((3, n), dtype=bool)
+    free[:, 0] = free[1, :2] = False
+    return free
 
-    n: int
 
-    @property
-    def n_theta(self) -> int:
-        return self.n - 1
-
-    @property
-    def n_azim(self) -> int:
-        return max(self.n - 2, 0)
-
-    @property
-    def size(self) -> int:
-        return self.n_theta + self.n_azim + (self.n - 1)
-
-    def unpack(self, x: np.ndarray):
-        theta = np.zeros(self.n)
-        azim = np.zeros(self.n)
-        gauge = np.zeros(self.n)
-        theta[1:] = x[: self.n_theta]
-        azim[2:] = x[self.n_theta : self.n_theta + self.n_azim]
-        gauge[1:] = x[self.n_theta + self.n_azim :]
-        return theta, azim, gauge
-
-    def pack(self, theta: np.ndarray, azim: np.ndarray, gauge: np.ndarray) -> np.ndarray:
-        return np.concatenate([theta[1:], azim[2:], gauge[1:]])
+def _angles(x: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """The (3, n) angle array whose free entries are x."""
+    angles = np.zeros(free.shape)
+    angles[free] = x
+    return angles
 
 
 def _angles_to_vectors(theta: np.ndarray, azim: np.ndarray, gauge: np.ndarray) -> np.ndarray:
@@ -317,7 +311,7 @@ def _angles_to_vectors(theta: np.ndarray, azim: np.ndarray, gauge: np.ndarray) -
     return np.column_stack([a, b])
 
 
-def _residuals(x, layout, idx_i, idx_j, targets, soft_floor):
+def _residuals(x, free, idx_i, idx_j, targets, soft_floor):
     """Stacked real residual vector of the smooth per-edge terms.
 
     Each support edge contributes g_ij / max(|g_ij|, soft_floor) - u_ij,
@@ -325,8 +319,7 @@ def _residuals(x, layout, idx_i, idx_j, targets, soft_floor):
     smooth through near-orthogonal configurations while still
     penalizing them.  Returns (residuals, jacobian) in the free angles.
     """
-    theta, azim, gauge = layout.unpack(np.asarray(x, dtype=float))
-    n = layout.n
+    theta, azim, gauge = _angles(x, free)
     half = theta / 2.0
     ea = np.exp(1j * gauge)
     eb = np.exp(1j * (gauge + azim))
@@ -349,34 +342,22 @@ def _residuals(x, layout, idx_i, idx_j, targets, soft_floor):
     gt_i = da_dt[idx_i].conj() * a[idx_j] + db_dt[idx_i].conj() * b[idx_j]
     gt_j = a[idx_i].conj() * da_dt[idx_j] + b[idx_i].conj() * db_dt[idx_j]
 
-    n_e = len(idx_i)
-    rows = np.arange(n_e)
-    dgdp = np.zeros((n_e, layout.size), dtype=complex)
-    o_azim = layout.n_theta
-    o_gauge = layout.n_theta + layout.n_azim
-    mask_i = idx_i >= 1
-    dgdp[rows[mask_i], idx_i[mask_i] - 1] += gt_i[mask_i]
-    dgdp[rows, idx_j - 1] += gt_j
-    mask_ia = idx_i >= 2
-    mask_ja = idx_j >= 2
-    dgdp[rows[mask_ia], o_azim + idx_i[mask_ia] - 2] += -1j * h_e[mask_ia]
-    dgdp[rows[mask_ja], o_azim + idx_j[mask_ja] - 2] += 1j * h_e[mask_ja]
-    dgdp[rows[mask_i], o_gauge + idx_i[mask_i] - 1] += -1j * g_e[mask_i]
-    dgdp[rows, o_gauge + idx_j - 1] += 1j * g_e
+    # dg_e / d(theta, azim, gauge) of both end states, then the free columns.
+    # Added to zeros, not assigned, so that signed zeros come out as +0.
+    rows = np.arange(len(idx_i))
+    dg = np.zeros((len(idx_i),) + free.shape, dtype=complex)
+    dg[rows, 0, idx_i] += gt_i
+    dg[rows, 0, idx_j] += gt_j
+    dg[rows, 1, idx_i] += -1j * h_e
+    dg[rows, 1, idx_j] += 1j * h_e
+    dg[rows, 2, idx_i] += -1j * g_e
+    dg[rows, 2, idx_j] += 1j * g_e
+    dgdp = dg[:, free]
 
     dvdp = a_fac[:, None] * dgdp + b_fac[:, None] * dgdp.conj()
     residuals = np.concatenate([err.real, err.imag])
     jacobian = np.vstack([dvdp.real, dvdp.imag])
     return residuals, jacobian
-
-
-def _vectors_to_angles(vecs: np.ndarray):
-    a = vecs[:, 0]
-    b = vecs[:, 1]
-    theta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
-    gauge = np.where(np.abs(a) > 1e-12, np.angle(a), 0.0)
-    azim = np.where(np.abs(b) > 1e-12, np.angle(b) - gauge, 0.0)
-    return theta, azim, gauge
 
 
 def _gauge_fix(vecs: np.ndarray) -> np.ndarray:
@@ -394,7 +375,7 @@ def _gauge_fix(vecs: np.ndarray) -> np.ndarray:
     return v
 
 
-def _spectral_guess(u: PhaseMatrix, layout: _AngleLayout) -> np.ndarray:
+def _spectral_guess(u: PhaseMatrix, free: np.ndarray) -> np.ndarray:
     """Starting point from the top two eigenpairs of the phase matrix.
 
     Treats the prescription itself as if it were a Gram matrix; for
@@ -407,25 +388,35 @@ def _spectral_guess(u: PhaseMatrix, layout: _AngleLayout) -> np.ndarray:
             vecs[i] = (1.0, 0.0)
         else:
             vecs[i] = vecs[i] / norms[i]
-    theta, azim, gauge = _vectors_to_angles(_gauge_fix(vecs))
-    return layout.pack(theta, azim, gauge)
+    a, b = _gauge_fix(vecs).T
+    theta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
+    gauge = np.where(np.abs(a) > 1e-12, np.angle(a), 0.0)
+    azim = np.where(np.abs(b) > 1e-12, np.angle(b) - gauge, 0.0)
+    return np.array([theta, azim, gauge])[free]
 
 
-def _random_guess(rng: np.random.Generator, layout: _AngleLayout) -> np.ndarray:
-    n = layout.n
+def _random_guess(rng: np.random.Generator, free: np.ndarray) -> np.ndarray:
+    n = free.shape[1]
     theta = np.arccos(rng.uniform(-1.0, 1.0, n))
     azim = rng.uniform(0.0, 2.0 * np.pi, n)
     gauge = rng.uniform(0.0, 2.0 * np.pi, n)
-    return layout.pack(theta, azim, gauge)
+    return np.array([theta, azim, gauge])[free]
 
 
-def _phase_residual(vecs: np.ndarray, u: PhaseMatrix) -> float:
-    """Largest chordal distance between realized and prescribed phases."""
+def _edge_distances(vecs: np.ndarray, u: PhaseMatrix):
+    """(i, j, d): the support edges i < j and, per edge, the chordal
+    distance between the phase the amplitude rows realize and the one
+    prescribed; 2 where the realized overlap vanishes."""
     i, j = np.nonzero(np.triu(u.support.mask))
     g = (vecs.conj() @ vecs.T)[i, j]
     m = moduli(g)
     d = np.where(m == 0.0, 2.0, moduli(g / np.where(m == 0.0, 1.0, m) - u.entries[i, j]))
-    return float(d.max(initial=0.0))
+    return i, j, d
+
+
+def _phase_residual(vecs: np.ndarray, u: PhaseMatrix) -> float:
+    """Largest chordal distance between realized and prescribed phases."""
+    return float(_edge_distances(vecs, u)[2].max(initial=0.0))
 
 
 def _restrict(u: PhaseMatrix, comp: list[int]) -> PhaseMatrix:
@@ -441,18 +432,14 @@ def _search_component(u: PhaseMatrix, cfg: SearchConfig, rng: np.random.Generato
     ties going to the earlier restart.  Returns (vectors, residual,
     restarts_used).
     """
-    if u.n == 1:
-        return np.array([[1.0 + 0.0j, 0.0 + 0.0j]]), 0.0, 0
-    layout = _AngleLayout(u.n)
+    free = _free(u.n)
     idx_i, idx_j = np.nonzero(np.triu(u.support.mask))
     targets = u.entries[idx_i, idx_j]
-    best_vecs = None
-    best_res = np.inf
-    used = 0
-    fun_args = (layout, idx_i, idx_j, targets, cfg.soft_floor)
-    method = "lm" if 2 * len(idx_i) >= layout.size else "trf"
+    best_vecs, best_res = None, np.inf
+    fun_args = (free, idx_i, idx_j, targets, cfg.soft_floor)
+    method = "lm" if 2 * len(idx_i) >= np.count_nonzero(free) else "trf"
     for r in range(cfg.restarts):
-        x0 = _spectral_guess(u, layout) if r == 0 else _random_guess(rng, layout)
+        x0 = _spectral_guess(u, free) if r == 0 else _random_guess(rng, free)
         res = least_squares(
             lambda x: _residuals(x, *fun_args)[0],
             x0,
@@ -463,26 +450,27 @@ def _search_component(u: PhaseMatrix, cfg: SearchConfig, rng: np.random.Generato
             xtol=1e-15,
             gtol=1e-15,
         )
-        vecs = _angles_to_vectors(*layout.unpack(res.x))
+        vecs = _angles_to_vectors(*_angles(res.x, free))
         cand = _phase_residual(vecs, u)
-        used = r + 1
         if cand < best_res:
             best_res = cand
             best_vecs = vecs
         if best_res <= cfg.realize_tol:
             break
-    return best_vecs, best_res, used
+    return best_vecs, best_res, r + 1
 
 
 def realize_phases(u: PhaseMatrix, cfg: SearchConfig = SearchConfig()) -> RealizabilityResult:
     """Search for a state family reproducing prescribed overlap phases.
 
-    Coherent prescriptions short-circuit to the exact single-ray
-    construction.  Otherwise each connected component of the support
-    graph is searched independently (overlaps between components are
-    unconstrained) and the per-component certificates are concatenated.
-    A residual at or below cfg.realize_tol certifies realizability; an
-    exhausted search is inconclusive, never a proof of impossibility.
+    The single-ray family of the rephasing potential is tried first;
+    it certifies coherent prescriptions exactly.  Otherwise each
+    connected component of the support graph is searched independently
+    (overlaps between components are unconstrained) and the
+    per-component certificates are concatenated.  A residual at or below
+    cfg.realize_tol certifies realizability, and the certificate
+    returned is the one measured; an exhausted search is inconclusive,
+    never a proof of impossibility.
     """
     comps = u.support.connected_components()
     notes = []
@@ -491,38 +479,22 @@ def realize_phases(u: PhaseMatrix, cfg: SearchConfig = SearchConfig()) -> Realiz
             f"{len(comps)} support components realized independently; "
             "cross-component overlaps are unconstrained"
         )
-    if is_coherent(u, COHERENCE_TOL):
-        try:
-            lam = _potential(u, comps)
-        except ValueError:
-            # No consistent potential (a cycle without triangles can hide
-            # incoherence); fall back to the numerical search.
-            pass
-        else:
-            vecs = np.column_stack([lam.conj(), np.zeros(u.n, dtype=complex)])
-            residual = _phase_residual(vecs, u)
-            if residual <= cfg.realize_tol:
-                fam = StateFamily(tuple(QubitState(v[0], v[1]) for v in vecs))
-                notes.append("coherent phase data; realized by rephasing a single base state")
-                return RealizabilityResult(REALIZABLE, fam, residual, "; ".join(notes))
-    vecs = np.zeros((u.n, 2), dtype=complex)
-    vecs[:, 0] = 1.0
-    total_restarts = 0
-    for ci, comp in enumerate(comps):
-        if len(comp) == 1:
-            continue
-        sub = _restrict(u, comp)
-        rng = np.random.default_rng([cfg.seed, ci])
-        sub_vecs, _, used = _search_component(sub, cfg, rng)
-        vecs[comp] = sub_vecs
-        total_restarts += used
+    vecs = _potential(u, comps)
     residual = _phase_residual(vecs, u)
-    norms = np.linalg.norm(vecs, axis=1)
-    vecs = vecs / norms[:, None]
-    fam = StateFamily(tuple(QubitState(v[0], v[1]) for v in vecs))
+    note = "coherent phase data; realized by rephasing a single base state"
+    if residual > cfg.realize_tol:
+        vecs = np.repeat([[1.0 + 0.0j, 0.0j]], u.n, axis=0)
+        total_restarts = 0
+        for ci, comp in enumerate(comps):
+            if len(comp) > 1:
+                rng = np.random.default_rng([cfg.seed, ci])
+                vecs[comp], _, used = _search_component(_restrict(u, comp), cfg, rng)
+                total_restarts += used
+        residual = _phase_residual(vecs, u)
+        note = f"local search succeeded after {total_restarts} restart(s)"
     if residual <= cfg.realize_tol:
-        notes.append(f"local search succeeded after {total_restarts} restart(s)")
-        return RealizabilityResult(REALIZABLE, fam, residual, "; ".join(notes))
+        notes.append(note)
+        return RealizabilityResult(REALIZABLE, _family(vecs), residual, "; ".join(notes))
     notes.append(
         f"local search exhausted its restarts; best residual {residual:.3e}; "
         "an unsuccessful search is not a proof that the phases are unrealizable"

@@ -35,6 +35,29 @@ SIGMA_Y.setflags(write=False)
 SIGMA_Z.setflags(write=False)
 
 
+def _sum_sq(*xs) -> float:
+    """sum |x|^2 as Python floats compute it; inf where abs or ** overflow."""
+    try:
+        return sum(abs(x) ** 2 for x in xs)
+    except OverflowError:
+        return math.inf
+
+
+def _modulus(c0: complex, c1: complex) -> float:
+    """hypot(|c0|, |c1|); inf where a modulus is past the float range."""
+    try:
+        return math.hypot(abs(c0), abs(c1))
+    except OverflowError:
+        return math.inf
+
+
+def _length(arr: np.ndarray) -> float:
+    """np.linalg.norm of a real vector; math.hypot's where that overflows."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+    return norm if norm < math.inf else math.hypot(*arr)
+
+
 @dataclass(frozen=True)
 class QubitState:
     """Amplitude pair (c0, c1) with |c0|^2 + |c1|^2 = 1.
@@ -51,7 +74,7 @@ class QubitState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "c0", complex(self.c0))
         object.__setattr__(self, "c1", complex(self.c1))
-        norm_sq = abs(self.c0) ** 2 + abs(self.c1) ** 2
+        norm_sq = _sum_sq(self.c0, self.c1)
         if not abs(norm_sq - 1.0) <= TOL_NORM:
             raise ValueError(
                 f"state not normalized: |c0|^2 + |c1|^2 = {norm_sq!r}"
@@ -60,7 +83,7 @@ class QubitState:
     @classmethod
     def normalized(cls, c0: complex, c1: complex) -> "QubitState":
         """Build a state from an arbitrary nonzero amplitude pair."""
-        norm = math.hypot(abs(c0), abs(c1))
+        norm = _modulus(c0, c1)
         if norm < 1e-15:
             raise ValueError("cannot normalize the zero vector")
         return cls(c0 / norm, c1 / norm)
@@ -88,7 +111,7 @@ class BlochVector:
         object.__setattr__(self, "nx", float(self.nx))
         object.__setattr__(self, "ny", float(self.ny))
         object.__setattr__(self, "nz", float(self.nz))
-        norm = math.sqrt(self.nx**2 + self.ny**2 + self.nz**2)
+        norm = math.sqrt(_sum_sq(self.nx, self.ny, self.nz))
         if not abs(norm - 1.0) <= TOL_NORM:
             raise ValueError(f"Bloch vector not on the unit sphere: |n| = {norm!r}")
 
@@ -164,8 +187,8 @@ def from_bloch(n) -> QubitState:
         arr = np.asarray(n, dtype=float)
         if arr.shape != (3,):
             raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > TOL_SPHERE:
+        norm = _length(arr)
+        if not abs(norm - 1.0) <= TOL_SPHERE:
             raise ValueError(f"not on sphere: |n| = {norm!r}")
         arr = arr / norm
     nx, ny, nz = arr

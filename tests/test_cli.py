@@ -432,6 +432,15 @@ class TestMalformedFields:
             ("realize", {"version": 1, "kind": "phase", "n": 3, "support": [[True, 2]],
                          "entries": [ONE_C]},
              "error: support edge 0 must hold integers"),
+            *[("realize", {"version": 1, "kind": "phase", "n": 3, "support": [[i, j]],
+                           "entries": [ONE_C]},
+               f"error: invalid phase matrix: edge ({i}, {j}) out of range for n = 3")
+              for i, j in [(0, 5), (0, 10 ** 29), (-1, 2)]],
+            ("analyze", {"version": 1, "states": [{"bloch": [1e200, 0, 0]}]},
+             "error: state 0: not on sphere, |n| = 1e+200"),
+            ("analyze", {"version": 1, "states": [{"c0": {"re": 1.7e308, "im": 1.7e308},
+                                                   "c1": ZERO_C}]},
+             "error: state 0: not normalized, |amplitudes| = inf"),
         ],
     )
     def test_exits_2_naming_the_field(self, capsys, tmp_path, command, doc, error):

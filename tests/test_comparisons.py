@@ -19,6 +19,7 @@ from qpc import (
     SupportGraph,
     check_gram,
     check_matching,
+    from_bloch,
     gram,
     orthogonality_graph,
     phases,
@@ -171,6 +172,11 @@ class TestPhases:
         with pytest.raises(ValueError, match="not an edge"):
             PhaseMatrix.from_edges(2, {(1, 1): 1.0})
 
+    @pytest.mark.parametrize("pair", [(0, 5), (0, 10 ** 29), (-1, 2), (3, 0)])
+    def test_from_edges_checks_the_range_before_writing(self, pair):
+        with pytest.raises(ValueError, match=r"^edge \(.*\) out of range for n = 3$"):
+            PhaseMatrix.from_edges(3, {pair: 1j})
+
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError, match="unimodular"):
             PhaseMatrix.from_edges(2, {(0, 1): 0.5})
@@ -307,6 +313,16 @@ class TestRejectsNonFinite:
             QubitState(bad, 0.0)
         with pytest.raises(ValueError):
             BlochVector(bad, 0.0, 1.0)
+
+    def test_huge_finite_states_raise_value_error_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\|c0\|\^2 \+ \|c1\|\^2 = inf$"):
+                QubitState(1e200, 0.0)
+            with pytest.raises(ValueError, match=r"\|n\| = inf$"):
+                BlochVector(1e200, 0.0, 0.0)
+            with pytest.raises(ValueError, match=r"\|n\| = 1e\+200$"):
+                from_bloch([1e200, 0.0, 0.0])
 
 
 class TestMatrixConditions:

@@ -23,11 +23,14 @@ from qpc import (
     realize_coherent,
     realize_phases,
 )
+from qpc import realizability
 from qpc.realizability import (
+    COHERENCE_TOL,
     NOT_REALIZABLE,
     REALIZABLE,
     SEARCH_FAILED,
-    _AngleLayout,
+    _free,
+    _phase_residual,
     _residuals,
     _restrict,
 )
@@ -307,6 +310,52 @@ class TestCoherentShortcut:
             assert got.support == want.support
 
 
+def tilted(u: PhaseMatrix, i: int, j: int, angle: float) -> PhaseMatrix:
+    """u with the phase of edge (i, j) turned by angle."""
+    values = {e: u.entries[e] for e in u.support.edges}
+    values[(i, j)] *= cmath.exp(1j * angle)
+    return PhaseMatrix.from_edges(u.n, values)
+
+
+class TestPotentialDecidesCoherence:
+    def test_realize_path_walks_no_triangles(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("triangle walk on the realize path")
+
+        monkeypatch.setattr(realizability, "is_coherent", refuse)
+        monkeypatch.setattr(realizability, "_worst_triangle", refuse)
+        coherent = realize_phases(potential_phases([0.0, 0.4, -0.9, 1.7]))
+        assert coherent.status == REALIZABLE
+        assert "single base state" in coherent.diagnostics
+        witnessed = realize_phases(phases(gram(random_family(5, seed=8))))
+        assert witnessed.status == REALIZABLE
+        assert "local search succeeded" in witnessed.diagnostics
+
+    def test_a_defect_within_realize_tol_takes_the_single_ray(self):
+        # a triangle defect of about 3e-8 fails the triangle test but the
+        # potential's residual meets the default realize_tol
+        u = tilted(potential_phases([0.0, 0.3, 1.1, -0.7, 2.4]), 1, 3, 3e-8)
+        assert not is_coherent(u, COHERENCE_TOL)
+        res = realize_phases(u)
+        assert res.status == REALIZABLE and "single base state" in res.diagnostics
+        assert 1e-9 < res.residual <= 1e-7
+
+    def test_the_shortcut_accepts_up_to_realize_tol(self):
+        u = tilted(potential_phases([0.0, 0.3, 1.1, -0.7]), 0, 2, 1e-5)
+        loose = realize_phases(u, SearchConfig(realize_tol=1e-4))
+        assert loose.status == REALIZABLE and "single base state" in loose.diagnostics
+        assert "single base state" not in realize_phases(u).diagnostics
+
+    def test_certificate_is_the_family_measured(self):
+        rng = np.random.default_rng(11)
+        for n in (3, 4, 5, 6):
+            for _ in range(10):
+                u = phases(family_with_support(rng, n)[1])
+                res = realize_phases(u, SearchConfig(restarts=4))
+                assert res.status == REALIZABLE
+                assert _phase_residual(res.certificate.vectors, u) == res.residual
+
+
 class TestRealizePhases:
     def test_recovers_witnessed_phases(self):
         rng = np.random.default_rng(101)
@@ -394,21 +443,21 @@ class TestSearchInternals:
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         n = 5
-        layout = _AngleLayout(n)
+        free = _free(n)
         edges = [(0, 1), (0, 2), (1, 2), (1, 4), (2, 3), (3, 4)]
         idx_i = np.array([e[0] for e in edges])
         idx_j = np.array([e[1] for e in edges])
         targets = np.exp(1j * rng.uniform(-np.pi, np.pi, len(edges)))
-        x = rng.uniform(0.2, 2.5, layout.size)
-        _, jac = _residuals(x, layout, idx_i, idx_j, targets, 1e-6)
+        x = rng.uniform(0.2, 2.5, np.count_nonzero(free))
+        _, jac = _residuals(x, free, idx_i, idx_j, targets, 1e-6)
         step = 1e-6
         fd = np.zeros_like(jac)
-        for p in range(layout.size):
+        for p in range(len(x)):
             hi, lo = x.copy(), x.copy()
             hi[p] += step
             lo[p] -= step
-            rh, _ = _residuals(hi, layout, idx_i, idx_j, targets, 1e-6)
-            rl, _ = _residuals(lo, layout, idx_i, idx_j, targets, 1e-6)
+            rh, _ = _residuals(hi, free, idx_i, idx_j, targets, 1e-6)
+            rl, _ = _residuals(lo, free, idx_i, idx_j, targets, 1e-6)
             fd[:, p] = (rh - rl) / (2.0 * step)
         assert np.max(np.abs(jac - fd)) < 1e-5
 
