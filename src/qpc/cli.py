@@ -127,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_realize.add_argument("matrix", help="path to a gram or phase matrix file")
     p_realize.add_argument("--restarts", type=_positive_int, default=32)
     p_realize.add_argument("--max-iters", type=_positive_int, default=500)
-    p_realize.add_argument("--soft-floor", type=float, default=1e-6)
     p_realize.add_argument("--realize-tol", type=float,
                            default=realizability.REALIZE_TOL)
 
@@ -205,7 +204,7 @@ def _analysis_doc(family, load_warnings, args) -> dict:
         "probability": matrix_doc("probability", p.entries),
         "phase": matrix_doc("phase", u),
         "orthogonality": {
-            "edges": Records(list(np.nonzero(np.triu(og.mask, 1)))),
+            "edges": Records(list(og.pairs)),
             "matching": matching,
         },
         "triangles": Records({
@@ -231,16 +230,14 @@ def _analysis_text(family, load_warnings, args) -> str:
     lines.append("probability matrix:")
     _section(lines, "  " + "  ".join([_REAL] * n), n, [p.entries.ravel()])
     lines.append("phases on support pairs:")
-    i, j = np.nonzero(np.triu(u.support.mask, 1))
+    i, j = u.support.pairs
     z = u.entries[i, j]
     angle = np.angle(z)
     _section(lines, "  (%d, %d): " + _COMPLEX + "  angle " + _REAL, len(z),
              [i, j, *_complex_columns(z), np.where(angle == -np.pi, np.pi, angle)])
-    ortho = sorted(og.edges)
-    lines.append(
-        "orthogonal pairs: "
-        + (", ".join(f"({i}, {j})" for i, j in ortho) if ortho else "none")
-    )
+    i, j = og.pairs
+    ortho = fill_rows("(%d, %d)", ", ", len(i), [i, j]) if len(i) else "none"
+    lines.append("orthogonal pairs: " + ortho)
     lines.append(f"orthogonality graph is a matching: {'yes' if matching else 'no'}")
     lines.append("triangles:")
     _section(lines, "  (%d, %d, %d): bargmann " + _COMPLEX + "  defect " + _COMPLEX
@@ -355,7 +352,6 @@ def cmd_realize(args) -> int:
             restarts=args.restarts,
             max_iters=args.max_iters,
             seed=_resolve_seed(args),
-            soft_floor=args.soft_floor,
             realize_tol=args.realize_tol,
         )
         result = realizability.realize_phases(payload, cfg)

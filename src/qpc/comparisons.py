@@ -38,6 +38,11 @@ def moduli(a: np.ndarray) -> np.ndarray:
         return np.hypot(a.real, a.imag)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def require_square(a: np.ndarray) -> None:
     """Raise ValueError unless a is a nonempty, finite square matrix."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -74,8 +79,7 @@ class GramMatrix:
             raise ValueError(f"matrix is not Hermitian: max |g - g*| = {herm!r}")
         if not diag <= TOL_STRUCT:
             raise ValueError(f"diagonal is not 1: max |g_ii - 1| = {diag!r}")
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "entries", _read_only(a))
 
     @property
     def n(self) -> int:
@@ -101,57 +105,71 @@ class ProbabilityMatrix:
             raise ValueError(f"diagonal is not 1: max |p_ii - 1| = {diag!r}")
         if not (np.min(a) >= -TOL_STRUCT and np.max(a) <= 1.0 + TOL_STRUCT):
             raise ValueError("probabilities must lie in [0, 1]")
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "entries", _read_only(a))
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SupportGraph:
-    """Undirected simple graph on vertices 0 .. n-1."""
+    """Undirected simple graph on vertices 0 .. n-1, stored as its one
+    representation: the read-only symmetric boolean adjacency mask, False
+    on the diagonal.  Graphs are equal when their masks are; like the
+    matrix types, they are not hashable."""
 
-    n: int
-    edges: frozenset
+    mask: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n = {self.n}")
-        norm = set()
-        for e in self.edges:
-            i, j = e
+    def __init__(self, n: int, edges) -> None:
+        if n < 1:
+            raise ValueError(f"graph needs at least one vertex, got n = {n}")
+        mask = np.zeros((n, n), dtype=bool)
+        for i, j in edges:
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n = {self.n}")
-            norm.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(norm))
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i}, {j}) out of range for n = {n}")
+            mask[i, j] = mask[j, i] = True
+        object.__setattr__(self, "mask", _read_only(mask))
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "SupportGraph":
-        """Graph whose edges are the True pairs i < j of a square mask."""
-        i, j = np.nonzero(np.triu(mask, 1))
-        return cls(len(mask), frozenset(zip(i.tolist(), j.tolist())))
+        """Graph whose edges are the True pairs i < j of a square mask;
+        the diagonal and the lower triangle are not read."""
+        graph = cls(len(mask), ())
+        upper = np.triu(mask, 1)
+        object.__setattr__(graph, "mask", _read_only(upper | upper.T))
+        return graph
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SupportGraph) and np.array_equal(self.mask, other.mask)
+
+    @property
+    def n(self) -> int:
+        return len(self.mask)
 
     @cached_property
-    def mask(self) -> np.ndarray:
-        """Read-only symmetric boolean adjacency matrix, False on the diagonal."""
-        i, j = np.array(list(self.edges), dtype=int).reshape(-1, 2).T
-        m = np.zeros((self.n, self.n), dtype=bool)
-        m[i, j] = m[j, i] = True
-        m.setflags(write=False)
-        return m
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only index arrays (i, j) of the edges, i < j, in row-major
+        order: the edge order of phase files and analyze reports."""
+        i, j = np.nonzero(np.triu(self.mask))
+        return _read_only(i), _read_only(j)
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as a frozenset of pairs (i, j), i < j."""
+        return frozenset(zip(*(p.tolist() for p in self.pairs)))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+        # bounds first: a bare mask[i, j] would wrap negative indices
+        return 0 <= i < self.n and 0 <= j < self.n and bool(self.mask[i, j])
 
     def degree(self, v: int) -> int:
         return int(np.count_nonzero(self.mask[v]))
 
     def is_complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
+        return np.count_nonzero(self.mask) == self.n * (self.n - 1)
 
     def complement(self) -> "SupportGraph":
         return SupportGraph.from_mask(~self.mask)
@@ -206,7 +224,7 @@ class PhaseMatrix:
         diag = deviations(a)[1]
         if not diag <= TOL_STRUCT:
             raise ValueError(f"diagonal phases must be 1: max deviation {diag!r}")
-        i, j = np.nonzero(np.triu(self.support.mask))
+        i, j = self.support.pairs
         bad = ~(np.abs(moduli(a[i, j]) - 1.0) <= TOL_STRUCT)
         if bad.any():
             i, j = i[bad][0], j[bad][0]
@@ -216,19 +234,15 @@ class PhaseMatrix:
         bad = ~(moduli(a[j, i] - a[i, j].conj()) <= TOL_STRUCT)
         if bad.any():
             raise ValueError(f"phases for pair ({i[bad][0]}, {j[bad][0]}) are not reciprocal")
-        off = ~self.support.mask
-        np.fill_diagonal(off, False)
-        if a[off].any():
+        if a[~(self.support.mask | np.eye(self.n, dtype=bool))].any():
             raise ValueError("entries off the support graph must be zeroed")
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "entries", _read_only(a))
 
     @classmethod
     def from_edges(cls, n: int, values: dict) -> "PhaseMatrix":
         """Build from {(i, j): u_ij} on i < j; reciprocals are filled in."""
-        a = np.zeros((n, n), dtype=complex)
-        np.fill_diagonal(a, 1.0)
-        edges = set()
+        a = np.eye(n, dtype=complex)
+        mask = np.zeros((n, n), dtype=bool)
         for (i, j), u in values.items():
             if i == j:
                 raise ValueError(f"pair ({i}, {j}) is not an edge")
@@ -236,16 +250,14 @@ class PhaseMatrix:
                 raise ValueError(f"edge ({i}, {j}) out of range for n = {n}")
             a[i, j] = u
             a[j, i] = complex(u).conjugate()
-            edges.add((min(i, j), max(i, j)))
-        return cls(n, a, SupportGraph(n, frozenset(edges)))
+            mask[i, j] = mask[j, i] = True
+        return cls(n, a, SupportGraph.from_mask(mask))
 
     def has(self, i: int, j: int) -> bool:
         return i == j or self.support.has_edge(i, j)
 
     def entry(self, i: int, j: int) -> complex:
-        if i == j:
-            return complex(self.entries[i, i])
-        if not self.support.has_edge(i, j):
+        if not self.has(i, j):
             raise ValueError(f"no phase available for pair ({i}, {j})")
         return complex(self.entries[i, j])
 

@@ -291,28 +291,17 @@ def matrix_doc(kind: str, data) -> dict:
     kind "gram" and "probability" take a square ndarray; kind "phase"
     takes a PhaseMatrix.  The arrays of the document are Records.
     """
-    if kind == "gram":
-        a = np.asarray(data, dtype=complex)
-        doc = {"version": MATRIX_VERSION, "kind": kind, "n": a.shape[0],
-               "entries": Records(re_im(a.ravel()))}
-    elif kind == "probability":
-        a = np.asarray(data, dtype=float)
-        doc = {"version": MATRIX_VERSION, "kind": kind, "n": a.shape[0],
-               "entries": Records(a.ravel())}
-    elif kind == "phase":
+    if kind == "phase":
         if not isinstance(data, PhaseMatrix):
             raise ValueError("phase kind requires a PhaseMatrix")
-        i, j = np.nonzero(np.triu(data.support.mask, 1))
-        doc = {
-            "version": MATRIX_VERSION,
-            "kind": kind,
-            "n": data.n,
-            "support": Records([i, j]),
-            "entries": Records(re_im(data.entries[i, j])),
-        }
-    else:
+        i, j = data.support.pairs
+        return {"version": MATRIX_VERSION, "kind": kind, "n": data.n,
+                "support": Records([i, j]), "entries": Records(re_im(data.entries[i, j]))}
+    if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
-    return doc
+    a = np.asarray(data, dtype=complex if kind == "gram" else float)
+    entries = re_im(a.ravel()) if kind == "gram" else a.ravel()
+    return {"version": MATRIX_VERSION, "kind": kind, "n": a.shape[0], "entries": Records(entries)}
 
 
 def matrix_to_json(kind: str, data) -> str:
@@ -355,17 +344,14 @@ def matrix_from_json(text: str):
             f"{len(support)} support edges but {len(entries)} entries"
         )
     values = {}
-    pairs = set()
     for pos, (edge, entry) in enumerate(zip(support, entries)):
         if not isinstance(edge, list) or len(edge) != 2:
             raise FileFormatError(f"support edge {pos} must be a pair")
         i, j = edge
         if not (_is_int(i) and _is_int(j)):
             raise FileFormatError(f"support edge {pos} must hold integers")
-        pair = (min(i, j), max(i, j))
-        if pair in pairs:
+        if (i, j) in values or (j, i) in values:
             raise FileFormatError(f"support edge {pos} repeats pair ({i}, {j})")
-        pairs.add(pair)
         values[(i, j)] = _parse_c(entry, f"entry {pos}")
     try:
         u = PhaseMatrix.from_edges(n, values)

@@ -37,6 +37,7 @@ UNIT_DIAG_TOL = 1e-10  # verdict tolerance for the diagonal
 REALIZE_TOL = 1e-7     # per-edge phase mismatch accepted as realized
 COHERENCE_TOL = 1e-9   # triangle defect distance from 1 treated as coherent
 POTENTIAL_TOL = 1e-6   # edge holonomy mismatch tolerated when rephasing a tree
+SOFT_FLOOR = 1e-6      # overlap modulus below which the search residual stops normalizing
 
 REALIZABLE = "realizable"
 NOT_REALIZABLE = "not_realizable"
@@ -84,7 +85,6 @@ class SearchConfig:
     restarts: int = 32
     max_iters: int = 500
     seed: int = 0
-    soft_floor: float = 1e-6
     realize_tol: float = REALIZE_TOL
 
     def __post_init__(self) -> None:
@@ -92,8 +92,8 @@ class SearchConfig:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if self.soft_floor <= 0.0 or self.realize_tol <= 0.0:
-            raise ValueError("soft_floor and realize_tol must be positive")
+        if not self.realize_tol > 0.0:
+            raise ValueError(f"realize_tol must be positive, got {self.realize_tol}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,9 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 def _verdict(a: np.ndarray, eigs: np.ndarray) -> GramVerdict:
     """The four conditions on a, given the eigenvalues of its Hermitian
-    part in descending order."""
+    part in descending order; a spectrum that overflowed to NaN has none."""
+    if not np.isfinite(eigs).all():
+        raise ValueError("eigenvalues are not finite: the matrix overflows the eigensolver")
     n = a.shape[0]
     herm_dev, diag_dev = deviations(a)
     lam_max = float(eigs[0])
@@ -407,7 +409,7 @@ def _edge_distances(vecs: np.ndarray, u: PhaseMatrix):
     """(i, j, d): the support edges i < j and, per edge, the chordal
     distance between the phase the amplitude rows realize and the one
     prescribed; 2 where the realized overlap vanishes."""
-    i, j = np.nonzero(np.triu(u.support.mask))
+    i, j = u.support.pairs
     g = (vecs.conj() @ vecs.T)[i, j]
     m = moduli(g)
     d = np.where(m == 0.0, 2.0, moduli(g / np.where(m == 0.0, 1.0, m) - u.entries[i, j]))
@@ -433,10 +435,10 @@ def _search_component(u: PhaseMatrix, cfg: SearchConfig, rng: np.random.Generato
     restarts_used).
     """
     free = _free(u.n)
-    idx_i, idx_j = np.nonzero(np.triu(u.support.mask))
+    idx_i, idx_j = u.support.pairs
     targets = u.entries[idx_i, idx_j]
     best_vecs, best_res = None, np.inf
-    fun_args = (free, idx_i, idx_j, targets, cfg.soft_floor)
+    fun_args = (free, idx_i, idx_j, targets, SOFT_FLOOR)
     method = "lm" if 2 * len(idx_i) >= np.count_nonzero(free) else "trf"
     for r in range(cfg.restarts):
         x0 = _spectral_guess(u, free) if r == 0 else _random_guess(rng, free)

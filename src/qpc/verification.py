@@ -133,10 +133,11 @@ def _phase_covariance(rng: np.random.Generator) -> float:
     u = comparisons.phases(g)
     thetas = rng.uniform(0, 2 * np.pi, n)
     u2 = comparisons.phases(comparisons.gram(_rephased(fam, thetas)))
-    return _worst(
-        abs(u2.entries[i, j] - cmath.exp(1j * (thetas[j] - thetas[i])) * u.entries[i, j])
-        for i, j in u.support.edges
-    )
+    # products part-wise (invariants._mul), so each discrepancy keeps the
+    # bits of the scalar complex arithmetic the report has always printed
+    i, j = u.support.pairs
+    rotated = invariants._mul(np.exp(1j * (thetas[j] - thetas[i])), u.entries[i, j])
+    return _worst(comparisons.moduli(u2.entries[i, j] - rotated))
 
 
 @_property("orthogonality_graph_is_matching", 0.0)
@@ -175,8 +176,9 @@ def _coherent_realization(rng: np.random.Generator) -> float:
     u = comparisons.PhaseMatrix.from_edges(n, values)
     fam = realizability.realize_coherent(u)
     realized = comparisons.phases(comparisons.gram(fam))
-    ds = [abs(realized.entries[i, j] - u.entries[i, j]) for i, j in u.support.edges]
-    ds += [float(not states.rays_equal(fam[0], fam[i], 1e-9)) for i in range(1, n)]
+    i, j = u.support.pairs
+    ds = [*comparisons.moduli(realized.entries[i, j] - u.entries[i, j])]
+    ds += [float(not states.rays_equal(fam[0], fam[k], 1e-9)) for k in range(1, n)]
     return _worst(ds)
 
 
@@ -220,7 +222,8 @@ def _reciprocity(rng: np.random.Generator) -> float:
     n = int(rng.integers(2, 9))
     _, g = _family_with_support(rng, n)
     u = comparisons.phases(g)
-    return _worst(abs(u.entries[i, j] * u.entries[j, i] - 1.0) for i, j in u.support.edges)
+    i, j = u.support.pairs
+    return _worst(comparisons.moduli(invariants._mul(u.entries[i, j], u.entries[j, i]) - 1.0))
 
 
 @_property("triangle_kernel_matches_triangle_report", 0.0)
@@ -238,6 +241,27 @@ def _triangle_kernel(rng: np.random.Generator) -> float:
         > comparisons.DEFAULT_ZERO_TOL
     ]
     return float(list(invariants.all_triangles(g)) != reference)
+
+
+@_property("potential_residual_brackets_worst_triangle", 1e-12)
+def _potential_vs_triangles(rng: np.random.Generator) -> float:
+    """How far res <= worst <= 3 res fails on a complete support, with res
+    the phase residual of the rephasing potential's single-ray family and
+    worst the largest |kappa - 1| over all triangles.  The potential is
+    rooted at state 0, so res is the worst triangle through state 0, and
+    every kappa_ijk is the product of three of those."""
+    n = int(rng.integers(2, 13))
+    # coherent, eps-perturbed, or uniformly random (a perturbation of up to pi)
+    eps = [0.0, 10.0 ** rng.uniform(-12.0, -2.0), np.pi][int(rng.integers(3))]
+    lam = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    values = {
+        (i, j): lam[i] * lam[j].conjugate() * np.exp(1j * eps * rng.uniform(-1.0, 1.0))
+        for i, j in combinations(range(n), 2)
+    }
+    u = comparisons.PhaseMatrix.from_edges(n, values)
+    res = realizability._phase_residual(realizability._potential(u, [list(range(n))]), u)
+    worst = (realizability._worst_triangle(u) or (None, 0.0))[1]
+    return max(0.0, res - worst, worst - 3.0 * res)
 
 
 def run_all(cases: int, seed: int) -> list[OracleReport]:

@@ -278,6 +278,23 @@ class TestCheck:
         assert "worst violation: 1e+308" in out
         assert "positive semidefinite: FAIL" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("command", ["check", "realize"])
+    def test_overflowing_spectrum_is_usage_error(self, capsys, tmp_path, command, fmt):
+        # finite entries whose modulus is past the float range: eigvalsh
+        # overflows to NaN, which no verdict may print
+        path = tmp_path / "overflow.json"
+        big = {"re": 1.7e308, "im": 1.7e308}
+        save_text(str(path), json.dumps({"version": 1, "kind": "gram", "n": 2, "entries": [
+            ONE_C, big, {"re": 1.7e308, "im": -1.7e308}, ONE_C]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: eigenvalues are not finite: the matrix overflows the eigensolver\n")
+
     def test_wrong_kind_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "p.json"
         save_text(str(path), matrix_to_json("probability", np.eye(2)))
@@ -481,6 +498,7 @@ class TestOptions:
         ["check", "gram.json", "--seed", "1"],
         ["check", "gram.json", "--zero-tol", "5"],
         ["realize", "gram.json", "--zero-tol", "5"],
+        ["realize", "gram.json", "--soft-floor", "1e-6"],
         ["verify", "--zero-tol", "5"],
     ])
     def test_a_subcommand_refuses_options_it_does_not_read(self, capsys, argv):
@@ -496,6 +514,48 @@ class TestOptions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: Eigenvalues did not converge\n"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStructuredOutputIsStrictJson:
+    """Every --format structured document parses with NaN and Infinity refused."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, octant_family):
+        paths = {}
+
+        def write(name, text):
+            paths[name] = str(tmp_path / name)
+            save_text(paths[name], text)
+
+        write("family", family_to_json(octant_family))
+        write("gram", matrix_to_json("gram", gram(octant_family).entries))
+        write("huge", matrix_to_json("gram", np.array([[1, 1e308], [1e308, 1]], dtype=complex)))
+        write("rank3", matrix_to_json("gram", np.eye(3, dtype=complex)))
+        write("coherent", matrix_to_json("phase", PhaseMatrix.from_edges(
+            3, {(0, 1): 1j, (1, 2): -1.0, (0, 2): -1j})))
+        write("frustrated", matrix_to_json("phase", PhaseMatrix.from_edges(
+            4, {(i, j): -1.0 for i, j in itertools.combinations(range(4), 2)})))
+        return paths
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "family"],
+        ["check", "gram"],
+        ["check", "huge"],
+        ["check", "rank3"],
+        ["realize", "gram"],
+        ["realize", "huge"],
+        ["realize", "coherent"],
+        ["realize", "frustrated", "--restarts", "2", "--max-iters", "20"],
+        ["verify", "--cases", "2"],
+    ])
+    def test_parses_strictly(self, capsys, inputs, argv):
+        argv = [inputs.get(a, a) for a in argv]
+        assert main(argv + ["--format", "structured"]) in (0, 1, 3)
+        json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
 
 
 class TestUsage:

@@ -226,6 +226,33 @@ class TestSupportGraph:
         assert g.bfs(0) == [(0, 1), (0, 3), (1, 4), (4, 2)]
         assert g.bfs(5) == []
 
+    def test_lookups_do_not_wrap_negative_indices(self):
+        g = SupportGraph(3, frozenset({(1, 2)}))
+        assert g.has_edge(1, 2) and g.has_edge(2, 1)
+        assert not g.has_edge(-1, 0) and not g.has_edge(2, -2)
+        assert not g.has_edge(0, 5) and not g.has_edge(10 ** 29, 0)
+        u = PhaseMatrix.from_edges(3, {(1, 2): 1j})
+        for i, j in [(2, -2), (-2, 2), (0, 5)]:
+            assert not u.has(i, j)
+            with pytest.raises(ValueError, match="no phase available"):
+                u.entry(i, j)
+
+    def test_pairs_are_read_only_and_row_major(self):
+        g = SupportGraph(4, frozenset({(3, 1), (2, 0), (0, 1)}))
+        i, j = g.pairs
+        assert i.tolist() == [0, 0, 1] and j.tolist() == [1, 2, 3]
+        assert not i.flags.writeable and not j.flags.writeable
+        assert g.n == 4 and not g.is_complete()
+
+    def test_equality_compares_masks_and_graphs_are_unhashable(self):
+        g = SupportGraph(3, frozenset({(0, 1)}))
+        assert g == SupportGraph(3, [(1, 0)])
+        assert g != SupportGraph(3, frozenset({(0, 2)}))
+        assert g != SupportGraph(4, frozenset({(0, 1)}))
+        assert g != g.mask
+        with pytest.raises(TypeError):
+            hash(g)
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             SupportGraph(3, frozenset({(1, 1)}))
@@ -291,6 +318,33 @@ class TestMaskOperationsMatchScalarLoops:
             degrees = [sum(v in pair for pair in ortho) for v in range(n)]
             assert [og.degree(v) for v in range(n)] == degrees
             assert check_matching(og) == (max(degrees) <= 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 13])
+    def test_support_graph_from_any_mask(self, n):
+        # an arbitrary square mask, asymmetric and with a True diagonal:
+        # only its strict upper triangle is read
+        rng = np.random.default_rng(n)
+        for density in (0.0, 0.3, 0.8, 1.0):
+            mask = rng.random((n, n)) < density
+            np.fill_diagonal(mask, True)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
+            missing = [(i, j) for i in range(n) for j in range(i + 1, n) if not mask[i, j]]
+            g = SupportGraph.from_mask(mask)
+            assert g.n == n
+            assert [p.tolist() for p in g.pairs] == [[i for i, _ in edges], [j for _, j in edges]]
+            assert g.edges == frozenset(edges)
+            assert g.complement().edges == frozenset(missing)
+            assert g.is_complete() == (not missing)
+            assert SupportGraph(n, frozenset(edges)) == g
+            assert SupportGraph(n, [(j, i) for i, j in edges]) == g
+            sym = np.zeros((n, n), dtype=bool)
+            for i, j in edges:
+                sym[i, j] = sym[j, i] = True
+            assert np.array_equal(g.mask, sym) and not g.mask.flags.writeable
+            for i in range(n):
+                assert g.degree(i) == sum(i in e for e in edges)
+                for j in range(n):
+                    assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in edges)
 
 
 class TestRejectsNonFinite:

@@ -466,8 +466,9 @@ class TestSearchInternals:
             SearchConfig(restarts=0)
         with pytest.raises(ValueError, match="max_iters"):
             SearchConfig(max_iters=0)
-        with pytest.raises(ValueError, match="positive"):
-            SearchConfig(soft_floor=0.0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError, match="realize_tol must be positive"):
+                SearchConfig(realize_tol=tol)
 
     def test_result_validation(self):
         with pytest.raises(ValueError, match="unknown status"):

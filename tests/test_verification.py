@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from qpc import invariants
+from qpc import invariants, realizability
 from qpc.verification import PROPERTIES, run_all
 
 BARGMANN_PROPERTIES = {
@@ -47,3 +48,13 @@ def test_nan_discrepancy_fails_its_property(monkeypatch):
         assert math.isnan(reports[name].max_discrepancy)
         assert reports[name].passed is False
         assert reports[name].line().endswith("FAIL")
+
+
+def test_potential_property_sees_a_potential_that_ignores_the_phases(monkeypatch):
+    def single_ray(u, comps):
+        return np.repeat([[1.0 + 0.0j, 0.0j]], u.n, axis=0)
+
+    monkeypatch.setattr(realizability, "_potential", single_ray)
+    report = PROPERTIES[-1](10, np.random.default_rng(0))
+    assert report.name == "potential_residual_brackets_worst_triangle"
+    assert report.passed is False
