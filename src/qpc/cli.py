@@ -16,6 +16,7 @@ variable QPC_SEED supplies a default seed when --seed is absent.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -273,13 +274,7 @@ def _verdict_doc(verdict) -> dict:
 
 
 def _verdict_text(verdict) -> str:
-    rows = [
-        ("hermitian", verdict.hermitian_ok),
-        ("unit diagonal", verdict.unit_diag_ok),
-        ("positive semidefinite", verdict.psd_ok),
-        ("rank at most 2", verdict.rank_ok),
-    ]
-    lines = [f"{name}: {'ok' if ok else 'FAIL'}" for name, ok in rows]
+    lines = [f"{name}: {'ok' if ok else 'FAIL'}" for name, ok in verdict.conditions()]
     lines.append(f"rank estimate: {verdict.rank_estimate}")
     lines.append("eigenvalues: " + "  ".join(_fmt(x) for x in verdict.eigenvalues))
     lines.append(f"worst violation: {_fmt(verdict.worst_violation)}")
@@ -291,11 +286,8 @@ def _verdict_text(verdict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_check(args) -> int:
-    kind, payload = matrix_from_json(load_text(args.matrix))
-    if kind != "gram":
-        raise FileFormatError(f"check requires a gram matrix file, got kind {kind!r}")
-    verdict = realizability.check_gram(payload)
+def _emit_verdict(args, verdict) -> int:
+    """Write a Gram verdict in the chosen format; its exit code."""
     if args.format == "structured":
         _emit(args, dump_doc(_verdict_doc(verdict)))
     else:
@@ -303,24 +295,39 @@ def cmd_check(args) -> int:
     return EXIT_OK if verdict.all_ok else EXIT_NEGATIVE
 
 
-def _result_doc(status: str, residual: float, diagnostics: str, certificate) -> dict:
+def cmd_check(args) -> int:
+    kind, payload = matrix_from_json(load_text(args.matrix))
+    if kind != "gram":
+        raise FileFormatError(f"check requires a gram matrix file, got kind {kind!r}")
+    return _emit_verdict(args, realizability.check_gram(payload))
+
+
+def _result_doc(result) -> dict:
+    cert = result.certificate
     return {
-        "status": status,
-        "residual": residual,
-        "diagnostics": diagnostics,
-        "certificate": family_doc(certificate) if certificate is not None else None,
+        "status": result.status,
+        "residual": result.residual,
+        "diagnostics": result.diagnostics,
+        "certificate": family_doc(cert) if cert is not None else None,
     }
 
 
-def _result_text(status: str, residual: float, diagnostics: str, certificate) -> str:
-    lines = [f"status: {status}", f"residual: {_fmt(residual)}"]
-    if diagnostics:
-        lines.append(f"diagnostics: {diagnostics}")
-    if certificate is not None:
+def _result_text(result) -> str:
+    lines = [f"status: {result.status}", f"residual: {_fmt(result.residual)}"]
+    if result.diagnostics:
+        lines.append(f"diagnostics: {result.diagnostics}")
+    if result.certificate is not None:
         lines.append("certificate states:")
-        for s in certificate.states:
+        for s in result.certificate.states:
             lines.append(f"  {_fmt_c(s.c0)}  {_fmt_c(s.c1)}")
     return "\n".join(lines) + "\n"
+
+
+_RESULT_EXIT = {
+    realizability.REALIZABLE: EXIT_OK,
+    realizability.NOT_REALIZABLE: EXIT_NEGATIVE,
+    realizability.SEARCH_FAILED: EXIT_INCONCLUSIVE,
+}
 
 
 def cmd_realize(args) -> int:
@@ -332,21 +339,8 @@ def cmd_realize(args) -> int:
     if kind == "gram":
         verdict = realizability.check_gram(payload)
         if not verdict.all_ok:
-            text = (
-                dump_doc(_verdict_doc(verdict))
-                if args.format == "structured"
-                else _verdict_text(verdict)
-            )
-            _emit(args, text)
-            return EXIT_NEGATIVE
-        # The verdict allows slack below the strict type tolerance; fold the
-        # matrix onto its Hermitian, unit-diagonal part before factoring.
-        h = realizability.hermitian_part(payload)
-        np.fill_diagonal(h, 1.0)
-        family = realizability.factor_states(comparisons.GramMatrix(h))
-        rebuilt = comparisons.gram(family)
-        residual = float(np.max(np.abs(rebuilt.entries - payload)))
-        doc_args = (realizability.REALIZABLE, residual, "factored from eigenpairs", family)
+            return _emit_verdict(args, verdict)
+        result = realizability.realize_gram(payload)
     else:
         cfg = realizability.SearchConfig(
             restarts=args.restarts,
@@ -355,22 +349,13 @@ def cmd_realize(args) -> int:
             realize_tol=args.realize_tol,
         )
         result = realizability.realize_phases(payload, cfg)
-        doc_args = (result.status, result.residual, result.diagnostics, result.certificate)
-    status, residual, diagnostics, certificate = doc_args
-    if args.format == "structured":
-        text = dump_doc(_result_doc(status, residual, diagnostics, certificate))
-    else:
-        text = _result_text(status, residual, diagnostics, certificate)
-    if args.out and certificate is not None:
-        save_text(args.out, family_to_json(certificate))
+    text = dump_doc(_result_doc(result)) if args.format == "structured" else _result_text(result)
+    if args.out and result.certificate is not None:
+        save_text(args.out, family_to_json(result.certificate))
         sys.stdout.write(text)
     else:
         _emit(args, text)
-    if status == realizability.REALIZABLE:
-        return EXIT_OK
-    if status == realizability.SEARCH_FAILED:
-        return EXIT_INCONCLUSIVE
-    return EXIT_NEGATIVE
+    return _RESULT_EXIT[result.status]
 
 
 def cmd_verify(args) -> int:
@@ -378,16 +363,7 @@ def cmd_verify(args) -> int:
     if args.format == "structured":
         doc = {
             "cases": args.cases,
-            "reports": [
-                {
-                    "name": r.name,
-                    "cases_run": r.cases_run,
-                    "max_discrepancy": r.max_discrepancy,
-                    "tolerance": r.tolerance,
-                    "passed": r.passed,
-                }
-                for r in reports
-            ],
+            "reports": [{**dataclasses.asdict(r), "passed": r.passed} for r in reports],
             "all_passed": all(r.passed for r in reports),
         }
         _emit(args, dump_doc(doc))

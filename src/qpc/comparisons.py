@@ -165,8 +165,14 @@ class SupportGraph:
         # bounds first: a bare mask[i, j] would wrap negative indices
         return 0 <= i < self.n and 0 <= j < self.n and bool(self.mask[i, j])
 
+    def _vertex(self, v: int) -> int:
+        # a bare mask[v] would wrap negative indices
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n = {self.n}")
+        return v
+
     def degree(self, v: int) -> int:
-        return int(np.count_nonzero(self.mask[v]))
+        return int(np.count_nonzero(self.mask[self._vertex(v)]))
 
     def is_complete(self) -> bool:
         return np.count_nonzero(self.mask) == self.n * (self.n - 1)
@@ -178,7 +184,7 @@ class SupportGraph:
         """Tree edges (parent, child) of a breadth-first search from start,
         in visiting order, each vertex's neighbours taken in ascending order."""
         seen = np.zeros(self.n, dtype=bool)
-        seen[start] = True
+        seen[self._vertex(start)] = True
         queue, tree = [start], []
         for v in queue:
             new = np.flatnonzero(self.mask[v] & ~seen).tolist()
@@ -254,7 +260,7 @@ class PhaseMatrix:
         return cls(n, a, SupportGraph.from_mask(mask))
 
     def has(self, i: int, j: int) -> bool:
-        return i == j or self.support.has_edge(i, j)
+        return 0 <= i == j < self.n or self.support.has_edge(i, j)
 
     def entry(self, i: int, j: int) -> complex:
         if not self.has(i, j):

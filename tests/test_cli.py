@@ -362,6 +362,29 @@ class TestRealize:
         code, _ = run_cli(capsys, "realize", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("out", [False, True])
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("matrix", [np.eye(3), [[1.0, 1.2], [1.2, 1.0]]])
+    def test_a_failing_gram_prints_the_check_verdict(self, capsys, tmp_path, matrix, fmt, out):
+        path = tmp_path / "bad.json"
+        save_text(str(path), matrix_to_json("gram", np.array(matrix, dtype=complex)))
+        seen = []
+        for command in ("check", "realize"):
+            dest = tmp_path / f"{command}.out"
+            argv = [command, str(path), "--format", fmt] + (["--out", str(dest)] if out else [])
+            code = main(argv)
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err, dest.read_bytes() if out else None))
+        assert seen[0] == seen[1]
+        code, stdout, stderr, written = seen[0]
+        assert code == 1 and stderr == ""
+        assert (stdout == "") == out
+        report = written.decode() if out else stdout
+        if fmt == "structured":
+            assert json.loads(report)["realizable"] is False
+        else:
+            assert "verdict: not realizable by qubit states" in report
+
     def test_structured_result(self, capsys, octant_gram_file):
         code, out = run_cli(
             capsys, "realize", octant_gram_file, "--format", "structured"

@@ -237,6 +237,25 @@ class TestSupportGraph:
             with pytest.raises(ValueError, match="no phase available"):
                 u.entry(i, j)
 
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_degree_refuses_a_vertex_out_of_range(self, v):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for n = 3"):
+            SupportGraph(3, [(1, 2)]).degree(v)
+
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_bfs_refuses_a_vertex_out_of_range(self, v):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for n = 3"):
+            SupportGraph(3, [(1, 2)]).bfs(v)
+
+    @pytest.mark.parametrize("v", [-1, 5])
+    def test_no_diagonal_phase_outside_the_vertices(self, v):
+        u = PhaseMatrix.from_edges(3, {(1, 2): 1j})
+        assert not u.has(v, v)
+        with pytest.raises(ValueError, match=f"no phase available for pair \\({v}, {v}\\)"):
+            u.entry(v, v)
+        with pytest.raises(ValueError, match="no phase available"):
+            u.angle(v, v)
+
     def test_pairs_are_read_only_and_row_major(self):
         g = SupportGraph(4, frozenset({(3, 1), (2, 0), (0, 1)}))
         i, j = g.pairs

@@ -21,6 +21,7 @@ from qpc import (
     probabilities,
     random_family,
     realize_coherent,
+    realize_gram,
     realize_phases,
 )
 from qpc import realizability
@@ -29,6 +30,7 @@ from qpc.realizability import (
     NOT_REALIZABLE,
     REALIZABLE,
     SEARCH_FAILED,
+    _edge_distances,
     _free,
     _phase_residual,
     _residuals,
@@ -46,6 +48,14 @@ def potential_phases(angles) -> PhaseMatrix:
         for j in range(i + 1, n)
     }
     return PhaseMatrix.from_edges(n, values)
+
+
+def near_coherent_square() -> PhaseMatrix:
+    # chordless 4-cycle whose loop product misses 1 by about 5e-7: no
+    # triangle to test, and the potential misses edge (2, 3) by that much
+    return PhaseMatrix.from_edges(
+        4, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (0, 3): cmath.exp(5e-7j)}
+    )
 
 
 def holonomy_square() -> PhaseMatrix:
@@ -174,6 +184,33 @@ class TestFactorStates:
         assert calls == ["eigh"]
 
 
+class TestRealizeGram:
+    def test_factors_a_family_gram(self):
+        g = gram(random_family(4, seed=6))
+        res = realize_gram(g)
+        assert res.status == REALIZABLE and res.diagnostics == "factored from eigenpairs"
+        assert res.residual == float(np.max(np.abs(gram(res.certificate).entries - g.entries)))
+        assert res.residual <= 1e-12
+
+    def test_folds_diagonal_slack_the_verdict_allows(self):
+        a = gram(random_family(5, seed=3)).entries.copy()
+        a[np.diag_indices(5)] += 5e-11
+        assert check_gram(a).all_ok
+        with pytest.raises(ValueError, match="diagonal is not 1"):
+            GramMatrix(a)
+        res = realize_gram(a)
+        assert res.status == REALIZABLE
+        assert res.residual <= 1e-10
+
+    def test_refuses_what_the_verdict_refuses(self):
+        with pytest.raises(ValueError, match="rank at most 2"):
+            realize_gram(np.eye(3))
+        with pytest.raises(ValueError, match="not a qubit Gram matrix"):
+            realize_gram(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="not a qubit Gram matrix"):
+            realize_gram(np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]]))
+
+
 class TestCoherence:
     def test_octant_phases_are_incoherent(self, octant_family):
         u = phases(gram(octant_family))
@@ -263,6 +300,50 @@ class TestRealizeCoherent:
             realize_coherent(holonomy_square())
 
 
+class TestRealizeCoherentCertifiesByItsResidual:
+    def test_refuses_a_triangle_free_cycle_the_potential_misses(self):
+        u = near_coherent_square()
+        i, j, dev = _edge_distances(realizability._potential(u, [[0, 1, 2, 3]]), u)
+        assert (int(i[dev.argmax()]), int(j[dev.argmax()])) == (2, 3)
+        assert 4.9e-7 < dev.max() < 5.1e-7
+        refusal = r"not coherent: no consistent rephasing potential realizes edge \(2, 3\)"
+        with pytest.raises(ValueError, match=refusal):
+            realize_coherent(u, 1e-9)
+        with pytest.raises(ValueError, match=refusal):
+            realize_coherent(u)
+
+    def test_accepts_the_same_cycle_within_a_looser_tol(self):
+        u = near_coherent_square()
+        fam = realize_coherent(u, 1e-6)
+        assert 4.9e-7 < _phase_residual(fam.vectors, u) <= 1e-6
+
+    def test_judges_a_complete_support_by_its_edges_not_its_triangles(self):
+        # two tilted non-tree edges: each edge misses by 8e-10, but the
+        # triangle (1, 2, 3) through both misses by twice that
+        u = potential_phases([0.0, 0.3, 1.1, -0.7])
+        u = tilted(tilted(u, 1, 2, 8e-10), 2, 3, 8e-10)
+        assert not is_coherent(u, 1e-9)
+        fam = realize_coherent(u, 1e-9)
+        assert _phase_residual(fam.vectors, u) <= 1e-9
+
+    def test_measured_residual_never_exceeds_tol(self):
+        rng = np.random.default_rng(21)
+        accepted = refused = 0
+        for n in (2, 3, 4, 5, 7):
+            for eps in (0.0, 1e-11, 1e-9, 1e-7, 1e-5):
+                u = tilted_coherent(rng, n, eps)
+                for tol in (1e-10, 1e-9, 1e-8, 1e-6):
+                    try:
+                        fam = realize_coherent(u, tol)
+                    except ValueError as err:
+                        assert "not coherent" in str(err)
+                        refused += 1
+                        continue
+                    assert _phase_residual(fam.vectors, u) <= tol
+                    accepted += 1
+        assert accepted and refused
+
+
 def per_component_restrict(u: PhaseMatrix, comp: list) -> PhaseMatrix:
     idx = {v: p for p, v in enumerate(comp)}
     return PhaseMatrix.from_edges(
@@ -300,6 +381,26 @@ class TestCoherentShortcut:
             assert res.status == REALIZABLE and "single base state" in res.diagnostics
             assert res.certificate.vectors.tobytes() == vecs.tobytes()
 
+    def test_realize_coherent_succeeds_exactly_when_the_shortcut_is_taken(self):
+        rng = np.random.default_rng(4)
+        outcomes = set()
+        for n in (2, 3, 4, 6):
+            for eps in (0.0, 1e-10, 3e-9, 5e-8, 1e-6):
+                u = tilted_coherent(rng, n, eps)
+                for t in (1e-9, 1e-7):
+                    res = realize_phases(u, SearchConfig(realize_tol=t, restarts=1, max_iters=5))
+                    shortcut = "single base state" in res.diagnostics
+                    try:
+                        fam = realize_coherent(u, t)
+                    except ValueError:
+                        assert not shortcut
+                        outcomes.add(False)
+                        continue
+                    assert shortcut
+                    assert res.certificate.vectors.tobytes() == fam.vectors.tobytes()
+                    outcomes.add(True)
+        assert outcomes == {False, True}
+
     def test_restriction_slices_the_matrix(self):
         rng = np.random.default_rng(3)
         pairs = [(0, 2), (0, 6), (2, 3), (3, 6), (1, 4)]
@@ -315,6 +416,14 @@ def tilted(u: PhaseMatrix, i: int, j: int, angle: float) -> PhaseMatrix:
     values = {e: u.entries[e] for e in u.support.edges}
     values[(i, j)] *= cmath.exp(1j * angle)
     return PhaseMatrix.from_edges(u.n, values)
+
+
+def tilted_coherent(rng, n: int, angle: float) -> PhaseMatrix:
+    """A connected coherent prescription with one random edge turned by angle."""
+    u = coherent_components(rng, n, [list(range(n))])
+    i, j = u.support.pairs
+    e = int(rng.integers(len(i)))
+    return tilted(u, int(i[e]), int(j[e]), angle)
 
 
 class TestPotentialDecidesCoherence:
