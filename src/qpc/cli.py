@@ -359,22 +359,26 @@ def cmd_realize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = verification.run_all(args.cases, _resolve_seed(args))
+    seed = _resolve_seed(args)
+    reports = verification.run_all(args.cases, seed)
+    failed = [idx for idx, r in enumerate(reports) if not r.passed]
     if args.format == "structured":
         doc = {
             "cases": args.cases,
             "reports": [{**dataclasses.asdict(r), "passed": r.passed} for r in reports],
-            "all_passed": all(r.passed for r in reports),
+            "all_passed": not failed,
         }
         _emit(args, dump_doc(doc))
     else:
         lines = [r.line() for r in reports]
-        failed = sum(1 for r in reports if not r.passed)
         lines.append(
-            f"{len(reports)} properties, {len(reports) - failed} passed, {failed} failed"
+            f"{len(reports)} properties, {len(reports) - len(failed)} passed, {len(failed)} failed"
         )
         _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_NEGATIVE
+    for idx in failed:
+        print(f"failed: property {idx} {reports[idx].name} with seed {seed}; "
+              f"replay: qpc verify --seed {seed} --cases {args.cases}", file=sys.stderr)
+    return EXIT_NEGATIVE if failed else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -15,8 +15,10 @@ accepted when its phase residual, checked on every support edge, meets
 the tolerance.  The triangle test is_coherent is on neither path.  Other
 prescriptions are attacked by a seeded multi-start local search over
 gauge-fixed Bloch angles; a successful search returns a certificate
-family, while an unsuccessful one is inconclusive.  realize_gram and
-realize_phases return a RealizabilityResult.
+family, while an unsuccessful one is inconclusive.  least_squares is
+the search's one solver entry point, and scipy is loaded only when
+realize_phases searches phase data that is not coherent.  realize_gram
+and realize_phases return a RealizabilityResult.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import comparisons
 from .comparisons import GramMatrix, PhaseMatrix, SupportGraph, deviations, moduli, require_square
@@ -446,6 +447,13 @@ def _restrict(u: PhaseMatrix, comp: list[int]) -> PhaseMatrix:
     return PhaseMatrix(len(comp), u.entries[sub], SupportGraph.from_mask(u.support.mask[sub]))
 
 
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on first use, not with qpc."""
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
+
+
 def _search_component(u: PhaseMatrix, cfg: SearchConfig, rng: np.random.Generator):
     """Best family found for one connected component.
 
@@ -505,6 +513,9 @@ def realize_phases(u: PhaseMatrix, cfg: SearchConfig = SearchConfig()) -> Realiz
     residual = _phase_residual(vecs, u)
     note = "coherent phase data; realized by rephasing a single base state"
     if residual > cfg.realize_tol:
+        # the one-time scipy import, charged here rather than to the first solver call
+        import scipy.optimize  # noqa: F401
+
         vecs = np.repeat([[1.0 + 0.0j, 0.0j]], u.n, axis=0)
         total_restarts = 0
         for ci, comp in enumerate(comps):

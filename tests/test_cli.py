@@ -28,7 +28,10 @@ from qpc import (
     rays_equal,
     save_text,
 )
+from qpc import invariants
 from qpc.cli import BRANCH_CUT_MARGIN, _analysis, _fmt, _fmt_c, main
+from qpc.verification import run_all
+from tests.test_verification import BARGMANN_PROPERTIES
 
 SQ2 = 2.0 ** -0.5
 DATA = Path(__file__).parent / "data" / "analyze"
@@ -416,6 +419,31 @@ class TestVerify:
         _, a = run_cli(capsys, "verify", "--cases", "3", "--seed", "4")
         _, b = run_cli(capsys, "verify", "--cases", "3", "--seed", "4")
         assert a == b
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_a_failing_property_prints_its_replay_command(self, capsys, monkeypatch, fmt):
+        monkeypatch.setenv("QPC_SEED", "5")
+        code = main(["verify", "--cases", "2", "--format", fmt])
+        passing = capsys.readouterr()
+        assert code == 0 and passing.err == ""
+
+        monkeypatch.setattr(invariants, "bargmann", lambda *args: complex(math.nan, 0.0))
+        code = main(["verify", "--cases", "2", "--format", fmt])
+        failing = capsys.readouterr()
+        assert code == 1
+        names = [r.name for r in run_all(cases=1, seed=0)]
+        expected = [
+            f"failed: property {idx} {name} with seed 5; "
+            "replay: qpc verify --seed 5 --cases 2"
+            for idx, name in enumerate(names) if name in BARGMANN_PROPERTIES
+        ]
+        assert failing.err.splitlines() == expected
+        if fmt == "structured":
+            doc = json.loads(failing.out)
+            assert sum(not r["passed"] for r in doc["reports"]) == len(expected)
+        else:
+            assert failing.out.count("FAIL") == len(expected)
+        assert "replay" not in failing.out
 
 
 NAN_C = {"re": math.nan, "im": 0.0}

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -587,3 +588,54 @@ class TestSearchInternals:
         ok = RealizabilityResult(SEARCH_FAILED, None, 0.5, "best effort")
         assert ok.status == SEARCH_FAILED
         assert NOT_REALIZABLE == "not_realizable"
+
+
+class TestSolverPatchPoint:
+    """realizability.least_squares is the one name the search calls the
+    solver by, so a wrapper patched onto it sees every solver run."""
+
+    @pytest.fixture
+    def solver_calls(self, monkeypatch):
+        calls = []
+        solve = realizability.least_squares
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(realizability, "least_squares", counting)
+        return calls
+
+    @staticmethod
+    def reported_restarts(result) -> int:
+        return int(re.search(r"after (\d+) restart\(s\)", result.diagnostics).group(1))
+
+    def test_called_once_per_reported_restart(self, solver_calls, octant_family):
+        rng = np.random.default_rng(21)
+        two_searched_components = PhaseMatrix.from_edges(
+            6,
+            {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (0, 3): 1j,
+             (4, 5): cmath.exp(0.3j)},
+        )
+        cases = [
+            phases(gram(octant_family)),
+            holonomy_square(),
+            phases(family_with_support(rng, 5)[1]),
+            two_searched_components,
+        ]
+        for u in cases:
+            solver_calls.clear()
+            res = realize_phases(u, SearchConfig(restarts=8))
+            assert res.status == REALIZABLE
+            assert len(solver_calls) == self.reported_restarts(res) >= 1
+
+    def test_an_exhausted_search_runs_every_restart(self, solver_calls):
+        res = realize_phases(holonomy_square(), SearchConfig(restarts=3, realize_tol=1e-30))
+        assert res.status == SEARCH_FAILED
+        assert len(solver_calls) == 3
+
+    def test_not_called_on_exact_routes(self, solver_calls, octant_family):
+        res = realize_phases(potential_phases([0.0, 0.4, -0.9, 1.7]))
+        assert "single base state" in res.diagnostics
+        assert realize_gram(gram(octant_family)).status == REALIZABLE
+        assert solver_calls == []
