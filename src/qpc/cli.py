@@ -56,6 +56,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {value}")
+    return value
+
+
 # A real number, and a complex one from (real part, sign, |imag|): the
 # sign is "+" when imag >= 0, so an imaginary part of -0.0 prints "+0".
 _REAL = "%.15g"
@@ -111,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = command("analyze", cmd_analyze, "full comparison report of a family file",
                         ["--out", "--format"])
     p_analyze.add_argument("family", help="path to a family file")
-    p_analyze.add_argument("--zero-tol", type=float, default=comparisons.DEFAULT_ZERO_TOL,
+    p_analyze.add_argument("--zero-tol", type=_tolerance, default=comparisons.DEFAULT_ZERO_TOL,
                            help="overlap modulus at or below this counts as orthogonal")
     p_analyze.add_argument("--emit-gram", default=None, metavar="PATH",
                            help="also write the gram matrix file")
@@ -128,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_realize.add_argument("matrix", help="path to a gram or phase matrix file")
     p_realize.add_argument("--restarts", type=_positive_int, default=32)
     p_realize.add_argument("--max-iters", type=_positive_int, default=500)
-    p_realize.add_argument("--realize-tol", type=float,
+    p_realize.add_argument("--realize-tol", type=_tolerance,
                            default=realizability.REALIZE_TOL)
 
     p_verify = command("verify", cmd_verify, "run the registered self-check properties",
@@ -389,7 +396,7 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else 0
     try:
         return args.func(args)
-    except (OSError, ValueError) as e:  # FileFormatError and LinAlgError included
+    except (OSError, ValueError, MemoryError) as e:  # FileFormatError, LinAlgError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -107,7 +107,7 @@ def re_im(z: np.ndarray) -> dict:
 class Records(Sequence):
     """A JSON array of records of one fixed shape, held as columns.
 
-    shape is one record, a nested dict/list whose leaves are whole 1-d
+    shape is one record, a nested dict/list/tuple whose leaves are 1-d
     columns of equal length, of finite ints or floats; record t takes
     element t of every column.  The columns are referenced, not copied.
     Indexing and iteration yield plain records, so
@@ -116,13 +116,10 @@ class Records(Sequence):
     """
 
     def __init__(self, shape):
-        self.shape = shape
-        columns = [np.asarray(c) for c in _leaves(shape)]
-        if len({len(c) for c in columns}) != 1 or not all(
-            c.ndim == 1 and c.dtype.kind in "iuf" and np.isfinite(c).all() for c in columns
-        ):
+        self.shape, self.columns = shape, _row(shape, 0)[1]
+        if not all(c.ndim == 1 and c.dtype.kind in "iuf" and np.isfinite(c).all()
+                   for c in self.columns) or len({len(c) for c in self.columns}) != 1:
             raise ValueError("record columns must be equally long, of finite ints or floats")
-        self.columns = columns
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -134,7 +131,7 @@ class Records(Sequence):
         """The array as json.dumps(..., indent=2) writes it at nesting level."""
         if not self:
             return "[]"
-        row = _indent(level + 1) + _template(self.shape, level + 1)
+        row = _indent(level + 1) + _row(self.shape, level + 1)[0]
         return "".join(["[", fill_rows(row, ",", len(self), self.columns), _indent(level), "]"])
 
 
@@ -155,17 +152,10 @@ def fill_rows(row: str, sep: str, rows: int, columns: list) -> str:
     return sep.join(pieces)
 
 
-def _leaves(shape) -> list:
-    if isinstance(shape, (dict, list)):
-        parts = shape.values() if isinstance(shape, dict) else shape
-        return [leaf for part in parts for leaf in _leaves(part)]
-    return [shape]
-
-
 def _fill(shape, values):
     if isinstance(shape, dict):
         return {key: _fill(part, values) for key, part in shape.items()}
-    if isinstance(shape, list):
+    if isinstance(shape, (list, tuple)):
         return [_fill(part, values) for part in shape]
     return next(values)
 
@@ -174,48 +164,51 @@ def _indent(level: int) -> str:
     return "\n" + "  " * level
 
 
-def _template(shape, level: int) -> str:
-    # One record at nesting level `level`, with %r at every leaf: %r is
-    # float.__repr__ and int.__repr__, which is how json writes numbers.
-    if isinstance(shape, dict):
-        items = [json.dumps(key).replace("%", "%%") + ": " + _template(part, level + 1)
-                 for key, part in shape.items()]
-        left, right = "{", "}"
-    elif isinstance(shape, list):
-        items = [_template(part, level + 1) for part in shape]
-        left, right = "[", "]"
+def _layout(obj, level: int, leaf, out: list) -> None:
+    """Append the pieces of json.dumps(obj, indent=2), with obj at nesting
+    level, to out in document order.  Dicts, lists and tuples are laid
+    out here; every other value is the one piece leaf(value, its level)."""
+    if isinstance(obj, dict):
+        # json's own text for each key and its separator: int, float, bool
+        # and None keys become strings, any other type raises json's TypeError
+        left, right, items = "{", "}", ((json.dumps({k: 0})[1:-2], v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        left, right, items = "[", "]", (("", part) for part in obj)
     else:
-        return "%r"
-    inner = _indent(level + 1)
-    return left + inner + ("," + inner).join(items) + _indent(level) + right
+        out.append(leaf(obj, level))
+        return
+    sep, inner = left, _indent(level + 1)
+    for key, part in items:
+        out.append(sep + inner + key)
+        _layout(part, level + 1, leaf, out)
+        sep = ","
+    out.append(_indent(level) + right if obj else left + right)
 
 
-_MARK = "\x00records\x00"
+def _row(shape, level: int):
+    """(template, columns): one record of shape at nesting level with %r, which
+    is how json writes floats and ints, at every leaf; the leaves as arrays."""
+    pieces, columns = [], []
+    # each leaf appends its column and leaves the placeholder None in pieces
+    _layout(shape, level, lambda leaf, _: columns.append(np.asarray(leaf)), pieces)
+    return "".join("%r" if p is None else p.replace("%", "%%") for p in pieces), columns
+
+
+def _value(obj, level: int) -> str:
+    return obj.render(level) if isinstance(obj, Records) else json.dumps(obj)
 
 
 def dump_doc(doc) -> str:
     """Canonical rendering of a JSON document; stable byte for byte.
 
     The result is exactly json.dumps(doc, indent=2) + "\n", where each
-    Records array counts as the list of its records.  Records are
-    written from one row template over their columns and spliced into
-    the json rendering of the rest of the document.
+    Records array counts as the list of its records.  One walk lays the
+    document out piece by piece in order: each Records array is written
+    from one row template over its columns, every other leaf by
+    json.dumps, and the pieces are joined once.
     """
-    found = []
-
-    def mark(obj):
-        if not isinstance(obj, Records):
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        found.append(obj)
-        return _MARK
-
-    parts = json.dumps(doc, indent=2, default=mark).split(json.dumps(_MARK))
-    if len(parts) != len(found) + 1:  # a string of the document contains the mark
-        return json.dumps(doc, indent=2, default=list) + "\n"
-    out = [parts[0]]
-    for records, part in zip(found, parts[1:]):
-        line = out[-1].rpartition("\n")[2]
-        out += [records.render((len(line) - len(line.lstrip(" "))) // 2), part]
+    out = []
+    _layout(doc, 0, _value, out)
     return "".join(out + ["\n"])
 
 

@@ -97,8 +97,8 @@ class SearchConfig:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if not self.realize_tol > 0.0:
-            raise ValueError(f"realize_tol must be positive, got {self.realize_tol}")
+        if not 0.0 < self.realize_tol < math.inf:
+            raise ValueError(f"realize_tol must be positive and finite, got {self.realize_tol}")
 
 
 @dataclass(frozen=True)
@@ -334,10 +334,10 @@ def _angles_to_vectors(theta: np.ndarray, azim: np.ndarray, gauge: np.ndarray) -
     return np.column_stack([a, b])
 
 
-def _residuals(x, free, idx_i, idx_j, targets, soft_floor):
+def _residuals(x, free, idx_i, idx_j, targets):
     """Stacked real residual vector of the smooth per-edge terms.
 
-    Each support edge contributes g_ij / max(|g_ij|, soft_floor) - u_ij,
+    Each support edge contributes g_ij / max(|g_ij|, SOFT_FLOOR) - u_ij,
     split into real and imaginary parts; the floor keeps the residual
     smooth through near-orthogonal configurations while still
     penalizing them.  Returns (residuals, jacobian) in the free angles.
@@ -354,13 +354,13 @@ def _residuals(x, free, idx_i, idx_j, targets, soft_floor):
     g_e = a[idx_i].conj() * a[idx_j] + b[idx_i].conj() * b[idx_j]
     h_e = b[idx_i].conj() * b[idx_j]
     m = np.abs(g_e)
-    v = g_e / np.maximum(m, soft_floor)
+    v = g_e / np.maximum(m, SOFT_FLOOR)
     err = v - targets
 
     # Wirtinger factors of v(g): dv = A dg + B conj(dg), per floor branch.
     m_safe = np.maximum(m, 1e-300)
-    a_fac = np.where(m > soft_floor, 1.0 / (2.0 * m_safe), 1.0 / soft_floor)
-    b_fac = np.where(m > soft_floor, -(v**2) / (2.0 * m_safe), 0.0)
+    a_fac = np.where(m > SOFT_FLOOR, 1.0 / (2.0 * m_safe), 1.0 / SOFT_FLOOR)
+    b_fac = np.where(m > SOFT_FLOOR, -(v**2) / (2.0 * m_safe), 0.0)
 
     gt_i = da_dt[idx_i].conj() * a[idx_j] + db_dt[idx_i].conj() * b[idx_j]
     gt_j = a[idx_i].conj() * da_dt[idx_j] + b[idx_i].conj() * db_dt[idx_j]
@@ -459,14 +459,13 @@ def _search_component(u: PhaseMatrix, cfg: SearchConfig, rng: np.random.Generato
 
     Restart 0 starts from the spectral guess, later restarts from
     seeded random angles; the best candidate by final residual wins,
-    ties going to the earlier restart.  Returns (vectors, residual,
-    restarts_used).
+    ties going to the earlier restart.  Returns (vectors, restarts_used).
     """
     free = _free(u.n)
     idx_i, idx_j = u.support.pairs
     targets = u.entries[idx_i, idx_j]
     best_vecs, best_res = None, np.inf
-    fun_args = (free, idx_i, idx_j, targets, SOFT_FLOOR)
+    fun_args = (free, idx_i, idx_j, targets)
     method = "lm" if 2 * len(idx_i) >= np.count_nonzero(free) else "trf"
     for r in range(cfg.restarts):
         x0 = _spectral_guess(u, free) if r == 0 else _random_guess(rng, free)
@@ -487,7 +486,7 @@ def _search_component(u: PhaseMatrix, cfg: SearchConfig, rng: np.random.Generato
             best_vecs = vecs
         if best_res <= cfg.realize_tol:
             break
-    return best_vecs, best_res, r + 1
+    return best_vecs, r + 1
 
 
 def realize_phases(u: PhaseMatrix, cfg: SearchConfig = SearchConfig()) -> RealizabilityResult:
@@ -521,7 +520,7 @@ def realize_phases(u: PhaseMatrix, cfg: SearchConfig = SearchConfig()) -> Realiz
         for ci, comp in enumerate(comps):
             if len(comp) > 1:
                 rng = np.random.default_rng([cfg.seed, ci])
-                vecs[comp], _, used = _search_component(_restrict(u, comp), cfg, rng)
+                vecs[comp], used = _search_component(_restrict(u, comp), cfg, rng)
                 total_restarts += used
         residual = _phase_residual(vecs, u)
         note = f"local search succeeded after {total_restarts} restart(s)"

@@ -556,6 +556,34 @@ class TestOptions:
         assert main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "family.json", "--zero-tol", "nan"],
+        ["analyze", "family.json", "--zero-tol", "inf"],
+        ["analyze", "family.json", "--zero-tol=-inf"],
+        ["analyze", "family.json", "--zero-tol=-1e-9"],
+        ["realize", "phase.json", "--realize-tol", "nan"],
+        ["realize", "phase.json", "--realize-tol", "inf"],
+        ["realize", "phase.json", "--realize-tol=-inf"],
+    ])
+    def test_tolerances_must_be_finite(self, capsys, argv):
+        assert main(argv) == 2
+        assert "must be a finite number >= 0" in capsys.readouterr().err
+
+    def test_a_matrix_that_cannot_be_allocated_exits_2(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "phase.json"
+        save_text(str(path), json.dumps({"version": 1, "kind": "phase", "n": 60000,
+                                         "support": [[0, 1]], "entries": [{"re": 1, "im": 0}]}))
+        # 4 GiB of address space, in the child only: the 53.6 GiB phase matrix
+        # is refused at once instead of being overcommitted
+        limit = (4 * 2**30, resource.getrlimit(resource.RLIMIT_AS)[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpc", "realize", str(path)], capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: Unable to allocate")
+
     def test_linalg_error_exits_2(self, capsys, monkeypatch, octant_gram_file):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

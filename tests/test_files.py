@@ -293,7 +293,8 @@ class TestDumpDoc:
         col = np.array(values, dtype=float)
         doc = {
             "x": values,
-            "100% keys": Records({"re": col, "im": col[::-1], "pair": [col, np.arange(len(col))]}),
+            "100% keys": Records({"re": col, "im %r": col[::-1],
+                                  "pair": (col, np.arange(len(col)))}),
             "bare": Records(col),
         }
         for _ in range(depth):
@@ -307,8 +308,22 @@ class TestDumpDoc:
         assert dump_doc(doc) == reference(doc)
 
     def test_plain_documents_are_json(self):
-        doc = {"a": [1, 2.5, -0.0, None, True, "ψ"], "b": {}, "c": [[], [{}]], "d": 1e16}
-        assert dump_doc(doc) == json.dumps(doc, indent=2) + "\n"
+        docs = [
+            {"a": [1, 2.5, -0.0, None, True, "ψ"], "b": {}, "c": [[], [{}]], "d": 1e16},
+            {1: "int", -2.5: "float", 1e16: [], math.inf: {}, math.nan: "nan", "%r": 0},
+            {True: 1, False: [0], None: {None: None}},
+            {"ψ état": {"ключ": "é "}, "\x00": "\t"},
+            {"t": (1, (2.0, "x"), ()), "u": [(), ({},), ((),)]},
+            {"failing": [math.nan, math.inf, -math.inf], "worst": math.nan},
+            3, -0.0, math.nan, "ψ", None, True, [], {}, (),
+        ]
+        for doc in docs:
+            assert dump_doc(doc) == json.dumps(doc, indent=2) + "\n"
+        with pytest.raises(TypeError) as theirs:
+            json.dumps({"ok": 1, (1, 2): 0}, indent=2)
+        with pytest.raises(TypeError) as ours:
+            dump_doc({"ok": 1, (1, 2): 0})
+        assert str(ours.value) == str(theirs.value) != ""
 
     def test_string_equal_to_the_splice_mark(self):
         doc = {"s": "\x00records\x00", "r": Records(np.array([1.0, 2.0]))}

@@ -559,15 +559,15 @@ class TestSearchInternals:
         idx_j = np.array([e[1] for e in edges])
         targets = np.exp(1j * rng.uniform(-np.pi, np.pi, len(edges)))
         x = rng.uniform(0.2, 2.5, np.count_nonzero(free))
-        _, jac = _residuals(x, free, idx_i, idx_j, targets, 1e-6)
+        _, jac = _residuals(x, free, idx_i, idx_j, targets)
         step = 1e-6
         fd = np.zeros_like(jac)
         for p in range(len(x)):
             hi, lo = x.copy(), x.copy()
             hi[p] += step
             lo[p] -= step
-            rh, _ = _residuals(hi, free, idx_i, idx_j, targets, 1e-6)
-            rl, _ = _residuals(lo, free, idx_i, idx_j, targets, 1e-6)
+            rh, _ = _residuals(hi, free, idx_i, idx_j, targets)
+            rl, _ = _residuals(lo, free, idx_i, idx_j, targets)
             fd[:, p] = (rh - rl) / (2.0 * step)
         assert np.max(np.abs(jac - fd)) < 1e-5
 
@@ -576,8 +576,8 @@ class TestSearchInternals:
             SearchConfig(restarts=0)
         with pytest.raises(ValueError, match="max_iters"):
             SearchConfig(max_iters=0)
-        for tol in (0.0, math.nan):
-            with pytest.raises(ValueError, match="realize_tol must be positive"):
+        for tol in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="realize_tol must be positive and finite"):
                 SearchConfig(realize_tol=tol)
 
     def test_result_validation(self):
