@@ -127,12 +127,12 @@ class Records(Sequence):
     def __getitem__(self, t: int):
         return _fill(self.shape, iter([c[t].item() for c in self.columns]))
 
-    def render(self, level: int) -> str:
-        """The array as json.dumps(..., indent=2) writes it at nesting level."""
+    def render(self, level: int) -> list:
+        """The array as json.dumps(..., indent=2) writes it at level, in chunks of rows."""
         if not self:
-            return "[]"
+            return ["[]"]
         row = _indent(level + 1) + _row(self.shape, level + 1)[0]
-        return "".join(["[", fill_rows(row, ",", len(self), self.columns), _indent(level), "]"])
+        return ["[", *_row_pieces(row, ",", len(self), self.columns), _indent(level) + "]"]
 
 
 _FILL_CHUNK = 4096  # rows per % operation: bounds the template and the values' Python copies
@@ -143,13 +143,17 @@ def fill_rows(row: str, sep: str, rows: int, columns: list) -> str:
     values of the 1-d array columns taken element by element: element 0
     of every column, then element 1, and so on; each row takes
     len(column) // rows elements of every column."""
+    return "".join(_row_pieces(row, sep, rows, columns))
+
+
+def _row_pieces(row: str, sep: str, rows: int, columns: list):
+    # fill_rows's text made one chunk of _FILL_CHUNK rows at a time
     per_row = len(columns[0]) // rows if rows else 0
-    pieces = []
     for start in range(0, rows, _FILL_CHUNK):
         count = min(_FILL_CHUNK, rows - start)
         part = [c[start * per_row:(start + count) * per_row].tolist() for c in columns]
-        pieces.append(sep.join([row] * count) % tuple(chain.from_iterable(zip(*part))))
-    return sep.join(pieces)
+        template = sep * (start > 0) + sep.join([row] * count)
+        yield template % tuple(chain.from_iterable(zip(*part)))
 
 
 def _fill(shape, values):
@@ -167,7 +171,7 @@ def _indent(level: int) -> str:
 def _layout(obj, level: int, leaf, out: list) -> None:
     """Append the pieces of json.dumps(obj, indent=2), with obj at nesting
     level, to out in document order.  Dicts, lists and tuples are laid
-    out here; every other value is the one piece leaf(value, its level)."""
+    out here; every other value is the list of pieces leaf(value, its level)."""
     if isinstance(obj, dict):
         # json's own text for each key and its separator: int, float, bool
         # and None keys become strings, any other type raises json's TypeError
@@ -175,7 +179,7 @@ def _layout(obj, level: int, leaf, out: list) -> None:
     elif isinstance(obj, (list, tuple)):
         left, right, items = "[", "]", (("", part) for part in obj)
     else:
-        out.append(leaf(obj, level))
+        out += leaf(obj, level)
         return
     sep, inner = left, _indent(level + 1)
     for key, part in items:
@@ -190,12 +194,12 @@ def _row(shape, level: int):
     is how json writes floats and ints, at every leaf; the leaves as arrays."""
     pieces, columns = [], []
     # each leaf appends its column and leaves the placeholder None in pieces
-    _layout(shape, level, lambda leaf, _: columns.append(np.asarray(leaf)), pieces)
+    _layout(shape, level, lambda leaf, _: columns.append(np.asarray(leaf)) or [None], pieces)
     return "".join("%r" if p is None else p.replace("%", "%%") for p in pieces), columns
 
 
-def _value(obj, level: int) -> str:
-    return obj.render(level) if isinstance(obj, Records) else json.dumps(obj)
+def _value(obj, level: int) -> list:
+    return obj.render(level) if isinstance(obj, Records) else [json.dumps(obj)]
 
 
 def dump_doc(doc) -> str:
@@ -203,9 +207,8 @@ def dump_doc(doc) -> str:
 
     The result is exactly json.dumps(doc, indent=2) + "\n", where each
     Records array counts as the list of its records.  One walk lays the
-    document out piece by piece in order: each Records array is written
-    from one row template over its columns, every other leaf by
-    json.dumps, and the pieces are joined once.
+    document out in order: each Records array in chunks of rows from its
+    row template, every other leaf by json.dumps; the pieces join once.
     """
     out = []
     _layout(doc, 0, _value, out)
