@@ -69,22 +69,14 @@ _REAL = "%.15g"
 _COMPLEX = "%.15g%s%.15gi"
 
 
-def _fmt(x: float) -> str:
-    return _REAL % x
-
-
-def _fmt_c(z: complex) -> str:
-    return _COMPLEX % (z.real, "+" if z.imag >= 0 else "-", abs(z.imag))
-
-
 def _complex_columns(z: np.ndarray) -> list:
     """The _COMPLEX values of every entry of a 1-d complex array, as columns."""
     return [z.real, np.where(z.imag >= 0, "+", "-"), np.abs(z.imag)]
 
 
-def _section(lines: list, row: str, rows: int, columns: list) -> None:
-    """Append rows lines of the template row, or "  none" when there are none."""
-    lines.append(fill_rows(row, "\n", rows, columns) if rows else "  none")
+def _section(lines: list, heading: str, row: str, rows: int, columns: list) -> None:
+    """Append the heading, then rows lines of the template row or "  none"."""
+    lines += [heading, fill_rows(row, "\n", rows, columns) if rows else "  none"]
 
 
 # The options shared between subcommands; each takes those it reads.
@@ -233,25 +225,19 @@ def _analysis_text(family, load_warnings, args) -> str:
     lines = [f"family of {n} state(s)"]
     if family.labels is not None:
         lines.append("labels: " + ", ".join(family.labels))
-    lines.append("gram matrix:")
-    _section(lines, "  " + "  ".join([_COMPLEX] * n), n, _complex_columns(g.entries.ravel()))
-    lines.append("probability matrix:")
-    _section(lines, "  " + "  ".join([_REAL] * n), n, [p.entries.ravel()])
-    lines.append("phases on support pairs:")
+    _section(lines, "gram matrix:", ("  " + _COMPLEX) * n, n, _complex_columns(g.entries.ravel()))
+    _section(lines, "probability matrix:", ("  " + _REAL) * n, n, [p.entries.ravel()])
     i, j = u.support.pairs
     z = u.entries[i, j]
-    angle = np.angle(z)
-    _section(lines, "  (%d, %d): " + _COMPLEX + "  angle " + _REAL, len(z),
-             [i, j, *_complex_columns(z), np.where(angle == -np.pi, np.pi, angle)])
+    _section(lines, "phases on support pairs:", "  (%d, %d): " + _COMPLEX + "  angle " + _REAL,
+             len(z), [i, j, *_complex_columns(z), comparisons.principal_angle(z)])
     i, j = og.pairs
     ortho = fill_rows("(%d, %d)", ", ", len(i), [i, j]) if len(i) else "none"
     lines.append("orthogonal pairs: " + ortho)
     lines.append(f"orthogonality graph is a matching: {'yes' if matching else 'no'}")
-    lines.append("triangles:")
-    _section(lines, "  (%d, %d, %d): bargmann " + _COMPLEX + "  defect " + _COMPLEX
+    _section(lines, "triangles:", "  (%d, %d, %d): bargmann " + _COMPLEX + "  defect " + _COMPLEX
              + "  pancharatnam " + _REAL + "  solid_angle " + _REAL + "  amplitude " + _REAL,
-             len(triangles),
-             [*triangles.triples.T, *_complex_columns(triangles.bargmann),
+             len(triangles), [*triangles.triples.T, *_complex_columns(triangles.bargmann),
               *_complex_columns(triangles.defect), triangles.pancharatnam,
               triangles.solid_angle, triangles.amplitude_factor])
     lines += [f"warning: {w}" for w in list(load_warnings) + warnings]
@@ -283,8 +269,8 @@ def _verdict_doc(verdict) -> dict:
 def _verdict_text(verdict) -> str:
     lines = [f"{name}: {'ok' if ok else 'FAIL'}" for name, ok in verdict.conditions()]
     lines.append(f"rank estimate: {verdict.rank_estimate}")
-    lines.append("eigenvalues: " + "  ".join(_fmt(x) for x in verdict.eigenvalues))
-    lines.append(f"worst violation: {_fmt(verdict.worst_violation)}")
+    lines.append("eigenvalues: " + "  ".join(_REAL % x for x in verdict.eigenvalues))
+    lines.append("worst violation: " + _REAL % verdict.worst_violation)
     lines.append(
         "verdict: realizable by qubit states"
         if verdict.all_ok
@@ -320,13 +306,13 @@ def _result_doc(result) -> dict:
 
 
 def _result_text(result) -> str:
-    lines = [f"status: {result.status}", f"residual: {_fmt(result.residual)}"]
+    lines = [f"status: {result.status}", "residual: " + _REAL % result.residual]
     if result.diagnostics:
         lines.append(f"diagnostics: {result.diagnostics}")
     if result.certificate is not None:
-        lines.append("certificate states:")
-        for s in result.certificate.states:
-            lines.append(f"  {_fmt_c(s.c0)}  {_fmt_c(s.c1)}")
+        v = result.certificate.vectors
+        _section(lines, "certificate states:", ("  " + _COMPLEX) * 2, len(v),
+                 _complex_columns(v.ravel()))
     return "\n".join(lines) + "\n"
 
 

@@ -11,10 +11,15 @@ vanish, and the pairs that carry a phase form the support graph.  The
 complementary graph records orthogonal pairs.  For families of pairwise
 distinct rays the orthogonality graph is always a matching: no qubit ray
 has two distinct orthogonal rays.
+
+Every number gen and analyze print is rounded as its scalar formula rounds
+it, by moduli, _mul and principal_angle here: they work on the real parts,
+so no BLAS kernel or SIMD loop decides a printed bit on any host.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,14 +33,24 @@ TOL_STRUCT = 1e-12  # structural tolerances of the matrix types
 
 
 def moduli(a: np.ndarray) -> np.ndarray:
-    """Elementwise |a|, rounded exactly as the scalar abs() rounds it.
-
-    np.abs on complex arrays may take a vectorized path that differs
-    from the scalar modulus in the last bit; hypot of the parts does not.
-    A modulus past the float range is inf, without an overflow warning.
-    """
+    """Elementwise |a| as the scalar abs() rounds it, where np.abs may take a
+    vectorized path; past the float range it is inf, without a warning."""
     with np.errstate(over="ignore"):
         return np.hypot(a.real, a.imag)
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise x * y, broadcast, rounded as the scalar complex product."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def principal_angle(z) -> np.ndarray:
+    """Elementwise arg z in (-pi, pi]: math.atan2 of the parts, with -pi folded to pi."""
+    angle = np.asarray(np.frompyfunc(math.atan2, 2, 1)(z.imag, z.real), dtype=float)
+    return np.where(angle == -math.pi, math.pi, angle)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -112,6 +127,11 @@ class ProbabilityMatrix:
         return self.entries.shape[0]
 
 
+def _require_vertices(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"graph needs at least one vertex, got n = {n}")
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class SupportGraph:
     """Undirected simple graph on vertices 0 .. n-1, stored as its one
@@ -122,8 +142,7 @@ class SupportGraph:
     mask: np.ndarray
 
     def __init__(self, n: int, edges) -> None:
-        if n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n = {n}")
+        _require_vertices(n)
         mask = np.zeros((n, n), dtype=bool)
         for i, j in edges:
             if i == j:
@@ -137,8 +156,9 @@ class SupportGraph:
     def from_mask(cls, mask: np.ndarray) -> "SupportGraph":
         """Graph whose edges are the True pairs i < j of a square mask;
         the diagonal and the lower triangle are not read."""
-        graph = cls(len(mask), ())
+        _require_vertices(len(mask))
         upper = np.triu(mask, 1)
+        graph = object.__new__(cls)
         object.__setattr__(graph, "mask", _read_only(upper | upper.T))
         return graph
 
@@ -227,7 +247,7 @@ class PhaseMatrix:
         require_square(a)
         if self.support.n != self.n:
             raise ValueError("support graph size does not match the matrix")
-        diag = deviations(a)[1]
+        diag = float(np.max(np.abs(np.diagonal(a) - 1.0)))
         if not diag <= TOL_STRUCT:
             raise ValueError(f"diagonal phases must be 1: max deviation {diag!r}")
         i, j = self.support.pairs
@@ -246,7 +266,7 @@ class PhaseMatrix:
 
     @classmethod
     def from_edges(cls, n: int, values: dict) -> "PhaseMatrix":
-        """Build from {(i, j): u_ij} on i < j; reciprocals are filled in."""
+        """Build from {(i, j): u_ij}, each pair in one order; reciprocals are filled in."""
         a = np.eye(n, dtype=complex)
         mask = np.zeros((n, n), dtype=bool)
         for (i, j), u in values.items():
@@ -254,6 +274,8 @@ class PhaseMatrix:
                 raise ValueError(f"pair ({i}, {j}) is not an edge")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n = {n}")
+            if mask[i, j]:
+                raise ValueError(f"pair ({i}, {j}) is given in both orders")
             a[i, j] = u
             a[j, i] = complex(u).conjugate()
             mask[i, j] = mask[j, i] = True
@@ -269,23 +291,20 @@ class PhaseMatrix:
 
     def angle(self, i: int, j: int) -> float:
         """Phase angle arg(u_ij) in (-pi, pi]."""
-        u = self.entry(i, j)
-        a = float(np.angle(u))
-        return a if a != -np.pi else np.pi
+        return float(principal_angle(self.entry(i, j)))
 
 
 def gram(family: StateFamily) -> GramMatrix:
-    """Overlap matrix g_ij = <psi_i, psi_j> of a family."""
+    """Overlap matrix g_ij = <psi_i, psi_j> as states.inner rounds it: exactly Hermitian."""
     v = family.vectors
-    m = v.conj() @ v.T
-    # Off-diagonal entries are exact conjugates already; averaging with the
-    # adjoint only clears roundoff imaginary parts from the diagonal.
-    return GramMatrix((m + m.conj().T) / 2.0)
+    c = v.conj()[:, :, None]
+    return GramMatrix(_mul(c[:, 0], v[:, 0]) + _mul(c[:, 1], v[:, 1]))
 
 
 def probabilities(g: GramMatrix) -> ProbabilityMatrix:
-    """Transition probabilities p_ij = |g_ij|^2."""
-    return ProbabilityMatrix(np.abs(g.entries) ** 2)
+    """Transition probabilities p_ij = |g_ij| |g_ij|."""
+    m = moduli(g.entries)
+    return ProbabilityMatrix(m * m)
 
 
 def phases(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> PhaseMatrix:

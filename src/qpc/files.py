@@ -43,6 +43,10 @@ RENORM_TOL = 1e-6     # norm deviation renormalized with a warning
 
 MATRIX_KINDS = ("gram", "probability", "phase")
 
+# The most states a phase file may declare.  Its edge list does not bound n,
+# and loading allocates n x n matrices (16 GiB of complex entries at the limit).
+MAX_PHASE_N = 2**15
+
 
 class FileFormatError(ValueError):
     """A document that cannot be parsed into the requested type."""
@@ -309,7 +313,8 @@ def matrix_from_json(text: str):
 
     Returns (kind, payload): a raw complex ndarray for "gram" (judging
     it is the caller's job), a validated ndarray for "probability", and
-    a validated PhaseMatrix for "phase".
+    a validated PhaseMatrix for "phase".  A phase file declares at most
+    MAX_PHASE_N states, a stated limit checked before any allocation.
     """
     doc = _document(text, "matrix", MATRIX_VERSION)
     kind = doc.get("kind")
@@ -318,6 +323,8 @@ def matrix_from_json(text: str):
     n = doc.get("n")
     if not _is_int(n) or n < 1:
         raise FileFormatError(f"n must be a positive integer, got {n!r}")
+    if kind == "phase" and n > MAX_PHASE_N:
+        raise FileFormatError(f"n = {n} exceeds the limit of {MAX_PHASE_N} states of a phase file")
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise FileFormatError("entries must be a list")

@@ -27,17 +27,19 @@ the geodesic triangle (n_i, n_j, n_k):
 
 with the sign convention fixed so that this identity holds, so the
 octant triple (z, x, y) has Omega = -pi/2 and geometric phase +pi/4.
+
+all_triangles rounds by the rules in comparisons (_mul, principal_angle).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .comparisons import DEFAULT_ZERO_TOL, GramMatrix, PhaseMatrix, moduli, phases
+from .comparisons import (DEFAULT_ZERO_TOL, GramMatrix, PhaseMatrix, _mul, moduli, phases,
+                          principal_angle)
 from .states import BlochVector
 
 DEFECT_CONSISTENCY_TOL = 1e-12  # the two defect computations must agree
@@ -127,11 +129,6 @@ def defect(u: PhaseMatrix, i: int, j: int, k: int) -> complex:
     return u.entry(i, j) * u.entry(j, k) * u.entry(k, i)
 
 
-def _principal(angle: float) -> float:
-    # atan2 can return -pi on a signed-zero imaginary part; fold it to +pi.
-    return math.pi if angle == -math.pi else angle
-
-
 def triangle_report(
     g: GramMatrix, i: int, j: int, k: int, zero_tol: float = DEFAULT_ZERO_TOL
 ) -> TriangleReport:
@@ -166,7 +163,7 @@ def triangle_report(
             "defect and normalized Bargmann invariant disagree: "
             f"|delta| = {abs(kappa_phases - kappa_norm)!r}"
         )
-    gamma = _principal(cmath.phase(kappa_phases))
+    gamma = float(principal_angle(kappa_phases))
     return TriangleReport(
         triple=(i, j, k),
         bargmann=b_inv,
@@ -230,15 +227,6 @@ def support_triples(mask: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Spelled out on the parts so each product rounds as the scalar complex
-    # product does; a vectorized complex multiply may differ in the last bit.
-    out = np.empty(x.shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
-
-
 def cycle_products(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(a_ij a_jk) a_ki for every row (i, j, k) of t."""
     i, j, k = t.T
@@ -267,7 +255,5 @@ def all_triangles(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Triangle
         raise ArithmeticError(
             f"defect and normalized Bargmann invariant disagree: |delta| = {worst!r}"
         )
-    # math.atan2 on the parts, as triangle_report's cmath.phase computes it
-    gamma = np.array(list(map(math.atan2, kappa.imag.tolist(), kappa.real.tolist())))
-    gamma = np.where(gamma == -math.pi, math.pi, gamma)
+    gamma = principal_angle(kappa)
     return TriangleTable(t, b, kappa, gamma, -2.0 * gamma, amplitude)

@@ -512,9 +512,6 @@ def realize_phases(u: PhaseMatrix, cfg: SearchConfig = SearchConfig()) -> Realiz
     residual = _phase_residual(vecs, u)
     note = "coherent phase data; realized by rephasing a single base state"
     if residual > cfg.realize_tol:
-        # the one-time scipy import, charged here rather than to the first solver call
-        import scipy.optimize  # noqa: F401
-
         vecs = np.repeat([[1.0 + 0.0j, 0.0j]], u.n, axis=0)
         total_restarts = 0
         for ci, comp in enumerate(comps):

@@ -52,10 +52,8 @@ def _modulus(c0: complex, c1: complex) -> float:
 
 
 def _length(arr: np.ndarray) -> float:
-    """np.linalg.norm of a real vector; math.hypot's where that overflows."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(arr))
-    return norm if norm < math.inf else math.hypot(*arr)
+    """math.hypot of a real vector, which no BLAS kernel rounds; inf past the float range."""
+    return math.hypot(*arr.tolist())
 
 
 @dataclass(frozen=True)
@@ -203,21 +201,21 @@ def random_state(seed) -> QubitState:
     """Haar-random state; deterministic for a fixed seed.
 
     Draws two independent standard complex Gaussian amplitudes and
-    normalizes.  Also accepts a numpy Generator to share a stream.
+    normalizes by the scalar _modulus; a numpy Generator shares its stream.
     """
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     while True:
-        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        norm = float(np.linalg.norm(z))
+        c0, c1 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)).tolist()
+        norm = _modulus(c0, c1)
         if norm > 1e-6:
-            return QubitState(z[0] / norm, z[1] / norm)
+            return QubitState(c0 / norm, c1 / norm)
 
 
 def random_family(n: int, seed) -> StateFamily:
     """Family of n independent Haar-random states from one seeded stream."""
     if n < 1:
         raise ValueError(f"family size must be positive, got {n}")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     return StateFamily(tuple(random_state(rng) for _ in range(n)))
 
 

@@ -133,10 +133,10 @@ def _phase_covariance(rng: np.random.Generator) -> float:
     u = comparisons.phases(g)
     thetas = rng.uniform(0, 2 * np.pi, n)
     u2 = comparisons.phases(comparisons.gram(_rephased(fam, thetas)))
-    # products part-wise (invariants._mul), so each discrepancy keeps the
+    # products part-wise (comparisons._mul), so each discrepancy keeps the
     # bits of the scalar complex arithmetic the report has always printed
     i, j = u.support.pairs
-    rotated = invariants._mul(np.exp(1j * (thetas[j] - thetas[i])), u.entries[i, j])
+    rotated = comparisons._mul(np.exp(1j * (thetas[j] - thetas[i])), u.entries[i, j])
     return _worst(comparisons.moduli(u2.entries[i, j] - rotated))
 
 
@@ -223,7 +223,7 @@ def _reciprocity(rng: np.random.Generator) -> float:
     _, g = _family_with_support(rng, n)
     u = comparisons.phases(g)
     i, j = u.support.pairs
-    return _worst(comparisons.moduli(invariants._mul(u.entries[i, j], u.entries[j, i]) - 1.0))
+    return _worst(comparisons.moduli(comparisons._mul(u.entries[i, j], u.entries[j, i]) - 1.0))
 
 
 @_property("triangle_kernel_matches_triangle_report", 0.0)

@@ -5,8 +5,10 @@ import cmath
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -29,12 +31,24 @@ from qpc import (
     save_text,
 )
 from qpc import invariants
-from qpc.cli import BRANCH_CUT_MARGIN, _analysis, _fmt, _fmt_c, main
+from qpc.cli import BRANCH_CUT_MARGIN, _analysis, main
+from qpc.files import MAX_PHASE_N
 from qpc.verification import run_all
 from tests.test_verification import BARGMANN_PROPERTIES
 
 SQ2 = 2.0 ** -0.5
 DATA = Path(__file__).parent / "data" / "analyze"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def fmt(x: float) -> str:
+    """One real number as the reports print it, formatted on its own."""
+    return "%.15g" % x
+
+
+def fmt_c(z: complex) -> str:
+    """One complex number as the reports print it, formatted on its own."""
+    return "%s%s%si" % (fmt(z.real), "+" if z.imag >= 0 else "-", fmt(abs(z.imag)))
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +114,18 @@ class TestGen:
     def test_rejects_non_positive_n(self, capsys):
         code, _ = run_cli(capsys, "gen", "--n", "0", "--seed", "1")
         assert code == 2
+
+    def test_same_bytes_under_another_blas_kernel(self):
+        # OPENBLAS_CORETYPE picks the BLAS kernels of numpy's linear algebra;
+        # gen normalizes by scalar arithmetic, so no kernel rounds its output.
+        # 80 states: enough that a norm rounded by BLAS would change some
+        def gen(**env):
+            return subprocess.run(
+                [sys.executable, "-m", "qpc", "gen", "--n", "80", "--seed", "7"],
+                capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=SRC, **env),
+            ).stdout
+
+        assert gen() == gen(OPENBLAS_CORETYPE="Prescott")
 
 
 class TestAnalyze:
@@ -216,9 +242,9 @@ class TestAnalyze:
         code, out = run_cli(capsys, "analyze", str(path))
         assert code == 0
         expected = [
-            f"  {rep.triple}: bargmann {_fmt_c(rep.bargmann)}  defect {_fmt_c(rep.defect)}  "
-            f"pancharatnam {_fmt(rep.pancharatnam)}  solid_angle {_fmt(rep.solid_angle)}  "
-            f"amplitude {_fmt(rep.amplitude_factor)}"
+            f"  {rep.triple}: bargmann {fmt_c(rep.bargmann)}  defect {fmt_c(rep.defect)}  "
+            f"pancharatnam {fmt(rep.pancharatnam)}  solid_angle {fmt(rep.solid_angle)}  "
+            f"amplitude {fmt(rep.amplitude_factor)}"
             for rep in all_triangles(gram(fam))
         ]
         assert len(expected) > 4096
@@ -314,6 +340,17 @@ class TestRealize:
         fam, _ = family_from_json(cert.read_text())
         assert np.max(np.abs(gram(fam).entries - gram(octant_family).entries)) < 1e-9
 
+    def test_certificate_lines_equal_the_per_state_rendering(self, capsys, tmp_path):
+        path, cert = tmp_path / "gram.json", tmp_path / "cert.json"
+        save_text(str(path), matrix_to_json("gram", gram(random_family(5, 3)).entries))
+        code, out = run_cli(capsys, "realize", str(path), "--out", str(cert))
+        assert code == 0
+        fam, _ = family_from_json(cert.read_text())
+        lines = out.splitlines()
+        start = lines.index("certificate states:") + 1
+        assert lines[start:] == [f"  {fmt_c(s.c0)}  {fmt_c(s.c1)}" for s in fam.states]
+        assert any("-" in line[3:] for line in lines[start:])
+
     def test_gram_route_rejects_indefinite(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         save_text(
@@ -351,9 +388,11 @@ class TestRealize:
 
         upath = tmp_path / "u.json"
         save_text(str(upath), matrix_to_json("phase", phases(gram(octant_family))))
+        # one evaluation per restart: the octant's phases are exact enough that a
+        # converged search can land within 1e-30 of them (2.3e-41 has been seen)
         code, out = run_cli(
             capsys, "realize", str(upath),
-            "--restarts", "2", "--realize-tol", "1e-30",
+            "--restarts", "2", "--max-iters", "1", "--realize-tol", "1e-30",
         )
         assert code == 3
         assert "status: search_failed" in out
@@ -569,20 +608,47 @@ class TestOptions:
         assert main(argv) == 2
         assert "must be a finite number >= 0" in capsys.readouterr().err
 
-    def test_a_matrix_that_cannot_be_allocated_exits_2(self, tmp_path):
+    @staticmethod
+    def realize_in_4_gib(tmp_path, n: int):
+        """qpc realize on a one-edge phase file of n states, in a child process
+        with 4 GiB of address space: a matrix past that is refused at once
+        instead of being overcommitted."""
         resource = pytest.importorskip("resource")
         path = tmp_path / "phase.json"
-        save_text(str(path), json.dumps({"version": 1, "kind": "phase", "n": 60000,
+        save_text(str(path), json.dumps({"version": 1, "kind": "phase", "n": n,
                                          "support": [[0, 1]], "entries": [{"re": 1, "im": 0}]}))
-        # 4 GiB of address space, in the child only: the 53.6 GiB phase matrix
-        # is refused at once instead of being overcommitted
         limit = (4 * 2**30, resource.getrlimit(resource.RLIMIT_AS)[1])
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "qpc", "realize", str(path)], capture_output=True, text=True,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
         )
+
+    def test_a_matrix_that_cannot_be_allocated_exits_2(self, tmp_path):
+        # 30000 states are under MAX_PHASE_N, and their phase matrix takes 14.4 GB
+        proc = self.realize_in_4_gib(tmp_path, 30000)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("error: Unable to allocate")
+
+    def test_a_phase_file_just_over_the_limit_exits_2(self, tmp_path):
+        proc = self.realize_in_4_gib(tmp_path, MAX_PHASE_N + 1)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: n = {MAX_PHASE_N + 1} exceeds the limit of "
+                               f"{MAX_PHASE_N} states of a phase file\n")
+
+    def test_a_phase_file_over_the_limit_exits_2_before_allocating(self, capsys, tmp_path):
+        path = tmp_path / "phase.json"
+        save_text(str(path), json.dumps({"version": 1, "kind": "phase", "n": 10**12,
+                                         "support": [[0, 1]], "entries": [{"re": 1, "im": 0}]}))
+        tracemalloc.start()
+        try:
+            code = main(["realize", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2**20
+        assert capsys.readouterr().err == (
+            f"error: n = {10**12} exceeds the limit of {MAX_PHASE_N} states of a phase file\n"
+        )
 
     def test_linalg_error_exits_2(self, capsys, monkeypatch, octant_gram_file):
         def fail(a):

@@ -64,7 +64,7 @@ class TestGram:
         assert g.entry(2, 0) == pytest.approx(SQ2, abs=1e-15)
 
     def test_diagonal_is_exactly_real(self, octant_family):
-        # the Hermitian fold zeroes the imaginary roundoff on the diagonal;
+        # the part-wise products cancel the diagonal's imaginary part exactly;
         # the real part can still sit 1 ulp off 1 for sqrt-half amplitudes
         g = gram(octant_family)
         d = np.diagonal(g.entries)
@@ -167,6 +167,11 @@ class TestPhases:
         u = PhaseMatrix.from_edges(3, {(0, 2): w})
         assert u.entry(2, 0) == pytest.approx(w.conjugate(), abs=1e-15)
         assert not u.has(0, 1)
+
+    def test_from_edges_refuses_a_pair_given_in_both_orders(self):
+        # the later, conjugated value would silently overwrite the first
+        with pytest.raises(ValueError, match=r"^pair \(1, 0\) is given in both orders$"):
+            PhaseMatrix.from_edges(2, {(0, 1): 1j, (1, 0): 1j})
 
     def test_from_edges_rejects_diagonal_pair(self):
         with pytest.raises(ValueError, match="not an edge"):
@@ -283,6 +288,8 @@ class TestSupportGraph:
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError, match="at least one"):
             SupportGraph(0, frozenset())
+        with pytest.raises(ValueError, match="at least one"):
+            SupportGraph.from_mask(np.zeros((0, 0), dtype=bool))
 
 
 class TestOrthogonalityGraph:
@@ -337,6 +344,22 @@ class TestMaskOperationsMatchScalarLoops:
             degrees = [sum(v in pair for pair in ortho) for v in range(n)]
             assert [og.degree(v) for v in range(n)] == degrees
             assert check_matching(og) == (max(degrees) <= 1)
+
+    def test_gram_and_probabilities_round_as_the_scalar_formulas(self):
+        # bit for bit, signed zeros included; x * x rather than x ** 2, which
+        # libm's pow may round differently
+        def bits(a):
+            return np.asarray(a).view(np.int64)
+
+        for seed in range(20):
+            fam = random_family(12, seed)
+            g = gram(fam)
+            expected = [[a.c0.conjugate() * b.c0 + a.c1.conjugate() * b.c1 for b in fam.states]
+                        for a in fam.states]
+            assert np.array_equal(bits(g.entries), bits(np.array(expected)))
+            assert np.array_equal(bits(np.diagonal(g.entries).imag), bits(np.zeros(12)))
+            p = [[abs(z) * abs(z) for z in row] for row in expected]
+            assert np.array_equal(bits(probabilities(g).entries), bits(np.array(p)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 13])
     def test_support_graph_from_any_mask(self, n):

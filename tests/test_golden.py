@@ -4,7 +4,9 @@ Every family file in tests/data/analyze is one case, analyzed with its
 default flags; `orthogonal_pair-zero-tol` adds a cutoff that prunes two
 support pairs.  The goldens in tests/data/analyze/golden are the text
 report, the structured report and the three --emit-* matrix files,
-written by the per-element renderer that the column-wise one replaced.
+written by `qpc analyze` itself with the flags below.  Every printed
+number is rounded as its scalar formula rounds, so they hold byte for
+byte on any x86-64 host and under any BLAS kernel.
 Between them the families cover non-ASCII labels, a repeated ray, an
 orthogonal pair, branch-cut triangles, renormalization warnings, n = 1
 and n = 2 (no triangles) and -0.0 imaginary parts.
