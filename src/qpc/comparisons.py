@@ -68,6 +68,14 @@ def require_square(a: np.ndarray) -> None:
         raise ValueError("matrix has non-finite entries")
 
 
+def _zero_tol(zero_tol: float) -> float:
+    """zero_tol, refused with ValueError unless it is finite and >= 0: the
+    rule of every modulus below which an overlap counts as vanishing."""
+    if not 0.0 <= zero_tol < math.inf:
+        raise ValueError(f"zero_tol must be finite and >= 0, got {zero_tol!r}")
+    return zero_tol
+
+
 def deviations(a: np.ndarray) -> tuple[float, float]:
     """(max |a - a*|, max |a_ii - 1|) of a nonempty square matrix.
 
@@ -316,7 +324,7 @@ def phases(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> PhaseMatrix:
     """
     m = np.triu(moduli(g.entries), 1)
     m = m + m.T
-    support = SupportGraph.from_mask(m > zero_tol)
+    support = SupportGraph.from_mask(m > _zero_tol(zero_tol))
     a = np.eye(g.n, dtype=complex)
     a[support.mask] = g.entries[support.mask] / m[support.mask]
     return PhaseMatrix(g.n, a, support)
@@ -324,7 +332,7 @@ def phases(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> PhaseMatrix:
 
 def orthogonality_graph(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> SupportGraph:
     """Graph of pairs with vanishing overlap, |g_ij| <= zero_tol."""
-    return SupportGraph.from_mask(moduli(g.entries) <= zero_tol)
+    return SupportGraph.from_mask(moduli(g.entries) <= _zero_tol(zero_tol))
 
 
 def check_matching(graph: SupportGraph) -> bool:

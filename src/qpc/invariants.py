@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comparisons import (DEFAULT_ZERO_TOL, GramMatrix, PhaseMatrix, _mul, moduli, phases,
-                          principal_angle)
+from .comparisons import (DEFAULT_ZERO_TOL, GramMatrix, PhaseMatrix, _mul, _zero_tol, moduli,
+                          phases, principal_angle)
 from .states import BlochVector
 
 DEFECT_CONSISTENCY_TOL = 1e-12  # the two defect computations must agree
@@ -140,6 +140,7 @@ def triangle_report(
     overlap carry no phase information and are rejected.
     """
     _check_triple(g.n, i, j, k)
+    _zero_tol(zero_tol)
     e = g.entries
     moduli = {}
     for a, b in ((i, j), (j, k), (k, i)):

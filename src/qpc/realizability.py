@@ -4,6 +4,10 @@ A complex matrix is the overlap matrix of some family of qubit states
 exactly when it is Hermitian with unit diagonal, positive semidefinite,
 and of rank at most two.  check_gram judges the four conditions and
 factor_states reconstructs a witness family from the top two eigenpairs.
+Both take a GramMatrix or a raw finite square array and judge that
+matrix as given, so factor_states refuses exactly what check_gram
+refuses (up to the last bit in which eigh and eigvalsh may differ);
+realize_gram is factor_states plus the residual against the input.
 
 For phase-level data the full matrix is not available, only unit phases
 on the support graph.  Coherent prescriptions, u_ij = lam_i conj(lam_j)
@@ -31,7 +35,7 @@ import numpy as np
 from . import comparisons
 from .comparisons import GramMatrix, PhaseMatrix, SupportGraph, deviations, moduli, require_square
 from .invariants import cycle_products, support_triples
-from .states import QubitState, StateFamily
+from .states import QubitState, StateFamily, _match_tol
 
 PSD_TOL = 1e-10        # eigenvalue floor, relative to max(1, largest eigenvalue)
 RANK_TOL = 1e-10       # eigenvalues below this fraction of the largest are noise
@@ -97,8 +101,7 @@ class SearchConfig:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if not 0.0 < self.realize_tol < math.inf:
-            raise ValueError(f"realize_tol must be positive and finite, got {self.realize_tol}")
+        _match_tol(self.realize_tol, "realize_tol")
 
 
 @dataclass(frozen=True)
@@ -131,11 +134,18 @@ def check_gram(g) -> GramVerdict:
     finite.  Eigenvalues are taken from the Hermitian part, which
     coincides with the input whenever hermitian_ok holds.
     """
-    a = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=complex)
-    require_square(a)
+    a = _matrix(g)
     # eigvalsh, not eigh: the two differ in the last bit, and the verdict
     # prints every eigenvalue.
     return _verdict(a, np.linalg.eigvalsh(hermitian_part(a))[::-1])
+
+
+def _matrix(g) -> np.ndarray:
+    """The entries of a GramMatrix, or a raw array refused unless it is a
+    nonempty, finite square matrix."""
+    a = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=complex)
+    require_square(a)
+    return a
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -173,17 +183,20 @@ def _verdict(a: np.ndarray, eigs: np.ndarray) -> GramVerdict:
     )
 
 
-def factor_states(g: GramMatrix) -> StateFamily:
+def factor_states(g) -> StateFamily:
     """Reconstruct a state family whose Gram matrix is g.
 
-    One eigendecomposition of the Hermitian part serves both the
-    verdict and the split of the top two eigenpairs: state i gets the
-    amplitudes (sqrt(l1) conj(q1[i]), sqrt(l2) conj(q2[i])), renormalized
-    defensively.  The family reproduces g up to the discarded
-    eigenvalue mass, which the verdict bounds.
+    Accepts what check_gram accepts: a GramMatrix or a raw finite square
+    array, refused with ValueError unless the verdict on it holds.  One
+    eigendecomposition of the Hermitian part serves both that verdict
+    and the split of the top two eigenpairs: state i gets the amplitudes
+    (sqrt(l1) conj(q1[i]), sqrt(l2) conj(q2[i])), renormalized.  The
+    family reproduces g up to the discarded eigenvalue mass and the
+    diagonal slack, both of which the verdict bounds.
     """
-    w, q = np.linalg.eigh(hermitian_part(g.entries))
-    verdict = _verdict(g.entries, w[::-1])
+    a = _matrix(g)
+    w, q = np.linalg.eigh(hermitian_part(a))
+    verdict = _verdict(a, w[::-1])
     if not verdict.all_ok:
         raise ValueError(
             "matrix is not a qubit Gram matrix: failed "
@@ -198,20 +211,10 @@ def factor_states(g: GramMatrix) -> StateFamily:
 
 
 def realize_gram(g) -> RealizabilityResult:
-    """Factor a matrix that passes check_gram (ValueError if it fails)
-    after folding it onto its Hermitian, unit-diagonal part; the residual
-    is measured against the matrix as given."""
-    a = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=complex)
-    require_square(a)
-    herm_dev, diag_dev = deviations(a)
-    if not (herm_dev <= HERMITIAN_TOL and diag_dev <= UNIT_DIAG_TOL):
-        raise ValueError(
-            "matrix is not a qubit Gram matrix: max |g - g*| = "
-            f"{herm_dev!r}, max |g_ii - 1| = {diag_dev!r}"
-        )
-    h = hermitian_part(a)
-    np.fill_diagonal(h, 1.0)
-    family = factor_states(GramMatrix(h))
+    """factor_states(g) as a certificate, with the residual measured
+    against the matrix as given (ValueError if check_gram fails)."""
+    a = _matrix(g)
+    family = factor_states(a)
     # looked up on the module, so perfbench's comparisons.gram hook sees the call
     residual = float(np.max(np.abs(comparisons.gram(family).entries - a)))
     return RealizabilityResult(REALIZABLE, family, residual, "factored from eigenpairs")
@@ -237,14 +240,10 @@ def _top_two(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.column_stack([math.sqrt(l1) * u1.conj(), math.sqrt(l2) * u2.conj()])
 
 
-def _worst_triangle(u: PhaseMatrix):
-    """Triple maximizing |u_ij u_jk u_ki - 1|, or None without triangles."""
+def _worst_triangle(u: PhaseMatrix) -> float:
+    """Largest |u_ij u_jk u_ki - 1| over the support triangles, 0.0 without any."""
     t = support_triples(u.support.mask)
-    if not len(t):
-        return None
-    dev = moduli(cycle_products(u.entries, t) - 1.0)
-    w = int(np.argmax(dev))
-    return tuple(t[w].tolist()), float(dev[w])
+    return float(moduli(cycle_products(u.entries, t) - 1.0).max(initial=0.0))
 
 
 def is_coherent(u: PhaseMatrix, tol: float) -> bool:
@@ -254,10 +253,7 @@ def is_coherent(u: PhaseMatrix, tol: float) -> bool:
     those, cycle consistency is only settled once a rephasing potential
     is attempted.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    worst = _worst_triangle(u)
-    return worst is None or worst[1] <= tol
+    return _worst_triangle(u) <= _match_tol(tol)
 
 
 def _potential(u: PhaseMatrix, comps: list[list[int]]) -> np.ndarray:
@@ -293,7 +289,7 @@ def realize_coherent(u: PhaseMatrix, tol: float = COHERENCE_TOL) -> StateFamily:
         )
     vecs = _potential(u, comps)
     i, j, dev = _edge_distances(vecs, u)
-    if not dev.max(initial=0.0) <= tol:
+    if not dev.max(initial=0.0) <= _match_tol(tol):
         e = int(np.argmax(dev))
         raise ValueError(
             "phase matrix is not coherent: no consistent rephasing potential "
@@ -405,12 +401,9 @@ def _spectral_guess(u: PhaseMatrix, free: np.ndarray) -> np.ndarray:
     realizable data this lands near a feasible family.
     """
     vecs = _top_two(*np.linalg.eigh(u.entries))
-    norms = np.linalg.norm(vecs, axis=1)
-    for i in range(u.n):
-        if norms[i] < 1e-9:
-            vecs[i] = (1.0, 0.0)
-        else:
-            vecs[i] = vecs[i] / norms[i]
+    norms = np.linalg.norm(vecs, axis=1)[:, None]
+    zero = norms < 1e-9
+    vecs = np.where(zero, [1.0, 0.0], vecs / np.where(zero, 1.0, norms))
     a, b = _gauge_fix(vecs).T
     theta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
     gauge = np.where(np.abs(a) > 1e-12, np.angle(a), 0.0)

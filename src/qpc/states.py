@@ -225,6 +225,12 @@ def rays_equal(a: QubitState, b: QubitState, tol: float) -> bool:
     Compares 1 - |<a, b>|^2, which vanishes exactly on equal rays and
     equals the transition probability to the orthogonal complement.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    return 1.0 - abs(inner(a, b)) ** 2 <= tol
+    return 1.0 - abs(inner(a, b)) ** 2 <= _match_tol(tol)
+
+
+def _match_tol(tol: float, name: str = "tolerance") -> float:
+    """tol, refused with ValueError unless it is positive and finite: the
+    rule of every tolerance a computed value is matched against."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+    return tol

@@ -260,7 +260,7 @@ def _potential_vs_triangles(rng: np.random.Generator) -> float:
     }
     u = comparisons.PhaseMatrix.from_edges(n, values)
     res = realizability._phase_residual(realizability._potential(u, [list(range(n))]), u)
-    worst = (realizability._worst_triangle(u) or (None, 0.0))[1]
+    worst = realizability._worst_triangle(u)
     return max(0.0, res - worst, worst - 3.0 * res)
 
 

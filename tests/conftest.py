@@ -36,3 +36,21 @@ def family_with_orthogonal_pairs(rng: np.random.Generator, n: int, pairs: int) -
         a, b = vecs[2 * k]
         vecs[2 * k + 1] = (-b.conjugate(), a.conjugate())
     return StateFamily(tuple(QubitState(a, b) for a, b in vecs[rng.permutation(n)]))
+
+
+# The grid of slack_gram matrices: c * q0 q0* added, d * I taken off.
+SLACK_C = np.linspace(3e-10, 6e-10, 13)
+SLACK_D = np.linspace(1e-10, 3e-10, 11)
+
+
+def slack_gram(seed: int, c: float, d: float) -> np.ndarray:
+    """g + c q0 q0* - d I for the Gram matrix g of a seeded 3-state family
+    and q0 its null eigenvector: rank 3, with the third eigenvalue and the
+    diagonal both off by amounts near the verdict's 1e-10 thresholds."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    v = z / np.linalg.norm(z, axis=1, keepdims=True)
+    m = v @ v.conj().T
+    g = (m + m.conj().T) / 2
+    q0 = np.linalg.eigh(g)[1][:, 0]
+    return g + c * np.outer(q0, q0.conj()) - d * np.eye(3)

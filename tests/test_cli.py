@@ -34,6 +34,7 @@ from qpc import invariants
 from qpc.cli import BRANCH_CUT_MARGIN, _analysis, main
 from qpc.files import MAX_PHASE_N
 from qpc.verification import run_all
+from tests.conftest import slack_gram
 from tests.test_verification import BARGMANN_PROPERTIES
 
 SQ2 = 2.0 ** -0.5
@@ -339,6 +340,18 @@ class TestRealize:
         assert "status: realizable" in out
         fam, _ = family_from_json(cert.read_text())
         assert np.max(np.abs(gram(fam).entries - gram(octant_family).entries)) < 1e-9
+
+    def test_realizes_a_matrix_near_the_thresholds_that_check_accepts(self, capsys, tmp_path):
+        # third eigenvalue 2.1e-10, under the rank threshold 2.109e-10
+        path, cert = tmp_path / "gram.json", tmp_path / "cert.json"
+        a = slack_gram(2, 3.5e-10, 1.4e-10)
+        save_text(str(path), matrix_to_json("gram", a))
+        code, out = run_cli(capsys, "check", str(path))
+        assert code == 0 and "verdict: realizable by qubit states" in out
+        code, out = run_cli(capsys, "realize", str(path), "--out", str(cert))
+        assert code == 0 and "status: realizable" in out
+        fam, _ = family_from_json(cert.read_text())
+        assert np.max(np.abs(gram(fam).entries - a)) <= 1e-9
 
     def test_certificate_lines_equal_the_per_state_rendering(self, capsys, tmp_path):
         path, cert = tmp_path / "gram.json", tmp_path / "cert.json"

@@ -1,4 +1,5 @@
-"""NaN, infinities and huge finite numbers at every constructor and loader.
+"""NaN, infinities and huge finite numbers at every constructor and loader,
+and as every tolerance.
 
 Each call must either return or raise ValueError (FileFormatError is
 one); it must never warn, overflow or fail in any other way.  Extreme
@@ -10,6 +11,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +22,20 @@ from qpc import (
     ProbabilityMatrix,
     QubitState,
     SupportGraph,
+    all_triangles,
     check_gram,
     family_from_json,
     from_bloch,
+    gram,
+    is_coherent,
     matrix_from_json,
+    orthogonality_graph,
+    phases,
+    random_family,
+    rays_equal,
+    realize_coherent,
+    realize_gram,
+    triangle_report,
 )
 
 EXTREME = [math.nan, math.inf, -math.inf, 1.7976931348623157e308, -1e308, 1e200, 1.5e154,
@@ -101,7 +113,8 @@ def calls(draw):
     if target == 4:
         return GramMatrix, (planted(draw, eye, COMPLEX, True),)
     if target == 5:
-        return check_gram, (planted(draw, eye, COMPLEX, True),)
+        judge = draw(st.sampled_from([check_gram, realize_gram]))
+        return judge, (planted(draw, eye, COMPLEX, True),)
     if target == 6:
         return ProbabilityMatrix, (planted(draw, eye.real, FLOATS, True),)
     if target == 7:
@@ -129,3 +142,41 @@ def test_raises_value_error_or_returns_without_warning(call):
             fn(*args)
         except ValueError:
             pass
+
+
+# a family with every overlap above zero_tol, and an exactly coherent
+# prescription, so that each call below succeeds at any valid tolerance
+FAMILY = random_family(4, seed=0)
+G = gram(FAMILY)
+COHERENT = PhaseMatrix.from_edges(3, {(0, 1): 1j, (1, 2): 1j, (0, 2): -1.0})
+MATCH_TOL_CALLS = {
+    "rays_equal": lambda tol: rays_equal(FAMILY[0], FAMILY[0], tol),
+    "is_coherent": lambda tol: is_coherent(COHERENT, tol),
+    "realize_coherent": lambda tol: realize_coherent(COHERENT, tol),
+}
+ZERO_TOL_CALLS = {
+    "phases": lambda tol: phases(G, tol),
+    "orthogonality_graph": lambda tol: orthogonality_graph(G, tol),
+    "all_triangles": lambda tol: all_triangles(G, tol),
+    "triangle_report": lambda tol: triangle_report(G, 0, 1, 2, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(MATCH_TOL_CALLS))
+def test_a_match_tolerance_is_positive_and_finite(name, tol):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        MATCH_TOL_CALLS[name](tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+@pytest.mark.parametrize("name", sorted(ZERO_TOL_CALLS))
+def test_a_zero_tol_is_finite_and_not_negative(name, tol):
+    with pytest.raises(ValueError, match="zero_tol must be finite and >= 0"):
+        ZERO_TOL_CALLS[name](tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.0])
+@pytest.mark.parametrize("name", sorted(ZERO_TOL_CALLS))
+def test_a_zero_tol_of_zero_is_accepted(name, tol):
+    ZERO_TOL_CALLS[name](tol)

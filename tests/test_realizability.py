@@ -37,7 +37,7 @@ from qpc.realizability import (
     _residuals,
     _restrict,
 )
-from tests.conftest import family_with_support
+from tests.conftest import SLACK_C, SLACK_D, family_with_support, slack_gram
 
 
 def potential_phases(angles) -> PhaseMatrix:
@@ -184,6 +184,21 @@ class TestFactorStates:
         factor_states(gram(random_family(5, seed=3)))
         assert calls == ["eigh"]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_a_raw_array_factors_as_its_gram_matrix(self, n):
+        g = gram(random_family(n, seed=n))
+        raw, typed = factor_states(g.entries), factor_states(g)
+        assert raw.vectors.tobytes() == typed.vectors.tobytes()
+
+    def test_refuses_what_check_gram_refuses(self):
+        for bad in ([[1.0, math.nan], [math.nan, 1.0]], np.ones((2, 3)), np.empty((0, 0))):
+            with pytest.raises(ValueError):
+                check_gram(bad)
+            with pytest.raises(ValueError):
+                factor_states(bad)
+        with pytest.raises(ValueError, match="failed hermitian"):
+            factor_states([[1.0, 0.5], [0.0, 1.0]])
+
 
 class TestRealizeGram:
     def test_factors_a_family_gram(self):
@@ -202,6 +217,21 @@ class TestRealizeGram:
         res = realize_gram(a)
         assert res.status == REALIZABLE
         assert res.residual <= 1e-10
+
+    def test_realizes_every_matrix_the_verdict_accepts(self):
+        # the third eigenvalue sits near the rank threshold and the diagonal
+        # near its tolerance: a verdict taken on a folded copy of the matrix
+        # refused (seed 2, c = 3.5e-10, d = 1.4e-10) and four more points
+        accepted = []
+        for seed in range(5):
+            for c in SLACK_C:
+                for d in SLACK_D:
+                    a = slack_gram(seed, c, d)
+                    if check_gram(a).all_ok:
+                        res = realize_gram(a)
+                        assert res.status == REALIZABLE and res.residual <= 1e-9
+                        accepted.append((seed, c, d))
+        assert (2, SLACK_C[2], SLACK_D[2]) in accepted
 
     def test_refuses_what_the_verdict_refuses(self):
         with pytest.raises(ValueError, match="rank at most 2"):
@@ -229,6 +259,12 @@ class TestCoherence:
     def test_two_states_always_coherent(self):
         u = PhaseMatrix.from_edges(2, {(0, 1): cmath.exp(2.2j)})
         assert is_coherent(u, 1e-12)
+
+    def test_worst_triangle_is_the_largest_defect_gap(self, octant_family):
+        assert realizability._worst_triangle(holonomy_square()) == 0.0
+        # one triangle, whose defect is exp(i pi / 4)
+        worst = realizability._worst_triangle(phases(gram(octant_family)))
+        assert worst == pytest.approx(abs(cmath.exp(1j * math.pi / 4) - 1.0), abs=1e-12)
 
     def test_rejects_non_positive_tol(self):
         u = potential_phases([0.0, 0.5])
