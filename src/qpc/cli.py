@@ -330,10 +330,10 @@ def cmd_realize(args) -> int:
             "realize requires a gram or phase matrix file, got kind 'probability'"
         )
     if kind == "gram":
-        verdict = realizability.check_gram(payload)
-        if not verdict.all_ok:
-            return _emit_verdict(args, verdict)
-        result = realizability.realize_gram(payload)
+        try:
+            result = realizability.realize_gram(payload)
+        except realizability.GramRefusal as e:
+            return _emit_verdict(args, e.verdict)
     else:
         cfg = realizability.SearchConfig(
             restarts=args.restarts,

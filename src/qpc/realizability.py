@@ -4,9 +4,9 @@ A complex matrix is the overlap matrix of some family of qubit states
 exactly when it is Hermitian with unit diagonal, positive semidefinite,
 and of rank at most two.  check_gram judges the four conditions and
 factor_states reconstructs a witness family from the top two eigenpairs.
-Both take a GramMatrix or a raw finite square array and judge that
-matrix as given, so factor_states refuses exactly what check_gram
-refuses (up to the last bit in which eigh and eigvalsh may differ);
+Both take a GramMatrix or a raw finite square array.  check_gram is
+the one judge: factor_states takes its verdict on the matrix as given
+and raises GramRefusal, carrying that verdict, exactly when it fails;
 realize_gram is factor_states plus the residual against the input.
 
 For phase-level data the full matrix is not available, only unit phases
@@ -132,31 +132,14 @@ def check_gram(g) -> GramVerdict:
     Accepts a GramMatrix or a raw array; raw input may violate any of
     the conditions, that is what the verdict is for, but it must be
     finite.  Eigenvalues are taken from the Hermitian part, which
-    coincides with the input whenever hermitian_ok holds.
+    coincides with the input whenever hermitian_ok holds; a spectrum
+    that overflows to NaN is refused.  factor_states refuses by this
+    verdict, so it is the only judge of a Gram matrix.
     """
     a = _matrix(g)
-    # eigvalsh, not eigh: the two differ in the last bit, and the verdict
-    # prints every eigenvalue.
-    return _verdict(a, np.linalg.eigvalsh(hermitian_part(a))[::-1])
-
-
-def _matrix(g) -> np.ndarray:
-    """The entries of a GramMatrix, or a raw array refused unless it is a
-    nonempty, finite square matrix."""
-    a = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=complex)
-    require_square(a)
-    return a
-
-
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a*) / 2, halved before adding so that large finite entries do
-    not overflow; on ordinary input the bits are those of (a + a*) / 2."""
-    return a / 2.0 + a.conj().T / 2.0
-
-
-def _verdict(a: np.ndarray, eigs: np.ndarray) -> GramVerdict:
-    """The four conditions on a, given the eigenvalues of its Hermitian
-    part in descending order; a spectrum that overflowed to NaN has none."""
+    # eigvalsh: the verdict needs no eigenvectors, and eigh costs about
+    # three times as much on large matrices (ROADMAP item 2).
+    eigs = np.linalg.eigvalsh(hermitian_part(a))[::-1]
     if not np.isfinite(eigs).all():
         raise ValueError("eigenvalues are not finite: the matrix overflows the eigensolver")
     n = a.shape[0]
@@ -183,27 +166,49 @@ def _verdict(a: np.ndarray, eigs: np.ndarray) -> GramVerdict:
     )
 
 
+def _matrix(g) -> np.ndarray:
+    """The entries of a GramMatrix, or a raw array refused unless it is a
+    nonempty, finite square matrix."""
+    a = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=complex)
+    require_square(a)
+    return a
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a*) / 2, halved before adding so that large finite entries do
+    not overflow; on ordinary input the bits are those of (a + a*) / 2."""
+    return a / 2.0 + a.conj().T / 2.0
+
+
+class GramRefusal(ValueError):
+    """factor_states' refusal: the failed check_gram verdict is .verdict."""
+
+    def __init__(self, verdict: GramVerdict):
+        super().__init__(
+            "matrix is not a qubit Gram matrix: failed "
+            f"{', '.join(verdict.failed_conditions())}; "
+            f"worst violation {verdict.worst_violation!r}"
+        )
+        self.verdict = verdict
+
+
 def factor_states(g) -> StateFamily:
     """Reconstruct a state family whose Gram matrix is g.
 
     Accepts what check_gram accepts: a GramMatrix or a raw finite square
-    array, refused with ValueError unless the verdict on it holds.  One
-    eigendecomposition of the Hermitian part serves both that verdict
-    and the split of the top two eigenpairs: state i gets the amplitudes
+    array, refused with GramRefusal unless check_gram's verdict on it
+    holds.  The eigenvectors then come from eigh of the Hermitian part,
+    whose eigenvalues judge nothing: state i gets the amplitudes
     (sqrt(l1) conj(q1[i]), sqrt(l2) conj(q2[i])), renormalized.  The
     family reproduces g up to the discarded eigenvalue mass and the
     diagonal slack, both of which the verdict bounds.
     """
     a = _matrix(g)
-    w, q = np.linalg.eigh(hermitian_part(a))
-    verdict = _verdict(a, w[::-1])
+    # looked up on the module, so perfbench's check_gram hook sees the call
+    verdict = check_gram(a)
     if not verdict.all_ok:
-        raise ValueError(
-            "matrix is not a qubit Gram matrix: failed "
-            f"{', '.join(verdict.failed_conditions())}; "
-            f"worst violation {verdict.worst_violation!r}"
-        )
-    vecs = _top_two(w, q)
+        raise GramRefusal(verdict)
+    vecs = _top_two(*np.linalg.eigh(hermitian_part(a)))
     norms = np.linalg.norm(vecs, axis=1)
     if np.min(norms) < 0.5:
         raise ArithmeticError("factorization produced a near-zero state")
@@ -212,7 +217,7 @@ def factor_states(g) -> StateFamily:
 
 def realize_gram(g) -> RealizabilityResult:
     """factor_states(g) as a certificate, with the residual measured
-    against the matrix as given (ValueError if check_gram fails)."""
+    against the matrix as given (GramRefusal if check_gram fails)."""
     a = _matrix(g)
     family = factor_states(a)
     # looked up on the module, so perfbench's comparisons.gram hook sees the call

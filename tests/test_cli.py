@@ -342,16 +342,18 @@ class TestRealize:
         assert np.max(np.abs(gram(fam).entries - gram(octant_family).entries)) < 1e-9
 
     def test_realizes_a_matrix_near_the_thresholds_that_check_accepts(self, capsys, tmp_path):
-        # third eigenvalue 2.1e-10, under the rank threshold 2.109e-10
+        # the first has third eigenvalue 2.1e-10, under the rank threshold
+        # 2.109e-10; on the second, eigvalsh rounds it under the threshold
+        # and eigh over it, so realize must judge by check's eigvalsh alone
         path, cert = tmp_path / "gram.json", tmp_path / "cert.json"
-        a = slack_gram(2, 3.5e-10, 1.4e-10)
-        save_text(str(path), matrix_to_json("gram", a))
-        code, out = run_cli(capsys, "check", str(path))
-        assert code == 0 and "verdict: realizable by qubit states" in out
-        code, out = run_cli(capsys, "realize", str(path), "--out", str(cert))
-        assert code == 0 and "status: realizable" in out
-        fam, _ = family_from_json(cert.read_text())
-        assert np.max(np.abs(gram(fam).entries - a)) <= 1e-9
+        for a in (slack_gram(2, 3.5e-10, 1.4e-10), slack_gram(0, 3.3731094454003967e-10, 1.2e-10)):
+            save_text(str(path), matrix_to_json("gram", a))
+            code, out = run_cli(capsys, "check", str(path))
+            assert code == 0 and "verdict: realizable by qubit states" in out
+            code, out = run_cli(capsys, "realize", str(path), "--out", str(cert))
+            assert code == 0 and "status: realizable" in out
+            fam, _ = family_from_json(cert.read_text())
+            assert np.max(np.abs(gram(fam).entries - a)) <= 1e-9
 
     def test_certificate_lines_equal_the_per_state_rendering(self, capsys, tmp_path):
         path, cert = tmp_path / "gram.json", tmp_path / "cert.json"
@@ -663,12 +665,14 @@ class TestOptions:
             f"error: n = {10**12} exceeds the limit of {MAX_PHASE_N} states of a phase file\n"
         )
 
-    def test_linalg_error_exits_2(self, capsys, monkeypatch, octant_gram_file):
+    @pytest.mark.parametrize("command, solver", [
+        ("check", "eigvalsh"), ("realize", "eigvalsh"), ("realize", "eigh")])
+    def test_linalg_error_exits_2(self, capsys, monkeypatch, octant_gram_file, command, solver):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        assert main(["check", octant_gram_file]) == 2
+        monkeypatch.setattr(np.linalg, solver, fail)
+        assert main([command, octant_gram_file]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: Eigenvalues did not converge\n"

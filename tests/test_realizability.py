@@ -9,6 +9,7 @@ import pytest
 
 from qpc import (
     GramMatrix,
+    GramRefusal,
     PhaseMatrix,
     QubitState,
     RealizabilityResult,
@@ -18,14 +19,17 @@ from qpc import (
     factor_states,
     gram,
     is_coherent,
+    matrix_to_json,
     phases,
     probabilities,
     random_family,
     realize_coherent,
     realize_gram,
     realize_phases,
+    save_text,
 )
 from qpc import realizability
+from qpc.cli import main
 from qpc.realizability import (
     COHERENCE_TOL,
     NOT_REALIZABLE,
@@ -176,13 +180,22 @@ class TestFactorStates:
         with pytest.raises(ValueError, match="rank"):
             factor_states(GramMatrix(np.eye(3, dtype=complex)))
 
-    def test_one_decomposition_serves_verdict_and_factors(self, monkeypatch):
+    def test_one_eigvalsh_judges_and_one_eigh_factors(self, monkeypatch, tmp_path, capsys):
         calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh"))
-        factor_states(gram(random_family(5, seed=3)))
-        assert calls == ["eigh"]
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, name=name, solve=solve: calls.append(name) or solve(a))
+        g = gram(random_family(5, seed=3))
+        factor_states(g)
+        assert calls == ["eigvalsh", "eigh"]
+        path = tmp_path / "gram.json"
+        save_text(str(path), matrix_to_json("gram", g.entries))
+        for command, expected in (("realize", ["eigvalsh", "eigh"]), ("check", ["eigvalsh"])):
+            calls.clear()
+            assert main([command, str(path)]) == 0
+            assert calls == expected
+        capsys.readouterr()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_a_raw_array_factors_as_its_gram_matrix(self, n):
@@ -196,8 +209,27 @@ class TestFactorStates:
                 check_gram(bad)
             with pytest.raises(ValueError):
                 factor_states(bad)
+        for bad in ([[1.0, 0.5], [0.0, 1.0]], np.eye(3), slack_gram(0, 6e-10, 1e-10)):
+            with pytest.raises(GramRefusal, match="not a qubit Gram matrix") as refusal:
+                factor_states(bad)
+            assert refusal.value.verdict == check_gram(bad)
         with pytest.raises(ValueError, match="failed hermitian"):
             factor_states([[1.0, 0.5], [0.0, 1.0]])
+
+    def test_refuses_bit_for_bit_what_check_gram_refuses(self):
+        # on this window eigvalsh rounds the third eigenvalue under the rank
+        # threshold and eigh over it, so a verdict taken on eigh's
+        # eigenvalues would refuse all 800 matrices that check_gram accepts
+        c0 = 3.3731094454003967e-10
+        for c in c0 + np.arange(-400, 400) * np.spacing(c0):
+            a = slack_gram(0, c, 1.2e-10)
+            verdict = check_gram(a)
+            if verdict.all_ok:
+                assert len(factor_states(a)) == 3
+            else:
+                with pytest.raises(GramRefusal) as refusal:
+                    factor_states(a)
+                assert refusal.value.verdict == verdict
 
 
 class TestRealizeGram:
