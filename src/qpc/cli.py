@@ -126,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
                         ["--seed", "--out", "--format"])
     p_realize.add_argument("matrix", help="path to a gram or phase matrix file")
     p_realize.add_argument("--restarts", type=_positive_int, default=32)
-    p_realize.add_argument("--max-iters", type=_positive_int, default=500)
+    p_realize.add_argument("--max-iters", type=_positive_int, default=500,
+                           help="residual evaluations each search restart may spend")
     p_realize.add_argument("--realize-tol", type=_tolerance,
                            default=realizability.REALIZE_TOL)
 

@@ -19,10 +19,10 @@ accepted when its phase residual, checked on every support edge, meets
 the tolerance.  The triangle test is_coherent is on neither path.  Other
 prescriptions are attacked by a seeded multi-start local search over
 gauge-fixed Bloch angles; a successful search returns a certificate
-family, while an unsuccessful one is inconclusive.  least_squares is
-the search's one solver entry point, and scipy is loaded only when
-realize_phases searches phase data that is not coherent.  realize_gram
-and realize_phases return a RealizabilityResult.
+family, while an unsuccessful one is inconclusive.  least_squares, a
+Levenberg-Marquardt loop in numpy, is the search's one solver entry
+point, so the search needs nothing beyond numpy.  realize_gram and
+realize_phases return a RealizabilityResult.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ UNIT_DIAG_TOL = 1e-10  # verdict tolerance for the diagonal
 REALIZE_TOL = 1e-7     # per-edge phase mismatch accepted as realized
 COHERENCE_TOL = 1e-9   # per-edge phase mismatch realize_coherent accepts by default
 SOFT_FLOOR = 1e-6      # overlap modulus below which the search residual stops normalizing
+LM_TOL = 1e-15         # least_squares' floor on step length, gradient and residual norm
+MU_START = 1e-3        # least_squares' first damping, relative to the scaling D
+MU_MAX = 1e16          # damping past which least_squares stops: its steps are negligible
 
 REALIZABLE = "realizable"
 NOT_REALIZABLE = "not_realizable"
@@ -89,7 +92,11 @@ class GramVerdict:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the multi-start phase-realization search."""
+    """Knobs of the multi-start phase-realization search.
+
+    max_iters is the number of residual evaluations each restart may
+    spend, the one at its starting point included.
+    """
 
     restarts: int = 32
     max_iters: int = 500
@@ -445,11 +452,66 @@ def _restrict(u: PhaseMatrix, comp: list[int]) -> PhaseMatrix:
     return PhaseMatrix(len(comp), u.entries[sub], SupportGraph.from_mask(u.support.mask[sub]))
 
 
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on first use, not with qpc."""
-    from scipy.optimize import least_squares as solve
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """Where least_squares stopped: the point x and the number of
+    residual evaluations nfev it spent."""
 
-    return solve(*args, **kwargs)
+    x: np.ndarray
+    nfev: int
+
+
+def least_squares(fun, x0: np.ndarray, max_nfev: int) -> LeastSquaresResult:
+    """Minimize |r(x)|^2 by Levenberg-Marquardt, from x0.
+
+    fun(x) returns the pair (r, J) of the residual vector and its
+    Jacobian, so each trial point costs one evaluation.  Each step solves
+    (J'J + mu D) h = -J'r, where D is the running maximum of diag J'J
+    (Moré 1978) with 1 for a column that has always been zero, and mu
+    follows Nielsen's update (Madsen, Nielsen & Tingleff 2004): on an
+    accepted step it shrinks by max(1/3, 1 - (2 rho - 1)^3), rho being
+    the actual over the predicted decrease, and on a rejected one it
+    grows by nu, which doubles on every rejection in a row.  The loop
+    stops once nfev reaches max_nfev, once |r|^2 or the largest gradient
+    entry falls to LM_TOL^2 or LM_TOL, once a step is shorter than
+    LM_TOL (|x| + LM_TOL), or once mu passes MU_MAX.  It returns the
+    best point evaluated.  x0 is copied into an array of the loop's own,
+    so where the caller's x0 sits in memory cannot change a bit of the
+    result.
+    """
+    x = np.array(x0, dtype=float)
+    r, jac = fun(x)
+    nfev = 1
+    cost = r @ r
+    scale = np.zeros(len(x))
+    mu, nu = MU_START, 2.0
+    while nfev < max_nfev and cost > LM_TOL**2 and mu <= MU_MAX:
+        a = jac.T @ jac
+        g = jac.T @ r
+        if np.max(np.abs(g)) <= LM_TOL:
+            break
+        scale = np.maximum(scale, np.diag(a))
+        d = np.where(scale > 0.0, scale, 1.0)
+        h = np.linalg.solve(a + np.diag(mu * d), -g)
+        if np.linalg.norm(h) <= LM_TOL * (np.linalg.norm(x) + LM_TOL):
+            break
+        x_new = x + h
+        r_new, jac_new = fun(x_new)
+        nfev += 1
+        cost_new = r_new @ r_new
+        actual = cost - cost_new
+        # |r|^2 - |r + J h|^2, the decrease the linear model predicts
+        predicted = h @ (mu * d * h - g)
+        if actual > 0.0 and predicted > 0.0:
+            x, r, jac, cost = x_new, r_new, jac_new, cost_new
+            # rho = actual / predicted, capped at 1 before it can overflow
+            rho = actual / predicted if actual < predicted else 1.0
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+    return LeastSquaresResult(x, nfev)
 
 
 def _search_component(u: PhaseMatrix, cfg: SearchConfig, rng: np.random.Generator):
@@ -463,20 +525,13 @@ def _search_component(u: PhaseMatrix, cfg: SearchConfig, rng: np.random.Generato
     idx_i, idx_j = u.support.pairs
     targets = u.entries[idx_i, idx_j]
     best_vecs, best_res = None, np.inf
-    fun_args = (free, idx_i, idx_j, targets)
-    method = "lm" if 2 * len(idx_i) >= np.count_nonzero(free) else "trf"
+
+    def fun(x):
+        return _residuals(x, free, idx_i, idx_j, targets)
+
     for r in range(cfg.restarts):
         x0 = _spectral_guess(u, free) if r == 0 else _random_guess(rng, free)
-        res = least_squares(
-            lambda x: _residuals(x, *fun_args)[0],
-            x0,
-            jac=lambda x: _residuals(x, *fun_args)[1],
-            method=method,
-            max_nfev=cfg.max_iters,
-            ftol=1e-15,
-            xtol=1e-15,
-            gtol=1e-15,
-        )
+        res = least_squares(fun, x0, cfg.max_iters)
         vecs = _angles_to_vectors(*_angles(res.x, free))
         cand = _phase_residual(vecs, u)
         if cand < best_res:

@@ -1,7 +1,11 @@
+import cmath
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from qpc import QubitState, StateFamily, gram, random_family
+from qpc import PhaseMatrix, QubitState, StateFamily, gram, random_family
 
 SQ2 = 2**-0.5
 
@@ -36,6 +40,14 @@ def family_with_orthogonal_pairs(rng: np.random.Generator, n: int, pairs: int) -
         a, b = vecs[2 * k]
         vecs[2 * k + 1] = (-b.conjugate(), a.conjugate())
     return StateFamily(tuple(QubitState(a, b) for a, b in vecs[rng.permutation(n)]))
+
+
+def uniform_phases(rng: np.random.Generator, n: int) -> PhaseMatrix:
+    """Complete prescription with independent uniform angles: for n >= 4
+    most such prescriptions are beyond any qubit family."""
+    angles = rng.uniform(0.0, 2.0 * math.pi, n * (n - 1) // 2)
+    pairs = itertools.combinations(range(n), 2)
+    return PhaseMatrix.from_edges(n, {p: cmath.exp(1j * a) for p, a in zip(pairs, angles)})
 
 
 # The grid of slack_gram matrices: c * q0 q0* added, d * I taken off.

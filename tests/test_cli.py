@@ -34,7 +34,7 @@ from qpc import invariants
 from qpc.cli import BRANCH_CUT_MARGIN, _analysis, main
 from qpc.files import MAX_PHASE_N
 from qpc.verification import run_all
-from tests.conftest import slack_gram
+from tests.conftest import slack_gram, uniform_phases
 from tests.test_verification import BARGMANN_PROPERTIES
 
 SQ2 = 2.0 ** -0.5
@@ -397,6 +397,39 @@ class TestRealize:
         code, out = run_cli(capsys, "realize", str(upath), "--restarts", "4")
         assert code == 0
         assert "status: realizable" in out
+
+    def test_searched_output_is_the_same_in_fresh_processes(self, tmp_path):
+        # a fresh process puts the search's arrays at other addresses; the
+        # bytes must not depend on them.  Witnessed five-state phases on 7 of
+        # 10 edges, certified, and uniform angles, whose failed searches
+        # print their best residual
+        paths = []
+        pairs = list(itertools.combinations(range(5), 2))
+        for k in range(6):
+            rng = np.random.default_rng([3, k])
+            if k < 4:
+                g = gram(random_family(5, rng)).entries
+                edges = {pairs[e]: g[pairs[e]] / abs(g[pairs[e]]) for e in rng.choice(10, 7, replace=False)}
+                u = PhaseMatrix.from_edges(5, edges)
+            else:
+                u = uniform_phases(rng, 5)
+            paths.append(str(tmp_path / f"u{k}.json"))
+            save_text(paths[-1], matrix_to_json("phase", u))
+        script = (
+            "import sys\nfrom qpc.cli import main\nfor p in sys.argv[1:]:\n"
+            "    main(['realize', p, '--restarts', '4', '--max-iters', '200', '--format', 'structured'])\n"
+        )
+
+        def realize_all():
+            return subprocess.run(
+                [sys.executable, "-W", "error", "-c", script, *paths],
+                capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=SRC),
+            ).stdout
+
+        first = realize_all()
+        assert first.count(b'"status": "realizable"') >= 4
+        assert b'"status": "search_failed"' in first
+        assert realize_all() == first
 
     def test_unreachable_tolerance_is_inconclusive(self, capsys, tmp_path, octant_family):
         from qpc import phases

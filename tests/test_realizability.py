@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -40,8 +41,10 @@ from qpc.realizability import (
     _phase_residual,
     _residuals,
     _restrict,
+    _search_component,
+    least_squares,
 )
-from tests.conftest import SLACK_C, SLACK_D, family_with_support, slack_gram
+from tests.conftest import SLACK_C, SLACK_D, family_with_support, slack_gram, uniform_phases
 
 
 def potential_phases(angles) -> PhaseMatrix:
@@ -668,8 +671,9 @@ class TestSolverPatchPoint:
         solve = realizability.least_squares
 
         def counting(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
+            result = solve(*args, **kwargs)
+            calls.append(result)
+            return result
 
         monkeypatch.setattr(realizability, "least_squares", counting)
         return calls
@@ -702,8 +706,114 @@ class TestSolverPatchPoint:
         assert res.status == SEARCH_FAILED
         assert len(solver_calls) == 3
 
+    def test_never_exceeds_its_evaluation_budget(self, solver_calls):
+        rng = np.random.default_rng(31)
+        cases = [holonomy_square(), uniform_phases(rng, 5), uniform_phases(rng, 8)]
+        for u in cases:
+            for max_iters in (1, 2, 7, 60):
+                solver_calls.clear()
+                realize_phases(u, SearchConfig(restarts=3, max_iters=max_iters, realize_tol=1e-30))
+                assert len(solver_calls) == 3
+                assert all(1 <= res.nfev <= max_iters for res in solver_calls)
+
     def test_not_called_on_exact_routes(self, solver_calls, octant_family):
         res = realize_phases(potential_phases([0.0, 0.4, -0.9, 1.7]))
         assert "single base state" in res.diagnostics
         assert realize_gram(gram(octant_family)).status == REALIZABLE
         assert solver_calls == []
+
+    def test_a_converged_search_stops_before_its_budget(self, solver_calls):
+        # the holonomy square is realizable, so each restart reaches a
+        # vanishing residual and ends there, not at the budget
+        res = realize_phases(holonomy_square(), SearchConfig(restarts=3, max_iters=10**6, realize_tol=1e-30))
+        assert res.status == SEARCH_FAILED
+        assert len(solver_calls) == 3
+        assert all(r.nfev < 1000 for r in solver_calls)
+
+    def test_hopeless_prescriptions_fail_without_warnings(self):
+        rng = np.random.default_rng(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u in (holonomy_square(), uniform_phases(rng, 5), uniform_phases(rng, 5)):
+                res = realize_phases(u, SearchConfig(restarts=4, realize_tol=1e-30))
+                assert res.status == SEARCH_FAILED
+                assert res.certificate is None
+
+
+class TestLeastSquares:
+    """The search's Levenberg-Marquardt loop on problems with known answers."""
+
+    @staticmethod
+    def linear(a, b):
+        return lambda x: (a @ x - b, a)
+
+    def test_solves_a_linear_problem_and_stops_by_itself(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal((12, 5)), rng.standard_normal(12)
+        res = least_squares(self.linear(a, b), np.zeros(5), 200)
+        assert np.max(np.abs(res.x - np.linalg.lstsq(a, b, rcond=None)[0])) < 1e-12
+        assert res.nfev < 200
+
+    def test_a_vanishing_residual_or_gradient_costs_one_evaluation(self):
+        x0 = np.array([1.0, -2.0, 0.5])
+        res = least_squares(self.linear(np.eye(3), x0), x0, 50)
+        assert res.nfev == 1 and np.array_equal(res.x, x0)
+        # a residual that no parameter moves: the gradient is 0
+        res = least_squares(lambda x: (np.ones(2), np.zeros((2, 3))), x0, 50)
+        assert res.nfev == 1 and np.array_equal(res.x, x0)
+
+    def test_damping_is_capped_when_every_step_fails(self):
+        # the Jacobian claims the wrong sign, so every trial step raises |r|^2
+        # and is rejected; the damping doubles its growth each time, and the
+        # loop ends once it passes MU_MAX, far inside the budget and with no
+        # overflow
+        def wrong_sign(x):
+            return np.array([1.0 + x[0]]), np.array([[-1.0]])
+
+        x0 = np.array([0.25])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = least_squares(wrong_sign, x0, 10**6)
+        assert 1 < res.nfev < 30
+        assert np.array_equal(res.x, x0)
+
+    def test_the_start_is_copied_not_written(self):
+        x0 = np.array([0.3, 0.1])
+        kept = x0.copy()
+        res = least_squares(self.linear(np.eye(2), np.zeros(2)), x0, 50)
+        assert np.array_equal(x0, kept)
+        assert not np.shares_memory(res.x, x0)
+        assert np.max(np.abs(res.x)) < 1e-12
+
+
+class TestReproducibleSearch:
+    """The search gives the same bits for the same input, wherever its
+    arrays happen to sit in memory."""
+
+    CFG = SearchConfig(restarts=3, max_iters=80)
+
+    def search_all(self):
+        found = []
+        for k in range(60):
+            u = uniform_phases(np.random.default_rng([12, k]), 2 + k % 5)
+            found.append(_search_component(u, self.CFG, np.random.default_rng([self.CFG.seed, k]))[0])
+        return found
+
+    def test_same_bits_twice_and_from_a_misaligned_start(self, monkeypatch):
+        first = self.search_all()
+        second = self.search_all()
+        solve = realizability.least_squares
+
+        def misaligned(fun, x0, *args):
+            # x0 copied to an address 4 bytes off float64 alignment
+            buf = np.zeros(x0.nbytes + 16, dtype=np.uint8)
+            start = 8 + (4 - buf.ctypes.data) % 8
+            moved = buf[start:start + x0.nbytes].view(np.float64)
+            moved[...] = x0
+            assert not moved.flags.aligned
+            return solve(fun, moved, *args)
+
+        monkeypatch.setattr(realizability, "least_squares", misaligned)
+        third = self.search_all()
+        for a, b, c in zip(first, second, third):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
