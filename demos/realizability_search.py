@@ -7,7 +7,7 @@ family, do states with those comparisons exist?  For a full overlap
 matrix the answer is a clean spectral test: Hermitian, unit diagonal,
 positive semidefinite, rank at most two.  For bare phase data there is
 no closed form; coherent prescriptions are realized exactly on a single
-ray, anything else goes to a gauge-fixed multi-start search.
+ray, anything else goes to a multi-start search over the amplitude rows.
 
 Run with `python demos/realizability_search.py`.
 """

@@ -13,8 +13,9 @@ distinct rays the orthogonality graph is always a matching: no qubit ray
 has two distinct orthogonal rays.
 
 Every number gen and analyze print is rounded as its scalar formula rounds
-it, by moduli, _mul and principal_angle here: they work on the real parts,
-so no BLAS kernel or SIMD loop decides a printed bit on any host.
+it, by moduli, _mul, overlaps and principal_angle here: they work on the
+real parts, so no BLAS kernel or SIMD loop decides a printed bit on any
+host.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
     return out
+
+
+def overlaps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x, y> of amplitude rows (..., 2), broadcast, as states.inner rounds it."""
+    c = x.conj()
+    return _mul(c[..., 0], y[..., 0]) + _mul(c[..., 1], y[..., 1])
 
 
 def principal_angle(z) -> np.ndarray:
@@ -305,8 +312,7 @@ class PhaseMatrix:
 def gram(family: StateFamily) -> GramMatrix:
     """Overlap matrix g_ij = <psi_i, psi_j> as states.inner rounds it: exactly Hermitian."""
     v = family.vectors
-    c = v.conj()[:, :, None]
-    return GramMatrix(_mul(c[:, 0], v[:, 0]) + _mul(c[:, 1], v[:, 1]))
+    return GramMatrix(overlaps(v[:, None], v))
 
 
 def probabilities(g: GramMatrix) -> ProbabilityMatrix:

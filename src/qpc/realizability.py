@@ -17,9 +17,11 @@ coherence by the rephasing potential alone: lam is propagated over a
 spanning forest of the support, and the single-ray family it gives is
 accepted when its phase residual, checked on every support edge, meets
 the tolerance.  The triangle test is_coherent is on neither path.  Other
-prescriptions are attacked by a seeded multi-start local search over
-gauge-fixed Bloch angles; a successful search returns a certificate
-family, while an unsuccessful one is inconclusive.  least_squares, a
+prescriptions are attacked by a seeded multi-start local search whose
+unknowns are the (n, 2) amplitude rows, unnormalized and not gauge-fixed,
+since the phases see neither a row's length nor a unitary acting on all
+rows; a successful search returns a certificate family, while an
+unsuccessful one is inconclusive.  least_squares, a
 Levenberg-Marquardt loop in numpy, is the search's one solver entry
 point, so the search needs nothing beyond numpy.  realize_gram and
 realize_phases return a RealizabilityResult.
@@ -33,9 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import comparisons
-from .comparisons import GramMatrix, PhaseMatrix, SupportGraph, deviations, moduli, require_square
+from .comparisons import (GramMatrix, PhaseMatrix, SupportGraph, deviations, moduli, overlaps,
+                          require_square)
 from .invariants import cycle_products, support_triples
-from .states import QubitState, StateFamily, _match_tol
+from .states import QubitState, StateFamily, _match_tol, random_family
 
 PSD_TOL = 1e-10        # eigenvalue floor, relative to max(1, largest eigenvalue)
 RANK_TOL = 1e-10       # eigenvalues below this fraction of the largest are noise
@@ -280,7 +283,7 @@ def _potential(u: PhaseMatrix, comps: list[list[int]]) -> np.ndarray:
     for comp in comps:
         for i, j in u.support.bfs(comp[0]):
             lam[j] = lam[i] * u.entry(j, i)
-    lam = lam / np.abs(lam)
+    lam = lam / moduli(lam)
     return np.column_stack([lam.conj(), np.zeros(u.n, dtype=complex)])
 
 
@@ -310,104 +313,42 @@ def realize_coherent(u: PhaseMatrix, tol: float = COHERENCE_TOL) -> StateFamily:
     return _family(vecs)
 
 
-# ---------------------------------------------------------------------------
-# Multi-start local search over gauge-fixed Bloch angles.
-#
-# Each state is cos(t/2) e^{i p} |0> + sin(t/2) e^{i (p + a)} |1> with polar
-# angle t, azimuth a, and gauge phase p.  State 0 is pinned to the north pole
-# with zero phase and state 1 to zero azimuth, which removes the global
-# unitary and the one redundant global rephasing.
-# ---------------------------------------------------------------------------
-
-
-def _free(n: int) -> np.ndarray:
-    """Mask of the free entries of the (3, n) array of angles (theta,
-    azimuth, gauge): all but theta_0, a_0, a_1 and p_0, which the gauge
-    fixing pins to 0.  A parameter vector is angles[free]."""
-    free = np.ones((3, n), dtype=bool)
-    free[:, 0] = free[1, :2] = False
-    return free
-
-
-def _angles(x: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """The (3, n) angle array whose free entries are x."""
-    angles = np.zeros(free.shape)
-    angles[free] = x
-    return angles
-
-
-def _angles_to_vectors(theta: np.ndarray, azim: np.ndarray, gauge: np.ndarray) -> np.ndarray:
-    a = np.cos(theta / 2.0) * np.exp(1j * gauge)
-    b = np.sin(theta / 2.0) * np.exp(1j * (gauge + azim))
-    return np.column_stack([a, b])
-
-
-def _residuals(x, free, idx_i, idx_j, targets):
+def _residuals(x, idx_i, idx_j, targets):
     """Stacked real residual vector of the smooth per-edge terms.
 
-    Each support edge contributes g_ij / max(|g_ij|, SOFT_FLOOR) - u_ij,
+    x holds the amplitude rows, unnormalized, as real numbers: the rows
+    are x.view(complex).reshape(-1, 2).  Each support edge contributes g_ij / max(|g_ij|, SOFT_FLOOR) - u_ij,
     split into real and imaginary parts; the floor keeps the residual
     smooth through near-orthogonal configurations while still
-    penalizing them.  Returns (residuals, jacobian) in the free angles.
+    penalizing them.  Returns (residuals, jacobian) in the entries of x.
     """
-    theta, azim, gauge = _angles(x, free)
-    half = theta / 2.0
-    ea = np.exp(1j * gauge)
-    eb = np.exp(1j * (gauge + azim))
-    a = np.cos(half) * ea
-    b = np.sin(half) * eb
-    da_dt = -0.5 * np.sin(half) * ea
-    db_dt = 0.5 * np.cos(half) * eb
-
-    g_e = a[idx_i].conj() * a[idx_j] + b[idx_i].conj() * b[idx_j]
-    h_e = b[idx_i].conj() * b[idx_j]
+    vecs = x.view(complex).reshape(-1, 2)
+    ci, vj = vecs[idx_i].conj(), vecs[idx_j]
+    g_e = ci[:, 0] * vj[:, 0] + ci[:, 1] * vj[:, 1]
     m = np.abs(g_e)
     v = g_e / np.maximum(m, SOFT_FLOOR)
     err = v - targets
 
     # Wirtinger factors of v(g): dv = A dg + B conj(dg), per floor branch.
     m_safe = np.maximum(m, 1e-300)
-    a_fac = np.where(m > SOFT_FLOOR, 1.0 / (2.0 * m_safe), 1.0 / SOFT_FLOOR)
-    b_fac = np.where(m > SOFT_FLOOR, -(v**2) / (2.0 * m_safe), 0.0)
+    a_fac = np.where(m > SOFT_FLOOR, 1.0 / (2.0 * m_safe), 1.0 / SOFT_FLOOR)[:, None, None]
+    b_fac = np.where(m > SOFT_FLOOR, -(v**2) / (2.0 * m_safe), 0.0)[:, None, None]
 
-    gt_i = da_dt[idx_i].conj() * a[idx_j] + db_dt[idx_i].conj() * b[idx_j]
-    gt_j = a[idx_i].conj() * da_dt[idx_j] + b[idx_i].conj() * db_dt[idx_j]
-
-    # dg_e / d(theta, azim, gauge) of both end states, then the free columns.
-    # Added to zeros, not assigned, so that signed zeros come out as +0.
+    # g = conj(v_i) . v_j is bilinear: dg / d(Re, Im) of v_i's amplitudes is
+    # v_j (1, -i), and of v_j's is conj(v_i) (1, i); i < j on every edge.
+    dg = np.stack([vj, ci])[..., None] * np.array([[1.0, -1j], [1.0, 1j]])[:, None, None]
+    dv = (a_fac * dg + b_fac * dg.conj()).reshape(2, len(idx_i), 4)
     rows = np.arange(len(idx_i))
-    dg = np.zeros((len(idx_i),) + free.shape, dtype=complex)
-    dg[rows, 0, idx_i] += gt_i
-    dg[rows, 0, idx_j] += gt_j
-    dg[rows, 1, idx_i] += -1j * h_e
-    dg[rows, 1, idx_j] += 1j * h_e
-    dg[rows, 2, idx_i] += -1j * g_e
-    dg[rows, 2, idx_j] += 1j * g_e
-    dgdp = dg[:, free]
-
-    dvdp = a_fac[:, None] * dgdp + b_fac[:, None] * dgdp.conj()
-    residuals = np.concatenate([err.real, err.imag])
-    jacobian = np.vstack([dvdp.real, dvdp.imag])
-    return residuals, jacobian
+    jac = np.zeros((len(idx_i), len(vecs), 4), dtype=complex)
+    jac[rows, idx_i] = dv[0]
+    jac[rows, idx_j] = dv[1]
+    jac = jac.reshape(len(idx_i), -1)
+    return np.concatenate([err.real, err.imag]), np.vstack([jac.real, jac.imag])
 
 
-def _gauge_fix(vecs: np.ndarray) -> np.ndarray:
-    """Rotate a candidate family so state 0 is the north pole with zero
-    phase and state 1 has zero azimuth; overlaps are unchanged."""
-    v = vecs.copy()
-    a0, b0 = v[0]
-    rot = np.array([[a0.conjugate(), b0.conjugate()], [-b0, a0]])
-    v = v @ rot.T
-    if v.shape[0] >= 2:
-        a1, b1 = v[1]
-        if abs(a1) > 1e-12 and abs(b1) > 1e-12:
-            beta = np.angle(a1) - np.angle(b1)
-            v[:, 1] *= np.exp(1j * beta)
-    return v
-
-
-def _spectral_guess(u: PhaseMatrix, free: np.ndarray) -> np.ndarray:
-    """Starting point from the top two eigenpairs of the phase matrix.
+def _spectral_guess(u: PhaseMatrix) -> np.ndarray:
+    """Starting rows from the top two eigenpairs of the phase matrix,
+    normalized, with (1, 0) for a vanishing row.
 
     Treats the prescription itself as if it were a Gram matrix; for
     realizable data this lands near a feasible family.
@@ -415,20 +356,7 @@ def _spectral_guess(u: PhaseMatrix, free: np.ndarray) -> np.ndarray:
     vecs = _top_two(*np.linalg.eigh(u.entries))
     norms = np.linalg.norm(vecs, axis=1)[:, None]
     zero = norms < 1e-9
-    vecs = np.where(zero, [1.0, 0.0], vecs / np.where(zero, 1.0, norms))
-    a, b = _gauge_fix(vecs).T
-    theta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
-    gauge = np.where(np.abs(a) > 1e-12, np.angle(a), 0.0)
-    azim = np.where(np.abs(b) > 1e-12, np.angle(b) - gauge, 0.0)
-    return np.array([theta, azim, gauge])[free]
-
-
-def _random_guess(rng: np.random.Generator, free: np.ndarray) -> np.ndarray:
-    n = free.shape[1]
-    theta = np.arccos(rng.uniform(-1.0, 1.0, n))
-    azim = rng.uniform(0.0, 2.0 * np.pi, n)
-    gauge = rng.uniform(0.0, 2.0 * np.pi, n)
-    return np.array([theta, azim, gauge])[free]
+    return np.where(zero, [1.0, 0.0], vecs / np.where(zero, 1.0, norms))
 
 
 def _edge_distances(vecs: np.ndarray, u: PhaseMatrix):
@@ -436,7 +364,7 @@ def _edge_distances(vecs: np.ndarray, u: PhaseMatrix):
     distance between the phase the amplitude rows realize and the one
     prescribed; 2 where the realized overlap vanishes."""
     i, j = u.support.pairs
-    g = (vecs.conj() @ vecs.T)[i, j]
+    g = overlaps(vecs[i], vecs[j])
     m = moduli(g)
     d = np.where(m == 0.0, 2.0, moduli(g / np.where(m == 0.0, 1.0, m) - u.entries[i, j]))
     return i, j, d
@@ -517,22 +445,24 @@ def least_squares(fun, x0: np.ndarray, max_nfev: int) -> LeastSquaresResult:
 def _search_component(u: PhaseMatrix, cfg: SearchConfig, rng: np.random.Generator):
     """Best family found for one connected component.
 
-    Restart 0 starts from the spectral guess, later restarts from
-    seeded random angles; the best candidate by final residual wins,
-    ties going to the earlier restart.  Returns (vectors, restarts_used).
+    The unknowns are the amplitude rows themselves, as one real vector.
+    Restart 0 starts from the spectral guess, later restarts from a
+    seeded Haar-random family; each candidate is normalized and then
+    measured, and the best by residual wins, ties going to the earlier
+    restart.  Returns (vectors, restarts_used).
     """
-    free = _free(u.n)
     idx_i, idx_j = u.support.pairs
     targets = u.entries[idx_i, idx_j]
     best_vecs, best_res = None, np.inf
 
     def fun(x):
-        return _residuals(x, free, idx_i, idx_j, targets)
+        return _residuals(x, idx_i, idx_j, targets)
 
     for r in range(cfg.restarts):
-        x0 = _spectral_guess(u, free) if r == 0 else _random_guess(rng, free)
-        res = least_squares(fun, x0, cfg.max_iters)
-        vecs = _angles_to_vectors(*_angles(res.x, free))
+        x0 = _spectral_guess(u) if r == 0 else random_family(u.n, rng).vectors
+        x = least_squares(fun, x0.view(float).ravel(), cfg.max_iters).x
+        vecs = x.view(complex).reshape(-1, 2)
+        vecs = vecs / np.linalg.norm(vecs, axis=1)[:, None]
         cand = _phase_residual(vecs, u)
         if cand < best_res:
             best_res = cand

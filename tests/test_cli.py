@@ -431,6 +431,28 @@ class TestRealize:
         assert b'"status": "search_failed"' in first
         assert realize_all() == first
 
+    @pytest.mark.parametrize("n", [40, 120])
+    def test_coherent_output_is_the_same_under_other_cpu_kernels(self, tmp_path, n):
+        # the single-ray certificate and its residual are rounded by scalar
+        # rules, so neither an OpenBLAS kernel nor numpy's SIMD loops pick a bit
+        rng = np.random.default_rng([n, 3])
+        a = rng.uniform(-math.pi, math.pi, n)
+        u = PhaseMatrix.from_edges(n, {(i, j): cmath.exp(1j * (a[i] - a[j]))
+                                       for i, j in itertools.combinations(range(n), 2)})
+        path = str(tmp_path / "coherent.json")
+        save_text(path, matrix_to_json("phase", u))
+
+        def realize(**env):
+            return subprocess.run(
+                [sys.executable, "-W", "error", "-m", "qpc", "realize", path, "--format", "structured"],
+                capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=SRC, **env),
+            ).stdout
+
+        first = realize()
+        assert b"single base state" in first
+        assert realize(OPENBLAS_CORETYPE="Prescott") == first
+        assert realize(NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4") == first
+
     def test_unreachable_tolerance_is_inconclusive(self, capsys, tmp_path, octant_family):
         from qpc import phases
 

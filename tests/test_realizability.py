@@ -36,8 +36,8 @@ from qpc.realizability import (
     NOT_REALIZABLE,
     REALIZABLE,
     SEARCH_FAILED,
+    SOFT_FLOOR,
     _edge_distances,
-    _free,
     _phase_residual,
     _residuals,
     _restrict,
@@ -621,26 +621,56 @@ class TestRealizePhases:
 
 
 class TestSearchInternals:
+    EDGES = [(0, 1), (0, 2), (1, 2), (1, 4), (2, 3), (3, 4)]
+
+    @classmethod
+    def search_problem(cls, seed):
+        """Edge index arrays, random unit targets and a random family's rows."""
+        rng = np.random.default_rng(seed)
+        idx_i, idx_j = np.array(cls.EDGES).T
+        targets = np.exp(1j * rng.uniform(-np.pi, np.pi, len(cls.EDGES)))
+        return idx_i, idx_j, targets, random_family(5, rng).vectors
+
     def test_jacobian_matches_finite_differences(self):
-        rng = np.random.default_rng(3)
-        n = 5
-        free = _free(n)
-        edges = [(0, 1), (0, 2), (1, 2), (1, 4), (2, 3), (3, 4)]
-        idx_i = np.array([e[0] for e in edges])
-        idx_j = np.array([e[1] for e in edges])
-        targets = np.exp(1j * rng.uniform(-np.pi, np.pi, len(edges)))
-        x = rng.uniform(0.2, 2.5, np.count_nonzero(free))
-        _, jac = _residuals(x, free, idx_i, idx_j, targets)
-        step = 1e-6
-        fd = np.zeros_like(jac)
-        for p in range(len(x)):
-            hi, lo = x.copy(), x.copy()
-            hi[p] += step
-            lo[p] -= step
-            rh, _ = _residuals(hi, free, idx_i, idx_j, targets)
-            rl, _ = _residuals(lo, free, idx_i, idx_j, targets)
-            fd[:, p] = (rh - rl) / (2.0 * step)
-        assert np.max(np.abs(jac - fd)) < 1e-5
+        # at a random family, and with state 4 all but orthogonal to state 1:
+        # there edge (1, 4) takes the floor branch of the Wirtinger factors,
+        # and stays on it for every step below, since no step moves |g| by
+        # more than 2e-7
+        for below_floor in (False, True):
+            idx_i, idx_j, targets, vecs = self.search_problem(3)
+            if below_floor:
+                a, b = vecs[1]
+                vecs[4] = (-b.conjugate(), a.conjugate()) + 1e-10 * vecs[2]
+            x = vecs.view(float).ravel()
+            m = np.abs(np.sum(vecs[idx_i].conj() * vecs[idx_j], axis=1))
+            assert (m.min() < 1e-9) == below_floor and np.sort(m)[1] > 1e-3
+            _, jac = _residuals(x, idx_i, idx_j, targets)
+            step = 1e-7
+            fd = np.zeros_like(jac)
+            for p in range(len(x)):
+                hi, lo = x.copy(), x.copy()
+                hi[p] += step
+                lo[p] -= step
+                rh, _ = _residuals(hi, idx_i, idx_j, targets)
+                rl, _ = _residuals(lo, idx_i, idx_j, targets)
+                fd[:, p] = (rh - rl) / (2.0 * step)
+            # relative to each row's scale: below the floor dv/dg is 1 / SOFT_FLOOR
+            scale = np.maximum(1.0, np.max(np.abs(jac), axis=1, keepdims=True))
+            assert np.max(np.abs(jac - fd) / scale) < 1e-6
+            assert (np.max(np.abs(jac)) > 0.1 / SOFT_FLOOR) == below_floor
+
+    def test_residuals_ignore_row_lengths_and_a_common_unitary(self):
+        # the phases see g_ij / |g_ij| only: rescaling each row by its own
+        # positive factor and rotating every row by one U(2) matrix leave
+        # the residual vector as it was, up to roundoff
+        idx_i, idx_j, targets, vecs = self.search_problem(5)
+        rng = np.random.default_rng(6)
+        q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        unitary = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        moved = rng.uniform(0.3, 3.0, (5, 1)) * vecs @ unitary.T
+        before, _ = _residuals(vecs.view(float).ravel(), idx_i, idx_j, targets)
+        after, _ = _residuals(moved.view(float).ravel(), idx_i, idx_j, targets)
+        assert np.max(np.abs(after - before)) <= 1e-15
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="restarts"):
