@@ -20,6 +20,7 @@ import dataclasses
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -27,16 +28,17 @@ from . import comparisons, invariants, realizability, states, verification
 from .files import (
     FileFormatError,
     Records,
+    doc_pieces,
     dump_doc,
     family_doc,
     family_from_json,
     family_to_json,
-    fill_rows,
     load_text,
     matrix_doc,
     matrix_from_json,
     matrix_to_json,
     re_im,
+    row_pieces,
     save_text,
 )
 
@@ -74,9 +76,11 @@ def _complex_columns(z: np.ndarray) -> list:
     return [z.real, np.where(z.imag >= 0, "+", "-"), np.abs(z.imag)]
 
 
-def _section(lines: list, heading: str, row: str, rows: int, columns: list) -> None:
-    """Append the heading, then rows lines of the template row or "  none"."""
-    lines += [heading, fill_rows(row, "\n", rows, columns) if rows else "  none"]
+def _section(heading: str, row: str, rows: int, columns: list):
+    """Yield the heading, then rows lines of the template row or "  none",
+    each line after a newline and the rows in chunks."""
+    yield "\n" + heading
+    yield from row_pieces("\n" + row, "", rows, columns) if rows else ["\n  none"]
 
 
 # The options shared between subcommands; each takes those it reads.
@@ -151,16 +155,23 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        save_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+def _emit(path, pieces) -> None:
+    """Write the strings of pieces in order to the file at path, or to stdout.
+
+    A pipe whose reader has gone can take part of a large write without
+    an error; only the next write or the flush raises.  The analyze
+    reports end in a one-character piece, so a closed stdout fails them
+    every time.
+    """
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+        for piece in pieces:
+            out.write(piece)
+        out.flush()
 
 
 def cmd_gen(args) -> int:
     family = states.random_family(args.n, _resolve_seed(args))
-    _emit(args, family_to_json(family))
+    _emit(args.out, [family_to_json(family)])
     return EXIT_OK
 
 
@@ -220,37 +231,43 @@ def _analysis_doc(family, load_warnings, args) -> dict:
     }
 
 
-def _analysis_text(family, load_warnings, args) -> str:
-    g, p, u, og, matching, triangles, warnings = _analysis(family, args)
+def _analysis_text(family, load_warnings, analysis):
+    """Yield the text report in pieces, none longer than one chunk of rows."""
+    g, p, u, og, matching, triangles, warnings = analysis
     n = len(family)
-    lines = [f"family of {n} state(s)"]
+    yield f"family of {n} state(s)"
     if family.labels is not None:
-        lines.append("labels: " + ", ".join(family.labels))
-    _section(lines, "gram matrix:", ("  " + _COMPLEX) * n, n, _complex_columns(g.entries.ravel()))
-    _section(lines, "probability matrix:", ("  " + _REAL) * n, n, [p.entries.ravel()])
+        yield "\nlabels: " + ", ".join(family.labels)
+    yield from _section("gram matrix:", ("  " + _COMPLEX) * n, n,
+                        _complex_columns(g.entries.ravel()))
+    yield from _section("probability matrix:", ("  " + _REAL) * n, n, [p.entries.ravel()])
     i, j = u.support.pairs
     z = u.entries[i, j]
-    _section(lines, "phases on support pairs:", "  (%d, %d): " + _COMPLEX + "  angle " + _REAL,
-             len(z), [i, j, *_complex_columns(z), comparisons.principal_angle(z)])
+    yield from _section("phases on support pairs:",
+                        "  (%d, %d): " + _COMPLEX + "  angle " + _REAL,
+                        len(z), [i, j, *_complex_columns(z), comparisons.principal_angle(z)])
     i, j = og.pairs
-    ortho = fill_rows("(%d, %d)", ", ", len(i), [i, j]) if len(i) else "none"
-    lines.append("orthogonal pairs: " + ortho)
-    lines.append(f"orthogonality graph is a matching: {'yes' if matching else 'no'}")
-    _section(lines, "triangles:", "  (%d, %d, %d): bargmann " + _COMPLEX + "  defect " + _COMPLEX
-             + "  pancharatnam " + _REAL + "  solid_angle " + _REAL + "  amplitude " + _REAL,
-             len(triangles), [*triangles.triples.T, *_complex_columns(triangles.bargmann),
-              *_complex_columns(triangles.defect), triangles.pancharatnam,
-              triangles.solid_angle, triangles.amplitude_factor])
-    lines += [f"warning: {w}" for w in list(load_warnings) + warnings]
-    return "\n".join(lines + [""])
+    yield "\northogonal pairs: "
+    yield from row_pieces("(%d, %d)", ", ", len(i), [i, j]) if len(i) else ["none"]
+    yield f"\northogonality graph is a matching: {'yes' if matching else 'no'}"
+    yield from _section("triangles:", "  (%d, %d, %d): bargmann " + _COMPLEX + "  defect "
+                        + _COMPLEX + "  pancharatnam " + _REAL + "  solid_angle " + _REAL
+                        + "  amplitude " + _REAL,
+                        len(triangles), [*triangles.triples.T,
+                         *_complex_columns(triangles.bargmann),
+                         *_complex_columns(triangles.defect), triangles.pancharatnam,
+                         triangles.solid_angle, triangles.amplitude_factor])
+    yield "".join(f"\nwarning: {w}" for w in list(load_warnings) + warnings)
+    yield "\n"
 
 
 def cmd_analyze(args) -> int:
     family, load_warnings = family_from_json(load_text(args.family))
+    # the whole analysis, --emit-* files included, runs before --out is opened
     if args.format == "structured":
-        _emit(args, dump_doc(_analysis_doc(family, load_warnings, args)))
+        _emit(args.out, doc_pieces(_analysis_doc(family, load_warnings, args)))
     else:
-        _emit(args, _analysis_text(family, load_warnings, args))
+        _emit(args.out, _analysis_text(family, load_warnings, _analysis(family, args)))
     return EXIT_OK
 
 
@@ -283,9 +300,9 @@ def _verdict_text(verdict) -> str:
 def _emit_verdict(args, verdict) -> int:
     """Write a Gram verdict in the chosen format; its exit code."""
     if args.format == "structured":
-        _emit(args, dump_doc(_verdict_doc(verdict)))
+        _emit(args.out, [dump_doc(_verdict_doc(verdict))])
     else:
-        _emit(args, _verdict_text(verdict))
+        _emit(args.out, [_verdict_text(verdict)])
     return EXIT_OK if verdict.all_ok else EXIT_NEGATIVE
 
 
@@ -307,14 +324,14 @@ def _result_doc(result) -> dict:
 
 
 def _result_text(result) -> str:
-    lines = [f"status: {result.status}", "residual: " + _REAL % result.residual]
+    text = f"status: {result.status}\nresidual: " + _REAL % result.residual
     if result.diagnostics:
-        lines.append(f"diagnostics: {result.diagnostics}")
+        text += f"\ndiagnostics: {result.diagnostics}"
     if result.certificate is not None:
         v = result.certificate.vectors
-        _section(lines, "certificate states:", ("  " + _COMPLEX) * 2, len(v),
-                 _complex_columns(v.ravel()))
-    return "\n".join(lines) + "\n"
+        text += "".join(_section("certificate states:", ("  " + _COMPLEX) * 2, len(v),
+                                 _complex_columns(v.ravel())))
+    return text + "\n"
 
 
 _RESULT_EXIT = {
@@ -346,9 +363,9 @@ def cmd_realize(args) -> int:
     text = dump_doc(_result_doc(result)) if args.format == "structured" else _result_text(result)
     if args.out and result.certificate is not None:
         save_text(args.out, family_to_json(result.certificate))
-        sys.stdout.write(text)
+        _emit(None, [text])
     else:
-        _emit(args, text)
+        _emit(args.out, [text])
     return _RESULT_EXIT[result.status]
 
 
@@ -362,13 +379,13 @@ def cmd_verify(args) -> int:
             "reports": [{**dataclasses.asdict(r), "passed": r.passed} for r in reports],
             "all_passed": not failed,
         }
-        _emit(args, dump_doc(doc))
+        _emit(args.out, [dump_doc(doc)])
     else:
         lines = [r.line() for r in reports]
         lines.append(
             f"{len(reports)} properties, {len(reports) - len(failed)} passed, {len(failed)} failed"
         )
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args.out, ["\n".join(lines) + "\n"])
     for idx in failed:
         print(f"failed: property {idx} {reports[idx].name} with seed {seed}; "
               f"replay: qpc verify --seed {seed} --cases {args.cases}", file=sys.stderr)

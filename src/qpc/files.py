@@ -131,27 +131,27 @@ class Records(Sequence):
     def __getitem__(self, t: int):
         return _fill(self.shape, iter([c[t].item() for c in self.columns]))
 
-    def render(self, level: int) -> list:
-        """The array as json.dumps(..., indent=2) writes it at level, in chunks of rows."""
+    def render(self, level: int):
+        """The array as json.dumps(..., indent=2) writes it at level, yielded
+        in chunks of rows."""
         if not self:
-            return ["[]"]
+            yield "[]"
+            return
         row = _indent(level + 1) + _row(self.shape, level + 1)[0]
-        return ["[", *_row_pieces(row, ",", len(self), self.columns), _indent(level) + "]"]
+        yield "["
+        yield from row_pieces(row, ",", len(self), self.columns)
+        yield _indent(level) + "]"
 
 
 _FILL_CHUNK = 4096  # rows per % operation: bounds the template and the values' Python copies
 
 
-def fill_rows(row: str, sep: str, rows: int, columns: list) -> str:
-    """rows copies of the %-template row, joined by sep, filled with the
-    values of the 1-d array columns taken element by element: element 0
-    of every column, then element 1, and so on; each row takes
-    len(column) // rows elements of every column."""
-    return "".join(_row_pieces(row, sep, rows, columns))
-
-
-def _row_pieces(row: str, sep: str, rows: int, columns: list):
-    # fill_rows's text made one chunk of _FILL_CHUNK rows at a time
+def row_pieces(row: str, sep: str, rows: int, columns: list):
+    """Yield rows copies of the %-template row, joined by sep, in chunks of
+    _FILL_CHUNK rows.  They are filled with the values of the 1-d array
+    columns taken element by element: element 0 of every column, then
+    element 1, and so on; each row takes len(column) // rows elements of
+    every column."""
     per_row = len(columns[0]) // rows if rows else 0
     for start in range(0, rows, _FILL_CHUNK):
         count = min(_FILL_CHUNK, rows - start)
@@ -172,10 +172,10 @@ def _indent(level: int) -> str:
     return "\n" + "  " * level
 
 
-def _layout(obj, level: int, leaf, out: list) -> None:
-    """Append the pieces of json.dumps(obj, indent=2), with obj at nesting
-    level, to out in document order.  Dicts, lists and tuples are laid
-    out here; every other value is the list of pieces leaf(value, its level)."""
+def _layout(obj, level: int, leaf):
+    """Yield the pieces of json.dumps(obj, indent=2), with obj at nesting
+    level, in document order.  Dicts, lists and tuples are laid out here;
+    every other value yields the pieces of leaf(value, its level)."""
     if isinstance(obj, dict):
         # json's own text for each key and its separator: int, float, bool
         # and None keys become strings, any other type raises json's TypeError
@@ -183,27 +183,34 @@ def _layout(obj, level: int, leaf, out: list) -> None:
     elif isinstance(obj, (list, tuple)):
         left, right, items = "[", "]", (("", part) for part in obj)
     else:
-        out += leaf(obj, level)
+        yield from leaf(obj, level)
         return
     sep, inner = left, _indent(level + 1)
     for key, part in items:
-        out.append(sep + inner + key)
-        _layout(part, level + 1, leaf, out)
+        yield sep + inner + key
+        yield from _layout(part, level + 1, leaf)
         sep = ","
-    out.append(_indent(level) + right if obj else left + right)
+    yield _indent(level) + right if obj else left + right
 
 
 def _row(shape, level: int):
     """(template, columns): one record of shape at nesting level with %r, which
     is how json writes floats and ints, at every leaf; the leaves as arrays."""
-    pieces, columns = [], []
-    # each leaf appends its column and leaves the placeholder None in pieces
-    _layout(shape, level, lambda leaf, _: columns.append(np.asarray(leaf)) or [None], pieces)
+    columns = []
+    # each leaf appends its column and yields the placeholder None
+    pieces = _layout(shape, level, lambda leaf, _: columns.append(np.asarray(leaf)) or [None])
     return "".join("%r" if p is None else p.replace("%", "%%") for p in pieces), columns
 
 
-def _value(obj, level: int) -> list:
+def _value(obj, level: int):
     return obj.render(level) if isinstance(obj, Records) else [json.dumps(obj)]
+
+
+def doc_pieces(doc):
+    """Yield dump_doc(doc) in pieces, in order, none longer than one chunk
+    of rows of a Records array or one other leaf; the last piece is "\n"."""
+    yield from _layout(doc, 0, _value)
+    yield "\n"
 
 
 def dump_doc(doc) -> str:
@@ -212,11 +219,10 @@ def dump_doc(doc) -> str:
     The result is exactly json.dumps(doc, indent=2) + "\n", where each
     Records array counts as the list of its records.  One walk lays the
     document out in order: each Records array in chunks of rows from its
-    row template, every other leaf by json.dumps; the pieces join once.
+    row template, every other leaf by json.dumps.  doc_pieces yields
+    those pieces as they are made; this joins them.
     """
-    out = []
-    _layout(doc, 0, _value, out)
-    return "".join(out + ["\n"])
+    return "".join(doc_pieces(doc))
 
 
 def family_doc(family: StateFamily) -> dict:

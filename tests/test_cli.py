@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from qpc import (
+    DEFAULT_ZERO_TOL,
     PhaseMatrix,
     QubitState,
     StateFamily,
@@ -31,8 +32,8 @@ from qpc import (
     save_text,
 )
 from qpc import invariants
-from qpc.cli import BRANCH_CUT_MARGIN, _analysis, main
-from qpc.files import MAX_PHASE_N
+from qpc.cli import BRANCH_CUT_MARGIN, _analysis, _analysis_doc, main
+from qpc.files import _FILL_CHUNK, MAX_PHASE_N, dump_doc
 from qpc.verification import run_all
 from tests.conftest import slack_gram, uniform_phases
 from tests.test_verification import BARGMANN_PROPERTIES
@@ -274,6 +275,100 @@ class TestAnalyze:
         path.write_text("{not json")
         code, _ = run_cli(capsys, "analyze", str(path))
         assert code == 2
+
+
+def _family_file(tmp_path, n: int, seed: int) -> str:
+    path = tmp_path / f"fam{n}.json"
+    save_text(str(path), family_to_json(random_family(n, seed)))
+    return str(path)
+
+
+class _WriteSizes:
+    """A stdout that keeps what is written and the size of each write."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreamedReport:
+    """analyze writes its report as it is made, after all of the analysis."""
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_a_failing_emit_leaves_out_unchanged(self, capsys, tmp_path, fmt):
+        out = tmp_path / "report.txt"
+        out.write_bytes(b"an earlier report\n")
+        code = main(["analyze", _family_file(tmp_path, 5, 3), "--format", fmt,
+                     "--out", str(out), "--emit-gram", str(tmp_path / "absent" / "g.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        assert out.read_bytes() == b"an earlier report\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_no_write_is_longer_than_a_chunk_of_rows(self, monkeypatch, tmp_path, fmt):
+        # 45 states give 14,190 triangles, over three fill chunks of rows
+        path = _family_file(tmp_path, 45, 4)
+        stdout = _WriteSizes()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["analyze", path, "--format", fmt]) == 0
+        report = "".join(stdout.pieces)
+        if fmt == "text":
+            lines = report.splitlines()
+            rows = lines[lines.index("triangles:") + 1:]
+            row_size = max(len(line) + 1 for line in rows)
+        else:
+            # a record at nesting level 2: four spaces before each of its
+            # lines, and ",\n" between records
+            rows = json.loads(report)["triangles"]
+            row_size = max(len(text) + 4 * (text.count("\n") + 1) + 2
+                           for text in (json.dumps(r, indent=2) for r in rows))
+            fam, _ = family_from_json(load_text(path))
+            args = argparse.Namespace(zero_tol=DEFAULT_ZERO_TOL, emit_gram=None,
+                                      emit_probability=None, emit_phase=None)
+            assert report == dump_doc(_analysis_doc(fam, [], args))
+        assert len(rows) == 14190
+        assert max(map(len, stdout.pieces)) <= _FILL_CHUNK * row_size
+
+    def test_peak_memory_is_below_half_the_document(self, tmp_path):
+        # a fresh interpreter reads its own peak; the baseline only imports
+        script = ("import resource, sys, qpc.cli\n"
+                  "code = qpc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,"
+                  " file=sys.stderr)\n")
+
+        def peak(*argv):
+            with open(tmp_path / "report.json", "wb") as out:
+                proc = subprocess.run([sys.executable, "-c", script, *argv], stdout=out,
+                                      stderr=subprocess.PIPE, text=True, check=True,
+                                      env=dict(os.environ, PYTHONPATH=SRC))
+            code, rss = proc.stderr.split()
+            assert code == "0"
+            return int(rss)
+
+        base = peak()
+        grown = peak("analyze", _family_file(tmp_path, 100, 7), "--format", "structured") - base
+        size = (tmp_path / "report.json").stat().st_size
+        assert size > 60e6
+        assert grown < size / 2
+
+    @pytest.mark.parametrize("read", [0, 100, 100_000])
+    def test_a_reader_that_closes_early_gets_one_error(self, tmp_path, read):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qpc", "analyze", _family_file(tmp_path, 40, 7),
+             "--format", "structured"],
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (2, b"error: [Errno 32] Broken pipe\n")
 
 
 class TestCheck:

@@ -30,7 +30,7 @@ from qpc import (
     save_text,
 )
 from qpc.cli import _analysis_doc
-from qpc.files import re_im
+from qpc.files import doc_pieces, re_im
 
 SQ2 = 2.0 ** -0.5
 
@@ -281,7 +281,7 @@ class TestDumpDoc:
         args = Namespace(zero_tol=DEFAULT_ZERO_TOL, emit_gram=None, emit_probability=None,
                          emit_phase=None)
         doc = _analysis_doc(fam, ["state 0: renormalized"], args)
-        assert dump_doc(doc) == reference(doc)
+        assert "".join(doc_pieces(doc)) == dump_doc(doc) == reference(doc)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -299,7 +299,7 @@ class TestDumpDoc:
         }
         for _ in range(depth):
             doc = {"nested": [doc, Records(-col), [], {}], "scalar": values[0] if values else None}
-        assert dump_doc(doc) == reference(doc)
+        assert "".join(doc_pieces(doc)) == dump_doc(doc) == reference(doc)
 
     def test_records_longer_than_a_fill_chunk(self):
         rng = np.random.default_rng(8)
