@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 
@@ -76,11 +77,15 @@ def _complex_columns(z: np.ndarray) -> list:
     return [z.real, np.where(z.imag >= 0, "+", "-"), np.abs(z.imag)]
 
 
-def _section(heading: str, row: str, rows: int, columns: list):
+def _section(heading: str, row: str, rows: int, blocks):
     """Yield the heading, then rows lines of the template row or "  none",
-    each line after a newline and the rows in chunks."""
+    each line after a newline and the rows in chunks.  blocks yields
+    (count, columns) pairs: count lines filled from columns, in order."""
     yield "\n" + heading
-    yield from row_pieces("\n" + row, "", rows, columns) if rows else ["\n  none"]
+    if not rows:
+        yield "\n  none"
+    for count, columns in blocks:
+        yield from row_pieces("\n" + row, "", count, columns)
 
 
 # The options shared between subcommands; each takes those it reads.
@@ -159,13 +164,18 @@ def _emit(path, pieces) -> None:
     """Write the strings of pieces in order to the file at path, or to stdout.
 
     A pipe whose reader has gone can take part of a large write without
-    an error; only the next write or the flush raises.  The analyze
-    reports end in a one-character piece, so a closed stdout fails them
-    every time.
+    an error: the buffered writer returns the short count, and only the
+    next write raises.  So the last character of the output goes out on
+    its own, after the rest, and a closed stdout fails every command
+    that writes more than a pipe holds.
     """
     with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+        last = ""
         for piece in pieces:
-            out.write(piece)
+            out.write(last)
+            last = piece
+        out.write(last[:-1])
+        out.write(last[-1:])
         out.flush()
 
 
@@ -175,8 +185,42 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _near_cut(kappa: np.ndarray) -> np.ndarray:
+    """Whether the principal angle of each defect lies within
+    BRANCH_CUT_MARGIN of pi in modulus.  The angle is taken only where
+    real < 0 and |imag| <= -2 BRANCH_CUT_MARGIN real, a superset of
+    those defects."""
+    near = (kappa.real < 0.0) & (np.abs(kappa.imag) <= -2.0 * BRANCH_CUT_MARGIN * kappa.real)
+    angle = comparisons.principal_angle(kappa[near])
+    near[near] = np.abs(angle) > math.pi - BRANCH_CUT_MARGIN
+    return near
+
+
+def _triangle_columns(block) -> list:
+    return [*block.triples.T, *_complex_columns(block.bargmann),
+            *_complex_columns(block.defect), block.pancharatnam, block.solid_angle,
+            block.amplitude_factor]
+
+
+def _triangle_record(block) -> dict:
+    return {
+        "triple": list(block.triples.T),
+        "bargmann": re_im(block.bargmann),
+        "defect": re_im(block.defect),
+        "pancharatnam": block.pancharatnam,
+        "solid_angle": block.solid_angle,
+        "amplitude_factor": block.amplitude_factor,
+    }
+
+
 def _analysis(family, args):
-    """Everything the analyze report shows; writes the --emit-* files on the way."""
+    """Everything the analyze report shows; writes the --emit-* files on the way.
+
+    The triangles are not held: one pass over their blocks here counts
+    them, collects the branch-cut warnings and raises the consistency
+    refusal, all before --out is opened.  The report then renders the
+    blocks of the returned triangle_blocks callable as they are made.
+    """
     zero_tol = args.zero_tol
     g = comparisons.gram(family)
     p = comparisons.probabilities(g)
@@ -189,24 +233,26 @@ def _analysis(family, args):
         save_text(args.emit_phase, matrix_to_json("phase", u))
     og = comparisons.orthogonality_graph(g, zero_tol)
     matching = comparisons.check_matching(og)
-    triangles = invariants.all_triangles(g, zero_tol)
+    rows, near_cut = 0, []
+    for t, kappa in invariants.checked_defects(g, u):
+        rows += len(t)
+        near_cut += t[_near_cut(kappa)].tolist()
     # the test of states.rays_equal, 1 - |g_ij|^2 <= tol, on every pair i < j
     warnings = [
         f"states {i} and {j} represent the same ray; the "
         "orthogonality matching criterion assumes distinct rays"
         for i, j in zip(*np.nonzero(np.triu(1.0 - p.entries <= DUPLICATE_RAY_TOL, 1)))
     ]
-    near_cut = np.abs(triangles.pancharatnam) > math.pi - BRANCH_CUT_MARGIN
     warnings += [
         f"triangle ({i}, {j}, {k}) is near the phase branch cut; "
         "its solid angle is reported on the principal branch"
-        for i, j, k in triangles.triples[near_cut].tolist()
+        for i, j, k in near_cut
     ]
-    return g, p, u, og, matching, triangles, warnings
+    return g, p, u, og, matching, (rows, partial(invariants.triangle_blocks, g, zero_tol)), warnings
 
 
 def _analysis_doc(family, load_warnings, args) -> dict:
-    g, p, u, og, matching, triangles, warnings = _analysis(family, args)
+    g, p, u, og, matching, (rows, blocks), warnings = _analysis(family, args)
     return {
         "version": 1,
         "n": len(family),
@@ -219,33 +265,28 @@ def _analysis_doc(family, load_warnings, args) -> dict:
             "edges": Records(list(og.pairs)),
             "matching": matching,
         },
-        "triangles": Records({
-            "triple": list(triangles.triples.T),
-            "bargmann": re_im(triangles.bargmann),
-            "defect": re_im(triangles.defect),
-            "pancharatnam": triangles.pancharatnam,
-            "solid_angle": triangles.solid_angle,
-            "amplitude_factor": triangles.amplitude_factor,
-        }),
+        "triangles": Records.of_blocks(rows, lambda: map(_triangle_record, blocks())),
         "warnings": list(load_warnings) + warnings,
     }
 
 
 def _analysis_text(family, load_warnings, analysis):
     """Yield the text report in pieces, none longer than one chunk of rows."""
-    g, p, u, og, matching, triangles, warnings = analysis
+    g, p, u, og, matching, (rows, blocks), warnings = analysis
     n = len(family)
     yield f"family of {n} state(s)"
     if family.labels is not None:
         yield "\nlabels: " + ", ".join(family.labels)
     yield from _section("gram matrix:", ("  " + _COMPLEX) * n, n,
-                        _complex_columns(g.entries.ravel()))
-    yield from _section("probability matrix:", ("  " + _REAL) * n, n, [p.entries.ravel()])
+                        [(n, _complex_columns(g.entries.ravel()))])
+    yield from _section("probability matrix:", ("  " + _REAL) * n, n,
+                        [(n, [p.entries.ravel()])])
     i, j = u.support.pairs
     z = u.entries[i, j]
     yield from _section("phases on support pairs:",
                         "  (%d, %d): " + _COMPLEX + "  angle " + _REAL,
-                        len(z), [i, j, *_complex_columns(z), comparisons.principal_angle(z)])
+                        len(z), [(len(z), [i, j, *_complex_columns(z),
+                                           comparisons.principal_angle(z)])])
     i, j = og.pairs
     yield "\northogonal pairs: "
     yield from row_pieces("(%d, %d)", ", ", len(i), [i, j]) if len(i) else ["none"]
@@ -253,10 +294,7 @@ def _analysis_text(family, load_warnings, analysis):
     yield from _section("triangles:", "  (%d, %d, %d): bargmann " + _COMPLEX + "  defect "
                         + _COMPLEX + "  pancharatnam " + _REAL + "  solid_angle " + _REAL
                         + "  amplitude " + _REAL,
-                        len(triangles), [*triangles.triples.T,
-                         *_complex_columns(triangles.bargmann),
-                         *_complex_columns(triangles.defect), triangles.pancharatnam,
-                         triangles.solid_angle, triangles.amplitude_factor])
+                        rows, ((len(b), _triangle_columns(b)) for b in blocks()))
     yield "".join(f"\nwarning: {w}" for w in list(load_warnings) + warnings)
     yield "\n"
 
@@ -330,7 +368,7 @@ def _result_text(result) -> str:
     if result.certificate is not None:
         v = result.certificate.vectors
         text += "".join(_section("certificate states:", ("  " + _COMPLEX) * 2, len(v),
-                                 _complex_columns(v.ravel())))
+                                 [(len(v), _complex_columns(v.ravel()))]))
     return text + "\n"
 
 
@@ -400,7 +438,9 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else 0
     try:
         return args.func(args)
-    except (OSError, ValueError, MemoryError) as e:  # FileFormatError, LinAlgError included
+    # FileFormatError and LinAlgError included; ArithmeticError is analyze's
+    # refusal when the two defect routes disagree
+    except (OSError, ValueError, MemoryError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

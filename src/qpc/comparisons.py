@@ -56,7 +56,9 @@ def overlaps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def principal_angle(z) -> np.ndarray:
     """Elementwise arg z in (-pi, pi]: math.atan2 of the parts, with -pi folded to pi."""
-    angle = np.asarray(np.frompyfunc(math.atan2, 2, 1)(z.imag, z.real), dtype=float)
+    z = np.asarray(z)
+    angle = np.fromiter(map(math.atan2, z.imag.ravel().tolist(), z.real.ravel().tolist()),
+                        dtype=float, count=z.size).reshape(z.shape)
     return np.where(angle == -math.pi, math.pi, angle)
 
 

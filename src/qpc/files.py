@@ -114,22 +114,52 @@ class Records(Sequence):
     shape is one record, a nested dict/list/tuple whose leaves are 1-d
     columns of equal length, of finite ints or floats; record t takes
     element t of every column.  The columns are referenced, not copied.
-    Indexing and iteration yield plain records, so
-    json.dumps(doc, default=list) encodes a document holding Records
-    exactly as dump_doc does.
+    Records.of_blocks holds its records as blocks of such shapes instead,
+    made again on every walk.  Indexing and iteration yield plain
+    records, so json.dumps(doc, default=list) encodes a document holding
+    Records exactly as dump_doc does.
     """
 
     def __init__(self, shape):
-        self.shape, self.columns = shape, _row(shape, 0)[1]
-        if not all(c.ndim == 1 and c.dtype.kind in "iuf" and np.isfinite(c).all()
-                   for c in self.columns) or len({len(c) for c in self.columns}) != 1:
-            raise ValueError("record columns must be equally long, of finite ints or floats")
+        block = _checked(shape)
+        self._rows, self._blocks = len(block[1][0]), lambda: [block]
+
+    @classmethod
+    def of_blocks(cls, rows: int, blocks):
+        """rows records, those of the shapes that the iterator blocks() yields,
+        in order.  blocks is called once per walk of the array, so only one
+        block's columns need exist at a time; a block that is not a valid
+        shape, or blocks that do not hold rows records in all, raise
+        ValueError when the walk reaches them."""
+        records = cls.__new__(cls)
+        records._rows, records._blocks = rows, lambda: map(_checked, blocks())
+        return records
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return self._rows
+
+    def _walk(self):
+        """(shape, columns) of each block, in order."""
+        seen = 0
+        for shape, columns in self._blocks():
+            seen += len(columns[0])
+            yield shape, columns
+        if seen != self._rows:
+            raise ValueError(f"record blocks hold {seen} records, not {self._rows}")
+
+    def __iter__(self):
+        for shape, columns in self._walk():
+            for values in zip(*[c.tolist() for c in columns]):
+                yield _fill(shape, iter(values))
 
     def __getitem__(self, t: int):
-        return _fill(self.shape, iter([c[t].item() for c in self.columns]))
+        if not -self._rows <= t < self._rows:
+            raise IndexError("Records index out of range")
+        t %= self._rows
+        for shape, columns in self._walk():
+            if t < len(columns[0]):
+                return _fill(shape, iter([c[t].item() for c in columns]))
+            t -= len(columns[0])
 
     def render(self, level: int):
         """The array as json.dumps(..., indent=2) writes it at level, yielded
@@ -137,13 +167,27 @@ class Records(Sequence):
         if not self:
             yield "[]"
             return
-        row = _indent(level + 1) + _row(self.shape, level + 1)[0]
-        yield "["
-        yield from row_pieces(row, ",", len(self), self.columns)
+        sep = "["
+        for shape, columns in self._walk():
+            if not len(columns[0]):
+                continue
+            yield sep
+            yield from row_pieces(_indent(level + 1) + _row(shape, level + 1)[0], ",",
+                                  len(columns[0]), columns)
+            sep = ","
         yield _indent(level) + "]"
 
 
-_FILL_CHUNK = 4096  # rows per % operation: bounds the template and the values' Python copies
+def _checked(shape):
+    """(shape, its columns), refused unless the columns make valid records."""
+    columns = _row(shape, 0)[1]
+    if not all(c.ndim == 1 and c.dtype.kind in "iuf" and np.isfinite(c).all()
+               for c in columns) or len({len(c) for c in columns}) != 1:
+        raise ValueError("record columns must be equally long, of finite ints or floats")
+    return shape, columns
+
+
+_FILL_CHUNK = 1024  # rows per % operation: bounds the template and the values' Python copies
 
 
 def row_pieces(row: str, sep: str, rows: int, columns: list):

@@ -44,6 +44,7 @@ from .states import BlochVector
 
 DEFECT_CONSISTENCY_TOL = 1e-12  # the two defect computations must agree
 DEGENERACY_TOL = 1e-9           # antipodal pair cutoff for solid angles
+TRIANGLE_BLOCK = 4096           # rows of one block of triple_blocks
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def triangle_report(
     if abs(kappa_phases - kappa_norm) > DEFECT_CONSISTENCY_TOL:
         raise ArithmeticError(
             "defect and normalized Bargmann invariant disagree: "
-            f"|delta| = {abs(kappa_phases - kappa_norm)!r}"
+            f"|delta| = {float(abs(kappa_phases - kappa_norm))!r}"
         )
     gamma = float(principal_angle(kappa_phases))
     return TriangleReport(
@@ -217,21 +218,68 @@ def solid_angle(ni, nj, nk) -> float:
     return -2.0 * math.atan2(triple, 1.0 + dots)
 
 
-def support_triples(mask: np.ndarray) -> np.ndarray:
+def triple_blocks(mask: np.ndarray):
     """Triples i < j < k whose three pairs all lie in a symmetric boolean
-    mask, as a (T, 3) integer array in lexicographic order."""
-    blocks = [np.empty((0, 3), dtype=int)]
-    for i in range(len(mask)):
-        nb = np.flatnonzero(mask[i, i + 1:]) + i + 1
-        j, k = np.nonzero(np.triu(mask[np.ix_(nb, nb)], 1))
-        blocks.append(np.column_stack([np.full(len(j), i), nb[j], nb[k]]))
-    return np.concatenate(blocks)
+    mask, in lexicographic order, as (T, 3) integer arrays of TRIANGLE_BLOCK
+    rows each; only the last may be shorter, and none is empty.  A block
+    may split the triples of one first vertex i."""
+    up = np.triu(mask, 1)
+    pending, count = [], 0
+    for i in range(len(up)):
+        nb = np.flatnonzero(up[i])
+        j, k = np.nonzero(up[np.ix_(nb, nb)])
+        rows = np.empty((len(j), 3), dtype=int)
+        rows[:, 0], rows[:, 1], rows[:, 2] = i, nb[j], nb[k]
+        pending.append(rows)
+        count += len(j)
+        if count >= TRIANGLE_BLOCK:
+            rows = np.concatenate(pending)
+            cut = count - count % TRIANGLE_BLOCK
+            yield from np.split(rows[:cut], cut // TRIANGLE_BLOCK)
+            pending, count = [rows[cut:]], count - cut
+    if count:
+        yield np.concatenate(pending)
+
+
+def support_triples(mask: np.ndarray) -> np.ndarray:
+    """The blocks of triple_blocks(mask) as one (T, 3) integer array."""
+    return np.concatenate([np.empty((0, 3), dtype=int), *triple_blocks(mask)])
 
 
 def cycle_products(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(a_ij a_jk) a_ki for every row (i, j, k) of t."""
     i, j, k = t.T
     return _mul(_mul(a[i, j], a[j, k]), a[k, i])
+
+
+def _routes(g: np.ndarray, u: np.ndarray, t: np.ndarray):
+    """The Bargmann invariants and the defects of the rows of t, from the gram
+    and phase entries, and the largest |defect - bargmann / |bargmann||
+    among them (NaN if one is NaN; a |bargmann| below the float range
+    gives inf or NaN, without a warning)."""
+    b = cycle_products(g, t)
+    kappa = cycle_products(u, t)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        worst = moduli(kappa - b / moduli(b)).max(initial=0.0)
+    return b, kappa, worst
+
+
+def _refuse(worst) -> None:
+    if not worst <= DEFECT_CONSISTENCY_TOL:
+        raise ArithmeticError(
+            f"defect and normalized Bargmann invariant disagree: |delta| = {float(worst)!r}"
+        )
+
+
+def _rows(g: np.ndarray, m: np.ndarray, u: np.ndarray, t: np.ndarray) -> TriangleTable:
+    """The row kernel: the TriangleTable of the rows of t, from the gram
+    entries g, their moduli m and the phase entries u, refused when the
+    two defect routes disagree on one of them."""
+    b, kappa, worst = _routes(g, u, t)
+    _refuse(worst)
+    i, j, k = t.T
+    gamma = principal_angle(kappa)
+    return TriangleTable(t, b, kappa, gamma, -2.0 * gamma, m[i, j] * m[j, k] * m[k, i])
 
 
 def all_triangles(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> TriangleTable:
@@ -242,19 +290,35 @@ def all_triangles(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Triangle
     This is the array kernel; triangle_report is its scalar reference:
     the table's reports match it bit for bit on exactly Hermitian g
     (every gram() result), including the 1e-12 refusal when the two
-    defect routes disagree.
+    defect routes disagree.  The table holds every row at once;
+    triangle_blocks yields the same rows a block at a time.
     """
     u = phases(g, zero_tol)
-    t = support_triples(u.support.mask)
-    i, j, k = t.T
+    return _rows(g.entries, moduli(g.entries), u.entries, support_triples(u.support.mask))
+
+
+def triangle_blocks(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL):
+    """The rows of all_triangles(g, zero_tol), a TriangleTable of at most
+    TRIANGLE_BLOCK rows at a time, so that memory stays O(n^2 + one block)
+    whatever the triangle count.  Their columns, concatenated, equal
+    all_triangles' bit for bit.  Each block is refused on its own rows:
+    a disagreement raises from the block that holds it, with that
+    block's worst |delta|."""
+    u = phases(g, zero_tol)
     m = moduli(g.entries)
-    amplitude = m[i, j] * m[j, k] * m[k, i]
-    b = cycle_products(g.entries, t)
-    kappa = cycle_products(u.entries, t)
-    worst = moduli(kappa - b / moduli(b)).max(initial=0.0)
-    if not worst <= DEFECT_CONSISTENCY_TOL:
-        raise ArithmeticError(
-            f"defect and normalized Bargmann invariant disagree: |delta| = {worst!r}"
-        )
-    gamma = principal_angle(kappa)
-    return TriangleTable(t, b, kappa, gamma, -2.0 * gamma, amplitude)
+    for t in triple_blocks(u.support.mask):
+        yield _rows(g.entries, m, u.entries, t)
+
+
+def checked_defects(g: GramMatrix, u: PhaseMatrix):
+    """Yield (triples, defects) for each block of triple_blocks on the
+    support of u, computing only the two defect routes; after the last
+    block, raise all_triangles' refusal if the worst |delta| over every
+    row passes DEFECT_CONSISTENCY_TOL.  A caller that walks every block
+    has then checked the whole table without holding it."""
+    worst = [0.0]
+    for t in triple_blocks(u.support.mask):
+        _, kappa, w = _routes(g.entries, u.entries, t)
+        worst.append(w)
+        yield t, kappa
+    _refuse(np.max(worst))

@@ -30,6 +30,7 @@ realize_phases return a RealizabilityResult.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,8 @@ SOFT_FLOOR = 1e-6      # overlap modulus below which the search residual stops n
 LM_TOL = 1e-15         # least_squares' floor on step length, gradient and residual norm
 MU_START = 1e-3        # least_squares' first damping, relative to the scaling D
 MU_MAX = 1e16          # damping past which least_squares stops: its steps are negligible
+STALL_WINDOW = 50      # evaluations over which least_squares measures its progress
+STALL_FRACTION = 0.01  # least_squares stops once the cost fell by less than this over the window
 
 REALIZABLE = "realizable"
 NOT_REALIZABLE = "not_realizable"
@@ -402,7 +405,9 @@ def least_squares(fun, x0: np.ndarray, max_nfev: int) -> LeastSquaresResult:
     grows by nu, which doubles on every rejection in a row.  The loop
     stops once nfev reaches max_nfev, once |r|^2 or the largest gradient
     entry falls to LM_TOL^2 or LM_TOL, once a step is shorter than
-    LM_TOL (|x| + LM_TOL), or once mu passes MU_MAX.  It returns the
+    LM_TOL (|x| + LM_TOL), once mu passes MU_MAX, or once the last
+    STALL_WINDOW evaluations lowered |r|^2 by less than STALL_FRACTION of
+    its value before them, a stalled or creeping run.  It returns the
     best point evaluated.  x0 is copied into an array of the loop's own,
     so where the caller's x0 sits in memory cannot change a bit of the
     result.
@@ -411,9 +416,13 @@ def least_squares(fun, x0: np.ndarray, max_nfev: int) -> LeastSquaresResult:
     r, jac = fun(x)
     nfev = 1
     cost = r @ r
+    # the cost after each of the last STALL_WINDOW + 1 evaluations
+    costs = deque([cost], maxlen=STALL_WINDOW + 1)
     scale = np.zeros(len(x))
     mu, nu = MU_START, 2.0
     while nfev < max_nfev and cost > LM_TOL**2 and mu <= MU_MAX:
+        if len(costs) > STALL_WINDOW and cost > (1.0 - STALL_FRACTION) * costs[0]:
+            break
         a = jac.T @ jac
         g = jac.T @ r
         if np.max(np.abs(g)) <= LM_TOL:
@@ -439,6 +448,7 @@ def least_squares(fun, x0: np.ndarray, max_nfev: int) -> LeastSquaresResult:
         else:
             mu *= nu
             nu *= 2.0
+        costs.append(cost)
     return LeastSquaresResult(x, nfev)
 
 

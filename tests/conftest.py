@@ -66,3 +66,11 @@ def slack_gram(seed: int, c: float, d: float) -> np.ndarray:
     g = (m + m.conj().T) / 2
     q0 = np.linalg.eigh(g)[1][:, 0]
     return g + c * np.outer(q0, q0.conj()) - d * np.eye(3)
+
+
+def inconsistent_family() -> StateFamily:
+    """Three states whose Bargmann invariant (0, 1, 2) falls below the float
+    range, about 1e-320: normalizing it overflows, so with zero_tol 0 the
+    two defect routes disagree by inf."""
+    return StateFamily((QubitState(1.0, 0.0), QubitState(1e-160, 1.0),
+                        QubitState(1e-160 * cmath.exp(0.7j), 1.0)))

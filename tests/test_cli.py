@@ -31,11 +31,11 @@ from qpc import (
     rays_equal,
     save_text,
 )
-from qpc import invariants
+from qpc import cli, invariants
 from qpc.cli import BRANCH_CUT_MARGIN, _analysis, _analysis_doc, main
 from qpc.files import _FILL_CHUNK, MAX_PHASE_N, dump_doc
 from qpc.verification import run_all
-from tests.conftest import slack_gram, uniform_phases
+from tests.conftest import inconsistent_family, slack_gram, uniform_phases
 from tests.test_verification import BARGMANN_PROPERTIES
 
 SQ2 = 2.0 ** -0.5
@@ -224,18 +224,18 @@ class TestAnalyze:
         fam, _ = family_from_json(load_text(str(DATA / f"{name}.json")))
         args = argparse.Namespace(zero_tol=1e-10, emit_gram=None, emit_probability=None,
                                   emit_phase=None)
-        *_, table, warnings = _analysis(fam, args)
+        *_, warnings = _analysis(fam, args)
         expected = [
             f"triangle {rep.triple} is near the phase branch cut; "
             "its solid angle is reported on the principal branch"
-            for rep in table
+            for rep in all_triangles(gram(fam), args.zero_tol)
             if abs(rep.pancharatnam) > math.pi - BRANCH_CUT_MARGIN
         ]
         assert [w for w in warnings if "branch cut" in w] == expected
         assert len(expected) == {"branch_cut": 1, "negative_zero": 2, "labels": 0}[name]
 
     def test_triangle_lines_equal_the_per_report_rendering(self, capsys, tmp_path):
-        # 31 states give more triangles than one fill chunk of rows
+        # 31 states give 4,495 triangles, more than one block of rows
         vecs = random_family(31, 12).vectors
         vecs[1] = (-vecs[0, 1].conjugate(), vecs[0, 0].conjugate())
         fam = StateFamily(tuple(QubitState(*v) for v in vecs))
@@ -249,7 +249,7 @@ class TestAnalyze:
             f"amplitude {fmt(rep.amplitude_factor)}"
             for rep in all_triangles(gram(fam))
         ]
-        assert len(expected) > 4096
+        assert len(expected) > invariants.TRIANGLE_BLOCK
         lines = out.splitlines()
         start = lines.index("triangles:") + 1
         assert [line for line in lines[start:] if line.startswith("  (")] == expected
@@ -265,6 +265,18 @@ class TestAnalyze:
         assert "(0, 1):" in out_default
         _, out_pruned = run_cli(capsys, "analyze", str(path), "--zero-tol", "1e-3")
         assert "none" in out_pruned.split("phases on support pairs:")[1].splitlines()[1]
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_inconsistent_defects_exit_2_with_one_line(self, capsys, tmp_path, fmt):
+        path = tmp_path / "tiny.json"
+        save_text(str(path), family_to_json(inconsistent_family()))
+        out = tmp_path / "report"
+        code = main(["analyze", str(path), "--zero-tol", "0", "--format", fmt, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: defect and normalized Bargmann invariant disagree: "
+                                "|delta| = inf\n")
+        assert not out.exists()
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "analyze", str(tmp_path / "absent.json"))
@@ -312,7 +324,7 @@ class TestStreamedReport:
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_no_write_is_longer_than_a_chunk_of_rows(self, monkeypatch, tmp_path, fmt):
-        # 45 states give 14,190 triangles, over three fill chunks of rows
+        # 45 states give 14,190 triangles, over four blocks of rows
         path = _family_file(tmp_path, 45, 4)
         stdout = _WriteSizes()
         monkeypatch.setattr(sys, "stdout", stdout)
@@ -335,33 +347,84 @@ class TestStreamedReport:
         assert len(rows) == 14190
         assert max(map(len, stdout.pieces)) <= _FILL_CHUNK * row_size
 
-    def test_peak_memory_is_below_half_the_document(self, tmp_path):
-        # a fresh interpreter reads its own peak; the baseline only imports
+    @staticmethod
+    def peak(out_path, *argv) -> int:
+        """The peak RSS in bytes of a fresh interpreter that imports qpc.cli
+        and runs main(argv) if argv is given, writing stdout to out_path."""
         script = ("import resource, sys, qpc.cli\n"
                   "code = qpc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
                   "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,"
                   " file=sys.stderr)\n")
+        with open(out_path, "wb") as out:
+            proc = subprocess.run([sys.executable, "-c", script, *argv], stdout=out,
+                                  stderr=subprocess.PIPE, text=True, check=True,
+                                  env=dict(os.environ, PYTHONPATH=SRC))
+        code, rss = proc.stderr.split()
+        assert code == "0"
+        return int(rss)
 
-        def peak(*argv):
-            with open(tmp_path / "report.json", "wb") as out:
-                proc = subprocess.run([sys.executable, "-c", script, *argv], stdout=out,
-                                      stderr=subprocess.PIPE, text=True, check=True,
-                                      env=dict(os.environ, PYTHONPATH=SRC))
-            code, rss = proc.stderr.split()
-            assert code == "0"
-            return int(rss)
-
-        base = peak()
-        grown = peak("analyze", _family_file(tmp_path, 100, 7), "--format", "structured") - base
-        size = (tmp_path / "report.json").stat().st_size
+    def test_peak_memory_is_below_half_the_document(self, tmp_path):
+        # the baseline only imports
+        report = tmp_path / "report.json"
+        base = self.peak(report)
+        grown = self.peak(report, "analyze", _family_file(tmp_path, 100, 7),
+                          "--format", "structured") - base
+        size = report.stat().st_size
         assert size > 60e6
         assert grown < size / 2
 
-    @pytest.mark.parametrize("read", [0, 100, 100_000])
-    def test_a_reader_that_closes_early_gets_one_error(self, tmp_path, read):
+    def test_peak_memory_does_not_grow_with_the_triangle_count(self, tmp_path):
+        # 150 states give 551,300 triangles; their table alone would take
+        # 44 MB, and the kernel's temporaries as much again
+        path = _family_file(tmp_path, 150, 7)
+        base = self.peak(os.devnull)
+        grown = self.peak(os.devnull, "analyze", path, "--format", "structured") - base
+        assert grown < 20e6
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_warnings_and_the_refusal_come_before_the_first_byte(self, monkeypatch, tmp_path,
+                                                                 fmt):
+        analyses = []
+
+        def recorded(*args):
+            analyses.append(_analysis(*args))
+            return analyses[-1]
+
+        class Stdout(_WriteSizes):
+            def write(self, text):
+                if not self.pieces:
+                    self.first = analyses[:]
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "_analysis", recorded)
+        stdout = Stdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["analyze", str(DATA / "branch_cut.json"), "--format", fmt]) == 0
+        # the one near-cut warning was made before the first write
+        *_, warnings = stdout.first[0]
+        assert [w for w in warnings if "branch cut" in w] == [
+            "triangle (0, 1, 2) is near the phase branch cut; "
+            "its solid angle is reported on the principal branch"]
+        assert warnings[-1] in "".join(stdout.pieces)
+        # and a refusal leaves stdout untouched
+        path = tmp_path / "tiny.json"
+        save_text(str(path), family_to_json(inconsistent_family()))
+        stdout.pieces.clear()
+        assert main(["analyze", str(path), "--zero-tol", "0", "--format", fmt]) == 2
+        assert stdout.pieces == []
+
+    @pytest.mark.parametrize("command, read", [
+        ("analyze", 0), ("analyze", 100), ("analyze", 100_000), ("gen", 100), ("verify", 0),
+    ], ids=["0", "100", "100000", "gen-100", "verify-0"])
+    def test_a_reader_that_closes_early_gets_one_error(self, tmp_path, command, read):
+        argv = {
+            "analyze": ["analyze", _family_file(tmp_path, 40, 7), "--format", "structured"],
+            # one string of 19.5 MB, far more than a pipe holds
+            "gen": ["gen", "--n", "100000", "--seed", "1"],
+            "verify": ["verify", "--cases", "5"],
+        }[command]
         proc = subprocess.Popen(
-            [sys.executable, "-m", "qpc", "analyze", _family_file(tmp_path, 40, 7),
-             "--format", "structured"],
+            [sys.executable, "-m", "qpc", *argv],
             stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env=dict(os.environ, PYTHONPATH=SRC))
         assert len(proc.stdout.read(read)) == read

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import itertools
 from itertools import combinations
 from pathlib import Path
 
@@ -26,10 +27,12 @@ from qpc import (
     phases,
     solid_angle,
     to_bloch,
+    triangle_blocks,
     triangle_report,
 )
-from qpc.invariants import support_triples
-from tests.conftest import family_with_orthogonal_pairs, family_with_support
+from qpc.invariants import TRIANGLE_BLOCK, checked_defects, support_triples
+from tests.conftest import (family_with_orthogonal_pairs, family_with_support,
+                            inconsistent_family)
 
 SQ2 = 2.0 ** -0.5
 GOLDEN_B = 0.25 + 0.25j
@@ -348,3 +351,55 @@ class TestAllTriangles:
         m = m | m.T
         expected = [t for t in combinations(range(9), 3) if all(m[a, b] for a, b in combinations(t, 2))]
         assert support_triples(m).tolist() == [list(t) for t in expected]
+
+
+def _two_states():
+    return StateFamily((QubitState(1.0, 0.0), QubitState(SQ2, SQ2)))
+
+
+class TestTriangleBlocks:
+    """triangle_blocks is all_triangles a block of rows at a time."""
+
+    FAMILIES = {
+        # vertex 0's 4,851 triples span the first two blocks
+        "complete n=100": lambda: family_with_support(np.random.default_rng(17), 100)[0],
+        "one orthogonal pair n=100": lambda: family_with_orthogonal_pairs(
+            np.random.default_rng(18), 100, 1),
+        "two states": _two_states,
+        "orthogonal pairs only": orthogonal_pairs_family,
+    }
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_blocks_concatenate_to_all_triangles_bit_for_bit(self, name):
+        g = gram(self.FAMILIES[name]())
+        table = all_triangles(g)
+        blocks = list(triangle_blocks(g))
+        assert all(0 < len(b) <= TRIANGLE_BLOCK for b in blocks)
+        assert all(len(b) == TRIANGLE_BLOCK for b in blocks[:-1])
+        for column, whole in vars(table).items():
+            parts = [getattr(b, column) for b in blocks]
+            joined = np.concatenate([whole[:0], *parts])
+            assert joined.dtype == whole.dtype and joined.shape == whole.shape
+            assert joined.tobytes() == whole.tobytes(), column
+        assert sum(1 for _ in checked_defects(g, phases(g))) == len(blocks)
+        for (t, kappa), b in zip(checked_defects(g, phases(g)), blocks):
+            assert t.tobytes() == b.triples.tobytes() and kappa.tobytes() == b.defect.tobytes()
+
+    def test_a_block_can_split_the_triples_of_one_vertex(self):
+        g = gram(self.FAMILIES["complete n=100"]())
+        first, second = (b.triples for b in itertools.islice(triangle_blocks(g), 2))
+        assert np.all(first[:, 0] == 0)
+        assert np.count_nonzero(second[:, 0] == 0) == 99 * 98 // 2 - TRIANGLE_BLOCK
+
+    def test_every_route_refuses_inconsistent_defects_alike(self):
+        g = gram(inconsistent_family())
+        message = "defect and normalized Bargmann invariant disagree: |delta| = inf"
+        with pytest.raises(ArithmeticError) as whole:
+            all_triangles(g, 0.0)
+        assert str(whole.value) == message
+        with pytest.raises(ArithmeticError) as blocked:
+            list(triangle_blocks(g, 0.0))
+        assert str(blocked.value) == message
+        with pytest.raises(ArithmeticError) as checked:
+            list(checked_defects(g, phases(g, 0.0)))
+        assert str(checked.value) == message
