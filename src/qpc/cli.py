@@ -59,6 +59,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not 0.0 <= value < math.inf:
@@ -90,7 +100,7 @@ def _section(heading: str, row: str, rows: int, blocks):
 
 # The options shared between subcommands; each takes those it reads.
 _OPTIONS = {
-    "--seed": dict(type=int, default=None,
+    "--seed": dict(type=_seed, default=None,
                    help="random seed (falls back to QPC_SEED, then 0)"),
     "--out": dict(default=None, help="write the main output to this path"),
     "--format": dict(choices=("text", "structured"), default="text",
@@ -151,13 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("QPC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise FileFormatError(f"QPC_SEED must be an integer, got {env!r}")
-    return 0
+    env = os.environ.get("QPC_SEED", "0")
+    try:
+        return _seed(env)
+    except argparse.ArgumentTypeError:
+        raise FileFormatError(f"QPC_SEED must be a non-negative integer, got {env!r}")
 
 
 def _emit(path, pieces) -> None:
@@ -216,10 +224,10 @@ def _triangle_record(block) -> dict:
 def _analysis(family, args):
     """Everything the analyze report shows; writes the --emit-* files on the way.
 
-    The triangles are not held: one pass over their blocks here counts
+    The triangles are not held: one walk of triangle_blocks here counts
     them, collects the branch-cut warnings and raises the consistency
-    refusal, all before --out is opened.  The report then renders the
-    blocks of the returned triangle_blocks callable as they are made.
+    refusal, all before --out is opened, and takes no angle.  The report
+    then walks the same blocks again and renders them as they are made.
     """
     zero_tol = args.zero_tol
     g = comparisons.gram(family)
@@ -233,10 +241,11 @@ def _analysis(family, args):
         save_text(args.emit_phase, matrix_to_json("phase", u))
     og = comparisons.orthogonality_graph(g, zero_tol)
     matching = comparisons.check_matching(og)
+    blocks = partial(invariants.triangle_blocks, g, zero_tol)
     rows, near_cut = 0, []
-    for t, kappa in invariants.checked_defects(g, u):
-        rows += len(t)
-        near_cut += t[_near_cut(kappa)].tolist()
+    for block in blocks():
+        rows += len(block)
+        near_cut += block.triples[_near_cut(block.defect)].tolist()
     # the test of states.rays_equal, 1 - |g_ij|^2 <= tol, on every pair i < j
     warnings = [
         f"states {i} and {j} represent the same ray; the "
@@ -248,7 +257,7 @@ def _analysis(family, args):
         "its solid angle is reported on the principal branch"
         for i, j, k in near_cut
     ]
-    return g, p, u, og, matching, (rows, partial(invariants.triangle_blocks, g, zero_tol)), warnings
+    return g, p, u, og, matching, (rows, blocks), warnings
 
 
 def _analysis_doc(family, load_warnings, args) -> dict:

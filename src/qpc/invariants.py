@@ -35,16 +35,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .comparisons import (DEFAULT_ZERO_TOL, GramMatrix, PhaseMatrix, _mul, _zero_tol, moduli,
-                          phases, principal_angle)
+from .comparisons import (DEFAULT_ZERO_TOL, GramMatrix, PhaseMatrix, _mul, _read_only, _zero_tol,
+                          moduli, phases, principal_angle)
 from .states import BlochVector
 
 DEFECT_CONSISTENCY_TOL = 1e-12  # the two defect computations must agree
 DEGENERACY_TOL = 1e-9           # antipodal pair cutoff for solid angles
-TRIANGLE_BLOCK = 4096           # rows of one block of triple_blocks
+TRIANGLE_BLOCK = 1024           # rows of one block of triple_blocks
 
 
 @dataclass(frozen=True)
@@ -70,21 +71,29 @@ class TriangleTable:
     """The TriangleReport fields of many triples, one read-only column each.
 
     Row t describes triples[t]: triples is a (T, 3) integer array,
-    bargmann and defect are complex columns, pancharatnam, solid_angle
-    and amplitude_factor float columns, all of length T.  len() is T,
-    and iterating yields one TriangleReport per row, in row order.
+    bargmann and defect are complex columns and amplitude_factor a float
+    column, all of length T.  pancharatnam = principal_angle(defect) and
+    solid_angle = -2 * pancharatnam are derived from defect when first
+    read.  len() is T, and iterating yields one TriangleReport per row,
+    in row order.
     """
 
     triples: np.ndarray
     bargmann: np.ndarray
     defect: np.ndarray
-    pancharatnam: np.ndarray
-    solid_angle: np.ndarray
     amplitude_factor: np.ndarray
 
     def __post_init__(self) -> None:
         for column in vars(self).values():
             column.setflags(write=False)
+
+    @cached_property
+    def pancharatnam(self) -> np.ndarray:
+        return _read_only(principal_angle(self.defect))
+
+    @cached_property
+    def solid_angle(self) -> np.ndarray:
+        return _read_only(-2.0 * self.pancharatnam)
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -241,45 +250,29 @@ def triple_blocks(mask: np.ndarray):
         yield np.concatenate(pending)
 
 
-def support_triples(mask: np.ndarray) -> np.ndarray:
-    """The blocks of triple_blocks(mask) as one (T, 3) integer array."""
-    return np.concatenate([np.empty((0, 3), dtype=int), *triple_blocks(mask)])
-
-
 def cycle_products(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(a_ij a_jk) a_ki for every row (i, j, k) of t."""
     i, j, k = t.T
     return _mul(_mul(a[i, j], a[j, k]), a[k, i])
 
 
-def _routes(g: np.ndarray, u: np.ndarray, t: np.ndarray):
-    """The Bargmann invariants and the defects of the rows of t, from the gram
-    and phase entries, and the largest |defect - bargmann / |bargmann||
-    among them (NaN if one is NaN; a |bargmann| below the float range
-    gives inf or NaN, without a warning)."""
+def _rows(g: np.ndarray, m: np.ndarray, u: np.ndarray, t: np.ndarray) -> TriangleTable:
+    """The row kernel: the TriangleTable of the rows of t, from the gram
+    entries g, their moduli m and the phase entries u.  It is refused when
+    the two defect routes, u_ij u_jk u_ki and bargmann / |bargmann|, differ
+    by more than DEFECT_CONSISTENCY_TOL on one of its rows, with the
+    largest difference (NaN if one is NaN; a |bargmann| below the float
+    range gives inf or NaN, without a warning)."""
     b = cycle_products(g, t)
     kappa = cycle_products(u, t)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         worst = moduli(kappa - b / moduli(b)).max(initial=0.0)
-    return b, kappa, worst
-
-
-def _refuse(worst) -> None:
     if not worst <= DEFECT_CONSISTENCY_TOL:
         raise ArithmeticError(
             f"defect and normalized Bargmann invariant disagree: |delta| = {float(worst)!r}"
         )
-
-
-def _rows(g: np.ndarray, m: np.ndarray, u: np.ndarray, t: np.ndarray) -> TriangleTable:
-    """The row kernel: the TriangleTable of the rows of t, from the gram
-    entries g, their moduli m and the phase entries u, refused when the
-    two defect routes disagree on one of them."""
-    b, kappa, worst = _routes(g, u, t)
-    _refuse(worst)
     i, j, k = t.T
-    gamma = principal_angle(kappa)
-    return TriangleTable(t, b, kappa, gamma, -2.0 * gamma, m[i, j] * m[j, k] * m[k, i])
+    return TriangleTable(t, b, kappa, m[i, j] * m[j, k] * m[k, i])
 
 
 def all_triangles(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> TriangleTable:
@@ -294,7 +287,8 @@ def all_triangles(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Triangle
     triangle_blocks yields the same rows a block at a time.
     """
     u = phases(g, zero_tol)
-    return _rows(g.entries, moduli(g.entries), u.entries, support_triples(u.support.mask))
+    t = np.concatenate([np.empty((0, 3), dtype=int), *triple_blocks(u.support.mask)])
+    return _rows(g.entries, moduli(g.entries), u.entries, t)
 
 
 def triangle_blocks(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL):
@@ -302,23 +296,9 @@ def triangle_blocks(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL):
     TRIANGLE_BLOCK rows at a time, so that memory stays O(n^2 + one block)
     whatever the triangle count.  Their columns, concatenated, equal
     all_triangles' bit for bit.  Each block is refused on its own rows:
-    a disagreement raises from the block that holds it, with that
+    a disagreement raises from the first block that holds one, with that
     block's worst |delta|."""
     u = phases(g, zero_tol)
     m = moduli(g.entries)
     for t in triple_blocks(u.support.mask):
         yield _rows(g.entries, m, u.entries, t)
-
-
-def checked_defects(g: GramMatrix, u: PhaseMatrix):
-    """Yield (triples, defects) for each block of triple_blocks on the
-    support of u, computing only the two defect routes; after the last
-    block, raise all_triangles' refusal if the worst |delta| over every
-    row passes DEFECT_CONSISTENCY_TOL.  A caller that walks every block
-    has then checked the whole table without holding it."""
-    worst = [0.0]
-    for t in triple_blocks(u.support.mask):
-        _, kappa, w = _routes(g.entries, u.entries, t)
-        worst.append(w)
-        yield t, kappa
-    _refuse(np.max(worst))

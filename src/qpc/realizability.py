@@ -38,7 +38,7 @@ import numpy as np
 from . import comparisons
 from .comparisons import (GramMatrix, PhaseMatrix, SupportGraph, deviations, moduli, overlaps,
                           require_square)
-from .invariants import cycle_products, support_triples
+from .invariants import cycle_products, triple_blocks
 from .states import QubitState, StateFamily, _match_tol, random_family
 
 PSD_TOL = 1e-10        # eigenvalue floor, relative to max(1, largest eigenvalue)
@@ -114,6 +114,8 @@ class SearchConfig:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         _match_tol(self.realize_tol, "realize_tol")
 
 
@@ -260,8 +262,9 @@ def _top_two(w: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _worst_triangle(u: PhaseMatrix) -> float:
     """Largest |u_ij u_jk u_ki - 1| over the support triangles, 0.0 without any."""
-    t = support_triples(u.support.mask)
-    return float(moduli(cycle_products(u.entries, t) - 1.0).max(initial=0.0))
+    worst = [moduli(cycle_products(u.entries, t) - 1.0).max()
+             for t in triple_blocks(u.support.mask)]
+    return float(np.max(worst, initial=0.0))
 
 
 def is_coherent(u: PhaseMatrix, tol: float) -> bool:

@@ -33,6 +33,7 @@ from qpc import (
 )
 from qpc import cli, invariants
 from qpc.cli import BRANCH_CUT_MARGIN, _analysis, _analysis_doc, main
+from qpc.comparisons import principal_angle
 from qpc.files import _FILL_CHUNK, MAX_PHASE_N, dump_doc
 from qpc.verification import run_all
 from tests.conftest import inconsistent_family, slack_gram, uniform_phases
@@ -324,7 +325,7 @@ class TestStreamedReport:
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_no_write_is_longer_than_a_chunk_of_rows(self, monkeypatch, tmp_path, fmt):
-        # 45 states give 14,190 triangles, over four blocks of rows
+        # 45 states give 14,190 triangles, over thirteen blocks of rows
         path = _family_file(tmp_path, 45, 4)
         stdout = _WriteSizes()
         monkeypatch.setattr(sys, "stdout", stdout)
@@ -413,6 +414,18 @@ class TestStreamedReport:
         assert main(["analyze", str(path), "--zero-tol", "0", "--format", fmt]) == 2
         assert stdout.pieces == []
 
+    def test_the_check_pass_takes_no_angle(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(invariants, "principal_angle",
+                            lambda z: calls.append(len(z)) or principal_angle(z))
+        fam, _ = family_from_json(load_text(str(DATA / "branch_cut.json")))
+        args = argparse.Namespace(zero_tol=1e-10, emit_gram=None, emit_probability=None,
+                                  emit_phase=None)
+        *_, (rows, blocks), warnings = _analysis(fam, args)
+        assert (rows, calls) == (4, [])
+        assert any("branch cut" in w for w in warnings)
+        assert [len(b.solid_angle) for b in blocks()] == calls == [4]
+
     @pytest.mark.parametrize("command, read", [
         ("analyze", 0), ("analyze", 100), ("analyze", 100_000), ("gen", 100), ("verify", 0),
     ], ids=["0", "100", "100000", "gen-100", "verify-0"])
@@ -432,6 +445,45 @@ class TestStreamedReport:
         err = proc.stderr.read()
         proc.stderr.close()
         assert (proc.wait(), err) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+class TestSeed:
+    """A seed is a non-negative integer, from --seed or QPC_SEED, wherever
+    a command reads one."""
+
+    @pytest.fixture
+    def files(self, tmp_path, octant_family):
+        coherent = PhaseMatrix.from_edges(3, {(0, 1): 1j, (0, 2): 1.0, (1, 2): -1j})
+        docs = {"gram": matrix_to_json("gram", gram(octant_family).entries),
+                "coherent": matrix_to_json("phase", coherent),
+                "searched": matrix_to_json("phase", uniform_phases(np.random.default_rng(3), 4))}
+        for name, doc in docs.items():
+            save_text(str(tmp_path / name), doc)
+        return lambda argv: [str(tmp_path / a) if a in docs else a for a in argv]
+
+    COMMANDS = [["gen", "--n", "3"], ["verify", "--cases", "1"], ["realize", "gram"],
+                ["realize", "coherent"], ["realize", "searched", "--restarts", "1"]]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: "-".join(argv[:2]))
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_a_seed_option_not_a_non_negative_integer_is_a_usage_error(self, capsys, files, argv, seed):
+        assert main([*files(argv), "--seed", seed]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage: qpc {argv[0]} ")
+        assert err.endswith(f"error: argument --seed: must be a non-negative integer, "
+                            f"got '{seed}'\n")
+
+    @pytest.mark.parametrize("argv", [a for a in COMMANDS if a[1] != "gram"],
+                             ids=lambda argv: "-".join(argv[:2]))
+    def test_a_negative_qpc_seed_is_a_usage_error(self, capsys, monkeypatch, files, argv):
+        monkeypatch.setenv("QPC_SEED", "-3")
+        assert main(files(argv)) == 2
+        assert capsys.readouterr() == ("", "error: QPC_SEED must be a non-negative integer, "
+                                           "got '-3'\n")
+
+    def test_a_gram_file_reads_no_qpc_seed(self, capsys, monkeypatch, files):
+        monkeypatch.setenv("QPC_SEED", "-3")
+        assert main(files(["realize", "gram"])) == 0
 
 
 class TestCheck:

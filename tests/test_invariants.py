@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import itertools
 from itertools import combinations
 from pathlib import Path
 
@@ -30,7 +29,9 @@ from qpc import (
     triangle_blocks,
     triangle_report,
 )
-from qpc.invariants import TRIANGLE_BLOCK, checked_defects, support_triples
+from qpc import invariants
+from qpc.comparisons import principal_angle
+from qpc.invariants import TRIANGLE_BLOCK, triple_blocks
 from tests.conftest import (family_with_orthogonal_pairs, family_with_support,
                             inconsistent_family)
 
@@ -323,6 +324,24 @@ class TestAllTriangles:
             assert not column.flags.writeable
         assert not table.triples.flags.writeable
 
+    def test_angle_columns_are_derived_once_from_the_defects(self, monkeypatch):
+        _, g = family_with_support(np.random.default_rng(55), 6)
+        table = all_triangles(g)
+        calls = []
+        monkeypatch.setattr(invariants, "principal_angle",
+                            lambda z: calls.append(z) or principal_angle(z))
+        assert "pancharatnam" not in vars(table) and "solid_angle" not in vars(table)
+        expected = principal_angle(table.defect)
+        assert table.solid_angle.tobytes() == (-2.0 * expected).tobytes()
+        assert table.pancharatnam.tobytes() == expected.tobytes()
+        assert table.pancharatnam is table.pancharatnam
+        assert table.solid_angle is table.solid_angle
+        assert len(calls) == 1 and calls[0] is table.defect
+        for name in ("pancharatnam", "solid_angle"):
+            assert not getattr(table, name).flags.writeable
+            with pytest.raises(AttributeError):
+                setattr(table, name, expected)
+
     def test_empty_table(self):
         table = all_triangles(gram(orthogonal_pairs_family()))
         assert len(table) == 0 and list(table) == []
@@ -350,7 +369,7 @@ class TestAllTriangles:
         m = np.triu(rng.random((9, 9)) < 0.6, 1)
         m = m | m.T
         expected = [t for t in combinations(range(9), 3) if all(m[a, b] for a, b in combinations(t, 2))]
-        assert support_triples(m).tolist() == [list(t) for t in expected]
+        assert np.concatenate([*triple_blocks(m)]).tolist() == [list(t) for t in expected]
 
 
 def _two_states():
@@ -361,7 +380,7 @@ class TestTriangleBlocks:
     """triangle_blocks is all_triangles a block of rows at a time."""
 
     FAMILIES = {
-        # vertex 0's 4,851 triples span the first two blocks
+        # vertex 0's 4,851 triples span the first five blocks
         "complete n=100": lambda: family_with_support(np.random.default_rng(17), 100)[0],
         "one orthogonal pair n=100": lambda: family_with_orthogonal_pairs(
             np.random.default_rng(18), 100, 1),
@@ -376,20 +395,21 @@ class TestTriangleBlocks:
         blocks = list(triangle_blocks(g))
         assert all(0 < len(b) <= TRIANGLE_BLOCK for b in blocks)
         assert all(len(b) == TRIANGLE_BLOCK for b in blocks[:-1])
-        for column, whole in vars(table).items():
+        for column in ("triples", "bargmann", "defect", "pancharatnam", "solid_angle",
+                       "amplitude_factor"):
+            whole = getattr(table, column)
             parts = [getattr(b, column) for b in blocks]
             joined = np.concatenate([whole[:0], *parts])
             assert joined.dtype == whole.dtype and joined.shape == whole.shape
             assert joined.tobytes() == whole.tobytes(), column
-        assert sum(1 for _ in checked_defects(g, phases(g))) == len(blocks)
-        for (t, kappa), b in zip(checked_defects(g, phases(g)), blocks):
-            assert t.tobytes() == b.triples.tobytes() and kappa.tobytes() == b.defect.tobytes()
 
     def test_a_block_can_split_the_triples_of_one_vertex(self):
         g = gram(self.FAMILIES["complete n=100"]())
-        first, second = (b.triples for b in itertools.islice(triangle_blocks(g), 2))
-        assert np.all(first[:, 0] == 0)
-        assert np.count_nonzero(second[:, 0] == 0) == 99 * 98 // 2 - TRIANGLE_BLOCK
+        firsts = [b.triples[:, 0] for b in triangle_blocks(g)]
+        # the block where vertex 0's 99 * 98 / 2 triples end holds vertex 1's first
+        end = next(e for e, first in enumerate(firsts) if np.any(first != 0))
+        assert end > 0 and all(np.all(first == 0) for first in firsts[:end])
+        assert np.count_nonzero(firsts[end] == 0) == 99 * 98 // 2 % TRIANGLE_BLOCK > 0
 
     def test_every_route_refuses_inconsistent_defects_alike(self):
         g = gram(inconsistent_family())
@@ -400,6 +420,3 @@ class TestTriangleBlocks:
         with pytest.raises(ArithmeticError) as blocked:
             list(triangle_blocks(g, 0.0))
         assert str(blocked.value) == message
-        with pytest.raises(ArithmeticError) as checked:
-            list(checked_defects(g, phases(g, 0.0)))
-        assert str(checked.value) == message

@@ -677,6 +677,8 @@ class TestSearchInternals:
             SearchConfig(restarts=0)
         with pytest.raises(ValueError, match="max_iters"):
             SearchConfig(max_iters=0)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            SearchConfig(seed=-1)
         for tol in (0.0, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="realize_tol must be positive and finite"):
                 SearchConfig(realize_tol=tol)
