@@ -20,7 +20,9 @@ import dataclasses
 import math
 import os
 import sys
-from contextlib import nullcontext
+import threading
+from collections import deque
+from contextlib import closing, nullcontext
 from functools import partial
 
 import numpy as np
@@ -53,9 +55,12 @@ BRANCH_CUT_MARGIN = 1e-6
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 
@@ -70,9 +75,12 @@ def _seed(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
 
 
@@ -87,15 +95,113 @@ def _complex_columns(z: np.ndarray) -> list:
     return [z.real, np.where(z.imag >= 0, "+", "-"), np.abs(z.imag)]
 
 
-def _section(heading: str, row: str, rows: int, blocks):
-    """Yield the heading, then rows lines of the template row or "  none",
-    each line after a newline and the rows in chunks.  blocks yields
-    (count, columns) pairs: count lines filled from columns, in order."""
+def _lines(row: str, rows: int, columns: list):
+    """rows lines of the template row filled from columns, each after a
+    newline, in chunks of rows."""
+    return row_pieces("\n" + row, "", rows, columns)
+
+
+def _section(heading: str, rows: int, lines):
+    """Yield the heading, then the pieces of lines, or "  none" when rows is 0."""
     yield "\n" + heading
     if not rows:
         yield "\n  none"
-    for count, columns in blocks:
-        yield from row_pieces("\n" + row, "", count, columns)
+    yield from lines
+
+
+# Triangles from which analyze renders its triangle rows in forked workers,
+# one per usable CPU.  Starting and ending two workers takes about 11 ms, and
+# they break even at about 5,000 rows of the text report (3,700 structured);
+# the bound is twice that, a margin for a noisier or slower host.
+POOL_MIN_ROWS = 10_000
+
+
+def _workers(rows: int) -> int:
+    """The processes that render rows triangle rows: every usable CPU when
+    there are several, rows reach POOL_MIN_ROWS and this process may fork
+    workers (fork is available, no other thread runs that a child could
+    inherit holding a lock, and this is no daemonic multiprocessing worker,
+    which may start no process); else 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if rows < POOL_MIN_ROWS or cpus < 2 or threading.active_count() > 1:
+        return 1
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return 1 if multiprocessing.current_process().daemon else cpus
+
+
+def _serve(conn, fn, parent_ends) -> None:
+    """A forked worker of _ordered_map: answer each item that conn brings with
+    (fn(item), None), or (None, the exception it raised), until the parent
+    closes its end.  parent_ends are the parent's ends of the pipes, which
+    the fork copied: closed here, so that the parent's close is an end."""
+    import signal
+
+    # a Ctrl-C reaches the whole process group; the parent alone reports it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in parent_ends:
+        end.close()
+    try:
+        while True:
+            item = conn.recv()
+            try:
+                answer = fn(item), None
+            except Exception as e:
+                answer = None, e
+            conn.send(answer)
+    except (EOFError, OSError):  # the parent closed its end, done or not
+        pass
+
+
+def _ordered_map(fn, items, workers: int = 1):
+    """Yield fn(item) for each of items, in order.
+
+    With workers > 1 the calls run in that many processes, forked when the
+    first result is asked for; item k goes to worker k % workers.  They
+    inherit fn and all it refers to, so only the items and the results
+    are pickled, and at most 2 * workers items are pending at a time.  An
+    exception fn raises in a worker is raised here.  When the walk ends,
+    whether it finishes, raises or is closed early, the parent closes its
+    ends of the pipes and waits for every worker to exit.  Forking flushes
+    the standard streams first (multiprocessing does), so no worker holds
+    output of the parent's to write again as it exits.
+    """
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    import multiprocessing
+    context = multiprocessing.get_context("fork")
+    conns, procs = [], []
+    try:
+        for _ in range(workers):
+            conn, child = context.Pipe()
+            conns.append(conn)
+            proc = context.Process(target=_serve, args=(child, fn, conns), daemon=True)
+            proc.start()
+            procs.append(proc)
+            child.close()
+        pending = deque()
+        for k, item in enumerate(items):
+            conn = conns[k % workers]
+            conn.send(item)
+            pending.append(conn)
+            if len(pending) == 2 * workers:
+                yield _answer(pending.popleft())
+        while pending:
+            yield _answer(pending.popleft())
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
+
+
+def _answer(conn):
+    value, error = conn.recv()
+    if error is not None:
+        raise error
+    return value
 
 
 # The options shared between subcommands; each takes those it reads.
@@ -204,13 +310,20 @@ def _near_cut(kappa: np.ndarray) -> np.ndarray:
     return near
 
 
-def _triangle_columns(block) -> list:
-    return [*block.triples.T, *_complex_columns(block.bargmann),
-            *_complex_columns(block.defect), block.pancharatnam, block.solid_angle,
-            block.amplitude_factor]
+_TRIANGLE_ROW = ("  (%d, %d, %d): bargmann " + _COMPLEX + "  defect " + _COMPLEX
+                 + "  pancharatnam " + _REAL + "  solid_angle " + _REAL + "  amplitude " + _REAL)
 
 
-def _triangle_record(block) -> dict:
+def _triangle_lines(kernel, t) -> str:
+    """The text report's lines of the triangles of the rows of t."""
+    block = kernel(t)
+    return "".join(_lines(_TRIANGLE_ROW, len(block), [
+        *block.triples.T, *_complex_columns(block.bargmann), *_complex_columns(block.defect),
+        block.pancharatnam, block.solid_angle, block.amplitude_factor]))
+
+
+def _triangle_record(kernel, t) -> dict:
+    block = kernel(t)
     return {
         "triple": list(block.triples.T),
         "bargmann": re_im(block.bargmann),
@@ -224,8 +337,12 @@ def _triangle_record(block) -> dict:
 def _analysis(family, args):
     """Everything the analyze report shows; writes the --emit-* files on the way.
 
-    The triangles are not held: one walk of triangle_blocks here counts
-    them, collects the branch-cut warnings and raises the consistency
+    The triangles are not held.  They come as (rows, kernel, triples):
+    triples() yields the (T, 3) blocks of invariants.triple_blocks, and
+    kernel(t) is the TriangleTable of the rows of t, the rows of
+    invariants.triangle_blocks, made from the gram entries, their moduli
+    and the phase entries computed here once.  One walk here counts the
+    triangles, collects the branch-cut warnings and raises the consistency
     refusal, all before --out is opened, and takes no angle.  The report
     then walks the same blocks again and renders them as they are made.
     """
@@ -241,9 +358,10 @@ def _analysis(family, args):
         save_text(args.emit_phase, matrix_to_json("phase", u))
     og = comparisons.orthogonality_graph(g, zero_tol)
     matching = comparisons.check_matching(og)
-    blocks = partial(invariants.triangle_blocks, g, zero_tol)
+    kernel = partial(invariants._rows, g.entries, comparisons.moduli(g.entries), u.entries)
+    triples = partial(invariants.triple_blocks, u.support.mask)
     rows, near_cut = 0, []
-    for block in blocks():
+    for block in map(kernel, triples()):
         rows += len(block)
         near_cut += block.triples[_near_cut(block.defect)].tolist()
     # the test of states.rays_equal, 1 - |g_ij|^2 <= tol, on every pair i < j
@@ -257,11 +375,11 @@ def _analysis(family, args):
         "its solid angle is reported on the principal branch"
         for i, j, k in near_cut
     ]
-    return g, p, u, og, matching, (rows, blocks), warnings
+    return g, p, u, og, matching, (rows, kernel, triples), warnings
 
 
 def _analysis_doc(family, load_warnings, args) -> dict:
-    g, p, u, og, matching, (rows, blocks), warnings = _analysis(family, args)
+    g, p, u, og, matching, (rows, kernel, triples), warnings = _analysis(family, args)
     return {
         "version": 1,
         "n": len(family),
@@ -274,47 +392,48 @@ def _analysis_doc(family, load_warnings, args) -> dict:
             "edges": Records(list(og.pairs)),
             "matching": matching,
         },
-        "triangles": Records.of_blocks(rows, lambda: map(_triangle_record, blocks())),
+        "triangles": Records.of_blocks(rows, triples, partial(_triangle_record, kernel),
+                                       partial(_ordered_map, workers=_workers(rows))),
         "warnings": list(load_warnings) + warnings,
     }
 
 
 def _analysis_text(family, load_warnings, analysis):
     """Yield the text report in pieces, none longer than one chunk of rows."""
-    g, p, u, og, matching, (rows, blocks), warnings = analysis
+    g, p, u, og, matching, (rows, kernel, triples), warnings = analysis
     n = len(family)
     yield f"family of {n} state(s)"
     if family.labels is not None:
         yield "\nlabels: " + ", ".join(family.labels)
-    yield from _section("gram matrix:", ("  " + _COMPLEX) * n, n,
-                        [(n, _complex_columns(g.entries.ravel()))])
-    yield from _section("probability matrix:", ("  " + _REAL) * n, n,
-                        [(n, [p.entries.ravel()])])
+    yield from _section("gram matrix:", n, _lines(("  " + _COMPLEX) * n, n,
+                                                   _complex_columns(g.entries.ravel())))
+    yield from _section("probability matrix:", n, _lines(("  " + _REAL) * n, n,
+                                                          [p.entries.ravel()]))
     i, j = u.support.pairs
     z = u.entries[i, j]
-    yield from _section("phases on support pairs:",
-                        "  (%d, %d): " + _COMPLEX + "  angle " + _REAL,
-                        len(z), [(len(z), [i, j, *_complex_columns(z),
-                                           comparisons.principal_angle(z)])])
+    yield from _section("phases on support pairs:", len(z), _lines(
+        "  (%d, %d): " + _COMPLEX + "  angle " + _REAL, len(z),
+        [i, j, *_complex_columns(z), comparisons.principal_angle(z)]))
     i, j = og.pairs
     yield "\northogonal pairs: "
     yield from row_pieces("(%d, %d)", ", ", len(i), [i, j]) if len(i) else ["none"]
     yield f"\northogonality graph is a matching: {'yes' if matching else 'no'}"
-    yield from _section("triangles:", "  (%d, %d, %d): bargmann " + _COMPLEX + "  defect "
-                        + _COMPLEX + "  pancharatnam " + _REAL + "  solid_angle " + _REAL
-                        + "  amplitude " + _REAL,
-                        rows, ((len(b), _triangle_columns(b)) for b in blocks()))
+    yield from _section("triangles:", rows, _ordered_map(partial(_triangle_lines, kernel),
+                                                         triples(), _workers(rows)))
     yield "".join(f"\nwarning: {w}" for w in list(load_warnings) + warnings)
     yield "\n"
 
 
 def cmd_analyze(args) -> int:
     family, load_warnings = family_from_json(load_text(args.family))
-    # the whole analysis, --emit-* files included, runs before --out is opened
+    # the whole analysis, --emit-* files included, runs before --out is opened;
+    # the report is closed when _emit ends, so that its workers end with it
     if args.format == "structured":
-        _emit(args.out, doc_pieces(_analysis_doc(family, load_warnings, args)))
+        report = doc_pieces(_analysis_doc(family, load_warnings, args))
     else:
-        _emit(args.out, _analysis_text(family, load_warnings, _analysis(family, args)))
+        report = _analysis_text(family, load_warnings, _analysis(family, args))
+    with closing(report):
+        _emit(args.out, report)
     return EXIT_OK
 
 
@@ -376,8 +495,8 @@ def _result_text(result) -> str:
         text += f"\ndiagnostics: {result.diagnostics}"
     if result.certificate is not None:
         v = result.certificate.vectors
-        text += "".join(_section("certificate states:", ("  " + _COMPLEX) * 2, len(v),
-                                 [(len(v), _complex_columns(v.ravel()))]))
+        text += "".join(_section("certificate states:", len(v), _lines(
+            ("  " + _COMPLEX) * 2, len(v), _complex_columns(v.ravel()))))
     return text + "\n"
 
 

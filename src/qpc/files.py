@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -121,31 +122,43 @@ class Records(Sequence):
     """
 
     def __init__(self, shape):
-        block = _checked(shape)
-        self._rows, self._blocks = len(block[1][0]), lambda: [block]
+        shape, columns = _checked(shape)
+        rows = len(columns[0])
+        # a block of its own for every _FILL_CHUNK records
+        self._rows, self._items, self._map = rows, lambda: range(0, rows, _FILL_CHUNK), map
+        self._block = lambda start: (shape, [c[start:start + _FILL_CHUNK] for c in columns])
 
     @classmethod
-    def of_blocks(cls, rows: int, blocks):
-        """rows records, those of the shapes that the iterator blocks() yields,
-        in order.  blocks is called once per walk of the array, so only one
-        block's columns need exist at a time; a block that is not a valid
-        shape, or blocks that do not hold rows records in all, raise
-        ValueError when the walk reaches them."""
+    def of_blocks(cls, rows: int, blocks, shape, mapper=map):
+        """rows records, those of the shapes shape(item) for each item that
+        the iterator blocks() yields, in order.  blocks is called once per
+        walk of the array, so only one block's columns need exist at a time;
+        a block that is not a valid shape, or blocks that do not hold rows
+        records in all, raise ValueError when the walk reaches them.
+
+        render renders each block as one string, with mapper(function,
+        blocks()): a mapper that runs the function elsewhere, such as in
+        other processes, must yield its results in order.  Blocks of at
+        most _FILL_CHUNK records keep each of those strings to one chunk."""
         records = cls.__new__(cls)
-        records._rows, records._blocks = rows, lambda: map(_checked, blocks())
+        records._rows, records._items, records._map = rows, blocks, mapper
+        records._block = lambda item: _checked(shape(item))
         return records
 
     def __len__(self) -> int:
         return self._rows
 
+    def _counted(self, seen: int) -> None:
+        if seen != self._rows:
+            raise ValueError(f"record blocks hold {seen} records, not {self._rows}")
+
     def _walk(self):
         """(shape, columns) of each block, in order."""
         seen = 0
-        for shape, columns in self._blocks():
+        for shape, columns in map(self._block, self._items()):
             seen += len(columns[0])
             yield shape, columns
-        if seen != self._rows:
-            raise ValueError(f"record blocks hold {seen} records, not {self._rows}")
+        self._counted(seen)
 
     def __iter__(self):
         for shape, columns in self._walk():
@@ -163,19 +176,26 @@ class Records(Sequence):
 
     def render(self, level: int):
         """The array as json.dumps(..., indent=2) writes it at level, yielded
-        in chunks of rows."""
+        a block of rows at a time."""
         if not self:
             yield "[]"
             return
-        sep = "["
-        for shape, columns in self._walk():
-            if not len(columns[0]):
-                continue
-            yield sep
-            yield from row_pieces(_indent(level + 1) + _row(shape, level + 1)[0], ",",
-                                  len(columns[0]), columns)
-            sep = ","
+        sep, seen = "[", 0
+        for rows, text in self._map(partial(_block_text, self._block, level + 1), self._items()):
+            seen += rows
+            if rows:
+                yield sep
+                yield text
+                sep = ","
+        self._counted(seen)
         yield _indent(level) + "]"
+
+
+def _block_text(block, level: int, item) -> tuple:
+    """(rows, text): the records of block(item) at nesting level, joined by commas."""
+    shape, columns = block(item)
+    rows = len(columns[0])
+    return rows, "".join(row_pieces(_indent(level) + _row(shape, level)[0], ",", rows, columns))
 
 
 def _checked(shape):

@@ -19,6 +19,16 @@ qpc analyze "$d/family.json" --emit-gram "$d/gram.json" --emit-phase "$d/phase.j
 qpc analyze "$d/family.json" --format structured --out "$d/report.json"
 qpc analyze "$d/family.json" --format structured > "$d/stdout.json"
 cmp "$d/report.json" "$d/stdout.json"
+# 34,220 triangles: analyze renders them in forked workers where two CPUs
+# are usable, and must print the bytes it prints on one
+qpc gen --n 60 --seed 7 --out "$d/family60.json"
+cpu=$(python -c "import os; print(min(os.sched_getaffinity(0)))")
+for format in text structured; do
+  qpc analyze "$d/family60.json" --format "$format" --out "$d/every-cpu.$format"
+  taskset -c "$cpu" python -W error -m qpc analyze "$d/family60.json" --format "$format" \
+    > "$d/one-cpu.$format"
+  cmp "$d/every-cpu.$format" "$d/one-cpu.$format"
+done
 # a reader that leaves early makes even a one-string output exit 2
 status=0
 qpc gen --n 100000 --seed 1 | head -c 100 > /dev/null || status=${PIPESTATUS[0]}

@@ -2,12 +2,15 @@
 
 import argparse
 import cmath
+import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -31,12 +34,13 @@ from qpc import (
     rays_equal,
     save_text,
 )
-from qpc import cli, invariants
-from qpc.cli import BRANCH_CUT_MARGIN, _analysis, _analysis_doc, main
-from qpc.comparisons import principal_angle
+from qpc import cli, comparisons, invariants
+from qpc.cli import BRANCH_CUT_MARGIN, _analysis, _analysis_doc, _ordered_map, _workers, main
+from qpc.comparisons import phases, principal_angle
 from qpc.files import _FILL_CHUNK, MAX_PHASE_N, dump_doc
 from qpc.verification import run_all
-from tests.conftest import inconsistent_family, slack_gram, uniform_phases
+from tests.conftest import (family_with_orthogonal_pairs, inconsistent_family, slack_gram,
+                            uniform_phases)
 from tests.test_verification import BARGMANN_PROPERTIES
 
 SQ2 = 2.0 ** -0.5
@@ -351,11 +355,19 @@ class TestStreamedReport:
     @staticmethod
     def peak(out_path, *argv) -> int:
         """The peak RSS in bytes of a fresh interpreter that imports qpc.cli
-        and runs main(argv) if argv is given, writing stdout to out_path."""
+        and runs main(argv) if argv is given, writing stdout to out_path.
+
+        Linux starts the ru_maxrss of a child at the peak of the process it
+        was forked from, here the test runner, so the child reads the peak
+        of its own address space, VmHWM, where /proc has it."""
         script = ("import resource, sys, qpc.cli\n"
                   "code = qpc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,"
-                  " file=sys.stderr)\n")
+                  "try:\n"
+                  "    with open('/proc/self/status') as f:\n"
+                  "        kb = next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
+                  "except OSError:\n"
+                  "    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                  "print(code, kb * 1024, file=sys.stderr)\n")
         with open(out_path, "wb") as out:
             proc = subprocess.run([sys.executable, "-c", script, *argv], stdout=out,
                                   stderr=subprocess.PIPE, text=True, check=True,
@@ -421,17 +433,40 @@ class TestStreamedReport:
         fam, _ = family_from_json(load_text(str(DATA / "branch_cut.json")))
         args = argparse.Namespace(zero_tol=1e-10, emit_gram=None, emit_probability=None,
                                   emit_phase=None)
-        *_, (rows, blocks), warnings = _analysis(fam, args)
+        *_, (rows, kernel, triples), warnings = _analysis(fam, args)
         assert (rows, calls) == (4, [])
         assert any("branch cut" in w for w in warnings)
-        assert [len(b.solid_angle) for b in blocks()] == calls == [4]
+        assert [len(kernel(t).solid_angle) for t in triples()] == calls == [4]
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_one_analyze_computes_the_phases_once(self, monkeypatch, tmp_path, fmt):
+        # the check pass and the report share one phase matrix
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return phases(*args)
+
+        for module in (comparisons, invariants):
+            monkeypatch.setattr(module, "phases", counted)
+        out = tmp_path / "report"
+        assert main(["analyze", _family_file(tmp_path, 30, 2), "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert out.stat().st_size > 0
 
     @pytest.mark.parametrize("command, read", [
         ("analyze", 0), ("analyze", 100), ("analyze", 100_000), ("gen", 100), ("verify", 0),
-    ], ids=["0", "100", "100000", "gen-100", "verify-0"])
+        ("analyze-80-text", 100), ("analyze-80-structured", 100),
+    ], ids=["0", "100", "100000", "gen-100", "verify-0", "pooled-text-100",
+            "pooled-structured-100"])
     def test_a_reader_that_closes_early_gets_one_error(self, tmp_path, command, read):
         argv = {
             "analyze": ["analyze", _family_file(tmp_path, 40, 7), "--format", "structured"],
+            # 82,160 triangles: rendered by workers wherever two CPUs are usable
+            "analyze-80-text": ["analyze", _family_file(tmp_path, 80, 7)],
+            "analyze-80-structured": ["analyze", _family_file(tmp_path, 80, 7),
+                                      "--format", "structured"],
             # one string of 19.5 MB, far more than a pipe holds
             "gen": ["gen", "--n", "100000", "--seed", "1"],
             "verify": ["verify", "--cases", "5"],
@@ -445,6 +480,147 @@ class TestStreamedReport:
         err = proc.stderr.read()
         proc.stderr.close()
         assert (proc.wait(), err) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+def _pin_to_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _doubled(x):
+    return 2 * x
+
+
+def _refuse_seven(x):
+    if x == 7:
+        raise ValueError(f"item {x} refused")
+    return x
+
+
+class TestWorkers:
+    """analyze renders its triangle rows on every usable CPU, in forked
+    workers, and prints the same bytes as on one."""
+
+    # sha256 of analyze on gen --n 80 --seed 7, as printed on one CPU
+    SHA256_80 = {
+        "structured": "4bb24a715dbba434ae00b43ed54d075abaf02261fe8e0adff38984726592e05f",
+        "text": "6e4b129e380bbcd78b126bcd2f70a15b774b082d7f405c882ea5f6c32717de45",
+    }
+
+    @pytest.fixture(scope="class")
+    def families(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("families")
+        gen = d / "gen80.json"
+        assert main(["gen", "--n", "80", "--seed", "7", "--out", str(gen)]) == 0
+        antipodal = d / "antipodal60.json"
+        fam = family_with_orthogonal_pairs(np.random.default_rng(60), 60, 6)
+        save_text(str(antipodal), family_to_json(fam))
+        return {"gen80": str(gen), "antipodal60": str(antipodal)}
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("name", ["gen80", "antipodal60"])
+    def test_the_bytes_do_not_depend_on_the_cpus(self, families, name, fmt):
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no sched_setaffinity")
+
+        def analyze(preexec_fn=None):
+            return subprocess.run(
+                [sys.executable, "-W", "error", "-m", "qpc", "analyze", families[name],
+                 "--format", fmt],
+                capture_output=True, check=True, preexec_fn=preexec_fn,
+                env=dict(os.environ, PYTHONPATH=SRC)).stdout
+
+        every_cpu = analyze()
+        assert analyze(_pin_to_one_cpu) == every_cpu
+        if name == "gen80":
+            assert hashlib.sha256(every_cpu).hexdigest() == self.SHA256_80[fmt]
+        else:
+            # six orthogonal pairs take their triangles off the support
+            assert every_cpu.count(b"pancharatnam") == 34220 - 6 * 58
+
+    def test_when_workers_are_used(self, monkeypatch):
+        assert _workers(cli.POOL_MIN_ROWS - 1) == 1
+        assert _workers(cli.POOL_MIN_ROWS) == (_cpus() if _cpus() > 1 else 1)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert _workers(10**9) == 1
+        monkeypatch.undo()
+        # a daemonic worker, such as one of a multiprocessing.Pool, may start no process
+        context = multiprocessing.get_context("fork")
+        answer, end = context.Pipe()
+        daemon = context.Process(target=lambda: end.send(_workers(10**9)), daemon=True)
+        daemon.start()
+        assert answer.poll(30) and answer.recv() == 1
+        daemon.join(30)
+        assert not daemon.is_alive()
+        # a fork copies no other thread, and a child could inherit one's lock
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert _workers(10**9) == 1
+        finally:
+            stop.set()
+            thread.join()
+
+    def test_ordered_map_keeps_the_order_and_ends_its_workers(self):
+        assert list(_ordered_map(_doubled, range(50), 3)) == list(map(_doubled, range(50)))
+        assert multiprocessing.active_children() == []
+
+    def test_an_exception_in_a_worker_is_raised_in_the_parent(self):
+        walk = _ordered_map(_refuse_seven, range(50), 2)
+        with pytest.raises(ValueError, match="item 7 refused"):
+            assert list(walk) == []
+        assert multiprocessing.active_children() == []
+
+    def test_a_walk_closed_early_ends_its_workers(self):
+        walk = _ordered_map(_doubled, range(50), 2)
+        assert next(walk) == 0
+        assert multiprocessing.active_children() != []
+        walk.close()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_an_in_process_report_is_the_same_and_leaves_no_worker(self, monkeypatch, tmp_path,
+                                                                   fmt, families):
+        # stdout is a buffered file here, as in a harness that redirects it:
+        # a worker must not write what the parent had buffered at the fork
+        used = []
+        monkeypatch.setattr(cli, "_workers", lambda rows: used.append(_workers(rows)) or used[-1])
+        pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+        with open(pooled, "w", encoding="utf-8") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(["analyze", families["gen80"], "--format", fmt]) == 0
+        assert used == [_cpus() if _cpus() > 1 else 1]
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(cli, "POOL_MIN_ROWS", 10**12)
+        assert main(["analyze", families["gen80"], "--format", fmt, "--out", str(serial)]) == 0
+        assert used[-1] == 1
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_a_failing_write_leaves_no_worker(self, monkeypatch, capsys, families, fmt):
+        class Closing(_WriteSizes):
+            """A stdout whose reader leaves five writes after the triangles' heading."""
+
+            start = None
+
+            def write(self, text):
+                if self.start is None and "triangles" in text:
+                    self.start = len(self.pieces)
+                elif self.start is not None and len(self.pieces) == self.start + 5:
+                    self.workers = multiprocessing.active_children()
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        stdout = Closing()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["analyze", families["gen80"], "--format", fmt]) == 2
+        assert len(stdout.workers) == (_cpus() if _cpus() > 1 else 0)
+        assert multiprocessing.active_children() == []
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 class TestSeed:
@@ -887,6 +1063,21 @@ class TestOptions:
     def test_tolerances_must_be_finite(self, capsys, argv):
         assert main(argv) == 2
         assert "must be a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, rule", [
+        (["gen", "--n", "x"], "must be a positive integer, got 'x'"),
+        (["realize", "phase.json", "--restarts", "x"], "must be a positive integer, got 'x'"),
+        (["realize", "phase.json", "--max-iters", "1.5"], "must be a positive integer, got '1.5'"),
+        (["verify", "--cases", ""], "must be a positive integer, got ''"),
+        (["analyze", "family.json", "--zero-tol", "x"], "must be a finite number >= 0, got 'x'"),
+        (["realize", "phase.json", "--realize-tol", "1e-7x"],
+         "must be a finite number >= 0, got '1e-7x'"),
+    ], ids=["n", "restarts", "max-iters", "cases", "zero-tol", "realize-tol"])
+    def test_a_non_numeric_option_names_its_rule(self, capsys, argv, rule):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: {rule}" in err
+        assert "invalid" not in err
 
     @staticmethod
     def realize_in_4_gib(tmp_path, n: int):

@@ -1,4 +1,5 @@
-"""Start-up cost: no command loads scipy, the phase search included.
+"""Start-up cost: no command loads scipy, the phase search included, and
+the small commands load no module of analyze's worker processes.
 
 Each check runs in a fresh interpreter, because the test process itself
 may have imported scipy long since.
@@ -15,8 +16,11 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 SCRIPT = """
 import cmath, contextlib, io, os, sys
 
+def loaded(*tops):
+    return sorted(m for m in sys.modules if m.partition(".")[0] in tops)
+
 def scipy_loaded():
-    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+    return loaded("scipy")
 
 import qpc, qpc.cli
 assert scipy_loaded() == [], scipy_loaded()
@@ -49,6 +53,8 @@ assert "status: realizable" in run("realize", path("gram.json"))
 assert "single base state" in run("realize", path("coherent.json"))
 run("verify", "--cases", "2")
 assert scipy_loaded() == [], scipy_loaded()
+# a 4-state analyze renders in this process
+assert loaded("multiprocessing", "concurrent") == [], loaded("multiprocessing", "concurrent")
 
 # from here on any import of scipy raises ImportError
 sys.modules["scipy"] = None
