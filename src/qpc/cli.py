@@ -9,8 +9,9 @@ Subcommands:
     verify    run the registered self-check properties
 
 Exit codes: 0 success or a positive verdict, 1 a negative verdict,
-2 usage or parse errors, 3 an inconclusive search.  The environment
-variable QPC_SEED supplies a default seed when --seed is absent.
+2 usage or parse errors, 3 an inconclusive search, 130 an interrupt
+(Ctrl-C).  The environment variable QPC_SEED supplies a default seed
+when --seed is absent.
 """
 
 from __future__ import annotations
@@ -21,17 +22,18 @@ import math
 import os
 import sys
 import threading
-from collections import deque
 from contextlib import closing, nullcontext
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import comparisons, invariants, realizability, states, verification
 from .files import (
+    _FILL_CHUNK,
     FileFormatError,
     Records,
-    doc_pieces,
+    doc_parts,
     dump_doc,
     family_doc,
     family_from_json,
@@ -41,7 +43,9 @@ from .files import (
     matrix_from_json,
     matrix_to_json,
     re_im,
+    row_chunk,
     row_pieces,
+    run_parts,
     save_text,
 )
 
@@ -49,6 +53,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, what shells report for an interrupted command
 
 DUPLICATE_RAY_TOL = 1e-9
 BRANCH_CUT_MARGIN = 1e-6
@@ -84,15 +89,15 @@ def _tolerance(text: str) -> float:
     return value
 
 
-# A real number, and a complex one from (real part, sign, |imag|): the
-# sign is "+" when imag >= 0, so an imaginary part of -0.0 prints "+0".
+# A real number, and a complex one from (real part, imaginary part): the
+# imaginary column is imag + 0.0, which turns -0.0 into +0.0, so it prints "+0".
 _REAL = "%.15g"
-_COMPLEX = "%.15g%s%.15gi"
+_COMPLEX = "%.15g%+.15gi"
 
 
 def _complex_columns(z: np.ndarray) -> list:
     """The _COMPLEX values of every entry of a 1-d complex array, as columns."""
-    return [z.real, np.where(z.imag >= 0, "+", "-"), np.abs(z.imag)]
+    return [z.real, z.imag + 0.0]
 
 
 def _lines(row: str, rows: int, columns: list):
@@ -109,17 +114,19 @@ def _section(heading: str, rows: int, lines):
     yield from lines
 
 
-# Triangles from which analyze renders its triangle rows in forked workers,
-# one per usable CPU.  Starting and ending two workers takes about 11 ms, and
-# they break even at about 5,000 rows of the text report (3,700 structured);
-# the bound is twice that, a margin for a noisier or slower host.
-POOL_MIN_ROWS = 10_000
+# The rows from which analyze runs its check pass and report in forked
+# workers, one per usable CPU.  They are counted as the records of the
+# structured report: the gram and probability entries, the phase support and
+# entries, the orthogonal pairs and the triangles.  On two CPUs the workers
+# break even at about 6,500 rows in both formats (n = 28 to 30 states); the
+# bound is twice that, a margin for a noisier or slower host.
+POOL_MIN_ROWS = 13_000
 
 
 def _workers(rows: int) -> int:
-    """The processes that render rows triangle rows: every usable CPU when
-    there are several, rows reach POOL_MIN_ROWS and this process may fork
-    workers (fork is available, no other thread runs that a child could
+    """The processes that run analyze's stages of rows rows: every usable CPU
+    when there are several, rows reach POOL_MIN_ROWS and this process may
+    fork workers (fork is available, no other thread runs that a child could
     inherit holding a lock, and this is no daemonic multiprocessing worker,
     which may start no process); else 1."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -129,79 +136,6 @@ def _workers(rows: int) -> int:
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     return 1 if multiprocessing.current_process().daemon else cpus
-
-
-def _serve(conn, fn, parent_ends) -> None:
-    """A forked worker of _ordered_map: answer each item that conn brings with
-    (fn(item), None), or (None, the exception it raised), until the parent
-    closes its end.  parent_ends are the parent's ends of the pipes, which
-    the fork copied: closed here, so that the parent's close is an end."""
-    import signal
-
-    # a Ctrl-C reaches the whole process group; the parent alone reports it
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for end in parent_ends:
-        end.close()
-    try:
-        while True:
-            item = conn.recv()
-            try:
-                answer = fn(item), None
-            except Exception as e:
-                answer = None, e
-            conn.send(answer)
-    except (EOFError, OSError):  # the parent closed its end, done or not
-        pass
-
-
-def _ordered_map(fn, items, workers: int = 1):
-    """Yield fn(item) for each of items, in order.
-
-    With workers > 1 the calls run in that many processes, forked when the
-    first result is asked for; item k goes to worker k % workers.  They
-    inherit fn and all it refers to, so only the items and the results
-    are pickled, and at most 2 * workers items are pending at a time.  An
-    exception fn raises in a worker is raised here.  When the walk ends,
-    whether it finishes, raises or is closed early, the parent closes its
-    ends of the pipes and waits for every worker to exit.  Forking flushes
-    the standard streams first (multiprocessing does), so no worker holds
-    output of the parent's to write again as it exits.
-    """
-    if workers < 2:
-        yield from map(fn, items)
-        return
-    import multiprocessing
-    context = multiprocessing.get_context("fork")
-    conns, procs = [], []
-    try:
-        for _ in range(workers):
-            conn, child = context.Pipe()
-            conns.append(conn)
-            proc = context.Process(target=_serve, args=(child, fn, conns), daemon=True)
-            proc.start()
-            procs.append(proc)
-            child.close()
-        pending = deque()
-        for k, item in enumerate(items):
-            conn = conns[k % workers]
-            conn.send(item)
-            pending.append(conn)
-            if len(pending) == 2 * workers:
-                yield _answer(pending.popleft())
-        while pending:
-            yield _answer(pending.popleft())
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.join()
-
-
-def _answer(conn):
-    value, error = conn.recv()
-    if error is not None:
-        raise error
-    return value
 
 
 # The options shared between subcommands; each takes those it reads.
@@ -314,16 +248,42 @@ _TRIANGLE_ROW = ("  (%d, %d, %d): bargmann " + _COMPLEX + "  defect " + _COMPLEX
                  + "  pancharatnam " + _REAL + "  solid_angle " + _REAL + "  amplitude " + _REAL)
 
 
-def _triangle_lines(kernel, t) -> str:
-    """The text report's lines of the triangles of the rows of t."""
-    block = kernel(t)
+# Rows of one job of the check pass, four blocks of TRIANGLE_BLOCK rows: the
+# kernel takes about a quarter less time per row on them, and each trip to
+# a worker carries more work.
+_CHECK_ROWS = 4 * invariants.TRIANGLE_BLOCK
+
+
+def _table(g, m, u, triples, r) -> invariants.TriangleTable:
+    """The row kernel on the rows of the range r of triples, from the gram
+    entries g, their moduli m and the phase entries u."""
+    return invariants._rows(g, m, u, triples.rows(r))
+
+
+def _near_cut_triples(kernel, r) -> list:
+    """The triples of the rows of the range r whose defects lie near the
+    branch cut.  Where the kernel refuses r, the refusal raised is that of
+    the first of its blocks of TRIANGLE_BLOCK rows that holds one, as the
+    blocks of invariants.triangle_blocks would raise it."""
+    try:
+        block = kernel(r)
+    except ArithmeticError:
+        for start in range(0, len(r), invariants.TRIANGLE_BLOCK):
+            kernel(r[start:start + invariants.TRIANGLE_BLOCK])
+        raise
+    return block.triples[_near_cut(block.defect)].tolist()
+
+
+def _triangle_lines(kernel, r) -> str:
+    """The text report's lines of the triangles of the rows of the range r."""
+    block = kernel(r)
     return "".join(_lines(_TRIANGLE_ROW, len(block), [
         *block.triples.T, *_complex_columns(block.bargmann), *_complex_columns(block.defect),
         block.pancharatnam, block.solid_angle, block.amplitude_factor]))
 
 
-def _triangle_record(kernel, t) -> dict:
-    block = kernel(t)
+def _triangle_record(kernel, r) -> dict:
+    block = kernel(r)
     return {
         "triple": list(block.triples.T),
         "bargmann": re_im(block.bargmann),
@@ -334,18 +294,15 @@ def _triangle_record(kernel, t) -> dict:
     }
 
 
-def _analysis(family, args):
-    """Everything the analyze report shows; writes the --emit-* files on the way.
+def _analysis(family, args) -> SimpleNamespace:
+    """What the analyze report shows; writes the --emit-* files on the way.
 
-    The triangles are not held.  They come as (rows, kernel, triples):
-    triples() yields the (T, 3) blocks of invariants.triple_blocks, and
-    kernel(t) is the TriangleTable of the rows of t, the rows of
-    invariants.triangle_blocks, made from the gram entries, their moduli
-    and the phase entries computed here once.  One walk here counts the
-    triangles, collects the branch-cut warnings and raises the consistency
-    refusal, all before --out is opened, and takes no angle.  The report
-    then walks the same blocks again and renders them as they are made.
-    """
+    The triangles are not held but made again on every walk of them:
+    triples is the invariants.Triples of the support, and kernel(r) the
+    TriangleTable of the rows of its range r, made from the gram entries,
+    their moduli and the phase entries computed here once.  check(r) is
+    _near_cut_triples of the kernel.  rows counts the records of the
+    structured report, and warnings are those of the duplicate rays."""
     zero_tol = args.zero_tol
     g = comparisons.gram(family)
     p = comparisons.probabilities(g)
@@ -357,83 +314,127 @@ def _analysis(family, args):
     if args.emit_phase:
         save_text(args.emit_phase, matrix_to_json("phase", u))
     og = comparisons.orthogonality_graph(g, zero_tol)
-    matching = comparisons.check_matching(og)
-    kernel = partial(invariants._rows, g.entries, comparisons.moduli(g.entries), u.entries)
-    triples = partial(invariants.triple_blocks, u.support.mask)
-    rows, near_cut = 0, []
-    for block in map(kernel, triples()):
-        rows += len(block)
-        near_cut += block.triples[_near_cut(block.defect)].tolist()
+    triples = invariants.Triples(u.support.mask)
+    kernel = partial(_table, g.entries, comparisons.moduli(g.entries), u.entries, triples)
+    n, pairs, edges = len(family), len(u.support.pairs[0]), len(og.pairs[0])
     # the test of states.rays_equal, 1 - |g_ij|^2 <= tol, on every pair i < j
     warnings = [
         f"states {i} and {j} represent the same ray; the "
         "orthogonality matching criterion assumes distinct rays"
         for i, j in zip(*np.nonzero(np.triu(1.0 - p.entries <= DUPLICATE_RAY_TOL, 1)))
     ]
-    warnings += [
+    return SimpleNamespace(
+        zero_tol=zero_tol, g=g, p=p, u=u, og=og, matching=comparisons.check_matching(og),
+        triples=triples, kernel=kernel, check=partial(_near_cut_triples, kernel),
+        rows=2 * n * n + 2 * pairs + edges + len(triples), warnings=warnings)
+
+
+def _branch_cut_warnings(a: SimpleNamespace, imap=run_parts) -> list:
+    """The check pass: one walk of the triangles through a.check, whose jobs
+    imap runs (see pool.Pool.imap); it raises the consistency refusal and
+    takes no angle.  The warnings of the triangles near the branch cut."""
+    jobs = ((a.check, (r,)) for r in a.triples.ranges(_CHECK_ROWS))
+    return [
         f"triangle ({i}, {j}, {k}) is near the phase branch cut; "
         "its solid angle is reported on the principal branch"
-        for i, j, k in near_cut
+        for near in imap(jobs) for i, j, k in near
     ]
-    return g, p, u, og, matching, (rows, kernel, triples), warnings
 
 
-def _analysis_doc(family, load_warnings, args) -> dict:
-    g, p, u, og, matching, (rows, kernel, triples), warnings = _analysis(family, args)
+def _analysis_doc(family, a: SimpleNamespace, warnings: list) -> dict:
     return {
         "version": 1,
         "n": len(family),
         "labels": list(family.labels) if family.labels is not None else None,
-        "zero_tol": args.zero_tol,
-        "gram": matrix_doc("gram", g.entries),
-        "probability": matrix_doc("probability", p.entries),
-        "phase": matrix_doc("phase", u),
+        "zero_tol": a.zero_tol,
+        "gram": matrix_doc("gram", a.g.entries),
+        "probability": matrix_doc("probability", a.p.entries),
+        "phase": matrix_doc("phase", a.u),
         "orthogonality": {
-            "edges": Records(list(og.pairs)),
-            "matching": matching,
+            "edges": Records(list(a.og.pairs)),
+            "matching": a.matching,
         },
-        "triangles": Records.of_blocks(rows, triples, partial(_triangle_record, kernel),
-                                       partial(_ordered_map, workers=_workers(rows))),
-        "warnings": list(load_warnings) + warnings,
+        "triangles": Records.of_blocks(len(a.triples),
+                                       partial(a.triples.ranges, invariants.TRIANGLE_BLOCK),
+                                       partial(_triangle_record, a.kernel)),
+        "warnings": warnings,
     }
 
 
-def _analysis_text(family, load_warnings, analysis):
-    """Yield the text report in pieces, none longer than one chunk of rows."""
-    g, p, u, og, matching, (rows, kernel, triples), warnings = analysis
+def _records(obj) -> list:
+    """The Records arrays of a document, in document order."""
+    if isinstance(obj, Records):
+        return [obj]
+    parts = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else []
+    return [records for part in parts for records in _records(part)]
+
+
+def _text_tasks(family, a: SimpleNamespace) -> tuple:
+    """The functions that make the text report's rows: of the gram,
+    probability and phase sections and the orthogonal pairs, each of the
+    first row of a chunk of rows, and of the triangles, of a block."""
+    n = len(family)
+    i, j = a.u.support.pairs
+    z = a.u.entries[i, j]
+    oi, oj = a.og.pairs
+    return (
+        partial(row_chunk, "\n" + ("  " + _COMPLEX) * n, "", n,
+                _complex_columns(a.g.entries.ravel())),
+        partial(row_chunk, "\n" + ("  " + _REAL) * n, "", n, [a.p.entries.ravel()]),
+        partial(row_chunk, "\n  (%d, %d): " + _COMPLEX + "  angle " + _REAL, "", len(z),
+                [i, j, *_complex_columns(z), comparisons.principal_angle(z)]),
+        partial(row_chunk, "(%d, %d)", ", ", len(oi), [oi, oj]),
+        partial(_triangle_lines, a.kernel),
+    )
+
+
+def _analysis_text(family, a: SimpleNamespace, tasks: tuple, warnings: list):
+    """Yield the parts of the text report (see files.doc_parts): strings,
+    and the jobs of the tasks of _text_tasks that make its rows, each one
+    chunk of rows."""
+    gram, probability, phase, edges, triangles = tasks
+
+    def chunks(task, rows):
+        return ((task, (start,)) for start in range(0, rows, _FILL_CHUNK))
+
     n = len(family)
     yield f"family of {n} state(s)"
     if family.labels is not None:
         yield "\nlabels: " + ", ".join(family.labels)
-    yield from _section("gram matrix:", n, _lines(("  " + _COMPLEX) * n, n,
-                                                   _complex_columns(g.entries.ravel())))
-    yield from _section("probability matrix:", n, _lines(("  " + _REAL) * n, n,
-                                                          [p.entries.ravel()]))
-    i, j = u.support.pairs
-    z = u.entries[i, j]
-    yield from _section("phases on support pairs:", len(z), _lines(
-        "  (%d, %d): " + _COMPLEX + "  angle " + _REAL, len(z),
-        [i, j, *_complex_columns(z), comparisons.principal_angle(z)]))
-    i, j = og.pairs
+    yield from _section("gram matrix:", n, chunks(gram, n))
+    yield from _section("probability matrix:", n, chunks(probability, n))
+    pairs = len(a.u.support.pairs[0])
+    yield from _section("phases on support pairs:", pairs, chunks(phase, pairs))
     yield "\northogonal pairs: "
-    yield from row_pieces("(%d, %d)", ", ", len(i), [i, j]) if len(i) else ["none"]
-    yield f"\northogonality graph is a matching: {'yes' if matching else 'no'}"
-    yield from _section("triangles:", rows, _ordered_map(partial(_triangle_lines, kernel),
-                                                         triples(), _workers(rows)))
-    yield "".join(f"\nwarning: {w}" for w in list(load_warnings) + warnings)
+    orthogonal = len(a.og.pairs[0])
+    yield from chunks(edges, orthogonal) if orthogonal else ["none"]
+    yield f"\northogonality graph is a matching: {'yes' if a.matching else 'no'}"
+    yield from _section("triangles:", len(a.triples), (
+        (triangles, (r,)) for r in a.triples.ranges(invariants.TRIANGLE_BLOCK)))
+    yield "".join(f"\nwarning: {w}" for w in warnings)
     yield "\n"
 
 
 def cmd_analyze(args) -> int:
     family, load_warnings = family_from_json(load_text(args.family))
-    # the whole analysis, --emit-* files included, runs before --out is opened;
-    # the report is closed when _emit ends, so that its workers end with it
+    a = _analysis(family, args)
+    # the check pass below adds the branch-cut warnings to this list
+    warnings = list(load_warnings) + a.warnings
     if args.format == "structured":
-        report = doc_pieces(_analysis_doc(family, load_warnings, args))
+        doc = _analysis_doc(family, a, warnings)
+        tasks, report = [r.block_text for r in _records(doc)], doc_parts(doc)
     else:
-        report = _analysis_text(family, load_warnings, _analysis(family, args))
-    with closing(report):
-        _emit(args.out, report)
+        tasks = _text_tasks(family, a)
+        report = _analysis_text(family, a, tasks, warnings)
+    from .pool import Pool
+
+    # The workers are forked here and inherit every task.  The check pass,
+    # its warnings and the consistency refusal come before --out is opened;
+    # the report is closed before the pool, which ends the workers.
+    with Pool([a.check, *tasks], _workers(a.rows)) as pool:
+        warnings += _branch_cut_warnings(a, pool.imap)
+        with closing(pool.imap(report)) as pieces:
+            _emit(args.out, pieces)
     return EXIT_OK
 
 
@@ -559,18 +560,19 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code) if e.code is not None else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as e:  # argparse's exit, after its own message
+        return int(e.code) if e.code is not None else 0
     # FileFormatError and LinAlgError included; ArithmeticError is analyze's
     # refusal when the two defect routes disagree
     except (OSError, ValueError, MemoryError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def run() -> None:

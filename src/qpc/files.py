@@ -125,23 +125,22 @@ class Records(Sequence):
         shape, columns = _checked(shape)
         rows = len(columns[0])
         # a block of its own for every _FILL_CHUNK records
-        self._rows, self._items, self._map = rows, lambda: range(0, rows, _FILL_CHUNK), map
-        self._block = lambda start: (shape, [c[start:start + _FILL_CHUNK] for c in columns])
+        self._rows, every = rows, range(rows)
+        self._items = lambda: (every[start:start + _FILL_CHUNK] for start in every[::_FILL_CHUNK])
+        self._block = lambda block: (shape, [c[block.start:block.stop] for c in columns])
 
     @classmethod
-    def of_blocks(cls, rows: int, blocks, shape, mapper=map):
+    def of_blocks(cls, rows: int, blocks, shape):
         """rows records, those of the shapes shape(item) for each item that
-        the iterator blocks() yields, in order.  blocks is called once per
-        walk of the array, so only one block's columns need exist at a time;
-        a block that is not a valid shape, or blocks that do not hold rows
-        records in all, raise ValueError when the walk reaches them.
-
-        render renders each block as one string, with mapper(function,
-        blocks()): a mapper that runs the function elsewhere, such as in
-        other processes, must yield its results in order.  Blocks of at
-        most _FILL_CHUNK records keep each of those strings to one chunk."""
+        the iterator blocks() yields, in order; len(item) is the number of
+        records of shape(item).  blocks is called once per walk of the
+        array, so only one block's columns need exist at a time; a block
+        that is not a valid shape of len(item) records, or blocks that do
+        not hold rows records in all, raise ValueError when the walk reaches
+        them.  Blocks of at most _FILL_CHUNK records render as one chunk
+        each."""
         records = cls.__new__(cls)
-        records._rows, records._items, records._map = rows, blocks, mapper
+        records._rows, records._items = rows, blocks
         records._block = lambda item: _checked(shape(item))
         return records
 
@@ -175,27 +174,29 @@ class Records(Sequence):
             t -= len(columns[0])
 
     def render(self, level: int):
-        """The array as json.dumps(..., indent=2) writes it at level, yielded
-        a block of rows at a time."""
+        """The parts of the array as json.dumps(..., indent=2) writes it at
+        level (see doc_parts): strings, and for each block of rows the job
+        (self.block_text, (level + 1, item)) that renders it."""
         if not self:
             yield "[]"
             return
         sep, seen = "[", 0
-        for rows, text in self._map(partial(_block_text, self._block, level + 1), self._items()):
-            seen += rows
-            if rows:
+        for item in self._items():
+            seen += len(item)
+            if len(item):
                 yield sep
-                yield text
+                yield self.block_text, (level + 1, item)
                 sep = ","
         self._counted(seen)
         yield _indent(level) + "]"
 
-
-def _block_text(block, level: int, item) -> tuple:
-    """(rows, text): the records of block(item) at nesting level, joined by commas."""
-    shape, columns = block(item)
-    rows = len(columns[0])
-    return rows, "".join(row_pieces(_indent(level) + _row(shape, level)[0], ",", rows, columns))
+    def block_text(self, level: int, item) -> str:
+        """The records of the block item at nesting level, joined by commas."""
+        shape, columns = self._block(item)
+        rows = len(columns[0])
+        if rows != len(item):
+            raise ValueError(f"a record block holds {rows} records, not {len(item)}")
+        return "".join(row_pieces(_indent(level) + _row(shape, level)[0], ",", rows, columns))
 
 
 def _checked(shape):
@@ -216,12 +217,16 @@ def row_pieces(row: str, sep: str, rows: int, columns: list):
     columns taken element by element: element 0 of every column, then
     element 1, and so on; each row takes len(column) // rows elements of
     every column."""
-    per_row = len(columns[0]) // rows if rows else 0
-    for start in range(0, rows, _FILL_CHUNK):
-        count = min(_FILL_CHUNK, rows - start)
-        part = [c[start * per_row:(start + count) * per_row].tolist() for c in columns]
-        template = sep * (start > 0) + sep.join([row] * count)
-        yield template % tuple(chain.from_iterable(zip(*part)))
+    return map(partial(row_chunk, row, sep, rows, columns), range(0, rows, _FILL_CHUNK))
+
+
+def row_chunk(row: str, sep: str, rows: int, columns: list, start: int) -> str:
+    """The chunk of row_pieces(row, sep, rows, columns) that begins at row start."""
+    per_row = len(columns[0]) // rows
+    count = min(_FILL_CHUNK, rows - start)
+    part = [c[start * per_row:(start + count) * per_row].tolist() for c in columns]
+    template = sep * (start > 0) + sep.join([row] * count)
+    return template % tuple(chain.from_iterable(zip(*part)))
 
 
 def _fill(shape, values):
@@ -270,11 +275,26 @@ def _value(obj, level: int):
     return obj.render(level) if isinstance(obj, Records) else [json.dumps(obj)]
 
 
+def doc_parts(doc):
+    """Yield the parts of dump_doc(doc), in order: strings, none longer than
+    one other leaf, and for each chunk of rows of a Records array a job
+    (function, args) whose function(*args) is that chunk.  The last part
+    is "\n".  The jobs may run anywhere, as long as their results take
+    their places in order."""
+    yield from _layout(doc, 0, _value)
+    yield "\n"
+
+
+def run_parts(parts):
+    """Yield each part of parts that is a string as it is, and for each job
+    (function, args) function(*args), in this process."""
+    return (part if isinstance(part, str) else part[0](*part[1]) for part in parts)
+
+
 def doc_pieces(doc):
     """Yield dump_doc(doc) in pieces, in order, none longer than one chunk
     of rows of a Records array or one other leaf; the last piece is "\n"."""
-    yield from _layout(doc, 0, _value)
-    yield "\n"
+    return run_parts(doc_parts(doc))
 
 
 def dump_doc(doc) -> str:

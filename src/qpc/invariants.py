@@ -227,27 +227,53 @@ def solid_angle(ni, nj, nk) -> float:
     return -2.0 * math.atan2(triple, 1.0 + dots)
 
 
+class Triples:
+    """The triples i < j < k whose three pairs all lie in a symmetric boolean
+    mask, in lexicographic order, addressed by row.  len() counts them
+    without making them; ranges(size) cuts the order into ranges of size
+    rows, of which only the last may be shorter and none is empty; rows(r)
+    makes the rows of the range r, a (len(r), 3) integer array."""
+
+    def __init__(self, mask: np.ndarray):
+        self._up = up = np.triu(mask, 1)
+        # the triples of each first vertex: the pairs among its later neighbours
+        counts = [np.count_nonzero(up[np.ix_(nb, nb)]) for nb in map(np.flatnonzero, up)]
+        self._first = np.concatenate([[0], np.cumsum(counts, dtype=int)])
+        # the rows of the last first vertex made: consecutive ranges share it
+        self._last = -1, None
+
+    def __len__(self) -> int:
+        return int(self._first[-1])
+
+    def ranges(self, size: int):
+        every = range(len(self))
+        return (every[start:start + size] for start in every[::size])
+
+    def rows(self, r: range) -> np.ndarray:
+        # the first vertices whose triples meet r, from the last that starts
+        # at or before r.start to the last that starts before r.stop
+        lo = int(np.searchsorted(self._first, r.start, "right")) - 1
+        hi = int(np.searchsorted(self._first, r.stop, "left"))
+        return np.concatenate([np.empty((0, 3), dtype=int), *(
+            self._of_vertex(i)[max(r.start - self._first[i], 0):r.stop - self._first[i]]
+            for i in range(lo, hi))])
+
+    def _of_vertex(self, i: int) -> np.ndarray:
+        if self._last[0] != i:
+            nb = np.flatnonzero(self._up[i])
+            j, k = np.nonzero(self._up[np.ix_(nb, nb)])
+            rows = np.empty((len(j), 3), dtype=int)
+            rows[:, 0], rows[:, 1], rows[:, 2] = i, nb[j], nb[k]
+            self._last = i, rows
+        return self._last[1]
+
+
 def triple_blocks(mask: np.ndarray):
-    """Triples i < j < k whose three pairs all lie in a symmetric boolean
-    mask, in lexicographic order, as (T, 3) integer arrays of TRIANGLE_BLOCK
+    """The rows of Triples(mask) as (T, 3) integer arrays of TRIANGLE_BLOCK
     rows each; only the last may be shorter, and none is empty.  A block
     may split the triples of one first vertex i."""
-    up = np.triu(mask, 1)
-    pending, count = [], 0
-    for i in range(len(up)):
-        nb = np.flatnonzero(up[i])
-        j, k = np.nonzero(up[np.ix_(nb, nb)])
-        rows = np.empty((len(j), 3), dtype=int)
-        rows[:, 0], rows[:, 1], rows[:, 2] = i, nb[j], nb[k]
-        pending.append(rows)
-        count += len(j)
-        if count >= TRIANGLE_BLOCK:
-            rows = np.concatenate(pending)
-            cut = count - count % TRIANGLE_BLOCK
-            yield from np.split(rows[:cut], cut // TRIANGLE_BLOCK)
-            pending, count = [rows[cut:]], count - cut
-    if count:
-        yield np.concatenate(pending)
+    triples = Triples(mask)
+    return map(triples.rows, triples.ranges(TRIANGLE_BLOCK))
 
 
 def cycle_products(a: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -35,9 +35,10 @@ from qpc import (
     save_text,
 )
 from qpc import cli, comparisons, invariants
-from qpc.cli import BRANCH_CUT_MARGIN, _analysis, _analysis_doc, _ordered_map, _workers, main
+from qpc.cli import BRANCH_CUT_MARGIN, _analysis, _analysis_doc, _branch_cut_warnings, _workers, main
 from qpc.comparisons import phases, principal_angle
-from qpc.files import _FILL_CHUNK, MAX_PHASE_N, dump_doc
+from qpc.files import _FILL_CHUNK, MAX_PHASE_N, dump_doc, row_pieces
+from qpc.pool import Pool
 from qpc.verification import run_all
 from tests.conftest import (family_with_orthogonal_pairs, inconsistent_family, slack_gram,
                             uniform_phases)
@@ -229,7 +230,7 @@ class TestAnalyze:
         fam, _ = family_from_json(load_text(str(DATA / f"{name}.json")))
         args = argparse.Namespace(zero_tol=1e-10, emit_gram=None, emit_probability=None,
                                   emit_phase=None)
-        *_, warnings = _analysis(fam, args)
+        warnings = _branch_cut_warnings(_analysis(fam, args))
         expected = [
             f"triangle {rep.triple} is near the phase branch cut; "
             "its solid angle is reported on the principal branch"
@@ -282,6 +283,18 @@ class TestAnalyze:
         assert captured.err == ("error: defect and normalized Bargmann invariant disagree: "
                                 "|delta| = inf\n")
         assert not out.exists()
+
+    def test_a_check_job_raises_the_refusal_of_its_first_refusing_block(self):
+        # a check job spans several kernel blocks, and names the worst
+        # |delta| of the first that refuses, as triangle_blocks would
+        def kernel(r):
+            if r[-1] >= 1500:
+                raise ArithmeticError(f"worst row {r[-1]}")
+
+        assert cli._CHECK_ROWS > 2 * invariants.TRIANGLE_BLOCK > 1500
+        worst = 2 * invariants.TRIANGLE_BLOCK - 1
+        with pytest.raises(ArithmeticError, match=f"^worst row {worst}$"):
+            cli._near_cut_triples(kernel, range(cli._CHECK_ROWS))
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "analyze", str(tmp_path / "absent.json"))
@@ -348,7 +361,8 @@ class TestStreamedReport:
             fam, _ = family_from_json(load_text(path))
             args = argparse.Namespace(zero_tol=DEFAULT_ZERO_TOL, emit_gram=None,
                                       emit_probability=None, emit_phase=None)
-            assert report == dump_doc(_analysis_doc(fam, [], args))
+            a = _analysis(fam, args)
+            assert report == dump_doc(_analysis_doc(fam, a, a.warnings + _branch_cut_warnings(a)))
         assert len(rows) == 14190
         assert max(map(len, stdout.pieces)) <= _FILL_CHUNK * row_size
 
@@ -397,28 +411,27 @@ class TestStreamedReport:
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_warnings_and_the_refusal_come_before_the_first_byte(self, monkeypatch, tmp_path,
                                                                  fmt):
-        analyses = []
+        checked = []
 
         def recorded(*args):
-            analyses.append(_analysis(*args))
-            return analyses[-1]
+            checked.append(_branch_cut_warnings(*args))
+            return checked[-1]
 
         class Stdout(_WriteSizes):
             def write(self, text):
                 if not self.pieces:
-                    self.first = analyses[:]
+                    self.first = checked[:]
                 return super().write(text)
 
-        monkeypatch.setattr(cli, "_analysis", recorded)
+        monkeypatch.setattr(cli, "_branch_cut_warnings", recorded)
         stdout = Stdout()
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["analyze", str(DATA / "branch_cut.json"), "--format", fmt]) == 0
         # the one near-cut warning was made before the first write
-        *_, warnings = stdout.first[0]
-        assert [w for w in warnings if "branch cut" in w] == [
+        assert stdout.first == [[
             "triangle (0, 1, 2) is near the phase branch cut; "
-            "its solid angle is reported on the principal branch"]
-        assert warnings[-1] in "".join(stdout.pieces)
+            "its solid angle is reported on the principal branch"]]
+        assert stdout.first[0][0] in "".join(stdout.pieces)
         # and a refusal leaves stdout untouched
         path = tmp_path / "tiny.json"
         save_text(str(path), family_to_json(inconsistent_family()))
@@ -433,10 +446,11 @@ class TestStreamedReport:
         fam, _ = family_from_json(load_text(str(DATA / "branch_cut.json")))
         args = argparse.Namespace(zero_tol=1e-10, emit_gram=None, emit_probability=None,
                                   emit_phase=None)
-        *_, (rows, kernel, triples), warnings = _analysis(fam, args)
-        assert (rows, calls) == (4, [])
+        a = _analysis(fam, args)
+        warnings = _branch_cut_warnings(a)
+        assert (len(a.triples), calls) == (4, [])
         assert any("branch cut" in w for w in warnings)
-        assert [len(kernel(t).solid_angle) for t in triples()] == calls == [4]
+        assert [len(a.kernel(r).solid_angle) for r in a.triples.ranges(4)] == calls == [4]
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_one_analyze_computes_the_phases_once(self, monkeypatch, tmp_path, fmt):
@@ -490,8 +504,17 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _pooled() -> int:
+    """The workers of an analyze that reaches cli.POOL_MIN_ROWS here."""
+    return _cpus() if _cpus() > 1 else 0
+
+
 def _doubled(x):
     return 2 * x
+
+
+def _exit_at_once(x):
+    os._exit(3)
 
 
 def _refuse_seven(x):
@@ -500,9 +523,27 @@ def _refuse_seven(x):
     return x
 
 
+class _Interrupting(_WriteSizes):
+    """A stdout that raises error five writes after the triangles' heading,
+    noting the live workers then."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error, self.start, self.workers = error, None, None
+
+    def write(self, text):
+        if self.start is None and "triangles" in text:
+            self.start = len(self.pieces)
+        elif self.start is not None and len(self.pieces) == self.start + 5:
+            self.workers = multiprocessing.active_children()
+            raise self.error
+        return super().write(text)
+
+
 class TestWorkers:
-    """analyze renders its triangle rows on every usable CPU, in forked
-    workers, and prints the same bytes as on one."""
+    """analyze runs its check pass and every section of its report on every
+    usable CPU, in one pool of forked workers, and prints the same bytes as
+    on one."""
 
     # sha256 of analyze on gen --n 80 --seed 7, as printed on one CPU
     SHA256_80 = {
@@ -515,13 +556,15 @@ class TestWorkers:
         d = tmp_path_factory.mktemp("families")
         gen = d / "gen80.json"
         assert main(["gen", "--n", "80", "--seed", "7", "--out", str(gen)]) == 0
-        antipodal = d / "antipodal60.json"
-        fam = family_with_orthogonal_pairs(np.random.default_rng(60), 60, 6)
-        save_text(str(antipodal), family_to_json(fam))
-        return {"gen80": str(gen), "antipodal60": str(antipodal)}
+        paths = {"gen80": str(gen)}
+        for n in (40, 60):
+            paths[f"antipodal{n}"] = str(d / f"antipodal{n}.json")
+            fam = family_with_orthogonal_pairs(np.random.default_rng(n), n, n // 10)
+            save_text(paths[f"antipodal{n}"], family_to_json(fam))
+        return paths
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
-    @pytest.mark.parametrize("name", ["gen80", "antipodal60"])
+    @pytest.mark.parametrize("name", ["gen80", "antipodal60", "antipodal40"])
     def test_the_bytes_do_not_depend_on_the_cpus(self, families, name, fmt):
         if not hasattr(os, "sched_setaffinity"):
             pytest.skip("no sched_setaffinity")
@@ -537,9 +580,17 @@ class TestWorkers:
         assert analyze(_pin_to_one_cpu) == every_cpu
         if name == "gen80":
             assert hashlib.sha256(every_cpu).hexdigest() == self.SHA256_80[fmt]
-        else:
-            # six orthogonal pairs take their triangles off the support
-            assert every_cpu.count(b"pancharatnam") == 34220 - 6 * 58
+            return
+        # n // 10 orthogonal pairs take their triangles off the support
+        n = int(name[len("antipodal"):])
+        assert every_cpu.count(b"pancharatnam") == math.comb(n, 3) - n // 10 * (n - 2)
+        if n == 40:
+            fam, _ = family_from_json(load_text(families[name]))
+            args = argparse.Namespace(zero_tol=DEFAULT_ZERO_TOL, emit_gram=None,
+                                      emit_probability=None, emit_phase=None)
+            # run by the pool, with the gram and probability entries over one chunk
+            assert _analysis(fam, args).rows >= cli.POOL_MIN_ROWS
+            assert n * n > _FILL_CHUNK
 
     def test_when_workers_are_used(self, monkeypatch):
         assert _workers(cli.POOL_MIN_ROWS - 1) == 1
@@ -555,6 +606,8 @@ class TestWorkers:
         assert answer.poll(30) and answer.recv() == 1
         daemon.join(30)
         assert not daemon.is_alive()
+        answer.close()
+        end.close()
         # a fork copies no other thread, and a child could inherit one's lock
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
@@ -565,22 +618,39 @@ class TestWorkers:
             stop.set()
             thread.join()
 
-    def test_ordered_map_keeps_the_order_and_ends_its_workers(self):
-        assert list(_ordered_map(_doubled, range(50), 3)) == list(map(_doubled, range(50)))
+    def test_the_pool_keeps_the_order_and_ends_its_workers(self):
+        # a lambda cannot be pickled: the workers run the one they inherited
+        tripled = lambda x: 3 * x  # noqa: E731
+        with Pool([_doubled, tripled], 3) as pool:
+            assert len(multiprocessing.active_children()) == 3
+            for task in (_doubled, tripled, _doubled):
+                parts = [(task, (x,)) if x % 3 else str(x) for x in range(50)]
+                assert list(pool.imap(parts)) == [task(x) if x % 3 else str(x) for x in range(50)]
         assert multiprocessing.active_children() == []
 
     def test_an_exception_in_a_worker_is_raised_in_the_parent(self):
-        walk = _ordered_map(_refuse_seven, range(50), 2)
-        with pytest.raises(ValueError, match="item 7 refused"):
-            assert list(walk) == []
-        assert multiprocessing.active_children() == []
+        with Pool([_refuse_seven], 2) as pool:
+            walk = pool.imap((_refuse_seven, (x,)) for x in range(50))
+            assert [next(walk) for _ in range(7)] == list(range(7))
+            with pytest.raises(ValueError, match="item 7 refused"):
+                next(walk)
+            assert multiprocessing.active_children() == []
+            # the walk did not end, so the pool closed; later walks run here
+            assert list(pool.imap([(_refuse_seven, (1,)), "2"])) == [1, "2"]
+
+    def test_a_worker_that_dies_is_an_error_and_leaves_no_worker(self):
+        with Pool([_exit_at_once], 2) as pool:
+            with pytest.raises(ChildProcessError, match="ended without an answer"):
+                list(pool.imap([(_exit_at_once, (1,))]))
+            assert multiprocessing.active_children() == []
 
     def test_a_walk_closed_early_ends_its_workers(self):
-        walk = _ordered_map(_doubled, range(50), 2)
-        assert next(walk) == 0
-        assert multiprocessing.active_children() != []
-        walk.close()
-        assert multiprocessing.active_children() == []
+        with Pool([_doubled], 2) as pool:
+            walk = pool.imap((_doubled, (x,)) for x in range(50))
+            assert next(walk) == 0
+            assert len(multiprocessing.active_children()) == 2
+            walk.close()
+            assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_an_in_process_report_is_the_same_and_leaves_no_worker(self, monkeypatch, tmp_path,
@@ -602,25 +672,77 @@ class TestWorkers:
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_a_failing_write_leaves_no_worker(self, monkeypatch, capsys, families, fmt):
-        class Closing(_WriteSizes):
-            """A stdout whose reader leaves five writes after the triangles' heading."""
-
-            start = None
-
-            def write(self, text):
-                if self.start is None and "triangles" in text:
-                    self.start = len(self.pieces)
-                elif self.start is not None and len(self.pieces) == self.start + 5:
-                    self.workers = multiprocessing.active_children()
-                    raise BrokenPipeError(32, "Broken pipe")
-                return super().write(text)
-
-        stdout = Closing()
+        stdout = _Interrupting(BrokenPipeError(32, "Broken pipe"))
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["analyze", families["gen80"], "--format", fmt]) == 2
-        assert len(stdout.workers) == (_cpus() if _cpus() > 1 else 0)
+        assert len(stdout.workers) == _pooled()
         assert multiprocessing.active_children() == []
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_a_refusal_in_a_worker_exits_2_before_the_report(self, monkeypatch, capsys,
+                                                             tmp_path, fmt):
+        # the check pass runs on the pool however few its rows
+        if _cpus() < 2:
+            pytest.skip("one usable CPU")
+        used = []
+        monkeypatch.setattr(cli, "POOL_MIN_ROWS", 0)
+        monkeypatch.setattr(cli, "_workers", lambda rows: used.append(_workers(rows)) or used[-1])
+        path = tmp_path / "tiny.json"
+        save_text(str(path), family_to_json(inconsistent_family()))
+        out = tmp_path / "report"
+        code = main(["analyze", str(path), "--zero-tol", "0", "--format", fmt, "--out", str(out)])
+        assert used == [_cpus()]
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: defect and normalized Bargmann invariant disagree: "
+                                "|delta| = inf\n")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("exit_path", ["finished", "refused", "broken pipe", "interrupted",
+                                           "worker exception"])
+    def test_every_exit_path_joins_the_workers(self, monkeypatch, capsys, tmp_path, families,
+                                               exit_path):
+        started = []
+
+        class Recorded(Pool):
+            def __init__(self, *args):
+                super().__init__(*args)
+                started.append(len(multiprocessing.active_children()))
+
+        monkeypatch.setattr("qpc.pool.Pool", Recorded)
+        argv = ["analyze", families["gen80"]]
+        stdout = _Interrupting({"broken pipe": BrokenPipeError(32, "Broken pipe"),
+                                "interrupted": KeyboardInterrupt()}.get(exit_path, None))
+        if exit_path == "refused":
+            monkeypatch.setattr(cli, "POOL_MIN_ROWS", 0)
+            path = tmp_path / "tiny.json"
+            save_text(str(path), family_to_json(inconsistent_family()))
+            argv = ["analyze", str(path), "--zero-tol", "0"]
+        elif exit_path == "worker exception":
+            lines = cli._triangle_lines
+
+            def refused(kernel, r):
+                if r.start == 20 * invariants.TRIANGLE_BLOCK:
+                    raise ValueError("block 20 refused")
+                return lines(kernel, r)
+
+            monkeypatch.setattr(cli, "_triangle_lines", refused)
+        if stdout.error is not None:
+            monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert (code, err) == {
+            "finished": (0, ""),
+            "refused": (2, "error: defect and normalized Bargmann invariant disagree: "
+                           "|delta| = inf\n"),
+            "broken pipe": (2, "error: [Errno 32] Broken pipe\n"),
+            "interrupted": (130, "error: interrupted\n"),
+            "worker exception": (2, "error: block 20 refused\n"),
+        }[exit_path]
+        assert started == [_pooled()]
+        assert multiprocessing.active_children() == []
 
 
 class TestSeed:
@@ -1176,7 +1298,25 @@ class TestStructuredOutputIsStrictJson:
         json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
 
 
+class TestComplexFormat:
+    def test_the_sign_is_the_format_s_own(self):
+        # imag + 0.0 under "%+.15g" against the old "+"/"-" column and |imag|
+        parts = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+                 -2.2250738585072014e-308, 0.1, -0.1, 1.0, -1.0, 1e16, -1e16, 1e300, -1e300]
+        z = np.array([complex(r, i) for r in parts for i in parts])
+        assert "".join(row_pieces(cli._COMPLEX, " ", len(z), cli._complex_columns(z))) == " ".join(
+            "%.15g%s%.15gi" % (w.real, "+" if w.imag >= 0 else "-", abs(w.imag)) for w in z)
+
+
 class TestUsage:
+    def test_an_interrupt_is_one_line_and_exit_130(self, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_gen", interrupted)
+        assert main(["gen", "--n", "3"]) == 130
+        assert capsys.readouterr() == ("", "error: interrupted\n")
+
     def test_no_arguments(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

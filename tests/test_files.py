@@ -29,8 +29,8 @@ from qpc import (
     random_family,
     save_text,
 )
-from qpc.cli import _analysis_doc
-from qpc.files import doc_pieces, re_im
+from qpc.cli import _analysis, _analysis_doc, _branch_cut_warnings
+from qpc.files import _FILL_CHUNK, doc_parts, doc_pieces, re_im, run_parts
 
 SQ2 = 2.0 ** -0.5
 
@@ -280,7 +280,9 @@ class TestDumpDoc:
         fam = StateFamily(tuple(QubitState(*v) for v in vecs), labels)
         args = Namespace(zero_tol=DEFAULT_ZERO_TOL, emit_gram=None, emit_probability=None,
                          emit_phase=None)
-        doc = _analysis_doc(fam, ["state 0: renormalized"], args)
+        a = _analysis(fam, args)
+        doc = _analysis_doc(fam, a, ["state 0: renormalized", *a.warnings,
+                                     *_branch_cut_warnings(a)])
         assert "".join(doc_pieces(doc)) == dump_doc(doc) == reference(doc)
 
     @settings(max_examples=60, deadline=None)
@@ -358,6 +360,27 @@ class TestRecords:
     def test_refuses_what_json_would_write_differently(self, columns):
         with pytest.raises(ValueError, match="record columns"):
             Records(columns)
+
+    def test_blocks_are_rendered_as_jobs_in_order(self):
+        values = np.arange(2500) * 0.5
+        blocks = Records.of_blocks(2500, lambda: (range(s, min(s + 1000, 2500))
+                                                  for s in range(0, 2500, 1000)),
+                                   lambda r: {"v": values[r.start:r.stop]})
+        doc = {"blocks": blocks, "plain": Records(values)}
+        parts = list(doc_parts(doc))
+        jobs = [p for p in parts if not isinstance(p, str)]
+        # one job per block of the first array, one per fill chunk of the second
+        assert len(jobs) == 3 + -(-2500 // _FILL_CHUNK)
+        assert "".join(run_parts(parts)) == dump_doc(doc) == reference(doc)
+
+    @pytest.mark.parametrize("sizes, rows", [([3, 2], 5), ([3, 3], 5)],
+                             ids=["a block short of its len", "blocks short of rows"])
+    def test_blocks_that_do_not_hold_their_records_are_refused(self, sizes, rows):
+        items = [range(0, 3), range(3, 6)]
+        blocks = Records.of_blocks(rows, lambda: iter(items),
+                                   lambda r: np.arange(float(sizes[items.index(r)])))
+        with pytest.raises(ValueError, match="record block"):
+            dump_doc({"blocks": blocks})
 
     def test_documents_hold_records(self):
         fam = random_family(3, seed=4)

@@ -31,7 +31,7 @@ from qpc import (
 )
 from qpc import invariants
 from qpc.comparisons import principal_angle
-from qpc.invariants import TRIANGLE_BLOCK, triple_blocks
+from qpc.invariants import TRIANGLE_BLOCK, Triples, triple_blocks
 from tests.conftest import (family_with_orthogonal_pairs, family_with_support,
                             inconsistent_family)
 
@@ -370,6 +370,24 @@ class TestAllTriangles:
         m = m | m.T
         expected = [t for t in combinations(range(9), 3) if all(m[a, b] for a, b in combinations(t, 2))]
         assert np.concatenate([*triple_blocks(m)]).tolist() == [list(t) for t in expected]
+
+    @pytest.mark.parametrize("n, p", [(1, 1.0), (3, 1.0), (9, 0.0), (9, 0.6), (40, 0.5), (40, 1.0)])
+    def test_triples_count_and_make_any_range_of_rows(self, n, p):
+        rng = np.random.default_rng(n)
+        m = np.triu(rng.random((n, n)) < p, 1)
+        m = m | m.T
+        expected = [list(t) for t in combinations(range(n), 3)
+                    if all(m[a, b] for a, b in combinations(t, 2))]
+        triples = Triples(m)
+        assert len(triples) == len(expected)
+        for size in (1, 7, TRIANGLE_BLOCK):
+            ranges = list(triples.ranges(size))
+            assert all(0 < len(r) <= size for r in ranges)
+            assert [row for r in ranges for row in triples.rows(r).tolist()] == expected
+        # ranges out of order, within one first vertex and across several
+        for start, stop in [(5, 6), (0, 40), (37, 400), (3, len(expected)), (2, 2)]:
+            r = range(min(start, len(expected)), min(stop, len(expected)))
+            assert triples.rows(r).tolist() == expected[r.start:r.stop]
 
 
 def _two_states():
