@@ -254,17 +254,11 @@ _TRIANGLE_ROW = ("  (%d, %d, %d): bargmann " + _COMPLEX + "  defect " + _COMPLEX
 _CHECK_ROWS = 4 * invariants.TRIANGLE_BLOCK
 
 
-def _table(g, m, u, triples, r) -> invariants.TriangleTable:
-    """The row kernel on the rows of the range r of triples, from the gram
-    entries g, their moduli m and the phase entries u."""
-    return invariants._rows(g, m, u, triples.rows(r))
-
-
 def _near_cut_triples(kernel, r) -> list:
     """The triples of the rows of the range r whose defects lie near the
     branch cut.  Where the kernel refuses r, the refusal raised is that of
-    the first of its blocks of TRIANGLE_BLOCK rows that holds one, as the
-    blocks of invariants.triangle_blocks would raise it."""
+    the first of its blocks of TRIANGLE_BLOCK rows that holds one, as a
+    walk of Triples.ranges(TRIANGLE_BLOCK) through the kernel raises it."""
     try:
         block = kernel(r)
     except ArithmeticError:
@@ -299,10 +293,10 @@ def _analysis(family, args) -> SimpleNamespace:
 
     The triangles are not held but made again on every walk of them:
     triples is the invariants.Triples of the support, and kernel(r) the
-    TriangleTable of the rows of its range r, made from the gram entries,
-    their moduli and the phase entries computed here once.  check(r) is
-    _near_cut_triples of the kernel.  rows counts the records of the
-    structured report, and warnings are those of the duplicate rays."""
+    invariants.triangle_table of the rows of its range r, made from the
+    gram entries, their moduli and the phase entries computed here once.
+    check(r) is _near_cut_triples of the kernel.  rows counts the records
+    of the structured report, and warnings are those of the duplicate rays."""
     zero_tol = args.zero_tol
     g = comparisons.gram(family)
     p = comparisons.probabilities(g)
@@ -314,8 +308,8 @@ def _analysis(family, args) -> SimpleNamespace:
     if args.emit_phase:
         save_text(args.emit_phase, matrix_to_json("phase", u))
     og = comparisons.orthogonality_graph(g, zero_tol)
-    triples = invariants.Triples(u.support.mask)
-    kernel = partial(_table, g.entries, comparisons.moduli(g.entries), u.entries, triples)
+    triples, m = invariants.Triples(u.support.mask), comparisons.moduli(g.entries)
+    kernel = lambda r: invariants.triangle_table(g.entries, m, u.entries, triples.rows(r))
     n, pairs, edges = len(family), len(u.support.pairs[0]), len(og.pairs[0])
     # the test of states.rays_equal, 1 - |g_ij|^2 <= tol, on every pair i < j
     warnings = [

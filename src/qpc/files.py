@@ -291,22 +291,16 @@ def run_parts(parts):
     return (part if isinstance(part, str) else part[0](*part[1]) for part in parts)
 
 
-def doc_pieces(doc):
-    """Yield dump_doc(doc) in pieces, in order, none longer than one chunk
-    of rows of a Records array or one other leaf; the last piece is "\n"."""
-    return run_parts(doc_parts(doc))
-
-
 def dump_doc(doc) -> str:
     """Canonical rendering of a JSON document; stable byte for byte.
 
     The result is exactly json.dumps(doc, indent=2) + "\n", where each
     Records array counts as the list of its records.  One walk lays the
     document out in order: each Records array in chunks of rows from its
-    row template, every other leaf by json.dumps.  doc_pieces yields
-    those pieces as they are made; this joins them.
+    row template, every other leaf by json.dumps.  run_parts(doc_parts(doc))
+    yields those pieces as they are made; this joins them.
     """
-    return "".join(doc_pieces(doc))
+    return "".join(run_parts(doc_parts(doc)))
 
 
 def family_doc(family: StateFamily) -> dict:

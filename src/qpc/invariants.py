@@ -45,7 +45,7 @@ from .states import BlochVector
 
 DEFECT_CONSISTENCY_TOL = 1e-12  # the two defect computations must agree
 DEGENERACY_TOL = 1e-9           # antipodal pair cutoff for solid angles
-TRIANGLE_BLOCK = 1024           # rows of one block of triple_blocks
+TRIANGLE_BLOCK = 1024           # rows per range of a bounded-memory walk of Triples
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,9 @@ class Triples:
     mask, in lexicographic order, addressed by row.  len() counts them
     without making them; ranges(size) cuts the order into ranges of size
     rows, of which only the last may be shorter and none is empty; rows(r)
-    makes the rows of the range r, a (len(r), 3) integer array."""
+    makes the rows of the range r, a (len(r), 3) integer array.  A size
+    below 1, and a range with a step other than 1 or reaching outside the
+    rows, raise ValueError."""
 
     def __init__(self, mask: np.ndarray):
         self._up = up = np.triu(mask, 1)
@@ -246,10 +248,14 @@ class Triples:
         return int(self._first[-1])
 
     def ranges(self, size: int):
+        if not size >= 1:
+            raise ValueError(f"ranges of {size} rows: the size must be at least 1")
         every = range(len(self))
         return (every[start:start + size] for start in every[::size])
 
     def rows(self, r: range) -> np.ndarray:
+        if not (r.step == 1 and 0 <= r.start and r.stop <= len(self)):
+            raise ValueError(f"{r!r} is not a range of rows of {len(self)} triples")
         # the first vertices whose triples meet r, from the last that starts
         # at or before r.start to the last that starts before r.stop
         lo = int(np.searchsorted(self._first, r.start, "right")) - 1
@@ -268,21 +274,13 @@ class Triples:
         return self._last[1]
 
 
-def triple_blocks(mask: np.ndarray):
-    """The rows of Triples(mask) as (T, 3) integer arrays of TRIANGLE_BLOCK
-    rows each; only the last may be shorter, and none is empty.  A block
-    may split the triples of one first vertex i."""
-    triples = Triples(mask)
-    return map(triples.rows, triples.ranges(TRIANGLE_BLOCK))
-
-
 def cycle_products(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(a_ij a_jk) a_ki for every row (i, j, k) of t."""
     i, j, k = t.T
     return _mul(_mul(a[i, j], a[j, k]), a[k, i])
 
 
-def _rows(g: np.ndarray, m: np.ndarray, u: np.ndarray, t: np.ndarray) -> TriangleTable:
+def triangle_table(g: np.ndarray, m: np.ndarray, u: np.ndarray, t: np.ndarray) -> TriangleTable:
     """The row kernel: the TriangleTable of the rows of t, from the gram
     entries g, their moduli m and the phase entries u.  It is refused when
     the two defect routes, u_ij u_jk u_ki and bargmann / |bargmann|, differ
@@ -309,22 +307,12 @@ def all_triangles(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Triangle
     This is the array kernel; triangle_report is its scalar reference:
     the table's reports match it bit for bit on exactly Hermitian g
     (every gram() result), including the 1e-12 refusal when the two
-    defect routes disagree.  The table holds every row at once;
-    triangle_blocks yields the same rows a block at a time.
+    defect routes disagree.  The table holds every row at once; the
+    tables of triangle_table on the ranges of Triples(u.support.mask)
+    concatenate to it bit for bit in memory O(n^2 + one range), each
+    refused on its own rows alone.
     """
     u = phases(g, zero_tol)
-    t = np.concatenate([np.empty((0, 3), dtype=int), *triple_blocks(u.support.mask)])
-    return _rows(g.entries, moduli(g.entries), u.entries, t)
-
-
-def triangle_blocks(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL):
-    """The rows of all_triangles(g, zero_tol), a TriangleTable of at most
-    TRIANGLE_BLOCK rows at a time, so that memory stays O(n^2 + one block)
-    whatever the triangle count.  Their columns, concatenated, equal
-    all_triangles' bit for bit.  Each block is refused on its own rows:
-    a disagreement raises from the first block that holds one, with that
-    block's worst |delta|."""
-    u = phases(g, zero_tol)
-    m = moduli(g.entries)
-    for t in triple_blocks(u.support.mask):
-        yield _rows(g.entries, m, u.entries, t)
+    triples = Triples(u.support.mask)
+    return triangle_table(g.entries, moduli(g.entries), u.entries,
+                          triples.rows(range(len(triples))))

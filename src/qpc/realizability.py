@@ -38,7 +38,7 @@ import numpy as np
 from . import comparisons
 from .comparisons import (GramMatrix, PhaseMatrix, SupportGraph, deviations, moduli, overlaps,
                           require_square)
-from .invariants import cycle_products, triple_blocks
+from .invariants import TRIANGLE_BLOCK, Triples, cycle_products
 from .states import QubitState, StateFamily, _match_tol, random_family
 
 PSD_TOL = 1e-10        # eigenvalue floor, relative to max(1, largest eigenvalue)
@@ -262,8 +262,9 @@ def _top_two(w: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _worst_triangle(u: PhaseMatrix) -> float:
     """Largest |u_ij u_jk u_ki - 1| over the support triangles, 0.0 without any."""
-    worst = [moduli(cycle_products(u.entries, t) - 1.0).max()
-             for t in triple_blocks(u.support.mask)]
+    triples = Triples(u.support.mask)
+    worst = [moduli(cycle_products(u.entries, triples.rows(r)) - 1.0).max()
+             for r in triples.ranges(TRIANGLE_BLOCK)]
     return float(np.max(worst, initial=0.0))
 
 

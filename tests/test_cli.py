@@ -286,7 +286,8 @@ class TestAnalyze:
 
     def test_a_check_job_raises_the_refusal_of_its_first_refusing_block(self):
         # a check job spans several kernel blocks, and names the worst
-        # |delta| of the first that refuses, as triangle_blocks would
+        # |delta| of the first that refuses, as a walk of
+        # Triples.ranges(TRIANGLE_BLOCK) through triangle_table does
         def kernel(r):
             if r[-1] >= 1500:
                 raise ArithmeticError(f"worst row {r[-1]}")

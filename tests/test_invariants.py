@@ -26,12 +26,11 @@ from qpc import (
     phases,
     solid_angle,
     to_bloch,
-    triangle_blocks,
     triangle_report,
 )
 from qpc import invariants
-from qpc.comparisons import principal_angle
-from qpc.invariants import TRIANGLE_BLOCK, Triples, triple_blocks
+from qpc.comparisons import moduli, principal_angle
+from qpc.invariants import TRIANGLE_BLOCK, Triples, triangle_table
 from tests.conftest import (family_with_orthogonal_pairs, family_with_support,
                             inconsistent_family)
 
@@ -364,13 +363,6 @@ class TestAllTriangles:
         assert "pancharatnam=-0.0" in repr(reports)
         assert all(type(v) is int for r in reports for v in r.triple)
 
-    def test_support_triples_of_partial_mask(self):
-        rng = np.random.default_rng(9)
-        m = np.triu(rng.random((9, 9)) < 0.6, 1)
-        m = m | m.T
-        expected = [t for t in combinations(range(9), 3) if all(m[a, b] for a, b in combinations(t, 2))]
-        assert np.concatenate([*triple_blocks(m)]).tolist() == [list(t) for t in expected]
-
     @pytest.mark.parametrize("n, p", [(1, 1.0), (3, 1.0), (9, 0.0), (9, 0.6), (40, 0.5), (40, 1.0)])
     def test_triples_count_and_make_any_range_of_rows(self, n, p):
         rng = np.random.default_rng(n)
@@ -389,13 +381,35 @@ class TestAllTriangles:
             r = range(min(start, len(expected)), min(stop, len(expected)))
             assert triples.rows(r).tolist() == expected[r.start:r.stop]
 
+    def test_triples_refuse_a_bad_size_or_range(self):
+        triples = Triples(~np.eye(6, dtype=bool))
+        assert len(triples) == 20
+        for size in (-7, 0):
+            with pytest.raises(ValueError, match="at least 1"):
+                triples.ranges(size)
+        for r in (range(0, 20, 5), range(-3, 20), range(0, 21)):
+            with pytest.raises(ValueError, match="not a range of rows of 20 triples"):
+                triples.rows(r)
+        assert triples.rows(range(20, 20)).shape == (0, 3)
+
 
 def _two_states():
     return StateFamily((QubitState(1.0, 0.0), QubitState(SQ2, SQ2)))
 
 
+def triangle_blocks(g, zero_tol=DEFAULT_ZERO_TOL):
+    """all_triangles(g, zero_tol) a block of rows at a time: triangle_table
+    on the ranges of TRIANGLE_BLOCK rows of the support's Triples."""
+    u = phases(g, zero_tol)
+    m = moduli(g.entries)
+    triples = Triples(u.support.mask)
+    for r in triples.ranges(TRIANGLE_BLOCK):
+        yield triangle_table(g.entries, m, u.entries, triples.rows(r))
+
+
 class TestTriangleBlocks:
-    """triangle_blocks is all_triangles a block of rows at a time."""
+    """The bounded-memory walk of Triples through triangle_table is
+    all_triangles a block of rows at a time."""
 
     FAMILIES = {
         # vertex 0's 4,851 triples span the first five blocks
