@@ -59,34 +59,23 @@ DUPLICATE_RAY_TOL = 1e-9
 BRANCH_CUT_MARGIN = 1e-6
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _option(parse, ok, rule: str):
+    """The argparse type of an option value: parse(text), refused with the
+    message "must be {rule}" unless parse accepts the text and ok the value."""
+    def value_of(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return value_of
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+_positive_int = _option(int, lambda value: value >= 1, "a positive integer")
+_seed = _option(int, lambda value: value >= 0, "a non-negative integer")
+_tolerance = _option(float, lambda value: 0.0 <= value < math.inf, "a finite number >= 0")
 
 
 # A real number, and a complex one from (real part, imaginary part): the
@@ -295,8 +284,9 @@ def _analysis(family, args) -> SimpleNamespace:
     triples is the invariants.Triples of the support, and kernel(r) the
     invariants.triangle_table of the rows of its range r, made from the
     gram entries, their moduli and the phase entries computed here once.
-    check(r) is _near_cut_triples of the kernel.  rows counts the records
-    of the structured report, and warnings are those of the duplicate rays."""
+    check() is the walk of the check pass: a job of _near_cut_triples of
+    the kernel for every _CHECK_ROWS rows.  rows counts the records of the
+    structured report, and warnings are those of the duplicate rays."""
     zero_tol = args.zero_tol
     g = comparisons.gram(family)
     p = comparisons.probabilities(g)
@@ -310,6 +300,7 @@ def _analysis(family, args) -> SimpleNamespace:
     og = comparisons.orthogonality_graph(g, zero_tol)
     triples, m = invariants.Triples(u.support.mask), comparisons.moduli(g.entries)
     kernel = lambda r: invariants.triangle_table(g.entries, m, u.entries, triples.rows(r))
+    near_cut = partial(_near_cut_triples, kernel)
     n, pairs, edges = len(family), len(u.support.pairs[0]), len(og.pairs[0])
     # the test of states.rays_equal, 1 - |g_ij|^2 <= tol, on every pair i < j
     warnings = [
@@ -319,19 +310,19 @@ def _analysis(family, args) -> SimpleNamespace:
     ]
     return SimpleNamespace(
         zero_tol=zero_tol, g=g, p=p, u=u, og=og, matching=comparisons.check_matching(og),
-        triples=triples, kernel=kernel, check=partial(_near_cut_triples, kernel),
+        triples=triples, kernel=kernel,
+        check=lambda: ((near_cut, (r,)) for r in triples.ranges(_CHECK_ROWS)),
         rows=2 * n * n + 2 * pairs + edges + len(triples), warnings=warnings)
 
 
-def _branch_cut_warnings(a: SimpleNamespace, imap=run_parts) -> list:
-    """The check pass: one walk of the triangles through a.check, whose jobs
-    imap runs (see pool.Pool.imap); it raises the consistency refusal and
-    takes no angle.  The warnings of the triangles near the branch cut."""
-    jobs = ((a.check, (r,)) for r in a.triples.ranges(_CHECK_ROWS))
+def _branch_cut_warnings(a: SimpleNamespace, results=None) -> list:
+    """The check pass: the results of the walk a.check, as pool.Pool.walk
+    yields them, or run here; it raises the consistency refusal and takes
+    no angle.  The warnings of the triangles near the branch cut."""
     return [
         f"triangle ({i}, {j}, {k}) is near the phase branch cut; "
         "its solid angle is reported on the principal branch"
-        for near in imap(jobs) for i, j, k in near
+        for near in (run_parts(a.check()) if results is None else results) for i, j, k in near
     ]
 
 
@@ -355,54 +346,33 @@ def _analysis_doc(family, a: SimpleNamespace, warnings: list) -> dict:
     }
 
 
-def _records(obj) -> list:
-    """The Records arrays of a document, in document order."""
-    if isinstance(obj, Records):
-        return [obj]
-    parts = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else []
-    return [records for part in parts for records in _records(part)]
-
-
-def _text_tasks(family, a: SimpleNamespace) -> tuple:
-    """The functions that make the text report's rows: of the gram,
-    probability and phase sections and the orthogonal pairs, each of the
-    first row of a chunk of rows, and of the triangles, of a block."""
-    n = len(family)
-    i, j = a.u.support.pairs
-    z = a.u.entries[i, j]
-    oi, oj = a.og.pairs
-    return (
-        partial(row_chunk, "\n" + ("  " + _COMPLEX) * n, "", n,
-                _complex_columns(a.g.entries.ravel())),
-        partial(row_chunk, "\n" + ("  " + _REAL) * n, "", n, [a.p.entries.ravel()]),
-        partial(row_chunk, "\n  (%d, %d): " + _COMPLEX + "  angle " + _REAL, "", len(z),
-                [i, j, *_complex_columns(z), comparisons.principal_angle(z)]),
-        partial(row_chunk, "(%d, %d)", ", ", len(oi), [oi, oj]),
-        partial(_triangle_lines, a.kernel),
-    )
-
-
-def _analysis_text(family, a: SimpleNamespace, tasks: tuple, warnings: list):
+def _analysis_text(family, a: SimpleNamespace, warnings: list):
     """Yield the parts of the text report (see files.doc_parts): strings,
-    and the jobs of the tasks of _text_tasks that make its rows, each one
-    chunk of rows."""
-    gram, probability, phase, edges, triangles = tasks
+    and the jobs that make its rows, each one chunk of rows: a row_chunk
+    of its first row, or of the triangles, _triangle_lines of a block."""
 
-    def chunks(task, rows):
+    def chunks(row, sep, rows, columns):
+        task = partial(row_chunk, row, sep, rows, columns)
         return ((task, (start,)) for start in range(0, rows, _FILL_CHUNK))
 
     n = len(family)
     yield f"family of {n} state(s)"
     if family.labels is not None:
         yield "\nlabels: " + ", ".join(family.labels)
-    yield from _section("gram matrix:", n, chunks(gram, n))
-    yield from _section("probability matrix:", n, chunks(probability, n))
-    pairs = len(a.u.support.pairs[0])
-    yield from _section("phases on support pairs:", pairs, chunks(phase, pairs))
+    yield from _section("gram matrix:", n, chunks(
+        "\n" + ("  " + _COMPLEX) * n, "", n, _complex_columns(a.g.entries.ravel())))
+    yield from _section("probability matrix:", n, chunks(
+        "\n" + ("  " + _REAL) * n, "", n, [a.p.entries.ravel()]))
+    i, j = a.u.support.pairs
+    z = a.u.entries[i, j]
+    yield from _section("phases on support pairs:", len(z), chunks(
+        "\n  (%d, %d): " + _COMPLEX + "  angle " + _REAL, "", len(z),
+        [i, j, *_complex_columns(z), comparisons.principal_angle(z)]))
     yield "\northogonal pairs: "
-    orthogonal = len(a.og.pairs[0])
-    yield from chunks(edges, orthogonal) if orthogonal else ["none"]
+    oi, oj = a.og.pairs
+    yield from chunks("(%d, %d)", ", ", len(oi), [oi, oj]) if len(oi) else ["none"]
     yield f"\northogonality graph is a matching: {'yes' if a.matching else 'no'}"
+    triangles = partial(_triangle_lines, a.kernel)
     yield from _section("triangles:", len(a.triples), (
         (triangles, (r,)) for r in a.triples.ranges(invariants.TRIANGLE_BLOCK)))
     yield "".join(f"\nwarning: {w}" for w in warnings)
@@ -415,19 +385,20 @@ def cmd_analyze(args) -> int:
     # the check pass below adds the branch-cut warnings to this list
     warnings = list(load_warnings) + a.warnings
     if args.format == "structured":
-        doc = _analysis_doc(family, a, warnings)
-        tasks, report = [r.block_text for r in _records(doc)], doc_parts(doc)
+        report = partial(doc_parts, _analysis_doc(family, a, warnings))
     else:
-        tasks = _text_tasks(family, a)
-        report = _analysis_text(family, a, tasks, warnings)
+        report = partial(_analysis_text, family, a, warnings)
     from .pool import Pool
 
-    # The workers are forked here and inherit every task.  The check pass,
-    # its warnings and the consistency refusal come before --out is opened;
-    # the report is closed before the pool, which ends the workers.
-    with Pool([a.check, *tasks], _workers(a.rows)) as pool:
-        warnings += _branch_cut_warnings(a, pool.imap)
-        with closing(pool.imap(report)) as pieces:
+    # The workers are forked here and walk the check pass and the report
+    # themselves, each running its share of their jobs.  The warnings grow
+    # after the fork, so only the report's strings may read them, no job.
+    # The check pass, its warnings and the consistency refusal come before
+    # --out is opened; the report is closed before the pool, which ends the
+    # workers.
+    with Pool([a.check, report], _workers(a.rows)) as pool:
+        warnings += _branch_cut_warnings(a, pool.walk())
+        with closing(pool.walk()) as pieces:
             _emit(args.out, pieces)
     return EXIT_OK
 
@@ -568,6 +539,3 @@ def main(argv=None) -> int:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
 
-
-def run() -> None:
-    raise SystemExit(main())

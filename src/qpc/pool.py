@@ -1,57 +1,19 @@
-"""Forked worker processes that run jobs and return their results in order.
+"""Forked worker processes that walk a command's output with it.
 
-analyze formats nearly all of its floats in them.  A job is (task, args):
-the task is a function the workers inherited when they were forked, so
-the O(n^2) arrays it refers to are never pickled, and args are small
-picklable values, such as a range of rows.  Pool.imap takes a stream of
-strings and jobs, the parts of files.doc_parts, and yields each string
-as it is and each job's result in its place.
-
-Importing this module starts nothing; only a Pool of two or more workers
-imports multiprocessing and forks.
+analyze formats nearly all of its floats in them.  A walk is a callable
+of no arguments that returns parts as files.doc_parts yields them:
+strings, and jobs (task, args).  Importing this module starts nothing;
+only a Pool of two or more workers imports multiprocessing and forks.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from collections import deque
 from contextlib import suppress
+from itertools import islice
 
 from .files import run_parts
-
-
-def _send(end, obj) -> None:
-    """Write obj to the pipe file end as a length-prefixed pickle."""
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    end.write(len(data).to_bytes(8, "little"))
-    end.write(data)
-    end.flush()
-
-
-def _receive(end, buffer: bytearray):
-    """The next object that _send wrote to end, read through buffer, which
-    grows to the longest message.  EOFError once the writer has closed its
-    end, or if it closed it within a message.  No byte past the message is
-    read, so that a poll of end sees the next one."""
-    _fill(end, buffer, 8)
-    size = int.from_bytes(buffer[:8], "little")
-    _fill(end, buffer, size)
-    with memoryview(buffer) as view:
-        return pickle.loads(view[:size])
-
-
-def _fill(end, buffer: bytearray, size: int) -> None:
-    """Read size bytes from end into the start of buffer, grown to hold them."""
-    if size > len(buffer):
-        buffer.extend(bytes(size - len(buffer)))
-    with memoryview(buffer) as view:
-        got = 0
-        while got < size:
-            count = end.readinto(view[got:size])
-            if not count:
-                raise EOFError("the pipe closed")
-            got += count
 
 
 def _widen(end) -> None:
@@ -64,71 +26,71 @@ def _widen(end) -> None:
         fcntl.fcntl(end, fcntl.F_SETPIPE_SZ, 1 << 20)
 
 
-def _serve(tasks, items, results, parent_ends) -> None:
-    """A forked worker of Pool: answer each (k, args) that the pipe file
-    items brings with (tasks[k](*args), None), or (None, the exception it
-    raised), written to results, until the parent closes its ends.
-    parent_ends are the parent's ends of the pipes, which the fork copied:
-    closed here, so that the parent's close is an end."""
+def _serve(walks, w: int, workers: int, results, hold, parent_ends) -> None:
+    """Worker w of Pool: answer each job k of walks with k % workers == w by
+    (args, task(*args), None), or (args, None, the exception it raised) and
+    no more, pickled to the pipe file results; then wait for the parent to
+    close hold.  parent_ends, the parent's ends of the pipes, are closed
+    here, so that the parent's close is an end."""
     import signal
 
     # a Ctrl-C reaches the whole process group; the parent alone reports it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for end in parent_ends:
         end.close()
-    buffer = bytearray()
-    try:
-        while True:
-            k, args = _receive(items, buffer)
+    jobs = (part for walk in walks for part in walk() if not isinstance(part, str))
+    # a closed pipe ends the worker, and so does a walk that raises, as the
+    # parent's own walk of the same parts raises
+    with suppress(Exception), results:
+        for task, args in islice(jobs, w, None, workers):
             try:
-                answer = tasks[k](*args), None
+                answer = args, task(*args), None
             except Exception as e:
-                answer = None, e
-            _send(results, answer)
-    except (EOFError, BrokenPipeError):  # the parent closed its ends, done or not
-        pass
+                answer = args, None, e
+            results.write(pickle.dumps(answer, pickle.HIGHEST_PROTOCOL))
+            results.flush()
+            if answer[2] is not None:
+                break
+    hold.read(1)
 
 
 class Pool:
-    """Worker processes and the tasks they may run.
+    """Worker processes that walk the walks, callables that return parts.
 
-    With workers < 2 there are none, and imap runs every job here.  Else
-    that many processes are forked at once, through multiprocessing's fork
-    context.  They inherit tasks and all they refer to, so only the
-    arguments and the results are pickled: each worker reads (task index,
-    arguments) from a pipe of its own and writes the results to another
-    (widened to 1 MiB), as length-prefixed pickles.  The arguments must
-    stay small, such as a range of rows: the few pending fit in a pipe, so
-    the parent never waits to write one, and waits only for answers, which
-    it reads as they come, so no worker waits on it for long.
-    multiprocessing flushes the standard streams before it forks, so no
-    worker holds output of the parent's to write again.  close, or the end
-    of a with block, closes the parent's ends of the pipes and waits for
-    every worker to exit; workers ignore Ctrl-C.
-    """
+    With workers < 2 there are none, and walk runs every job here.  Else W =
+    workers processes are forked through multiprocessing's fork context,
+    which flushes the standard streams first; they ignore Ctrl-C.  Each
+    calls every walk in order, runs job k, counted over all walks, when k
+    mod W is its index, and pickles the answer with the job's args to a pipe
+    of its own, of 1 MiB: a worker runs at most that pipe and one job ahead.
+    The parent walks the same walks and reads job k's answer from worker
+    k mod W; it sends no worker anything, and no task or array is pickled.
+    So a job must not depend on anything that changes after the fork: the
+    parent raises ChildProcessError when an answer's args differ from those
+    of its own job k.  The strings may differ.  close, or the end of a with
+    block, ends and joins the workers."""
 
-    def __init__(self, tasks, workers: int):
-        self._tasks, self._ends, self._procs = list(tasks), [], []
+    def __init__(self, walks, workers: int):
+        walks = list(walks)
+        self._walks, self._jobs, self._ends, self._procs = iter(walks), 0, [], []
         if workers < 2:
             return
         import multiprocessing
-        import select
         context = multiprocessing.get_context("fork")
-        self._poll, self._worker_of, self._buffer = select.poll(), {}, bytearray()
+        hold, hold_w = map(open, os.pipe(), ("rb", "wb"))
+        # the result ends of the workers, in order, then the end of hold
+        self._ends.append(hold_w)
         try:
-            for w in range(workers):
-                item_r, item_w = map(open, os.pipe(), ("rb", "wb"))
-                # unbuffered: no answer waits in a buffer where a poll cannot see it
-                result_r, result_w = map(open, os.pipe(), ("rb", "wb"), (0, -1))
-                _widen(result_w)
-                self._ends.append((item_w, result_r))
-                self._poll.register(result_r, select.POLLIN)
-                self._worker_of[result_r.fileno()] = w
-                with item_r, result_w:
-                    proc = context.Process(target=_serve, daemon=True, args=(
-                        self._tasks, item_r, result_w, [e for ends in self._ends for e in ends]))
-                    proc.start()
-                self._procs.append(proc)
+            with hold:
+                for w in range(workers):
+                    result_r, result_w = map(open, os.pipe(), ("rb", "wb"))
+                    _widen(result_w)
+                    self._ends.insert(w, result_r)
+                    with result_w:
+                        proc = context.Process(target=_serve, daemon=True, args=(
+                            walks, w, workers, result_w, hold, self._ends))
+                        proc.start()
+                    self._procs.append(proc)
         except BaseException:
             self.close()
             raise
@@ -140,60 +102,39 @@ class Pool:
         self.close()
 
     def close(self) -> None:
-        """End the workers: close the parent's ends of the pipes, the result
-        ends first, so that no worker waits to write, then join them."""
-        for end in [result_r for _, result_r in self._ends] + [item_w for item_w, _ in self._ends]:
-            with suppress(OSError):  # a worker gone with an item unread
-                end.close()
+        """End the workers: close the parent's ends of the pipes, then join them."""
+        for end in self._ends:
+            end.close()
         for proc in self._procs:
             proc.join()
         self._ends, self._procs = [], []
 
-    def imap(self, parts):
-        """Yield the parts of parts in order (see files.doc_parts): a string
-        as it is, and for a job (task, args) the result task(*args).
-
-        task must be one of the pool's tasks.  Each job goes to the worker
-        with the fewest jobs pending, and at most two jobs per worker are
-        pending in all, answered or not: answers are read as they come and
-        held until their turn.  An exception the task raises in a worker is
-        raised here, in its turn.  A walk that does not run to its end,
-        because it raised or was closed, closes the pool, and later walks
-        run in this process."""
-        if not self._procs:
-            yield from run_parts(parts)
-            return
-        parts, queues = iter(parts), [deque() for _ in self._procs]
-        held, taken, done, pending = {}, 0, 0, 0
+    def walk(self):
+        """Yield the parts of the next walk, in the order of walks: a string
+        as it is, and for a job (task, args) task(*args).  An exception the
+        task raised in a worker is raised here, in its turn.  A walk that
+        does not run to its end closes the pool, and later walks run in
+        this process."""
         try:
-            while True:
-                while pending < 2 * len(queues) and (part := next(parts, None)) is not None:
-                    if isinstance(part, str):
-                        held[taken] = part, None, False
-                    else:
-                        task, args = part
-                        w = min(range(len(queues)), key=lambda w: len(queues[w]))
-                        _send(self._ends[w][0], (self._tasks.index(task), args))
-                        queues[w].append(taken)
-                        pending += 1
-                    taken += 1
-                if done == taken:
-                    return
-                while done not in held:
-                    for fd, _ in self._poll.poll():
-                        w = self._worker_of[fd]
-                        held[queues[w].popleft()] = *self._answer(w), True
-                value, error, job = held.pop(done)
-                done, pending = done + 1, pending - job
+            parts = next(self._walks)()
+            if not self._procs:
+                yield from run_parts(parts)
+                return
+            for part in parts:
+                if isinstance(part, str):
+                    yield part
+                    continue
+                w, self._jobs = self._jobs % len(self._procs), self._jobs + 1
+                try:
+                    args, value, error = pickle.load(self._ends[w])
+                except (EOFError, pickle.UnpicklingError):
+                    raise ChildProcessError(f"worker {w} ended without an answer") from None
+                if args != part[1]:
+                    raise ChildProcessError(f"worker {w} ran a job of args {args!r}, "
+                                            f"not {part[1]!r}")
                 if error is not None:
                     raise error
                 yield value
         except BaseException:  # GeneratorExit included
             self.close()
             raise
-
-    def _answer(self, w: int):
-        try:
-            return _receive(self._ends[w][1], self._buffer)
-        except EOFError:
-            raise ChildProcessError(f"worker {w} ended without an answer") from None

@@ -14,6 +14,9 @@ trap 'rm -rf "$d"' EXIT
 qpc() { python -W error -m qpc "$@"; }
 
 python -W error -c "import sys, qpc.cli; sys.exit(any(m.partition('.')[0] == 'scipy' for m in sys.modules))"
+# import qpc alone loads neither numpy nor a module of the package: its
+# names are imported on first use
+python -W error -c "import sys, qpc; sys.exit(any(m.partition('.')[0] == 'numpy' or m.startswith('qpc.') for m in sys.modules))"
 qpc gen --n 4 --seed 7 --out "$d/family.json"
 qpc analyze "$d/family.json" --emit-gram "$d/gram.json" --emit-phase "$d/phase.json"
 qpc analyze "$d/family.json" --format structured --out "$d/report.json"

@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 import warnings
@@ -524,6 +525,12 @@ def _refuse_seven(x):
     return x
 
 
+def _walk(task, items):
+    """A walk: for each x of items, the job (task, (x,)), or str(x) where
+    x is a multiple of 3."""
+    return lambda: ((task, (x,)) if x % 3 else str(x) for x in items)
+
+
 class _Interrupting(_WriteSizes):
     """A stdout that raises error five writes after the triangles' heading,
     noting the live workers then."""
@@ -622,36 +629,54 @@ class TestWorkers:
     def test_the_pool_keeps_the_order_and_ends_its_workers(self):
         # a lambda cannot be pickled: the workers run the one they inherited
         tripled = lambda x: 3 * x  # noqa: E731
-        with Pool([_doubled, tripled], 3) as pool:
+        tasks = (_doubled, tripled, _doubled)
+        with Pool([_walk(task, range(50)) for task in tasks], 3) as pool:
             assert len(multiprocessing.active_children()) == 3
-            for task in (_doubled, tripled, _doubled):
-                parts = [(task, (x,)) if x % 3 else str(x) for x in range(50)]
-                assert list(pool.imap(parts)) == [task(x) if x % 3 else str(x) for x in range(50)]
+            for task in tasks:
+                assert list(pool.walk()) == [task(x) if x % 3 else str(x) for x in range(50)]
         assert multiprocessing.active_children() == []
 
     def test_an_exception_in_a_worker_is_raised_in_the_parent(self):
-        with Pool([_refuse_seven], 2) as pool:
-            walk = pool.imap((_refuse_seven, (x,)) for x in range(50))
-            assert [next(walk) for _ in range(7)] == list(range(7))
+        walks = [_walk(_refuse_seven, range(1, 50)), lambda: [(_refuse_seven, (1,)), "2"]]
+        with Pool(walks, 2) as pool:
+            walk = pool.walk()
+            assert [next(walk) for _ in range(6)] == [1, 2, "3", 4, 5, "6"]
             with pytest.raises(ValueError, match="item 7 refused"):
                 next(walk)
             assert multiprocessing.active_children() == []
             # the walk did not end, so the pool closed; later walks run here
-            assert list(pool.imap([(_refuse_seven, (1,)), "2"])) == [1, "2"]
+            assert list(pool.walk()) == [1, "2"]
 
     def test_a_worker_that_dies_is_an_error_and_leaves_no_worker(self):
-        with Pool([_exit_at_once], 2) as pool:
+        with Pool([lambda: [(_exit_at_once, (1,))]], 2) as pool:
             with pytest.raises(ChildProcessError, match="ended without an answer"):
-                list(pool.imap([(_exit_at_once, (1,))]))
+                list(pool.walk())
             assert multiprocessing.active_children() == []
 
     def test_a_walk_closed_early_ends_its_workers(self):
-        with Pool([_doubled], 2) as pool:
-            walk = pool.imap((_doubled, (x,)) for x in range(50))
-            assert next(walk) == 0
+        with Pool([_walk(_doubled, range(1, 50))], 2) as pool:
+            walk = pool.walk()
+            assert next(walk) == 2
             assert len(multiprocessing.active_children()) == 2
             walk.close()
             assert multiprocessing.active_children() == []
+
+    def test_a_job_that_differs_in_the_workers_is_an_error(self):
+        # the args of a job made after the fork name the process that made it
+        with Pool([lambda: [(_doubled, (os.getpid(),))]], 2) as pool:
+            with pytest.raises(ChildProcessError, match=f"not \\({os.getpid()},\\)$"):
+                list(pool.walk())
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_three_workers_print_the_bytes_of_one_cpu(self, monkeypatch, tmp_path, families,
+                                                      fmt):
+        # an odd count leaves a different residue of jobs on every worker
+        monkeypatch.setattr(cli, "_workers", lambda rows: 3)
+        out = tmp_path / "report"
+        assert main(["analyze", families["gen80"], "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256_80[fmt]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_an_in_process_report_is_the_same_and_leaves_no_worker(self, monkeypatch, tmp_path,
@@ -1317,6 +1342,25 @@ class TestUsage:
         monkeypatch.setattr(cli, "cmd_gen", interrupted)
         assert main(["gen", "--n", "3"]) == 130
         assert capsys.readouterr() == ("", "error: interrupted\n")
+
+    def test_an_interrupt_while_the_command_imports_is_one_line_and_exit_130(self):
+        # the child sends itself SIGINT when qpc.comparisons is first
+        # imported, after qpc and before qpc.cli is loaded
+        script = textwrap.dedent("""
+            import os, signal, sys
+
+            class Interrupt:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "qpc.comparisons":
+                        os.kill(os.getpid(), signal.SIGINT)
+
+            sys.meta_path.insert(0, Interrupt())
+            from qpc.__main__ import run
+            sys.exit(run())
+        """)
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script, "gen", "--n", "3"],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+        assert (proc.returncode, proc.stderr, proc.stdout) == (130, "error: interrupted\n", "")
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2
