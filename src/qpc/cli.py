@@ -28,7 +28,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import comparisons, invariants, realizability, states, verification
+from . import comparisons, states
 from .files import (
     _FILL_CHUNK,
     FileFormatError,
@@ -111,15 +111,22 @@ def _section(heading: str, rows: int, lines):
 # bound is twice that, a margin for a noisier or slower host.
 POOL_MIN_ROWS = 13_000
 
+# The --cases from which verify runs its properties in forked workers, one
+# per usable CPU, a job per property.  On two CPUs the workers break even
+# at about 16 cases (a cold verify of about 0.24 s); the bound is twice that.
+VERIFY_POOL_MIN_CASES = 32
 
-def _workers(rows: int) -> int:
-    """The processes that run analyze's stages of rows rows: every usable CPU
-    when there are several, rows reach POOL_MIN_ROWS and this process may
-    fork workers (fork is available, no other thread runs that a child could
-    inherit holding a lock, and this is no daemonic multiprocessing worker,
-    which may start no process); else 1."""
+
+def _workers(rows: int, least: int | None = None) -> int:
+    """The processes that run a command's stages of rows rows (or cases):
+    every usable CPU when there are several, rows reach least
+    (POOL_MIN_ROWS when None) and this process may fork workers (fork is
+    available, no other thread runs that a child could inherit holding a
+    lock, and this is no daemonic multiprocessing worker, which may start
+    no process); else 1."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if rows < POOL_MIN_ROWS or cpus < 2 or threading.active_count() > 1:
+    least = POOL_MIN_ROWS if least is None else least
+    if rows < least or cpus < 2 or threading.active_count() > 1:
         return 1
     import multiprocessing
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -176,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_realize.add_argument("--restarts", type=_positive_int, default=32)
     p_realize.add_argument("--max-iters", type=_positive_int, default=500,
                            help="residual evaluations each search restart may spend")
-    p_realize.add_argument("--realize-tol", type=_tolerance,
-                           default=realizability.REALIZE_TOL)
+    # None is realizability.REALIZE_TOL, read where realize runs
+    p_realize.add_argument("--realize-tol", type=_tolerance, default=None)
 
     p_verify = command("verify", cmd_verify, "run the registered self-check properties",
                        ["--seed", "--out", "--format"])
@@ -237,10 +244,10 @@ _TRIANGLE_ROW = ("  (%d, %d, %d): bargmann " + _COMPLEX + "  defect " + _COMPLEX
                  + "  pancharatnam " + _REAL + "  solid_angle " + _REAL + "  amplitude " + _REAL)
 
 
-# Rows of one job of the check pass, four blocks of TRIANGLE_BLOCK rows: the
-# kernel takes about a quarter less time per row on them, and each trip to
-# a worker carries more work.
-_CHECK_ROWS = 4 * invariants.TRIANGLE_BLOCK
+# Blocks of TRIANGLE_BLOCK rows in one job of the check pass: the kernel
+# takes about a quarter less time per row on four, and each trip to a
+# worker carries more work.
+_CHECK_BLOCKS = 4
 
 
 def _near_cut_triples(kernel, r) -> list:
@@ -251,8 +258,10 @@ def _near_cut_triples(kernel, r) -> list:
     try:
         block = kernel(r)
     except ArithmeticError:
-        for start in range(0, len(r), invariants.TRIANGLE_BLOCK):
-            kernel(r[start:start + invariants.TRIANGLE_BLOCK])
+        from .invariants import TRIANGLE_BLOCK
+
+        for start in range(0, len(r), TRIANGLE_BLOCK):
+            kernel(r[start:start + TRIANGLE_BLOCK])
         raise
     return block.triples[_near_cut(block.defect)].tolist()
 
@@ -283,10 +292,13 @@ def _analysis(family, args) -> SimpleNamespace:
     The triangles are not held but made again on every walk of them:
     triples is the invariants.Triples of the support, and kernel(r) the
     invariants.triangle_table of the rows of its range r, made from the
-    gram entries, their moduli and the phase entries computed here once.
-    check() is the walk of the check pass: a job of _near_cut_triples of
-    the kernel for every _CHECK_ROWS rows.  rows counts the records of the
+    gram entries, their moduli and the phase entries computed here once;
+    blocks() walks its ranges of invariants.TRIANGLE_BLOCK rows.  check()
+    is the walk of the check pass: a job of _near_cut_triples of the
+    kernel for every _CHECK_BLOCKS blocks.  rows counts the records of the
     structured report, and warnings are those of the duplicate rays."""
+    from . import invariants
+
     zero_tol = args.zero_tol
     g = comparisons.gram(family)
     p = comparisons.probabilities(g)
@@ -311,7 +323,9 @@ def _analysis(family, args) -> SimpleNamespace:
     return SimpleNamespace(
         zero_tol=zero_tol, g=g, p=p, u=u, og=og, matching=comparisons.check_matching(og),
         triples=triples, kernel=kernel,
-        check=lambda: ((near_cut, (r,)) for r in triples.ranges(_CHECK_ROWS)),
+        blocks=partial(triples.ranges, invariants.TRIANGLE_BLOCK),
+        check=lambda: ((near_cut, (r,)) for r in triples.ranges(
+            _CHECK_BLOCKS * invariants.TRIANGLE_BLOCK)),
         rows=2 * n * n + 2 * pairs + edges + len(triples), warnings=warnings)
 
 
@@ -339,8 +353,7 @@ def _analysis_doc(family, a: SimpleNamespace, warnings: list) -> dict:
             "edges": Records(list(a.og.pairs)),
             "matching": a.matching,
         },
-        "triangles": Records.of_blocks(len(a.triples),
-                                       partial(a.triples.ranges, invariants.TRIANGLE_BLOCK),
+        "triangles": Records.of_blocks(len(a.triples), a.blocks,
                                        partial(_triangle_record, a.kernel)),
         "warnings": warnings,
     }
@@ -374,7 +387,7 @@ def _analysis_text(family, a: SimpleNamespace, warnings: list):
     yield f"\northogonality graph is a matching: {'yes' if a.matching else 'no'}"
     triangles = partial(_triangle_lines, a.kernel)
     yield from _section("triangles:", len(a.triples), (
-        (triangles, (r,)) for r in a.triples.ranges(invariants.TRIANGLE_BLOCK)))
+        (triangles, (r,)) for r in a.blocks()))
     yield "".join(f"\nwarning: {w}" for w in warnings)
     yield "\n"
 
@@ -439,6 +452,8 @@ def _emit_verdict(args, verdict) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import realizability
+
     kind, payload = matrix_from_json(load_text(args.matrix))
     if kind != "gram":
         raise FileFormatError(f"check requires a gram matrix file, got kind {kind!r}")
@@ -466,14 +481,9 @@ def _result_text(result) -> str:
     return text + "\n"
 
 
-_RESULT_EXIT = {
-    realizability.REALIZABLE: EXIT_OK,
-    realizability.NOT_REALIZABLE: EXIT_NEGATIVE,
-    realizability.SEARCH_FAILED: EXIT_INCONCLUSIVE,
-}
-
-
 def cmd_realize(args) -> int:
+    from . import realizability
+
     kind, payload = matrix_from_json(load_text(args.matrix))
     if kind == "probability":
         raise FileFormatError(
@@ -489,7 +499,8 @@ def cmd_realize(args) -> int:
             restarts=args.restarts,
             max_iters=args.max_iters,
             seed=_resolve_seed(args),
-            realize_tol=args.realize_tol,
+            realize_tol=realizability.REALIZE_TOL if args.realize_tol is None
+            else args.realize_tol,
         )
         result = realizability.realize_phases(payload, cfg)
     text = dump_doc(_result_doc(result)) if args.format == "structured" else _result_text(result)
@@ -498,12 +509,19 @@ def cmd_realize(args) -> int:
         _emit(None, [text])
     else:
         _emit(args.out, [text])
-    return _RESULT_EXIT[result.status]
+    return {
+        realizability.REALIZABLE: EXIT_OK,
+        realizability.NOT_REALIZABLE: EXIT_NEGATIVE,
+        realizability.SEARCH_FAILED: EXIT_INCONCLUSIVE,
+    }[result.status]
 
 
 def cmd_verify(args) -> int:
+    from . import verification
+
     seed = _resolve_seed(args)
-    reports = verification.run_all(args.cases, seed)
+    reports = verification.run_all(args.cases, seed,
+                                   _workers(args.cases, VERIFY_POOL_MIN_CASES))
     failed = [idx for idx, r in enumerate(reports) if not r.passed]
     if args.format == "structured":
         doc = {

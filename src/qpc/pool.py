@@ -1,9 +1,10 @@
 """Forked worker processes that walk a command's output with it.
 
-analyze formats nearly all of its floats in them.  A walk is a callable
-of no arguments that returns parts as files.doc_parts yields them:
-strings, and jobs (task, args).  Importing this module starts nothing;
-only a Pool of two or more workers imports multiprocessing and forks.
+analyze formats nearly all of its floats in them, and verify runs its
+properties in them.  A walk is a callable of no arguments that returns
+parts as files.doc_parts yields them: strings, and jobs (task, args).
+Importing this module starts nothing; only a Pool of two or more workers
+imports multiprocessing and forks.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Each property evaluates a claimed identity along two independent routes
 on seeded random instances and reports the worst discrepancy as an
 OracleReport.  run_all drives every registered property with a shared
 seed, deterministically: property idx draws from the stream
-np.random.default_rng([seed, idx]).
+np.random.default_rng([seed, idx]), in whichever process runs it, so the
+reports are the same on any number of workers.
 
 To add a property, write one case function that draws a single instance
 from the generator it is given and returns that instance's discrepancy
@@ -21,9 +22,11 @@ import cmath
 from itertools import combinations
 
 import numpy as np
+from numpy.random import default_rng  # numpy loads it on first use: before any fork, here
 
 from . import comparisons, invariants, realizability, states
 from .oracles import OracleReport, oracle_bargmann_direct, oracle_pauli_traces, oracle_trace_product
+from .pool import Pool
 
 
 def _worst(discrepancies) -> float:
@@ -264,12 +267,17 @@ def _potential_vs_triangles(rng: np.random.Generator) -> float:
     return max(0.0, res - worst, worst - 3.0 * res)
 
 
-def run_all(cases: int, seed: int) -> list[OracleReport]:
-    """Run every registered property with its own seeded stream."""
+def _report(idx: int, cases: int, seed: int) -> OracleReport:
+    """The report of property idx on its own seeded stream."""
+    return PROPERTIES[idx](cases, default_rng([seed, idx]))
+
+
+def run_all(cases: int, seed: int, workers: int = 1) -> list[OracleReport]:
+    """Run every registered property with its own seeded stream, in
+    order, as one walk of a pool.Pool of workers processes with a job per
+    property; a property that raises raises here, in its turn."""
     if cases < 1:
         raise ValueError(f"cases must be positive, got {cases}")
-    reports = []
-    for idx, prop in enumerate(PROPERTIES):
-        rng = np.random.default_rng([seed, idx])
-        reports.append(prop(cases, rng))
-    return reports
+    jobs = lambda: ((_report, (idx, cases, seed)) for idx in range(len(PROPERTIES)))
+    with Pool([jobs], workers) as pool:
+        return list(pool.walk())

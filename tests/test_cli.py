@@ -1,13 +1,16 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
 import argparse
+import ast
 import cmath
+import gc
 import hashlib
 import itertools
 import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -293,10 +296,11 @@ class TestAnalyze:
             if r[-1] >= 1500:
                 raise ArithmeticError(f"worst row {r[-1]}")
 
-        assert cli._CHECK_ROWS > 2 * invariants.TRIANGLE_BLOCK > 1500
+        rows = cli._CHECK_BLOCKS * invariants.TRIANGLE_BLOCK
+        assert rows > 2 * invariants.TRIANGLE_BLOCK > 1500
         worst = 2 * invariants.TRIANGLE_BLOCK - 1
         with pytest.raises(ArithmeticError, match=f"^worst row {worst}$"):
-            cli._near_cut_triples(kernel, range(cli._CHECK_ROWS))
+            cli._near_cut_triples(kernel, range(rows))
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "analyze", str(tmp_path / "absent.json"))
@@ -1089,6 +1093,123 @@ class TestVerify:
         assert "replay" not in failing.out
 
 
+class _BrokenPipe(_WriteSizes):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def _replace_properties(monkeypatch, replaced: dict) -> None:
+    """Let verify run replaced[idx] as property idx, for each idx given."""
+    from qpc import verification
+
+    props = list(verification.PROPERTIES)
+    for idx, prop in replaced.items():
+        props[idx] = prop
+    monkeypatch.setattr(verification, "PROPERTIES", props)
+
+
+class TestPooledVerify:
+    """verify runs its properties on every usable CPU from
+    cli.VERIFY_POOL_MIN_CASES cases on, a job per property, and prints the
+    same bytes as on one."""
+
+    # sha256 of verify --cases 50 --format structured, as printed on one CPU
+    # under OpenBLAS's default kernel choice; some discrepancies come from
+    # BLAS and LAPACK, and another kernel (OPENBLAS_CORETYPE) may print other
+    # last digits, as the README says
+    SHA256_50 = "5792dfd11ee6be57427451eb72e21fc08dcc6d9bcedc5d1399f56b122b6cb4dc"
+
+    def test_the_bytes_do_not_depend_on_the_workers(self, monkeypatch, tmp_path):
+        used, digests = [], []
+        for workers in (1, 3):
+            monkeypatch.setattr(cli, "_workers", lambda *args: used.append(args) or workers)
+            out = tmp_path / f"report-{workers}"
+            argv = ["verify", "--cases", "50", "--format", "structured", "--out", str(out)]
+            assert main(argv) == 0
+            assert multiprocessing.active_children() == []
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert used == 2 * [(50, cli.VERIFY_POOL_MIN_CASES)]
+        assert digests[0] == digests[1]
+        if "OPENBLAS_CORETYPE" not in os.environ:
+            assert digests[0] == self.SHA256_50
+
+    def test_when_workers_are_used(self):
+        least = cli.VERIFY_POOL_MIN_CASES
+        assert 1 < least < 50  # the benchmark's verify --cases 50 runs on the pool
+        assert _workers(least - 1, least) == 1
+        assert _workers(least, least) == (_cpus() if _cpus() > 1 else 1)
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_failing_properties_in_workers_print_the_same_lines(self, capsys, monkeypatch,
+                                                                fmt):
+        monkeypatch.setattr(invariants, "bargmann", lambda *args: complex(math.nan, 0.0))
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(cli, "_workers", lambda *args: workers)
+            runs.append((main(["verify", "--cases", "50", "--seed", "5", "--format", fmt]),
+                         capsys.readouterr()))
+            assert multiprocessing.active_children() == []
+        assert runs[0] == runs[1]
+        code, (out, err) = runs[1]
+        assert code == 1 and len(err.splitlines()) == len(BARGMANN_PROPERTIES)
+        assert err.startswith("failed: property 1 bargmann_matches_componentwise_oracle "
+                              "with seed 5; replay: qpc verify --seed 5 --cases 50\n")
+
+    def test_a_property_that_raises_in_a_worker_is_raised_in_its_turn(self, monkeypatch,
+                                                                      capsys):
+        # property 5 raises in another worker than property 3, and maybe first
+        def refused(idx):
+            def prop(cases, rng):
+                raise ValueError(f"property {idx} refused")
+            return prop
+
+        _replace_properties(monkeypatch, {3: refused(3), 5: refused(5)})
+        monkeypatch.setattr(cli, "_workers", lambda *args: 3)
+        assert main(["verify", "--cases", "50"]) == 2
+        assert capsys.readouterr() == ("", "error: property 3 refused\n")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("exit_path", ["finished", "broken pipe", "interrupted",
+                                           "worker exception"])
+    def test_every_exit_path_joins_the_workers(self, monkeypatch, capsys, exit_path):
+        from qpc import verification
+
+        started, prop = [], verification.PROPERTIES[7]
+
+        class Recorded(Pool):
+            def __init__(self, *args):
+                super().__init__(*args)
+                started.append(len(multiprocessing.active_children()))
+
+        def interrupting(cases, rng):
+            # a Ctrl-C reaches the parent while it waits for the workers
+            os.kill(os.getppid(), signal.SIGINT)
+            return prop(cases, rng)
+
+        def refusing(cases, rng):
+            raise ValueError("property 7 refused")
+
+        monkeypatch.setattr(verification, "Pool", Recorded)
+        monkeypatch.setattr(cli, "_workers", lambda *args: 3)
+        if exit_path == "broken pipe":
+            monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+        elif exit_path in ("interrupted", "worker exception"):
+            _replace_properties(monkeypatch, {
+                7: interrupting if exit_path == "interrupted" else refusing})
+        code = main(["verify", "--cases", "50"])
+        err = capsys.readouterr().err
+        assert (code, err) == {
+            "finished": (0, ""),
+            "broken pipe": (2, "error: [Errno 32] Broken pipe\n"),
+            "interrupted": (130, "error: interrupted\n"),
+            "worker exception": (2, "error: property 7 refused\n"),
+        }[exit_path]
+        assert started == [3]
+        assert multiprocessing.active_children() == []
+
+
 NAN_C = {"re": math.nan, "im": 0.0}
 ONE_C = {"re": 1.0, "im": 0.0}
 
@@ -1362,6 +1483,30 @@ class TestUsage:
                               capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
         assert (proc.returncode, proc.stderr, proc.stdout) == (130, "error: interrupted\n", "")
 
+    def test_an_ignored_interrupt_stays_ignored(self):
+        # a shell starts a background job with SIGINT ignored; the child
+        # ignores it from the start, also while the command imports
+        script = textwrap.dedent("""
+            import os, signal, sys
+
+            class Interrupt:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "qpc.comparisons":
+                        os.kill(os.getpid(), signal.SIGINT)
+
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            sys.meta_path.insert(0, Interrupt())
+            from qpc.__main__ import run
+            code = run()
+            assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+            sys.exit(code)
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script, "gen", "--n", "3", "--seed", "4"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == family_to_json(random_family(3, 4))
+
     def test_no_arguments(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
@@ -1379,3 +1524,69 @@ class TestUsage:
         assert proc.returncode == 0
         fam, _ = family_from_json(proc.stdout)
         assert len(fam) == 2
+
+
+class TestColdCommand:
+    """python -m qpc loads the modules of the command it runs, and no more,
+    and its run() turns the collector off only while qpc.cli is imported;
+    cli.main, which a long-lived process may call many times, leaves the
+    collector alone."""
+
+    # a child that runs the command as python -m qpc does, then reports its
+    # exit code, whether the collector is on and the qpc modules it loaded
+    SCRIPT = textwrap.dedent("""
+        import gc, os, sys
+        from qpc.__main__ import run
+        code = run()
+        sys.stdout.flush()
+        loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "qpc")
+        os.write(2, repr((code, gc.isenabled(), loaded)).encode())
+    """)
+
+    # the modules each command does not load
+    NOT_LOADED = {
+        "gen": {"invariants", "realizability", "verification", "oracles"},
+        "analyze": {"realizability", "verification", "oracles"},
+        "check": {"verification", "oracles"},
+        "realize": {"verification", "oracles"},
+        "verify": set(),
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("cold")
+        g = gram(random_family(4, 2))
+        docs = {"family": family_to_json(random_family(4, 2)),
+                "gram": matrix_to_json("gram", g.entries),
+                "phase": matrix_to_json("phase", phases(g))}
+        for name, doc in docs.items():
+            save_text(str(d / name), doc)
+        return lambda argv: [str(d / a) if a in docs else a for a in argv]
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "3"], ["analyze", "family"], ["check", "gram"], ["realize", "gram"],
+        ["realize", "phase"], ["verify", "--cases", "2"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_a_command_loads_only_its_modules(self, inputs, argv):
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", self.SCRIPT, *inputs(argv)],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+        code, enabled, loaded = ast.literal_eval(proc.stderr)
+        assert (code, enabled) == (0, True)
+        assert {"qpc", "qpc.__main__", "qpc.cli", "qpc.comparisons", "qpc.files",
+                "qpc.states"} <= set(loaded)
+        skipped = {f"qpc.{name}" for name in self.NOT_LOADED[argv[0]]}
+        assert skipped.isdisjoint(loaded), sorted(skipped & set(loaded))
+        if argv[0] == "verify":
+            assert {"qpc.verification", "qpc.oracles"} <= set(loaded)
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        try:
+            for on in (True, False):
+                (gc.enable if on else gc.disable)()
+                assert main(["gen", "--n", "3"]) == 0
+                assert main(["verify", "--cases", "2"]) == 0
+                assert (gc.isenabled(), gc.get_freeze_count()) == (on, frozen)
+        finally:
+            (gc.enable if enabled else gc.disable)()
+        capsys.readouterr()
