@@ -45,7 +45,6 @@ from .files import (
     re_im,
     row_chunk,
     row_pieces,
-    run_parts,
     save_text,
 )
 
@@ -76,6 +75,7 @@ def _option(parse, ok, rule: str):
 _positive_int = _option(int, lambda value: value >= 1, "a positive integer")
 _seed = _option(int, lambda value: value >= 0, "a non-negative integer")
 _tolerance = _option(float, lambda value: 0.0 <= value < math.inf, "a finite number >= 0")
+_positive_tolerance = _option(float, lambda value: 0.0 < value < math.inf, "a finite number > 0")
 
 
 # A real number, and a complex one from (real part, imaginary part): the
@@ -103,12 +103,12 @@ def _section(heading: str, rows: int, lines):
     yield from lines
 
 
-# The rows from which analyze runs its check pass and report in forked
-# workers, one per usable CPU.  They are counted as the records of the
-# structured report: the gram and probability entries, the phase support and
-# entries, the orthogonal pairs and the triangles.  On two CPUs the workers
-# break even at about 6,500 rows in both formats (n = 28 to 30 states); the
-# bound is twice that, a margin for a noisier or slower host.
+# The rows from which analyze renders its report in forked workers, one per
+# usable CPU, while it runs its check pass itself.  They are counted as the
+# records of the structured report: the gram and probability entries, the
+# phase support and entries, the orthogonal pairs and the triangles.  On two
+# CPUs the workers break even at about 6,500 rows in both formats (n = 28 to
+# 30 states); the bound is twice that, a margin for a noisier or slower host.
 POOL_MIN_ROWS = 13_000
 
 # The --cases from which verify runs its properties in forked workers, one
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_realize.add_argument("--max-iters", type=_positive_int, default=500,
                            help="residual evaluations each search restart may spend")
     # None is realizability.REALIZE_TOL, read where realize runs
-    p_realize.add_argument("--realize-tol", type=_tolerance, default=None)
+    p_realize.add_argument("--realize-tol", type=_positive_tolerance, default=None)
 
     p_verify = command("verify", cmd_verify, "run the registered self-check properties",
                        ["--seed", "--out", "--format"])
@@ -244,26 +244,9 @@ _TRIANGLE_ROW = ("  (%d, %d, %d): bargmann " + _COMPLEX + "  defect " + _COMPLEX
                  + "  pancharatnam " + _REAL + "  solid_angle " + _REAL + "  amplitude " + _REAL)
 
 
-# Blocks of TRIANGLE_BLOCK rows in one job of the check pass: the kernel
-# takes about a quarter less time per row on four, and each trip to a
-# worker carries more work.
+# Blocks of TRIANGLE_BLOCK rows in one range of the check pass: the kernel
+# takes about a quarter less time per row on four.
 _CHECK_BLOCKS = 4
-
-
-def _near_cut_triples(kernel, r) -> list:
-    """The triples of the rows of the range r whose defects lie near the
-    branch cut.  Where the kernel refuses r, the refusal raised is that of
-    the first of its blocks of TRIANGLE_BLOCK rows that holds one, as a
-    walk of Triples.ranges(TRIANGLE_BLOCK) through the kernel raises it."""
-    try:
-        block = kernel(r)
-    except ArithmeticError:
-        from .invariants import TRIANGLE_BLOCK
-
-        for start in range(0, len(r), TRIANGLE_BLOCK):
-            kernel(r[start:start + TRIANGLE_BLOCK])
-        raise
-    return block.triples[_near_cut(block.defect)].tolist()
 
 
 def _triangle_lines(kernel, r) -> str:
@@ -293,10 +276,9 @@ def _analysis(family, args) -> SimpleNamespace:
     triples is the invariants.Triples of the support, and kernel(r) the
     invariants.triangle_table of the rows of its range r, made from the
     gram entries, their moduli and the phase entries computed here once;
-    blocks() walks its ranges of invariants.TRIANGLE_BLOCK rows.  check()
-    is the walk of the check pass: a job of _near_cut_triples of the
-    kernel for every _CHECK_BLOCKS blocks.  rows counts the records of the
-    structured report, and warnings are those of the duplicate rays."""
+    blocks() walks its ranges of invariants.TRIANGLE_BLOCK rows.  rows
+    counts the records of the structured report, and warnings are those
+    of the duplicate rays."""
     from . import invariants
 
     zero_tol = args.zero_tol
@@ -312,7 +294,6 @@ def _analysis(family, args) -> SimpleNamespace:
     og = comparisons.orthogonality_graph(g, zero_tol)
     triples, m = invariants.Triples(u.support.mask), comparisons.moduli(g.entries)
     kernel = lambda r: invariants.triangle_table(g.entries, m, u.entries, triples.rows(r))
-    near_cut = partial(_near_cut_triples, kernel)
     n, pairs, edges = len(family), len(u.support.pairs[0]), len(og.pairs[0])
     # the test of states.rays_equal, 1 - |g_ij|^2 <= tol, on every pair i < j
     warnings = [
@@ -324,19 +305,20 @@ def _analysis(family, args) -> SimpleNamespace:
         zero_tol=zero_tol, g=g, p=p, u=u, og=og, matching=comparisons.check_matching(og),
         triples=triples, kernel=kernel,
         blocks=partial(triples.ranges, invariants.TRIANGLE_BLOCK),
-        check=lambda: ((near_cut, (r,)) for r in triples.ranges(
-            _CHECK_BLOCKS * invariants.TRIANGLE_BLOCK)),
         rows=2 * n * n + 2 * pairs + edges + len(triples), warnings=warnings)
 
 
-def _branch_cut_warnings(a: SimpleNamespace, results=None) -> list:
-    """The check pass: the results of the walk a.check, as pool.Pool.walk
-    yields them, or run here; it raises the consistency refusal and takes
+def _branch_cut_warnings(a: SimpleNamespace) -> list:
+    """The check pass, run here: the kernel on the ranges of a.triples of
+    _CHECK_BLOCKS blocks each.  It raises the consistency refusal and takes
     no angle.  The warnings of the triangles near the branch cut."""
+    from .invariants import TRIANGLE_BLOCK
+
     return [
         f"triangle ({i}, {j}, {k}) is near the phase branch cut; "
         "its solid angle is reported on the principal branch"
-        for near in (run_parts(a.check()) if results is None else results) for i, j, k in near
+        for block in map(a.kernel, a.triples.ranges(_CHECK_BLOCKS * TRIANGLE_BLOCK))
+        for i, j, k in block.triples[_near_cut(block.defect)].tolist()
     ]
 
 
@@ -403,14 +385,14 @@ def cmd_analyze(args) -> int:
         report = partial(_analysis_text, family, a, warnings)
     from .pool import Pool
 
-    # The workers are forked here and walk the check pass and the report
-    # themselves, each running its share of their jobs.  The warnings grow
-    # after the fork, so only the report's strings may read them, no job.
-    # The check pass, its warnings and the consistency refusal come before
-    # --out is opened; the report is closed before the pool, which ends the
-    # workers.
-    with Pool([a.check, report], _workers(a.rows)) as pool:
-        warnings += _branch_cut_warnings(a, pool.walk())
+    # The workers are forked here and start rendering the report, each its
+    # share of its jobs, while this process runs the check pass.  The
+    # warnings grow after the fork, so only the report's strings may read
+    # them, no job.  The check pass, its warnings and the consistency
+    # refusal come before --out is opened; the report is closed before the
+    # pool, which ends the workers.
+    with Pool(report, _workers(a.rows)) as pool:
+        warnings += _branch_cut_warnings(a)
         with closing(pool.walk()) as pieces:
             _emit(args.out, pieces)
     return EXIT_OK

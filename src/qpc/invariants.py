@@ -139,6 +139,13 @@ def defect(u: PhaseMatrix, i: int, j: int, k: int) -> complex:
     return u.entry(i, j) * u.entry(j, k) * u.entry(k, i)
 
 
+def _disagreement(triple, delta) -> ArithmeticError:
+    """The refusal of the triple whose two defect routes differ by delta."""
+    i, j, k = triple
+    return ArithmeticError(f"defect and normalized Bargmann invariant of triangle "
+                           f"({i}, {j}, {k}) disagree: |delta| = {float(delta)!r}")
+
+
 def triangle_report(
     g: GramMatrix, i: int, j: int, k: int, zero_tol: float = DEFAULT_ZERO_TOL
 ) -> TriangleReport:
@@ -146,8 +153,9 @@ def triangle_report(
 
     The defect is computed twice, from the three normalized overlaps and
     by normalizing the Bargmann invariant itself; the two paths must
-    agree to 1e-12 or the report is refused.  Triples with a vanishing
-    overlap carry no phase information and are rejected.
+    agree to 1e-12 or the report is refused, as triangle_table refuses
+    its row.  Triples with a vanishing overlap carry no phase information
+    and are rejected.
     """
     _check_triple(g.n, i, j, k)
     _zero_tol(zero_tol)
@@ -168,12 +176,12 @@ def triangle_report(
         * (e[j, k] / moduli[(j, k)])
         * (e[k, i] / moduli[(k, i)])
     )
-    kappa_norm = b_inv / abs(b_inv)
-    if abs(kappa_phases - kappa_norm) > DEFECT_CONSISTENCY_TOL:
-        raise ArithmeticError(
-            "defect and normalized Bargmann invariant disagree: "
-            f"|delta| = {float(abs(kappa_phases - kappa_norm))!r}"
-        )
+    # divided as triangle_table divides: a |bargmann| below the float range
+    # gives inf or NaN, not ZeroDivisionError
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        delta = abs(kappa_phases - np.complex128(b_inv) / abs(b_inv))
+    if not delta <= DEFECT_CONSISTENCY_TOL:
+        raise _disagreement((i, j, k), delta)
     gamma = float(principal_angle(kappa_phases))
     return TriangleReport(
         triple=(i, j, k),
@@ -282,19 +290,21 @@ def cycle_products(a: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def triangle_table(g: np.ndarray, m: np.ndarray, u: np.ndarray, t: np.ndarray) -> TriangleTable:
     """The row kernel: the TriangleTable of the rows of t, from the gram
-    entries g, their moduli m and the phase entries u.  It is refused when
-    the two defect routes, u_ij u_jk u_ki and bargmann / |bargmann|, differ
-    by more than DEFECT_CONSISTENCY_TOL on one of its rows, with the
-    largest difference (NaN if one is NaN; a |bargmann| below the float
-    range gives inf or NaN, without a warning)."""
+    entries g, their moduli m and the phase entries u.  It is refused at
+    the first row whose two defect routes, u_ij u_jk u_ki and
+    bargmann / |bargmann|, differ by more than DEFECT_CONSISTENCY_TOL or
+    by NaN, naming that row's triangle and difference; so a walk through
+    it of t's rows, cut into ranges of any size, refuses with the same
+    message.  A |bargmann| below the float range gives inf or NaN, without
+    a warning."""
     b = cycle_products(g, t)
     kappa = cycle_products(u, t)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        worst = moduli(kappa - b / moduli(b)).max(initial=0.0)
-    if not worst <= DEFECT_CONSISTENCY_TOL:
-        raise ArithmeticError(
-            f"defect and normalized Bargmann invariant disagree: |delta| = {float(worst)!r}"
-        )
+        delta = moduli(kappa - b / moduli(b))
+    refused = ~(delta <= DEFECT_CONSISTENCY_TOL)
+    if refused.any():
+        first = refused.argmax()
+        raise _disagreement(t[first].tolist(), delta[first])
     i, j, k = t.T
     return TriangleTable(t, b, kappa, m[i, j] * m[j, k] * m[k, i])
 
@@ -309,8 +319,8 @@ def all_triangles(g: GramMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Triangle
     (every gram() result), including the 1e-12 refusal when the two
     defect routes disagree.  The table holds every row at once; the
     tables of triangle_table on the ranges of Triples(u.support.mask)
-    concatenate to it bit for bit in memory O(n^2 + one range), each
-    refused on its own rows alone.
+    concatenate to it bit for bit in memory O(n^2 + one range), and
+    such a walk refuses at the same first row.
     """
     u = phases(g, zero_tol)
     triples = Triples(u.support.mask)

@@ -1,8 +1,8 @@
 """Forked worker processes that walk a command's output with it.
 
-analyze formats nearly all of its floats in them, and verify runs its
-properties in them.  A walk is a callable of no arguments that returns
-parts as files.doc_parts yields them: strings, and jobs (task, args).
+analyze formats nearly all of its report's floats in them, and verify
+runs its properties in them.  A walk is a callable of no arguments that
+returns parts as files.doc_parts yields them: strings, and jobs (task, args).
 Importing this module starts nothing; only a Pool of two or more workers
 imports multiprocessing and forks.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import pickle
 from contextlib import suppress
-from itertools import islice
+from itertools import cycle, islice
 
 from .files import run_parts
 
@@ -27,8 +27,8 @@ def _widen(end) -> None:
         fcntl.fcntl(end, fcntl.F_SETPIPE_SZ, 1 << 20)
 
 
-def _serve(walks, w: int, workers: int, results, hold, parent_ends) -> None:
-    """Worker w of Pool: answer each job k of walks with k % workers == w by
+def _serve(walk, w: int, workers: int, results, hold, parent_ends) -> None:
+    """Worker w of Pool: answer each job k of walk() with k % workers == w by
     (args, task(*args), None), or (args, None, the exception it raised) and
     no more, pickled to the pipe file results; then wait for the parent to
     close hold.  parent_ends, the parent's ends of the pipes, are closed
@@ -39,7 +39,7 @@ def _serve(walks, w: int, workers: int, results, hold, parent_ends) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for end in parent_ends:
         end.close()
-    jobs = (part for walk in walks for part in walk() if not isinstance(part, str))
+    jobs = (part for part in walk() if not isinstance(part, str))
     # a closed pipe ends the worker, and so does a walk that raises, as the
     # parent's own walk of the same parts raises
     with suppress(Exception), results:
@@ -56,24 +56,23 @@ def _serve(walks, w: int, workers: int, results, hold, parent_ends) -> None:
 
 
 class Pool:
-    """Worker processes that walk the walks, callables that return parts.
+    """Worker processes that walk the walk, a callable that returns parts.
 
     With workers < 2 there are none, and walk runs every job here.  Else W =
     workers processes are forked through multiprocessing's fork context,
     which flushes the standard streams first; they ignore Ctrl-C.  Each
-    calls every walk in order, runs job k, counted over all walks, when k
-    mod W is its index, and pickles the answer with the job's args to a pipe
-    of its own, of 1 MiB: a worker runs at most that pipe and one job ahead.
-    The parent walks the same walks and reads job k's answer from worker
-    k mod W; it sends no worker anything, and no task or array is pickled.
-    So a job must not depend on anything that changes after the fork: the
-    parent raises ChildProcessError when an answer's args differ from those
-    of its own job k.  The strings may differ.  close, or the end of a with
-    block, ends and joins the workers."""
+    calls walk at once, runs its job k when k mod W is its index, and
+    pickles the answer with the job's args to a pipe of its own, of 1 MiB:
+    a worker runs at most that pipe and one job ahead.  So the parent is
+    free to do other work before it walks the same walk, once, and reads
+    job k's answer from worker k mod W; it sends no worker anything, and no
+    task or array is pickled.  A job must not depend on anything that
+    changes after the fork: the parent raises ChildProcessError when an
+    answer's args differ from those of its own job k.  The strings may
+    differ.  close, or the end of a with block, ends and joins the workers."""
 
-    def __init__(self, walks, workers: int):
-        walks = list(walks)
-        self._walks, self._jobs, self._ends, self._procs = iter(walks), 0, [], []
+    def __init__(self, walk, workers: int):
+        self._walk, self._ends, self._procs = walk, [], []
         if workers < 2:
             return
         import multiprocessing
@@ -89,7 +88,7 @@ class Pool:
                     self._ends.insert(w, result_r)
                     with result_w:
                         proc = context.Process(target=_serve, daemon=True, args=(
-                            walks, w, workers, result_w, hold, self._ends))
+                            walk, w, workers, result_w, hold, self._ends))
                         proc.start()
                     self._procs.append(proc)
         except BaseException:
@@ -111,21 +110,21 @@ class Pool:
         self._ends, self._procs = [], []
 
     def walk(self):
-        """Yield the parts of the next walk, in the order of walks: a string
-        as it is, and for a job (task, args) task(*args).  An exception the
-        task raised in a worker is raised here, in its turn.  A walk that
-        does not run to its end closes the pool, and later walks run in
-        this process."""
+        """Yield the parts of the walk: a string as it is, and for a job
+        (task, args) task(*args).  An exception the task raised in a worker
+        is raised here, in its turn.  A walk that does not run to its end
+        closes the pool."""
         try:
-            parts = next(self._walks)()
+            parts = self._walk()
             if not self._procs:
                 yield from run_parts(parts)
                 return
+            turns = cycle(range(len(self._procs)))
             for part in parts:
                 if isinstance(part, str):
                     yield part
                     continue
-                w, self._jobs = self._jobs % len(self._procs), self._jobs + 1
+                w = next(turns)
                 try:
                     args, value, error = pickle.load(self._ends[w])
                 except (EOFError, pickle.UnpicklingError):

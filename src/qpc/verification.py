@@ -274,10 +274,10 @@ def _report(idx: int, cases: int, seed: int) -> OracleReport:
 
 def run_all(cases: int, seed: int, workers: int = 1) -> list[OracleReport]:
     """Run every registered property with its own seeded stream, in
-    order, as one walk of a pool.Pool of workers processes with a job per
+    order, as the walk of a pool.Pool of workers processes with a job per
     property; a property that raises raises here, in its turn."""
     if cases < 1:
         raise ValueError(f"cases must be positive, got {cases}")
     jobs = lambda: ((_report, (idx, cases, seed)) for idx in range(len(PROPERTIES)))
-    with Pool([jobs], workers) as pool:
+    with Pool(jobs, workers) as pool:
         return list(pool.walk())

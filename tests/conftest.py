@@ -68,9 +68,10 @@ def slack_gram(seed: int, c: float, d: float) -> np.ndarray:
     return g + c * np.outer(q0, q0.conj()) - d * np.eye(3)
 
 
-def inconsistent_family() -> StateFamily:
-    """Three states whose Bargmann invariant (0, 1, 2) falls below the float
-    range, about 1e-320: normalizing it overflows, so with zero_tol 0 the
-    two defect routes disagree by inf."""
-    return StateFamily((QubitState(1.0, 0.0), QubitState(1e-160, 1.0),
-                        QubitState(1e-160 * cmath.exp(0.7j), 1.0)))
+def inconsistent_family(tiny: float = 1e-160) -> StateFamily:
+    """Three states whose Bargmann invariant (0, 1, 2), about tiny², falls
+    below the float range: at 1e-160 it is about 1e-320, and normalizing it
+    overflows, so with zero_tol 0 the two defect routes disagree by inf; at
+    1e-200 it is 0, and they disagree by NaN."""
+    return StateFamily((QubitState(1.0, 0.0), QubitState(tiny, 1.0),
+                        QubitState(tiny * cmath.exp(0.7j), 1.0)))

@@ -10,6 +10,7 @@ import json
 import math
 import multiprocessing
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -51,6 +52,9 @@ from tests.test_verification import BARGMANN_PROPERTIES
 SQ2 = 2.0 ** -0.5
 DATA = Path(__file__).parent / "data" / "analyze"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# what analyze prints for conftest.inconsistent_family with --zero-tol 0
+REFUSAL = ("error: defect and normalized Bargmann invariant of triangle (0, 1, 2) disagree: "
+           "|delta| = inf\n")
 
 
 def fmt(x: float) -> str:
@@ -284,23 +288,56 @@ class TestAnalyze:
         code = main(["analyze", str(path), "--zero-tol", "0", "--format", fmt, "--out", str(out)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err == ("error: defect and normalized Bargmann invariant disagree: "
-                                "|delta| = inf\n")
+        assert captured.err == REFUSAL
         assert not out.exists()
 
-    def test_a_check_job_raises_the_refusal_of_its_first_refusing_block(self):
-        # a check job spans several kernel blocks, and names the worst
-        # |delta| of the first that refuses, as a walk of
-        # Triples.ranges(TRIANGLE_BLOCK) through triangle_table does
-        def kernel(r):
-            if r[-1] >= 1500:
-                raise ArithmeticError(f"worst row {r[-1]}")
+    def test_every_walk_names_the_first_disagreeing_triangle(self, monkeypatch, capsys,
+                                                             tmp_path):
+        # with --zero-tol 0, the Bargmann invariant of a triangle through
+        # state 0 or 20 and two states of overlap 1e-160 with it is about
+        # 1e-320, and normalizing it overflows (|delta| = inf); with two of
+        # overlap 1e-200 it is 0 (|delta| = nan), which no comparison passes
+        vecs = random_family(40, 3).vectors
+        vecs[[0, 20]] = 1.0, 0.0
+        for i, tiny, phase in [(3, 1e-160, 0.0), (5, 1e-160, 0.7), (30, 1e-200, 0.0),
+                               (31, 1e-200, 0.3)]:
+            vecs[i] = tiny * cmath.exp(1j * phase), 1.0
+        fam = StateFamily(tuple(QubitState(*v) for v in vecs))
+        message = ("defect and normalized Bargmann invariant of triangle (0, 3, 5) disagree: "
+                   "|delta| = inf")
+        a = _analysis(fam, argparse.Namespace(zero_tol=0.0, emit_gram=None,
+                                              emit_probability=None, emit_phase=None))
 
-        rows = cli._CHECK_BLOCKS * invariants.TRIANGLE_BLOCK
-        assert rows > 2 * invariants.TRIANGLE_BLOCK > 1500
-        worst = 2 * invariants.TRIANGLE_BLOCK - 1
-        with pytest.raises(ArithmeticError, match=f"^worst row {worst}$"):
-            cli._near_cut_triples(kernel, range(rows))
+        def refusal(walk):
+            with pytest.raises(ArithmeticError) as refused:
+                walk()
+            return str(refused.value)
+
+        def refuses(r):
+            try:
+                a.kernel(r)
+            except ArithmeticError:
+                return True
+            return False
+
+        # refusing triangles in more than one block, and worse ones after
+        # the first, in its block and in later ones
+        assert sum(map(refuses, a.blocks())) > 1
+        assert refusal(lambda: invariants.triangle_report(a.g, 0, 3, 30, 0.0)).endswith("nan")
+        assert refusal(lambda: invariants.triangle_report(a.g, 20, 30, 31, 0.0)).endswith("nan")
+        assert refusal(lambda: all_triangles(a.g, 0.0)) == message
+        for size in (1, 7, invariants.TRIANGLE_BLOCK, 4 * invariants.TRIANGLE_BLOCK):
+            assert refusal(lambda: list(map(a.kernel, a.triples.ranges(size)))) == message
+        # analyze, in this process and on the pool
+        path = tmp_path / "refused.json"
+        save_text(str(path), family_to_json(fam))
+        out = tmp_path / "report"
+        for workers in (1, 3):
+            monkeypatch.setattr(cli, "_workers", lambda rows: workers)
+            assert main(["analyze", str(path), "--zero-tol", "0", "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            assert not out.exists()
+            assert multiprocessing.active_children() == []
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "analyze", str(tmp_path / "absent.json"))
@@ -553,9 +590,9 @@ class _Interrupting(_WriteSizes):
 
 
 class TestWorkers:
-    """analyze runs its check pass and every section of its report on every
-    usable CPU, in one pool of forked workers, and prints the same bytes as
-    on one."""
+    """analyze renders every section of its report on every usable CPU, in
+    one pool of forked workers, while it runs its check pass itself, and
+    prints the same bytes as on one."""
 
     # sha256 of analyze on gen --n 80 --seed 7, as printed on one CPU
     SHA256_80 = {
@@ -633,32 +670,31 @@ class TestWorkers:
     def test_the_pool_keeps_the_order_and_ends_its_workers(self):
         # a lambda cannot be pickled: the workers run the one they inherited
         tripled = lambda x: 3 * x  # noqa: E731
-        tasks = (_doubled, tripled, _doubled)
-        with Pool([_walk(task, range(50)) for task in tasks], 3) as pool:
+        tasks = (_doubled, tripled)
+        walk = lambda: ((tasks[x % 2], (x,)) if x % 3 else str(x)  # noqa: E731
+                        for x in range(50))
+        with Pool(walk, 3) as pool:
             assert len(multiprocessing.active_children()) == 3
-            for task in tasks:
-                assert list(pool.walk()) == [task(x) if x % 3 else str(x) for x in range(50)]
+            assert list(pool.walk()) == [tasks[x % 2](x) if x % 3 else str(x)
+                                         for x in range(50)]
         assert multiprocessing.active_children() == []
 
     def test_an_exception_in_a_worker_is_raised_in_the_parent(self):
-        walks = [_walk(_refuse_seven, range(1, 50)), lambda: [(_refuse_seven, (1,)), "2"]]
-        with Pool(walks, 2) as pool:
+        with Pool(_walk(_refuse_seven, range(1, 50)), 2) as pool:
             walk = pool.walk()
             assert [next(walk) for _ in range(6)] == [1, 2, "3", 4, 5, "6"]
             with pytest.raises(ValueError, match="item 7 refused"):
                 next(walk)
             assert multiprocessing.active_children() == []
-            # the walk did not end, so the pool closed; later walks run here
-            assert list(pool.walk()) == [1, "2"]
 
     def test_a_worker_that_dies_is_an_error_and_leaves_no_worker(self):
-        with Pool([lambda: [(_exit_at_once, (1,))]], 2) as pool:
+        with Pool(lambda: [(_exit_at_once, (1,))], 2) as pool:
             with pytest.raises(ChildProcessError, match="ended without an answer"):
                 list(pool.walk())
             assert multiprocessing.active_children() == []
 
     def test_a_walk_closed_early_ends_its_workers(self):
-        with Pool([_walk(_doubled, range(1, 50))], 2) as pool:
+        with Pool(_walk(_doubled, range(1, 50)), 2) as pool:
             walk = pool.walk()
             assert next(walk) == 2
             assert len(multiprocessing.active_children()) == 2
@@ -667,10 +703,26 @@ class TestWorkers:
 
     def test_a_job_that_differs_in_the_workers_is_an_error(self):
         # the args of a job made after the fork name the process that made it
-        with Pool([lambda: [(_doubled, (os.getpid(),))]], 2) as pool:
+        with Pool(lambda: [(_doubled, (os.getpid(),))], 2) as pool:
             with pytest.raises(ChildProcessError, match=f"not \\({os.getpid()},\\)$"):
                 list(pool.walk())
             assert multiprocessing.active_children() == []
+
+    def test_the_check_pass_runs_while_the_workers_render(self, monkeypatch, tmp_path,
+                                                          families):
+        alive = []
+
+        def recorded(a):
+            alive.append(len(multiprocessing.active_children()))
+            return _branch_cut_warnings(a)
+
+        monkeypatch.setattr(cli, "_branch_cut_warnings", recorded)
+        monkeypatch.setattr(cli, "_workers", lambda rows: 3)
+        out = tmp_path / "report"
+        assert main(["analyze", families["gen80"], "--out", str(out)]) == 0
+        assert alive == [3]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256_80["text"]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_three_workers_print_the_bytes_of_one_cpu(self, monkeypatch, tmp_path, families,
@@ -710,9 +762,9 @@ class TestWorkers:
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
-    def test_a_refusal_in_a_worker_exits_2_before_the_report(self, monkeypatch, capsys,
-                                                             tmp_path, fmt):
-        # the check pass runs on the pool however few its rows
+    def test_a_pooled_refusal_exits_2_before_the_report(self, monkeypatch, capsys, tmp_path,
+                                                        fmt):
+        # the workers render however few the rows, while the check refuses
         if _cpus() < 2:
             pytest.skip("one usable CPU")
         used = []
@@ -725,8 +777,7 @@ class TestWorkers:
         assert used == [_cpus()]
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err == ("error: defect and normalized Bargmann invariant disagree: "
-                                "|delta| = inf\n")
+        assert captured.err == REFUSAL
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
@@ -765,8 +816,7 @@ class TestWorkers:
         err = capsys.readouterr().err
         assert (code, err) == {
             "finished": (0, ""),
-            "refused": (2, "error: defect and normalized Bargmann invariant disagree: "
-                           "|delta| = inf\n"),
+            "refused": (2, REFUSAL),
             "broken pipe": (2, "error: [Errno 32] Broken pipe\n"),
             "interrupted": (130, "error: interrupted\n"),
             "worker exception": (2, "error: block 20 refused\n"),
@@ -1115,11 +1165,12 @@ class TestPooledVerify:
     cli.VERIFY_POOL_MIN_CASES cases on, a job per property, and prints the
     same bytes as on one."""
 
-    # sha256 of verify --cases 50 --format structured, as printed on one CPU
-    # under OpenBLAS's default kernel choice; some discrepancies come from
-    # BLAS and LAPACK, and another kernel (OPENBLAS_CORETYPE) may print other
-    # last digits, as the README says
-    SHA256_50 = "5792dfd11ee6be57427451eb72e21fc08dcc6d9bcedc5d1399f56b122b6cb4dc"
+    # sha256 of verify --cases 50 --format structured under
+    # OPENBLAS_CORETYPE=Prescott, the oldest x86-64 kernel of OpenBLAS.  Some
+    # discrepancies come from BLAS and LAPACK (the eigh of the gram
+    # factorization round trip), whose last digits differ between kernels,
+    # as the README says, so the bytes are pinned under one named kernel.
+    SHA256_50_PRESCOTT = "1cbaeda434ff58b820cba5be2256bd9bf1d7cdd1158b4d1191e9be50fc8e7e8c"
 
     def test_the_bytes_do_not_depend_on_the_workers(self, monkeypatch, tmp_path):
         used, digests = [], []
@@ -1132,8 +1183,22 @@ class TestPooledVerify:
             digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
         assert used == 2 * [(50, cli.VERIFY_POOL_MIN_CASES)]
         assert digests[0] == digests[1]
-        if "OPENBLAS_CORETYPE" not in os.environ:
-            assert digests[0] == self.SHA256_50
+
+    def test_the_bytes_under_one_kernel_are_pinned(self):
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip("OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+
+        def digest(preexec_fn=None):
+            return hashlib.sha256(subprocess.run(
+                [sys.executable, "-m", "qpc", "verify", "--cases", "50", "--format", "structured"],
+                capture_output=True, check=True, preexec_fn=preexec_fn,
+                env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_CORETYPE="Prescott")).stdout
+            ).hexdigest()
+
+        # on every CPU, pooled where two are usable, and on one
+        assert digest() == self.SHA256_50_PRESCOTT
+        if hasattr(os, "sched_setaffinity"):
+            assert digest(_pin_to_one_cpu) == self.SHA256_50_PRESCOTT
 
     def test_when_workers_are_used(self):
         least = cli.VERIFY_POOL_MIN_CASES
@@ -1328,10 +1393,15 @@ class TestOptions:
         ["realize", "phase.json", "--realize-tol", "nan"],
         ["realize", "phase.json", "--realize-tol", "inf"],
         ["realize", "phase.json", "--realize-tol=-inf"],
+        ["realize", "phase.json", "--realize-tol", "0"],
+        ["realize", "phase.json", "--realize-tol", "1e-400"],
     ])
     def test_tolerances_must_be_finite(self, capsys, argv):
+        # argparse refuses them before the file is read: it does not exist
         assert main(argv) == 2
-        assert "must be a finite number >= 0" in capsys.readouterr().err
+        rule = "a finite number > 0" if "realize" in argv else "a finite number >= 0"
+        assert f"argument {argv[2].partition('=')[0]}: must be {rule}, got" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, rule", [
         (["gen", "--n", "x"], "must be a positive integer, got 'x'"),
@@ -1340,7 +1410,7 @@ class TestOptions:
         (["verify", "--cases", ""], "must be a positive integer, got ''"),
         (["analyze", "family.json", "--zero-tol", "x"], "must be a finite number >= 0, got 'x'"),
         (["realize", "phase.json", "--realize-tol", "1e-7x"],
-         "must be a finite number >= 0, got '1e-7x'"),
+         "must be a finite number > 0, got '1e-7x'"),
     ], ids=["n", "restarts", "max-iters", "cases", "zero-tol", "realize-tol"])
     def test_a_non_numeric_option_names_its_rule(self, capsys, argv, rule):
         assert main(argv) == 2

@@ -444,11 +444,15 @@ class TestTriangleBlocks:
         assert np.count_nonzero(firsts[end] == 0) == 99 * 98 // 2 % TRIANGLE_BLOCK > 0
 
     def test_every_route_refuses_inconsistent_defects_alike(self):
-        g = gram(inconsistent_family())
-        message = "defect and normalized Bargmann invariant disagree: |delta| = inf"
-        with pytest.raises(ArithmeticError) as whole:
-            all_triangles(g, 0.0)
-        assert str(whole.value) == message
-        with pytest.raises(ArithmeticError) as blocked:
-            list(triangle_blocks(g, 0.0))
-        assert str(blocked.value) == message
+        # the Bargmann invariant of (0, 1, 2) is about 1e-320, whose
+        # normalization overflows, or 0, which the scalar route once divided
+        # by (ZeroDivisionError)
+        for tiny, delta in [(1e-160, "inf"), (1e-200, "nan")]:
+            g = gram(inconsistent_family(tiny))
+            message = ("defect and normalized Bargmann invariant of triangle (0, 1, 2) "
+                       f"disagree: |delta| = {delta}")
+            for route in (lambda: all_triangles(g, 0.0), lambda: list(triangle_blocks(g, 0.0)),
+                          lambda: triangle_report(g, 0, 1, 2, 0.0)):
+                with pytest.raises(ArithmeticError) as refused:
+                    route()
+                assert str(refused.value) == message
