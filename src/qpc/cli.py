@@ -28,7 +28,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import comparisons, states
+from . import states
 from .files import (
     _FILL_CHUNK,
     FileFormatError,
@@ -120,18 +120,17 @@ VERIFY_POOL_MIN_CASES = 32
 def _workers(rows: int, least: int | None = None) -> int:
     """The processes that run a command's stages of rows rows (or cases):
     every usable CPU when there are several, rows reach least
-    (POOL_MIN_ROWS when None) and this process may fork workers (fork is
-    available, no other thread runs that a child could inherit holding a
+    (POOL_MIN_ROWS when None) and this process may fork workers (os.fork
+    exists, no other thread runs that a child could inherit holding a
     lock, and this is no daemonic multiprocessing worker, which may start
-    no process); else 1."""
+    no process); else 1.  multiprocessing is not imported for the last
+    test: a process that never imported it is no worker of it."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     least = POOL_MIN_ROWS if least is None else least
-    if rows < least or cpus < 2 or threading.active_count() > 1:
+    if rows < least or cpus < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return 1 if multiprocessing.current_process().daemon else cpus
+    multiprocessing = sys.modules.get("multiprocessing")
+    return 1 if multiprocessing and multiprocessing.current_process().daemon else cpus
 
 
 # The options shared between subcommands; each takes those it reads.
@@ -165,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = command("analyze", cmd_analyze, "full comparison report of a family file",
                         ["--out", "--format"])
     p_analyze.add_argument("family", help="path to a family file")
-    p_analyze.add_argument("--zero-tol", type=_tolerance, default=comparisons.DEFAULT_ZERO_TOL,
+    # None is comparisons.DEFAULT_ZERO_TOL, read where analyze runs
+    p_analyze.add_argument("--zero-tol", type=_tolerance, default=None,
                            help="overlap modulus at or below this counts as orthogonal")
     p_analyze.add_argument("--emit-gram", default=None, metavar="PATH",
                            help="also write the gram matrix file")
@@ -234,8 +234,10 @@ def _near_cut(kappa: np.ndarray) -> np.ndarray:
     BRANCH_CUT_MARGIN of pi in modulus.  The angle is taken only where
     real < 0 and |imag| <= -2 BRANCH_CUT_MARGIN real, a superset of
     those defects."""
+    from .comparisons import principal_angle
+
     near = (kappa.real < 0.0) & (np.abs(kappa.imag) <= -2.0 * BRANCH_CUT_MARGIN * kappa.real)
-    angle = comparisons.principal_angle(kappa[near])
+    angle = principal_angle(kappa[near])
     near[near] = np.abs(angle) > math.pi - BRANCH_CUT_MARGIN
     return near
 
@@ -279,9 +281,9 @@ def _analysis(family, args) -> SimpleNamespace:
     blocks() walks its ranges of invariants.TRIANGLE_BLOCK rows.  rows
     counts the records of the structured report, and warnings are those
     of the duplicate rays."""
-    from . import invariants
+    from . import comparisons, invariants
 
-    zero_tol = args.zero_tol
+    zero_tol = comparisons.DEFAULT_ZERO_TOL if args.zero_tol is None else args.zero_tol
     g = comparisons.gram(family)
     p = comparisons.probabilities(g)
     u = comparisons.phases(g, zero_tol)
@@ -345,6 +347,7 @@ def _analysis_text(family, a: SimpleNamespace, warnings: list):
     """Yield the parts of the text report (see files.doc_parts): strings,
     and the jobs that make its rows, each one chunk of rows: a row_chunk
     of its first row, or of the triangles, _triangle_lines of a block."""
+    from .comparisons import principal_angle
 
     def chunks(row, sep, rows, columns):
         task = partial(row_chunk, row, sep, rows, columns)
@@ -362,7 +365,7 @@ def _analysis_text(family, a: SimpleNamespace, warnings: list):
     z = a.u.entries[i, j]
     yield from _section("phases on support pairs:", len(z), chunks(
         "\n  (%d, %d): " + _COMPLEX + "  angle " + _REAL, "", len(z),
-        [i, j, *_complex_columns(z), comparisons.principal_angle(z)]))
+        [i, j, *_complex_columns(z), principal_angle(z)]))
     yield "\northogonal pairs: "
     oi, oj = a.og.pairs
     yield from chunks("(%d, %d)", ", ", len(oi), [oi, oj]) if len(oi) else ["none"]

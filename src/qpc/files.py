@@ -33,7 +33,6 @@ from itertools import chain
 
 import numpy as np
 
-from .comparisons import PhaseMatrix, ProbabilityMatrix
 from .states import TOL_NORM, QubitState, StateFamily, _length, _modulus, from_bloch
 
 FAMILY_VERSION = 1
@@ -376,6 +375,8 @@ def matrix_doc(kind: str, data) -> dict:
     takes a PhaseMatrix.  The arrays of the document are Records.
     """
     if kind == "phase":
+        from .comparisons import PhaseMatrix
+
         if not isinstance(data, PhaseMatrix):
             raise ValueError("phase kind requires a PhaseMatrix")
         i, j = data.support.pairs
@@ -400,6 +401,8 @@ def matrix_from_json(text: str):
     a validated PhaseMatrix for "phase".  A phase file declares at most
     MAX_PHASE_N states, a stated limit checked before any allocation.
     """
+    from .comparisons import PhaseMatrix, ProbabilityMatrix
+
     doc = _document(text, "matrix", MATRIX_VERSION)
     kind = doc.get("kind")
     if kind not in MATRIX_KINDS:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .comparisons import (DEFAULT_ZERO_TOL, GramMatrix, PhaseMatrix, _mul, _read_only, _zero_tol,
                           moduli, phases, principal_angle)
-from .states import BlochVector
+from .states import BlochVector, _on_sphere
 
 DEFECT_CONSISTENCY_TOL = 1e-12  # the two defect computations must agree
 DEGENERACY_TOL = 1e-9           # antipodal pair cutoff for solid angles
@@ -194,19 +194,19 @@ def triangle_report(
 
 
 def _as_unit3(n) -> np.ndarray:
-    if isinstance(n, BlochVector):
-        return n.vector
-    arr = np.asarray(n, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
-    return arr
+    """A BlochVector's components, or a raw 3-vector as given, refused unless
+    it is finite and on the sphere by from_bloch's rule."""
+    return n.vector if isinstance(n, BlochVector) else _on_sphere(n)
 
 
 def bargmann_bloch(ni, nj, nk) -> complex:
     """Bargmann invariant from Bloch vectors alone.
 
     Evaluates (1 + sum of pairwise dots + i triple product) / 4, the
-    trace of the three corresponding rank-1 projectors.
+    trace of the three corresponding rank-1 projectors.  Each vector is a
+    BlochVector or a real 3-vector whose length is within 1e-9 of 1, as
+    from_bloch accepts it; any other, NaN or infinite ones included,
+    raises ValueError.
     """
     a, b, c = _as_unit3(ni), _as_unit3(nj), _as_unit3(nk)
     dots = float(a @ b + b @ c + c @ a)
@@ -222,7 +222,8 @@ def solid_angle(ni, nj, nk) -> float:
     triangles (a repeated vertex, or vertices on a common great circle
     with the short arcs enclosing nothing) give 0; a great-circle triple
     that bounds a hemisphere gives -2 pi.  Pairs that are antipodal
-    within 1e-9 leave the geodesic ill-defined and are rejected.
+    within 1e-9 leave the geodesic ill-defined and are rejected.  The
+    vertices are taken, or refused, as bargmann_bloch takes them.
     """
     a, b, c = _as_unit3(ni), _as_unit3(nj), _as_unit3(nk)
     for u, v, name in ((a, b, "first/second"), (b, c, "second/third"), (c, a, "third/first")):

@@ -4,13 +4,15 @@ analyze formats nearly all of its report's floats in them, and verify
 runs its properties in them.  A walk is a callable of no arguments that
 returns parts as files.doc_parts yields them: strings, and jobs (task, args).
 Importing this module starts nothing; only a Pool of two or more workers
-imports multiprocessing and forks.
+forks, with os.fork itself: no command imports multiprocessing.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import signal
+import sys
 from contextlib import suppress
 from itertools import cycle, islice
 
@@ -33,10 +35,6 @@ def _serve(walk, w: int, workers: int, results, hold, parent_ends) -> None:
     no more, pickled to the pipe file results; then wait for the parent to
     close hold.  parent_ends, the parent's ends of the pipes, are closed
     here, so that the parent's close is an end."""
-    import signal
-
-    # a Ctrl-C reaches the whole process group; the parent alone reports it
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     for end in parent_ends:
         end.close()
     jobs = (part for part in walk() if not isinstance(part, str))
@@ -55,12 +53,40 @@ def _serve(walk, w: int, workers: int, results, hold, parent_ends) -> None:
     hold.read(1)
 
 
+def _fork(serve, *args) -> int:
+    """The pid of a forked child that calls serve(*args) and then os._exit:
+    0, or 1 when serve raised.  So it runs no exit handler, flushes no
+    buffer it inherited and never returns into its parent's code.  The
+    standard streams are flushed before the fork, so that no child holds a
+    copy of their buffers.  The child ignores Ctrl-C, which reaches the
+    whole process group, so that the parent alone reports it; SIGINT stays
+    blocked across the fork, so that one arriving then reaches the parent,
+    and the child only once it ignores it."""
+    for stream in (sys.stdout, sys.stderr):
+        with suppress(AttributeError, ValueError):  # None, or closed
+            stream.flush()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+        if not pid:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    if pid:
+        return pid
+    code = 1
+    try:
+        serve(*args)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 class Pool:
     """Worker processes that walk the walk, a callable that returns parts.
 
     With workers < 2 there are none, and walk runs every job here.  Else W =
-    workers processes are forked through multiprocessing's fork context,
-    which flushes the standard streams first; they ignore Ctrl-C.  Each
+    workers processes are forked (_fork); they ignore Ctrl-C.  Each
     calls walk at once, runs its job k when k mod W is its index, and
     pickles the answer with the job's args to a pipe of its own, of 1 MiB:
     a worker runs at most that pipe and one job ahead.  So the parent is
@@ -69,14 +95,13 @@ class Pool:
     task or array is pickled.  A job must not depend on anything that
     changes after the fork: the parent raises ChildProcessError when an
     answer's args differ from those of its own job k.  The strings may
-    differ.  close, or the end of a with block, ends and joins the workers."""
+    differ.  close, or the end of a with block, ends the workers and reaps
+    them (os.waitpid)."""
 
     def __init__(self, walk, workers: int):
-        self._walk, self._ends, self._procs = walk, [], []
+        self._walk, self._ends, self._pids = walk, [], []
         if workers < 2:
             return
-        import multiprocessing
-        context = multiprocessing.get_context("fork")
         hold, hold_w = map(open, os.pipe(), ("rb", "wb"))
         # the result ends of the workers, in order, then the end of hold
         self._ends.append(hold_w)
@@ -87,10 +112,8 @@ class Pool:
                     _widen(result_w)
                     self._ends.insert(w, result_r)
                     with result_w:
-                        proc = context.Process(target=_serve, daemon=True, args=(
-                            walk, w, workers, result_w, hold, self._ends))
-                        proc.start()
-                    self._procs.append(proc)
+                        self._pids.append(_fork(
+                            _serve, walk, w, workers, result_w, hold, self._ends))
         except BaseException:
             self.close()
             raise
@@ -102,12 +125,16 @@ class Pool:
         self.close()
 
     def close(self) -> None:
-        """End the workers: close the parent's ends of the pipes, then join them."""
+        """End the workers: close the parent's ends of the pipes, then reap
+        them.  A close that an exception interrupts leaves the workers it
+        has not reaped to the next close."""
         for end in self._ends:
             end.close()
-        for proc in self._procs:
-            proc.join()
-        self._ends, self._procs = [], []
+        self._ends = []
+        while self._pids:
+            with suppress(ChildProcessError):  # reaped already
+                os.waitpid(self._pids[-1], 0)
+            self._pids.pop()
 
     def walk(self):
         """Yield the parts of the walk: a string as it is, and for a job
@@ -116,10 +143,10 @@ class Pool:
         closes the pool."""
         try:
             parts = self._walk()
-            if not self._procs:
+            if not self._pids:
                 yield from run_parts(parts)
                 return
-            turns = cycle(range(len(self._procs)))
+            turns = cycle(range(len(self._pids)))
             for part in parts:
                 if isinstance(part, str):
                     yield part

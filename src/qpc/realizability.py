@@ -38,7 +38,6 @@ import numpy as np
 from . import comparisons
 from .comparisons import (GramMatrix, PhaseMatrix, SupportGraph, deviations, moduli, overlaps,
                           require_square)
-from .invariants import TRIANGLE_BLOCK, Triples, cycle_products
 from .states import QubitState, StateFamily, _match_tol, random_family
 
 PSD_TOL = 1e-10        # eigenvalue floor, relative to max(1, largest eigenvalue)
@@ -262,6 +261,9 @@ def _top_two(w: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _worst_triangle(u: PhaseMatrix) -> float:
     """Largest |u_ij u_jk u_ki - 1| over the support triangles, 0.0 without any."""
+    # imported here: no command reaches this, and check and realize load no triangle module
+    from .invariants import TRIANGLE_BLOCK, Triples, cycle_products
+
     triples = Triples(u.support.mask)
     worst = [moduli(cycle_products(u.entries, triples.rows(r)) - 1.0).max()
              for r in triples.ranges(TRIANGLE_BLOCK)]
@@ -456,24 +458,35 @@ def least_squares(fun, x0: np.ndarray, max_nfev: int) -> LeastSquaresResult:
     return LeastSquaresResult(x, nfev)
 
 
-def _search_component(u: PhaseMatrix, cfg: SearchConfig, rng: np.random.Generator):
+def _haar_starts(n: int, seed):
+    """The amplitude rows of Haar-random families of n states, one per next(),
+    all drawn from the one stream np.random.default_rng(seed), which is made
+    at the first next(): a search that never asks for one loads no
+    numpy.random.  A Generator as seed is that stream itself."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield random_family(n, rng).vectors
+
+
+def _search_component(u: PhaseMatrix, cfg: SearchConfig, seed):
     """Best family found for one connected component.
 
     The unknowns are the amplitude rows themselves, as one real vector.
     Restart 0 starts from the spectral guess, later restarts from a
-    seeded Haar-random family; each candidate is normalized and then
-    measured, and the best by residual wins, ties going to the earlier
-    restart.  Returns (vectors, restarts_used).
+    Haar-random family drawn by _haar_starts(u.n, seed); each candidate
+    is normalized and then measured, and the best by residual wins, ties
+    going to the earlier restart.  Returns (vectors, restarts_used).
     """
     idx_i, idx_j = u.support.pairs
     targets = u.entries[idx_i, idx_j]
     best_vecs, best_res = None, np.inf
+    starts = _haar_starts(u.n, seed)
 
     def fun(x):
         return _residuals(x, idx_i, idx_j, targets)
 
     for r in range(cfg.restarts):
-        x0 = _spectral_guess(u) if r == 0 else random_family(u.n, rng).vectors
+        x0 = _spectral_guess(u) if r == 0 else next(starts)
         x = least_squares(fun, x0.view(float).ravel(), cfg.max_iters).x
         vecs = x.view(complex).reshape(-1, 2)
         vecs = vecs / np.linalg.norm(vecs, axis=1)[:, None]
@@ -513,8 +526,7 @@ def realize_phases(u: PhaseMatrix, cfg: SearchConfig = SearchConfig()) -> Realiz
         total_restarts = 0
         for ci, comp in enumerate(comps):
             if len(comp) > 1:
-                rng = np.random.default_rng([cfg.seed, ci])
-                vecs[comp], used = _search_component(_restrict(u, comp), cfg, rng)
+                vecs[comp], used = _search_component(_restrict(u, comp), cfg, [cfg.seed, ci])
                 total_restarts += used
         residual = _phase_residual(vecs, u)
         note = f"local search succeeded after {total_restarts} restart(s)"

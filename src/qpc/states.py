@@ -171,6 +171,18 @@ def to_bloch(s: QubitState) -> BlochVector:
     return BlochVector(2.0 * z.real, 2.0 * z.imag, abs(s.c0) ** 2 - abs(s.c1) ** 2)
 
 
+def _on_sphere(n) -> np.ndarray:
+    """A raw real 3-vector as an array, refused with ValueError unless it is
+    finite and its length is within TOL_SPHERE of 1."""
+    arr = np.asarray(n, dtype=float)
+    if arr.shape != (3,):
+        raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
+    norm = _length(arr)
+    if not abs(norm - 1.0) <= TOL_SPHERE:
+        raise ValueError(f"not on sphere: |n| = {norm!r}")
+    return arr
+
+
 def from_bloch(n) -> QubitState:
     """Gauge-fixed state with the given Bloch vector.
 
@@ -182,13 +194,8 @@ def from_bloch(n) -> QubitState:
     if isinstance(n, BlochVector):
         arr = n.vector
     else:
-        arr = np.asarray(n, dtype=float)
-        if arr.shape != (3,):
-            raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
-        norm = _length(arr)
-        if not abs(norm - 1.0) <= TOL_SPHERE:
-            raise ValueError(f"not on sphere: |n| = {norm!r}")
-        arr = arr / norm
+        arr = _on_sphere(n)
+        arr = arr / _length(arr)
     nx, ny, nz = arr
     # Half-angle forms keep the poles exact and avoid acos roundoff.
     c0 = math.sqrt(max(0.0, (1.0 + nz) / 2.0))

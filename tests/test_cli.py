@@ -337,7 +337,7 @@ class TestAnalyze:
             assert main(["analyze", str(path), "--zero-tol", "0", "--out", str(out)]) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
             assert not out.exists()
-            assert multiprocessing.active_children() == []
+            assert _children() == 0
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "analyze", str(tmp_path / "absent.json"))
@@ -552,6 +552,13 @@ def _pooled() -> int:
     return _cpus() if _cpus() > 1 else 0
 
 
+def _children() -> int:
+    """The child processes of this process not reaped yet, alive or exited,
+    as Linux lists them for each of its threads."""
+    tasks = Path("/proc/self/task")
+    return sum(len((tasks / tid / "children").read_text().split()) for tid in os.listdir(tasks))
+
+
 def _doubled(x):
     return 2 * x
 
@@ -584,7 +591,7 @@ class _Interrupting(_WriteSizes):
         if self.start is None and "triangles" in text:
             self.start = len(self.pieces)
         elif self.start is not None and len(self.pieces) == self.start + 5:
-            self.workers = multiprocessing.active_children()
+            self.workers = _children()
             raise self.error
         return super().write(text)
 
@@ -644,7 +651,7 @@ class TestWorkers:
     def test_when_workers_are_used(self, monkeypatch):
         assert _workers(cli.POOL_MIN_ROWS - 1) == 1
         assert _workers(cli.POOL_MIN_ROWS) == (_cpus() if _cpus() > 1 else 1)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         assert _workers(10**9) == 1
         monkeypatch.undo()
         # a daemonic worker, such as one of a multiprocessing.Pool, may start no process
@@ -674,10 +681,10 @@ class TestWorkers:
         walk = lambda: ((tasks[x % 2], (x,)) if x % 3 else str(x)  # noqa: E731
                         for x in range(50))
         with Pool(walk, 3) as pool:
-            assert len(multiprocessing.active_children()) == 3
+            assert _children() == 3
             assert list(pool.walk()) == [tasks[x % 2](x) if x % 3 else str(x)
                                          for x in range(50)]
-        assert multiprocessing.active_children() == []
+        assert _children() == 0
 
     def test_an_exception_in_a_worker_is_raised_in_the_parent(self):
         with Pool(_walk(_refuse_seven, range(1, 50)), 2) as pool:
@@ -685,35 +692,35 @@ class TestWorkers:
             assert [next(walk) for _ in range(6)] == [1, 2, "3", 4, 5, "6"]
             with pytest.raises(ValueError, match="item 7 refused"):
                 next(walk)
-            assert multiprocessing.active_children() == []
+            assert _children() == 0
 
     def test_a_worker_that_dies_is_an_error_and_leaves_no_worker(self):
         with Pool(lambda: [(_exit_at_once, (1,))], 2) as pool:
             with pytest.raises(ChildProcessError, match="ended without an answer"):
                 list(pool.walk())
-            assert multiprocessing.active_children() == []
+            assert _children() == 0
 
     def test_a_walk_closed_early_ends_its_workers(self):
         with Pool(_walk(_doubled, range(1, 50)), 2) as pool:
             walk = pool.walk()
             assert next(walk) == 2
-            assert len(multiprocessing.active_children()) == 2
+            assert _children() == 2
             walk.close()
-            assert multiprocessing.active_children() == []
+            assert _children() == 0
 
     def test_a_job_that_differs_in_the_workers_is_an_error(self):
         # the args of a job made after the fork name the process that made it
         with Pool(lambda: [(_doubled, (os.getpid(),))], 2) as pool:
             with pytest.raises(ChildProcessError, match=f"not \\({os.getpid()},\\)$"):
                 list(pool.walk())
-            assert multiprocessing.active_children() == []
+            assert _children() == 0
 
     def test_the_check_pass_runs_while_the_workers_render(self, monkeypatch, tmp_path,
                                                           families):
         alive = []
 
         def recorded(a):
-            alive.append(len(multiprocessing.active_children()))
+            alive.append(_children())
             return _branch_cut_warnings(a)
 
         monkeypatch.setattr(cli, "_branch_cut_warnings", recorded)
@@ -722,7 +729,7 @@ class TestWorkers:
         assert main(["analyze", families["gen80"], "--out", str(out)]) == 0
         assert alive == [3]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256_80["text"]
-        assert multiprocessing.active_children() == []
+        assert _children() == 0
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_three_workers_print_the_bytes_of_one_cpu(self, monkeypatch, tmp_path, families,
@@ -732,7 +739,7 @@ class TestWorkers:
         out = tmp_path / "report"
         assert main(["analyze", families["gen80"], "--format", fmt, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256_80[fmt]
-        assert multiprocessing.active_children() == []
+        assert _children() == 0
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_an_in_process_report_is_the_same_and_leaves_no_worker(self, monkeypatch, tmp_path,
@@ -746,7 +753,7 @@ class TestWorkers:
             monkeypatch.setattr(sys, "stdout", out)
             assert main(["analyze", families["gen80"], "--format", fmt]) == 0
         assert used == [_cpus() if _cpus() > 1 else 1]
-        assert multiprocessing.active_children() == []
+        assert _children() == 0
         monkeypatch.setattr(cli, "POOL_MIN_ROWS", 10**12)
         assert main(["analyze", families["gen80"], "--format", fmt, "--out", str(serial)]) == 0
         assert used[-1] == 1
@@ -757,8 +764,8 @@ class TestWorkers:
         stdout = _Interrupting(BrokenPipeError(32, "Broken pipe"))
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["analyze", families["gen80"], "--format", fmt]) == 2
-        assert len(stdout.workers) == _pooled()
-        assert multiprocessing.active_children() == []
+        assert stdout.workers == _pooled()
+        assert _children() == 0
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
@@ -779,7 +786,7 @@ class TestWorkers:
         assert (code, captured.out) == (2, "")
         assert captured.err == REFUSAL
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert _children() == 0
 
     @pytest.mark.parametrize("exit_path", ["finished", "refused", "broken pipe", "interrupted",
                                            "worker exception"])
@@ -790,7 +797,7 @@ class TestWorkers:
         class Recorded(Pool):
             def __init__(self, *args):
                 super().__init__(*args)
-                started.append(len(multiprocessing.active_children()))
+                started.append(_children())
 
         monkeypatch.setattr("qpc.pool.Pool", Recorded)
         argv = ["analyze", families["gen80"]]
@@ -822,7 +829,7 @@ class TestWorkers:
             "worker exception": (2, "error: block 20 refused\n"),
         }[exit_path]
         assert started == [_pooled()]
-        assert multiprocessing.active_children() == []
+        assert _children() == 0
 
 
 class TestSeed:
@@ -1179,7 +1186,7 @@ class TestPooledVerify:
             out = tmp_path / f"report-{workers}"
             argv = ["verify", "--cases", "50", "--format", "structured", "--out", str(out)]
             assert main(argv) == 0
-            assert multiprocessing.active_children() == []
+            assert _children() == 0
             digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
         assert used == 2 * [(50, cli.VERIFY_POOL_MIN_CASES)]
         assert digests[0] == digests[1]
@@ -1215,7 +1222,7 @@ class TestPooledVerify:
             monkeypatch.setattr(cli, "_workers", lambda *args: workers)
             runs.append((main(["verify", "--cases", "50", "--seed", "5", "--format", fmt]),
                          capsys.readouterr()))
-            assert multiprocessing.active_children() == []
+            assert _children() == 0
         assert runs[0] == runs[1]
         code, (out, err) = runs[1]
         assert code == 1 and len(err.splitlines()) == len(BARGMANN_PROPERTIES)
@@ -1234,7 +1241,7 @@ class TestPooledVerify:
         monkeypatch.setattr(cli, "_workers", lambda *args: 3)
         assert main(["verify", "--cases", "50"]) == 2
         assert capsys.readouterr() == ("", "error: property 3 refused\n")
-        assert multiprocessing.active_children() == []
+        assert _children() == 0
 
     @pytest.mark.parametrize("exit_path", ["finished", "broken pipe", "interrupted",
                                            "worker exception"])
@@ -1246,7 +1253,7 @@ class TestPooledVerify:
         class Recorded(Pool):
             def __init__(self, *args):
                 super().__init__(*args)
-                started.append(len(multiprocessing.active_children()))
+                started.append(_children())
 
         def interrupting(cases, rng):
             # a Ctrl-C reaches the parent while it waits for the workers
@@ -1272,7 +1279,41 @@ class TestPooledVerify:
             "worker exception": (2, "error: property 7 refused\n"),
         }[exit_path]
         assert started == [3]
-        assert multiprocessing.active_children() == []
+        assert _children() == 0
+
+
+class TestSearchedRealize:
+    """The bytes of a phase search that goes past restart 0, pinned: every
+    later restart starts from the next Haar-random family of the one
+    stream default_rng([seed, component]), made at restart 1."""
+
+    DATA = Path(__file__).parent / "data" / "realize"
+    # sha256 of realize --format structured under OPENBLAS_CORETYPE=Prescott,
+    # (exit code, the restarts named in the diagnostics) of each file: the
+    # phases of a 7-state Haar family on 18 of its 21 pairs, certified at
+    # restart 3, and uniform random phases on the 10 pairs of 5 states,
+    # which exhaust the default 32 restarts.  The search's sums and solves
+    # go through BLAS and LAPACK, whose last digits differ between kernels
+    # (see TestPooledVerify), so the bytes are pinned under one named kernel.
+    PINS = {
+        "witnessed-7.json": (0, "local search succeeded after 4 restart(s)",
+                             "fce8c855131827633e9c412cf862f6f394327a90cd15f0a69884817f1a1c36c4"),
+        "uniform-5.json": (3, "local search exhausted its restarts",
+                           "328bd5cbc89c49e1787ecee02760dbd09b307665d67446ee91050f50837a32e0"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_the_bytes_under_one_kernel_are_pinned(self, name):
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip("OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qpc", "realize", str(self.DATA / name),
+             "--format", "structured"],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_CORETYPE="Prescott"))
+        code, diagnostics, digest = self.PINS[name]
+        assert (proc.returncode, proc.stderr) == (code, b"")
+        assert json.loads(proc.stdout)["diagnostics"].startswith(diagnostics)
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 NAN_C = {"re": math.nan, "im": 0.0}
@@ -1535,14 +1576,14 @@ class TestUsage:
         assert capsys.readouterr() == ("", "error: interrupted\n")
 
     def test_an_interrupt_while_the_command_imports_is_one_line_and_exit_130(self):
-        # the child sends itself SIGINT when qpc.comparisons is first
-        # imported, after qpc and before qpc.cli is loaded
+        # the child sends itself SIGINT when qpc.states is first imported,
+        # after qpc and before qpc.cli is loaded
         script = textwrap.dedent("""
             import os, signal, sys
 
             class Interrupt:
                 def find_spec(self, name, path=None, target=None):
-                    if name == "qpc.comparisons":
+                    if name == "qpc.states":
                         os.kill(os.getpid(), signal.SIGINT)
 
             sys.meta_path.insert(0, Interrupt())
@@ -1561,7 +1602,7 @@ class TestUsage:
 
             class Interrupt:
                 def find_spec(self, name, path=None, target=None):
-                    if name == "qpc.comparisons":
+                    if name == "qpc.states":
                         os.kill(os.getpid(), signal.SIGINT)
 
             signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -1642,8 +1683,7 @@ class TestColdCommand:
                               capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
         code, enabled, loaded = ast.literal_eval(proc.stderr)
         assert (code, enabled) == (0, True)
-        assert {"qpc", "qpc.__main__", "qpc.cli", "qpc.comparisons", "qpc.files",
-                "qpc.states"} <= set(loaded)
+        assert {"qpc", "qpc.__main__", "qpc.cli", "qpc.files", "qpc.states"} <= set(loaded)
         skipped = {f"qpc.{name}" for name in self.NOT_LOADED[argv[0]]}
         assert skipped.isdisjoint(loaded), sorted(skipped & set(loaded))
         if argv[0] == "verify":

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -274,6 +275,49 @@ class TestSolidAngle:
             omega = solid_angle(*ns)
             kappa = defect(phases(g), 0, 1, 2)
             assert cmath.exp(-0.5j * omega) == pytest.approx(kappa, abs=1e-9)
+
+
+class TestBlochInputs:
+    """bargmann_bloch and solid_angle take raw 3-vectors by from_bloch's
+    rule: finite, with a length within TOL_SPHERE of 1."""
+
+    @pytest.mark.parametrize("f", [bargmann_bloch, solid_angle])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad, length", [
+        ((3.0, 0.0, 0.0), "3.0"),
+        ((math.nan, 0.0, 0.0), "nan"),
+        ((math.inf, 0.0, 0.0), "inf"),
+        ((0.0, -math.inf, 0.0), "inf"),
+        ((1e200, 1e200, 1e200), "1.7320508075688773e+200"),
+        ((1.7e308, 1.7e308, 0.0), "inf"),
+        ((0.0, 0.0, 1.0 + 1e-6), "1.000001"),
+        ((0.0, 0.0, 0.0), "0.0"),
+    ])
+    def test_a_vector_off_the_sphere_is_refused(self, f, position, bad, length):
+        vertices = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+        vertices[position] = bad
+        with pytest.raises(ValueError, match=re.escape(f"not on sphere: |n| = {length}")):
+            f(*vertices)
+
+    @pytest.mark.parametrize("f", [bargmann_bloch, solid_angle])
+    def test_a_vector_within_the_tolerance_is_taken_as_given(self, f):
+        # not normalized: the result is that of the raw vector
+        tilted = np.array([0.0, 0.0, 1.0 + 1e-10])
+        x, y = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+        dots, triple = float(tilted @ x + x @ y + y @ tilted), float(tilted @ np.cross(x, y))
+        expected = (complex(0.25 * (1.0 + dots), 0.25 * triple) if f is bargmann_bloch
+                    else -2.0 * math.atan2(triple, 1.0 + dots))
+        assert f(tilted, x, y) == expected
+
+    def test_bloch_vectors_keep_their_bits(self):
+        rng = np.random.default_rng(43)
+        for _ in range(25):
+            fam, _ = family_with_support(rng, 3)
+            ns = [to_bloch(s) for s in fam.states]
+            a, b, c = (n.vector for n in ns)
+            dots, triple = float(a @ b + b @ c + c @ a), float(a @ np.cross(b, c))
+            assert bargmann_bloch(*ns) == complex(0.25 * (1.0 + dots), 0.25 * triple)
+            assert solid_angle(*ns) == -2.0 * math.atan2(triple, 1.0 + dots)
 
 
 class TestAllTriangles:
