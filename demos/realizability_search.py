@@ -63,9 +63,9 @@ res = realize_phases(coherent)
 print(f"\ncoherent prescription: {res.status}, residual {res.residual:.3e}")
 print(f"  {res.diagnostics}")
 
-# A chordless four-cycle has no triangles to test, so it is vacuously
-# coherent, but a loop product of i rules out any potential.  The
-# search has to find a genuinely two-dimensional family.
+# A chordless four-cycle has no triangles, but its loop product of i
+# rules out any potential, so it is not coherent.  The search has to
+# find a genuinely two-dimensional family.
 square = PhaseMatrix.from_edges(
     4, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (0, 3): 1j}
 )

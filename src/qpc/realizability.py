@@ -12,11 +12,12 @@ realize_gram is factor_states plus the residual against the input.
 For phase-level data the full matrix is not available, only unit phases
 on the support graph.  Coherent prescriptions, u_ij = lam_i conj(lam_j)
 for some unit numbers lam, are realized exactly by rephasing copies of
-a single base state.  realize_coherent and realize_phases both decide
-coherence by the rephasing potential alone: lam is propagated over a
-spanning forest of the support, and the single-ray family it gives is
-accepted when its phase residual, checked on every support edge, meets
-the tolerance.  The triangle test is_coherent is on neither path.  Other
+a single base state.  is_coherent, realize_coherent and realize_phases
+all decide coherence by the one rephasing-potential test: lam is
+propagated over a spanning forest of the support, and the single-ray
+family it gives is accepted when its phase residual, the chordal
+distance checked on every support edge, meets the tolerance.  So every
+loop of the support is judged, not only its triangles.  Other
 prescriptions are attacked by a seeded multi-start local search whose
 unknowns are the (n, 2) amplitude rows, unnormalized and not gauge-fixed,
 since the phases see neither a row's length nor a unitary acting on all
@@ -259,27 +260,6 @@ def _top_two(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.column_stack([math.sqrt(l1) * u1.conj(), math.sqrt(l2) * u2.conj()])
 
 
-def _worst_triangle(u: PhaseMatrix) -> float:
-    """Largest |u_ij u_jk u_ki - 1| over the support triangles, 0.0 without any."""
-    # imported here: no command reaches this, and check and realize load no triangle module
-    from .invariants import TRIANGLE_BLOCK, Triples, cycle_products
-
-    triples = Triples(u.support.mask)
-    worst = [moduli(cycle_products(u.entries, triples.rows(r)) - 1.0).max()
-             for r in triples.ranges(TRIANGLE_BLOCK)]
-    return float(np.max(worst, initial=0.0))
-
-
-def is_coherent(u: PhaseMatrix, tol: float) -> bool:
-    """Whether every support triangle multiplies to 1 within tol.
-
-    Matrices without support triangles are vacuously coherent; for
-    those, cycle consistency is only settled once a rephasing potential
-    is attempted.
-    """
-    return _worst_triangle(u) <= _match_tol(tol)
-
-
 def _potential(u: PhaseMatrix, comps: list[list[int]]) -> np.ndarray:
     """Single-ray amplitudes (conj(lam_i), 0) from a rephasing potential.
 
@@ -296,22 +276,24 @@ def _potential(u: PhaseMatrix, comps: list[list[int]]) -> np.ndarray:
     return np.column_stack([lam.conj(), np.zeros(u.n, dtype=complex)])
 
 
+def is_coherent(u: PhaseMatrix, tol: float) -> bool:
+    """Whether the single-ray family of the rephasing potential realizes
+    every support edge's phase within tol, a chordal distance: the test
+    realize_coherent and realize_phases' shortcut apply.  Every loop of
+    the support counts, triangle or not."""
+    return _phase_residual(_potential(u, u.support.connected_components()), u) <= _match_tol(tol)
+
+
 def realize_coherent(u: PhaseMatrix, tol: float = COHERENCE_TOL) -> StateFamily:
     """Realize a coherent phase prescription on a single ray.
 
     Phases of a rank-1 family split as u_ij = lam_i / lam_j, with lam the
-    rephasing potential of a connected support.  The states returned are
-    conj(lam_i) times a fixed base state, accepted only when every
-    support edge's phase is realized within tol: the rule realize_phases
-    applies with cfg.realize_tol.
+    rephasing potential of the support, rooted in each component.  The
+    states returned are conj(lam_i) times a fixed base state, accepted
+    only when every support edge's phase is realized within tol:
+    is_coherent's rule, which realize_phases applies with cfg.realize_tol.
     """
-    comps = u.support.connected_components()
-    if len(comps) > 1:
-        raise ValueError(
-            f"support graph disconnected: components {comps}; "
-            "realize each component separately"
-        )
-    vecs = _potential(u, comps)
+    vecs = _potential(u, u.support.connected_components())
     i, j, dev = _edge_distances(vecs, u)
     if not dev.max(initial=0.0) <= _match_tol(tol):
         e = int(np.argmax(dev))
@@ -408,15 +390,16 @@ def least_squares(fun, x0: np.ndarray, max_nfev: int) -> LeastSquaresResult:
     follows Nielsen's update (Madsen, Nielsen & Tingleff 2004): on an
     accepted step it shrinks by max(1/3, 1 - (2 rho - 1)^3), rho being
     the actual over the predicted decrease, and on a rejected one it
-    grows by nu, which doubles on every rejection in a row.  The loop
-    stops once nfev reaches max_nfev, once |r|^2 or the largest gradient
-    entry falls to LM_TOL^2 or LM_TOL, once a step is shorter than
-    LM_TOL (|x| + LM_TOL), once mu passes MU_MAX, or once the last
-    STALL_WINDOW evaluations lowered |r|^2 by less than STALL_FRACTION of
-    its value before them, a stalled or creeping run.  It returns the
-    best point evaluated.  x0 is copied into an array of the loop's own,
-    so where the caller's x0 sits in memory cannot change a bit of the
-    result.
+    grows by nu, which doubles on every rejection in a row; a damped
+    system that LAPACK calls singular counts as a rejected step and costs
+    no evaluation.  The loop stops once nfev reaches max_nfev, once |r|^2
+    or the largest gradient entry falls to LM_TOL^2 or LM_TOL, once a
+    step is shorter than LM_TOL (|x| + LM_TOL), once mu passes MU_MAX, or
+    once the last STALL_WINDOW evaluations lowered |r|^2 by less than
+    STALL_FRACTION of its value before them, a stalled or creeping run.
+    It returns the best point evaluated.  x0 is copied into an array of
+    the loop's own, so where the caller's x0 sits in memory cannot change
+    a bit of the result.
     """
     x = np.array(x0, dtype=float)
     r, jac = fun(x)
@@ -435,7 +418,12 @@ def least_squares(fun, x0: np.ndarray, max_nfev: int) -> LeastSquaresResult:
             break
         scale = np.maximum(scale, np.diag(a))
         d = np.where(scale > 0.0, scale, 1.0)
-        h = np.linalg.solve(a + np.diag(mu * d), -g)
+        try:
+            h = np.linalg.solve(a + np.diag(mu * d), -g)
+        except np.linalg.LinAlgError:
+            mu *= nu
+            nu *= 2.0
+            continue
         if np.linalg.norm(h) <= LM_TOL * (np.linalg.norm(x) + LM_TOL):
             break
         x_new = x + h

@@ -246,6 +246,13 @@ def _triangle_kernel(rng: np.random.Generator) -> float:
     return float(list(invariants.all_triangles(g)) != reference)
 
 
+def _worst_triangle(u: comparisons.PhaseMatrix) -> float:
+    """Largest |u_ij u_jk u_ki - 1| over the support triangles, 0.0 without any."""
+    triples = invariants.Triples(u.support.mask)
+    kappa = invariants.cycle_products(u.entries, triples.rows(range(len(triples))))
+    return float(comparisons.moduli(kappa - 1.0).max(initial=0.0))
+
+
 @_property("potential_residual_brackets_worst_triangle", 1e-12)
 def _potential_vs_triangles(rng: np.random.Generator) -> float:
     """How far res <= worst <= 3 res fails on a complete support, with res
@@ -263,7 +270,7 @@ def _potential_vs_triangles(rng: np.random.Generator) -> float:
     }
     u = comparisons.PhaseMatrix.from_edges(n, values)
     res = realizability._phase_residual(realizability._potential(u, [list(range(n))]), u)
-    worst = realizability._worst_triangle(u)
+    worst = _worst_triangle(u)
     return max(0.0, res - worst, worst - 3.0 * res)
 
 

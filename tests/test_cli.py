@@ -1315,6 +1315,33 @@ class TestSearchedRealize:
         assert json.loads(proc.stdout)["diagnostics"].startswith(diagnostics)
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
+    # the phases of a 4-state Haar family on the pairs (0, 1), (1, 2), (1, 3)
+    # and (2, 3): on the default and SkylakeX OpenBLAS kernels of an AVX-512
+    # machine, LAPACK calls one of the search's damped systems singular
+    SINGULAR = DATA / "singular-solve-4.json"
+
+    def test_a_singular_damped_system_does_not_end_the_search(self, capsys):
+        assert main(["realize", str(self.SINGULAR)]) == 0
+        assert "local search succeeded after 1 restart(s)" in capsys.readouterr().out
+
+    def test_the_search_goes_on_under_the_skylakex_kernel(self):
+        if not _cpu_flag("avx512f"):
+            pytest.skip("OPENBLAS_CORETYPE=SkylakeX needs an AVX-512 CPU")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qpc", "realize", str(self.SINGULAR)],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_CORETYPE="SkylakeX"))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert b"status: realizable" in proc.stdout
+
+
+def _cpu_flag(flag: str) -> bool:
+    """Whether /proc/cpuinfo lists flag; False where there is no such file."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            return any(line.startswith("flags") and flag in line.split() for line in f)
+    except OSError:
+        return False
+
 
 NAN_C = {"re": math.nan, "im": 0.0}
 ONE_C = {"re": 1.0, "im": 0.0}

@@ -86,6 +86,33 @@ def test_no_command_loads_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+COHERENCE = """
+import cmath, sys
+from qpc import (PhaseMatrix, SearchConfig, gram, is_coherent, phases, random_family,
+                 realize_coherent, realize_phases)
+
+angles = [0.0, 0.4, -0.9, 1.7]
+coherent = PhaseMatrix.from_edges(
+    4, {(i, j): cmath.exp(1j * (angles[i] - angles[j])) for i in range(4) for j in range(i + 1, 4)}
+)
+square = PhaseMatrix.from_edges(4, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (0, 3): 1j})
+assert is_coherent(coherent, 1e-12) and not is_coherent(square, 1e-12)
+realize_coherent(coherent)
+assert "single base state" in realize_phases(coherent).diagnostics
+witnessed = realize_phases(phases(gram(random_family(5, seed=8))), SearchConfig(restarts=4))
+assert "local search succeeded" in witnessed.diagnostics, witnessed.diagnostics
+assert "qpc.invariants" not in sys.modules
+"""
+
+
+def test_the_coherence_test_walks_no_triangles():
+    # is_coherent, realize_coherent and realize_phases, the searched path
+    # included, judge by the rephasing potential and load no triangle module
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", COHERENCE],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+
+
 # A child that runs the command as python -m qpc does, counting the workers
 # qpc.pool forks, then reports its exit code, that count, the modules it
 # loaded and the diagnostics line of a realize.

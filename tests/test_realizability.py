@@ -74,6 +74,15 @@ def holonomy_square() -> PhaseMatrix:
     )
 
 
+def chordless_cycle(rng, n: int, holonomy: complex) -> PhaseMatrix:
+    """The cycle 0-1-...-(n-1)-0 with random phases whose loop product
+    u_01 u_12 ... u_(n-1)0 is holonomy."""
+    path = np.exp(1j * rng.uniform(-math.pi, math.pi, n - 1))
+    values = {(k, k + 1): path[k] for k in range(n - 1)}
+    values[(0, n - 1)] = (holonomy / np.prod(path)).conjugate()
+    return PhaseMatrix.from_edges(n, values)
+
+
 class TestCheckGram:
     def test_family_gram_passes(self, octant_family):
         v = check_gram(gram(octant_family))
@@ -288,18 +297,22 @@ class TestCoherence:
         u = potential_phases([0.0, 0.3, 1.1, -0.7])
         assert is_coherent(u, 1e-12)
 
-    def test_triangle_free_support_is_vacuously_coherent(self):
-        assert is_coherent(holonomy_square(), 1e-12)
+    def test_a_triangle_free_cycle_is_judged_by_its_holonomy(self):
+        # no triangle to test: the loop product decides
+        assert not is_coherent(holonomy_square(), 1e-12)
+        assert not is_coherent(holonomy_square(), 1.0)
+        # the tolerance bounds the chordal distance on the closing edge,
+        # which is |holonomy - 1|
+        rng = np.random.default_rng(2)
+        for n in (4, 5):
+            for angle in (0.0, 3e-10, 5e-8, 1e-6, math.pi / 2):
+                u = chordless_cycle(rng, n, cmath.exp(1j * angle))
+                for tol in (1e-9, 1e-7):
+                    assert is_coherent(u, tol) == (angle < tol)
 
     def test_two_states_always_coherent(self):
         u = PhaseMatrix.from_edges(2, {(0, 1): cmath.exp(2.2j)})
         assert is_coherent(u, 1e-12)
-
-    def test_worst_triangle_is_the_largest_defect_gap(self, octant_family):
-        assert realizability._worst_triangle(holonomy_square()) == 0.0
-        # one triangle, whose defect is exp(i pi / 4)
-        worst = realizability._worst_triangle(phases(gram(octant_family)))
-        assert worst == pytest.approx(abs(cmath.exp(1j * math.pi / 4) - 1.0), abs=1e-12)
 
     def test_rejects_non_positive_tol(self):
         u = potential_phases([0.0, 0.5])
@@ -362,10 +375,14 @@ class TestRealizeCoherent:
         with pytest.raises(ValueError, match="not coherent"):
             realize_coherent(phases(gram(octant_family)))
 
-    def test_rejects_disconnected_support(self):
-        u = PhaseMatrix.from_edges(4, {(0, 1): 1.0, (2, 3): 1.0})
-        with pytest.raises(ValueError, match="disconnected"):
-            realize_coherent(u)
+    def test_realizes_a_disconnected_support(self):
+        # each component is rooted at its smallest vertex
+        u = PhaseMatrix.from_edges(5, {(0, 1): 1j, (2, 3): cmath.exp(0.7j), (3, 4): -1.0})
+        fam = realize_coherent(u)
+        assert [fam[k] for k in (0, 2)] == [QubitState(1.0, 0.0)] * 2
+        got = phases(gram(fam))
+        for i, j in sorted(u.support.edges):
+            assert got.entry(i, j) == pytest.approx(u.entry(i, j), abs=1e-12)
 
     def test_rejects_cycle_without_potential(self):
         with pytest.raises(ValueError, match="no consistent rephasing potential"):
@@ -394,7 +411,9 @@ class TestRealizeCoherentCertifiesByItsResidual:
         # triangle (1, 2, 3) through both misses by twice that
         u = potential_phases([0.0, 0.3, 1.1, -0.7])
         u = tilted(tilted(u, 1, 2, 8e-10), 2, 3, 8e-10)
-        assert not is_coherent(u, 1e-9)
+        kappa = u.entry(1, 2) * u.entry(2, 3) * u.entry(3, 1)
+        assert abs(kappa - 1.0) > 1.5e-9
+        assert is_coherent(u, 1e-9)
         fam = realize_coherent(u, 1e-9)
         assert _phase_residual(fam.vectors, u) <= 1e-9
 
@@ -453,24 +472,44 @@ class TestCoherentShortcut:
             assert res.status == REALIZABLE and "single base state" in res.diagnostics
             assert res.certificate.vectors.tobytes() == vecs.tobytes()
 
-    def test_realize_coherent_succeeds_exactly_when_the_shortcut_is_taken(self):
+    @staticmethod
+    def prescriptions():
+        """Tilted complete and partial supports, chordless 4- and 5-cycles
+        by their holonomy, a tree, and disconnected supports, coherent or
+        with one edge turned."""
         rng = np.random.default_rng(4)
-        outcomes = set()
         for n in (2, 3, 4, 6):
             for eps in (0.0, 1e-10, 3e-9, 5e-8, 1e-6):
-                u = tilted_coherent(rng, n, eps)
-                for t in (1e-9, 1e-7):
-                    res = realize_phases(u, SearchConfig(realize_tol=t, restarts=1, max_iters=5))
-                    shortcut = "single base state" in res.diagnostics
-                    try:
-                        fam = realize_coherent(u, t)
-                    except ValueError:
-                        assert not shortcut
-                        outcomes.add(False)
-                        continue
-                    assert shortcut
-                    assert res.certificate.vectors.tobytes() == fam.vectors.tobytes()
-                    outcomes.add(True)
+                yield tilted_coherent(rng, n, eps)
+        for n in (4, 5):
+            for angle in (0.0, 3e-10, 5e-8, 1e-6, math.pi / 2):
+                yield chordless_cycle(rng, n, cmath.exp(1j * angle))
+        tree = [(0, 1), (1, 2), (1, 3), (3, 4), (0, 5)]
+        yield PhaseMatrix.from_edges(6, {e: cmath.exp(1j * rng.uniform(-3, 3)) for e in tree})
+        for n, comps in ((6, [[0, 2, 4], [1, 3, 5]]), (9, [[0, 1, 5], [2, 6], [3, 4, 7]])):
+            u = coherent_components(rng, n, comps)
+            yield u
+            for eps in (3e-9, 5e-8):
+                i, j = u.support.pairs
+                e = int(rng.integers(len(i)))
+                yield tilted(u, int(i[e]), int(j[e]), eps)
+
+    def test_realize_coherent_succeeds_exactly_when_the_shortcut_is_taken(self):
+        # and exactly when is_coherent holds: one test at three entry points
+        outcomes = set()
+        for u in self.prescriptions():
+            for t in (1e-9, 1e-7):
+                res = realize_phases(u, SearchConfig(realize_tol=t, restarts=1, max_iters=5))
+                shortcut = "single base state" in res.diagnostics
+                try:
+                    fam = realize_coherent(u, t)
+                except ValueError:
+                    assert not shortcut and not is_coherent(u, t)
+                    outcomes.add(False)
+                    continue
+                assert shortcut and is_coherent(u, t)
+                assert res.certificate.vectors.tobytes() == fam.vectors.tobytes()
+                outcomes.add(True)
         assert outcomes == {False, True}
 
     def test_restriction_slices_the_matrix(self):
@@ -499,22 +538,9 @@ def tilted_coherent(rng, n: int, angle: float) -> PhaseMatrix:
 
 
 class TestPotentialDecidesCoherence:
-    def test_realize_path_walks_no_triangles(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("triangle walk on the realize path")
-
-        monkeypatch.setattr(realizability, "is_coherent", refuse)
-        monkeypatch.setattr(realizability, "_worst_triangle", refuse)
-        coherent = realize_phases(potential_phases([0.0, 0.4, -0.9, 1.7]))
-        assert coherent.status == REALIZABLE
-        assert "single base state" in coherent.diagnostics
-        witnessed = realize_phases(phases(gram(random_family(5, seed=8))))
-        assert witnessed.status == REALIZABLE
-        assert "local search succeeded" in witnessed.diagnostics
-
     def test_a_defect_within_realize_tol_takes_the_single_ray(self):
-        # a triangle defect of about 3e-8 fails the triangle test but the
-        # potential's residual meets the default realize_tol
+        # a triangle defect of about 3e-8 fails is_coherent's default
+        # tolerance but meets the default realize_tol
         u = tilted(potential_phases([0.0, 0.3, 1.1, -0.7, 2.4]), 1, 3, 3e-8)
         assert not is_coherent(u, COHERENCE_TOL)
         res = realize_phases(u)
@@ -558,8 +584,8 @@ class TestRealizePhases:
         assert "single base state" in res.diagnostics
 
     def test_holonomy_square_needs_rank_two(self):
-        # coherence is vacuous here, yet no potential exists; the search
-        # must still find a two-dimensional realization
+        # no triangle, yet no potential exists; the search must find a
+        # two-dimensional realization
         res = realize_phases(holonomy_square())
         assert res.status == REALIZABLE
         assert res.residual <= 1e-7
@@ -808,6 +834,46 @@ class TestLeastSquares:
             res = least_squares(wrong_sign, x0, 10**6)
         assert 1 < res.nfev < 30
         assert np.array_equal(res.x, x0)
+
+    def test_a_singular_damped_system_is_a_rejected_step(self, monkeypatch):
+        # the first solve is refused as singular: the loop raises the
+        # damping without spending an evaluation and goes on to the answer
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal((12, 5)), rng.standard_normal(12)
+        fun, solve = self.linear(a, b), np.linalg.solve
+        evaluations, solves = [], []
+
+        def singular_once(m, v):
+            solves.append((len(evaluations), m[0, 0] - (a.T @ a)[0, 0]))
+            if len(solves) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(m, v)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        res = least_squares(lambda x: evaluations.append(x) or fun(x), np.zeros(5), 200)
+        # near the minimum |r|^2 stops resolving the steps at about sqrt(eps)
+        # in x, where the last digits depend on the BLAS kernel
+        assert np.max(np.abs(res.x - np.linalg.lstsq(a, b, rcond=None)[0])) < 1e-6
+        # both systems came after the one evaluation at x0, the second
+        # damped twice as hard as the first
+        (before_first, first), (before_second, second) = solves[:2]
+        assert before_first == before_second == 1
+        assert second == pytest.approx(2.0 * first, rel=1e-9)
+
+    def test_a_system_that_stays_singular_ends_at_the_damping_cap(self, monkeypatch):
+        # the damping's growth doubles on each refusal, so it passes MU_MAX
+        # within a dozen solves
+        solves = []
+
+        def singular(m, v):
+            solves.append(m)
+            assert len(solves) < 20, "the damping does not grow"
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        x0 = np.array([0.3, 0.1])
+        res = least_squares(self.linear(np.eye(2), np.zeros(2)), x0, 50)
+        assert res.nfev == 1 and np.array_equal(res.x, x0)
 
     def test_the_start_is_copied_not_written(self):
         x0 = np.array([0.3, 0.1])

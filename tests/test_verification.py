@@ -1,12 +1,13 @@
 """Tests for the self-check property registry."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from qpc import invariants, realizability
-from qpc.verification import PROPERTIES, run_all
+from qpc import PhaseMatrix, gram, invariants, phases, realizability
+from qpc.verification import PROPERTIES, _worst_triangle, run_all
 
 BARGMANN_PROPERTIES = {
     "bargmann_matches_componentwise_oracle",
@@ -48,6 +49,15 @@ def test_nan_discrepancy_fails_its_property(monkeypatch):
         assert math.isnan(reports[name].max_discrepancy)
         assert reports[name].passed is False
         assert reports[name].line().endswith("FAIL")
+
+
+def test_worst_triangle_is_the_largest_defect_gap(octant_family):
+    # a chordless square has no triangle
+    square = PhaseMatrix.from_edges(4, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (0, 3): 1j})
+    assert _worst_triangle(square) == 0.0
+    # one triangle, whose defect is exp(i pi / 4)
+    worst = _worst_triangle(phases(gram(octant_family)))
+    assert worst == pytest.approx(abs(cmath.exp(1j * math.pi / 4) - 1.0), abs=1e-12)
 
 
 def test_potential_property_sees_a_potential_that_ignores_the_phases(monkeypatch):
