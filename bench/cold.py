@@ -63,17 +63,30 @@ def _environment() -> dict:
 
 
 def _run(cmd: list, env: dict):
-    """(exit code, stdout bytes, wall seconds, peak RSS in KiB) of one process."""
+    """(exit code, sha256 of stdout, wall seconds, peak RSS in KiB, user +
+    system CPU seconds) of one process.  Its stdout is hashed as it comes,
+    so a report of hundreds of MB is never held here."""
+    digest = hashlib.sha256()
     t0 = time.perf_counter()
     proc = subprocess.Popen(cmd, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
                             stderr=subprocess.DEVNULL, env=env)
     with proc.stdout:
-        out = proc.stdout.read()
+        while chunk := proc.stdout.read(1 << 20):
+            digest.update(chunk)
     # wait4 reaps the process and gives its rusage, its reaped workers' included
     _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, out, seconds, usage.ru_maxrss
+    return (proc.returncode, digest.hexdigest(), seconds, usage.ru_maxrss,
+            usage.ru_utime + usage.ru_stime)
+
+
+def _quartiles(values: list) -> tuple:
+    """(q1, median, q3) of values, as statistics.quantiles(n=4,
+    method='inclusive') gives them; the value itself thrice for one."""
+    if len(values) < 2:
+        return tuple(values * 3)
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def _inputs(d: str, env: dict) -> None:
@@ -130,18 +143,16 @@ def main(argv=None) -> int:
         failures = []
         for r in range(args.runs):
             for name, argv in commands.items():
-                code, out, seconds, rss = _run([sys.executable, "-m", "qpc", *argv], env)
+                code, digest, seconds, rss, _ = _run([sys.executable, "-m", "qpc", *argv], env)
                 if code not in expected[name]:
                     failures.append(f"{name} run {r} exited {code}")
                 walls[name].append(seconds)
                 peaks[name] = max(peaks[name], rss)
-                digests[name].add(hashlib.sha256(out).hexdigest())
+                digests[name].add(digest)
         loads = {name: _loads(argv, env) for name, argv in commands.items()}
     kinds = {}
     for name, argv in commands.items():
-        ms = sorted(1000.0 * s for s in walls[name])
-        q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive") if len(ms) > 1 \
-            else ms * 3
+        q1, median, q3 = _quartiles([1000.0 * s for s in walls[name]])
         if len(digests[name]) > 1:
             failures.append(f"{name} printed {len(digests[name])} different outputs")
         kinds[name] = {

@@ -112,8 +112,10 @@ def _section(heading: str, rows: int, lines):
 POOL_MIN_ROWS = 13_000
 
 # The --cases from which verify runs its properties in forked workers, one
-# per usable CPU, a job per property.  On two CPUs the workers break even
-# at about 16 cases (a cold verify of about 0.24 s); the bound is twice that.
+# per usable CPU, a job per property.  On two CPUs the pool costs time below
+# about 100 cases (serial is faster in most paired cold runs at 20 and 50)
+# and wins from there, but its process tree peaks about 3 MB lower than one
+# process at 50 cases, so the bound stays below 50.
 VERIFY_POOL_MIN_CASES = 32
 
 

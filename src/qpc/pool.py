@@ -4,7 +4,8 @@ analyze formats nearly all of its report's floats in them, and verify
 runs its properties in them.  A walk is a callable of no arguments that
 returns parts as files.doc_parts yields them: strings, and jobs (task, args).
 Importing this module starts nothing; only a Pool of two or more workers
-forks, with os.fork itself: no command imports multiprocessing.
+forks, with os.fork itself: no command imports multiprocessing.  A worker
+exits once its share of the answers is written, and the parent reaps it.
 """
 
 from __future__ import annotations
@@ -20,48 +21,28 @@ from .files import run_parts
 
 
 def _widen(end) -> None:
-    """Let the pipe of end hold 1 MiB where Linux allows it (the default
+    """Let the pipe of end take 1 MiB where Linux allows it (the default
     limit of an unprivileged process): a worker then writes a rendered block
-    at once and goes on to its next job, where a 64 KiB pipe would hold it
-    until the parent had read the block nearly whole."""
+    at once and goes on to its next job, where a 64 KiB pipe would keep it
+    waiting until the parent had read the block nearly whole."""
     with suppress(ImportError, AttributeError, OSError):
         import fcntl
         fcntl.fcntl(end, fcntl.F_SETPIPE_SZ, 1 << 20)
 
 
-def _serve(walk, w: int, workers: int, results, hold, parent_ends) -> None:
-    """Worker w of Pool: answer each job k of walk() with k % workers == w by
-    (args, task(*args), None), or (args, None, the exception it raised) and
-    no more, pickled to the pipe file results; then wait for the parent to
-    close hold.  parent_ends, the parent's ends of the pipes, are closed
-    here, so that the parent's close is an end."""
-    for end in parent_ends:
-        end.close()
-    jobs = (part for part in walk() if not isinstance(part, str))
-    # a closed pipe ends the worker, and so does a walk that raises, as the
-    # parent's own walk of the same parts raises
-    with suppress(Exception), results:
-        for task, args in islice(jobs, w, None, workers):
-            try:
-                answer = args, task(*args), None
-            except Exception as e:
-                answer = args, None, e
-            results.write(pickle.dumps(answer, pickle.HIGHEST_PROTOCOL))
-            results.flush()
-            if answer[2] is not None:
-                break
-    hold.read(1)
-
-
-def _fork(serve, *args) -> int:
-    """The pid of a forked child that calls serve(*args) and then os._exit:
-    0, or 1 when serve raised.  So it runs no exit handler, flushes no
-    buffer it inherited and never returns into its parent's code.  The
-    standard streams are flushed before the fork, so that no child holds a
-    copy of their buffers.  The child ignores Ctrl-C, which reaches the
-    whole process group, so that the parent alone reports it; SIGINT stays
-    blocked across the fork, so that one arriving then reaches the parent,
-    and the child only once it ignores it."""
+def _fork(walk, w: int, workers: int, results, parent_ends) -> int:
+    """The pid of forked worker w of Pool.  It closes parent_ends, the
+    parent's ends of the pipes, so that the parent's close is an end; it
+    answers each job k of walk() with k % workers == w by (args,
+    task(*args), None), or (args, None, the exception it raised) and no
+    more, pickled to the pipe file results; and once its share is written
+    it exits with os._exit: 0, or 1 when that raised.  So it runs no exit
+    handler, flushes no buffer it inherited and never returns into its
+    parent's code.  The standard streams are flushed before the fork, so
+    that no child keeps a copy of their buffers.  The child ignores Ctrl-C,
+    which reaches the whole process group, so that the parent alone
+    reports it; SIGINT stays blocked across the fork, so that one arriving
+    then reaches the parent, and the child only once it ignores it."""
     for stream in (sys.stdout, sys.stderr):
         with suppress(AttributeError, ValueError):  # None, or closed
             stream.flush()
@@ -76,7 +57,21 @@ def _fork(serve, *args) -> int:
         return pid
     code = 1
     try:
-        serve(*args)
+        for end in parent_ends:
+            end.close()
+        jobs = (part for part in walk() if not isinstance(part, str))
+        # a closed pipe ends the worker, and so does a walk that raises, as
+        # the parent's own walk of the same parts raises
+        with suppress(Exception), results:
+            for task, args in islice(jobs, w, None, workers):
+                try:
+                    answer = args, task(*args), None
+                except Exception as e:
+                    answer = args, None, e
+                results.write(pickle.dumps(answer, pickle.HIGHEST_PROTOCOL))
+                results.flush()
+                if answer[2] is not None:
+                    break
         code = 0
     finally:
         os._exit(code)
@@ -95,25 +90,22 @@ class Pool:
     task or array is pickled.  A job must not depend on anything that
     changes after the fork: the parent raises ChildProcessError when an
     answer's args differ from those of its own job k.  The strings may
-    differ.  close, or the end of a with block, ends the workers and reaps
-    them (os.waitpid)."""
+    differ.  A worker exits once it has written its share, or its first
+    exception.  close, or the end of a with block, closes the pipes, which
+    ends a worker that is still writing, and reaps the workers
+    (os.waitpid)."""
 
     def __init__(self, walk, workers: int):
         self._walk, self._ends, self._pids = walk, [], []
         if workers < 2:
             return
-        hold, hold_w = map(open, os.pipe(), ("rb", "wb"))
-        # the result ends of the workers, in order, then the end of hold
-        self._ends.append(hold_w)
         try:
-            with hold:
-                for w in range(workers):
-                    result_r, result_w = map(open, os.pipe(), ("rb", "wb"))
-                    _widen(result_w)
-                    self._ends.insert(w, result_r)
-                    with result_w:
-                        self._pids.append(_fork(
-                            _serve, walk, w, workers, result_w, hold, self._ends))
+            for w in range(workers):
+                result_r, result_w = map(open, os.pipe(), ("rb", "wb"))
+                _widen(result_w)
+                self._ends.append(result_r)
+                with result_w:
+                    self._pids.append(_fork(walk, w, workers, result_w, self._ends))
         except BaseException:
             self.close()
             raise
@@ -125,9 +117,10 @@ class Pool:
         self.close()
 
     def close(self) -> None:
-        """End the workers: close the parent's ends of the pipes, then reap
-        them.  A close that an exception interrupts leaves the workers it
-        has not reaped to the next close."""
+        """End the workers: close the parent's ends of the pipes, so that a
+        worker still writing ends, then reap them.  A close that an
+        exception interrupts leaves the workers it has not reaped to the
+        next close."""
         for end in self._ends:
             end.close()
         self._ends = []

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -552,11 +553,16 @@ def _pooled() -> int:
     return _cpus() if _cpus() > 1 else 0
 
 
-def _children() -> int:
+def _child_pids() -> list:
     """The child processes of this process not reaped yet, alive or exited,
     as Linux lists them for each of its threads."""
     tasks = Path("/proc/self/task")
-    return sum(len((tasks / tid / "children").read_text().split()) for tid in os.listdir(tasks))
+    return [pid for tid in os.listdir(tasks)
+            for pid in (tasks / tid / "children").read_text().split()]
+
+
+def _children() -> int:
+    return len(_child_pids())
 
 
 def _doubled(x):
@@ -684,6 +690,29 @@ class TestWorkers:
             assert _children() == 3
             assert list(pool.walk()) == [tasks[x % 2](x) if x % 3 else str(x)
                                          for x in range(50)]
+        assert _children() == 0
+
+    def test_a_worker_has_one_pipe_and_exits_once_its_share_is_written(self):
+        fds = Path("/proc/self/fd")
+        before = len(os.listdir(fds))
+        pool = Pool(_walk(_doubled, range(1, 10)), 2)  # six jobs
+        try:
+            assert len(os.listdir(fds)) == before + 2
+            assert list(pool.walk()) == [2, 4, "3", 8, 10, "6", 14, 16, "9"]
+            pids = _child_pids()
+            assert len(pids) == 2
+
+            def states():
+                return [Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0]
+                        for pid in pids]
+
+            # a worker is a zombie, exited and not reaped, before close
+            deadline = time.monotonic() + 10
+            while states() != ["Z", "Z"] and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert states() == ["Z", "Z"]
+        finally:
+            pool.close()
         assert _children() == 0
 
     def test_an_exception_in_a_worker_is_raised_in_the_parent(self):
