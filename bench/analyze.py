@@ -10,9 +10,10 @@ each kind it reports the median and the quartiles, over the R runs, of
 the wall time from the start of the process to its exit and of the CPU
 time of the process tree (user + system, the workers it reaped
 included), the largest peak resident memory of any run, the sha256 of its
-standard output and, from one more run that counts qpc.pool's forks, how
-many workers rendered the report (0: the process alone).  The report is
-hashed as it comes through a pipe, never stored.  It writes all of it to
+standard output and, from one more run that counts qpc.pool._fork calls,
+how many workers it forked: W - 1 on a pool of W processes, since the
+process renders a share of the report itself (0: the process alone).  The
+report is hashed as it comes through a pipe, never stored.  It writes all of it to
 BENCH_analyze.json at the root of the checkout (or to --out), prints one
 line per kind, and exits 1 when a run fails or the runs of one kind print
 different bytes.  BLAS runs one thread, as in perfbench.  qpc is imported
@@ -32,7 +33,7 @@ from cold import ROOT, _environment, _machine, _quartiles, _run
 
 FORMATS = ("text", "structured")
 
-# One analyze as python -m qpc runs it, then the count of its workers on stderr.
+# One analyze as python -m qpc runs it, then the count of its forked workers on stderr.
 PROBE = """
 import os, sys
 import qpc.pool

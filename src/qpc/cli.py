@@ -103,19 +103,20 @@ def _section(heading: str, rows: int, lines):
     yield from lines
 
 
-# The rows from which analyze renders its report in forked workers, one per
-# usable CPU, while it runs its check pass itself.  They are counted as the
-# records of the structured report: the gram and probability entries, the
-# phase support and entries, the orthogonal pairs and the triangles.  On two
-# CPUs the workers break even at about 6,500 rows in both formats (n = 28 to
-# 30 states); the bound is twice that, a margin for a noisier or slower host.
+# The rows from which analyze renders its report on a pool of one process
+# per usable CPU, itself and forked workers, after its check pass.  They are
+# counted as the records of the structured report: the gram and probability
+# entries, the phase support and entries, the orthogonal pairs and the
+# triangles.  On two CPUs a pool of two forked workers broke even at about
+# 6,500 rows in both formats (n = 28 to 30 states); the bound is twice that,
+# a margin for a noisier or slower host.
 POOL_MIN_ROWS = 13_000
 
-# The --cases from which verify runs its properties in forked workers, one
-# per usable CPU, a job per property.  On two CPUs the pool costs time below
-# about 100 cases (serial is faster in most paired cold runs at 20 and 50)
-# and wins from there, but its process tree peaks about 3 MB lower than one
-# process at 50 cases, so the bound stays below 50.
+# The --cases from which verify runs its properties on a pool of one process
+# per usable CPU, itself and forked workers, a job per property.  On two
+# CPUs paired cold runs show no time won or lost at 20, 50 or 100 cases,
+# but at 50 the pool's parent peaks about 1.5 MB lower than one process
+# (38.0 against 39.5 MB), so the bound stays below 50.
 VERIFY_POOL_MIN_CASES = 32
 
 
@@ -382,24 +383,19 @@ def _analysis_text(family, a: SimpleNamespace, warnings: list):
 def cmd_analyze(args) -> int:
     family, load_warnings = family_from_json(load_text(args.family))
     a = _analysis(family, args)
-    # the check pass below adds the branch-cut warnings to this list
-    warnings = list(load_warnings) + a.warnings
+    warnings = [*load_warnings, *a.warnings, *_branch_cut_warnings(a)]
     if args.format == "structured":
         report = partial(doc_parts, _analysis_doc(family, a, warnings))
     else:
         report = partial(_analysis_text, family, a, warnings)
     from .pool import Pool
 
-    # The workers are forked here and start rendering the report, each its
-    # share of its jobs, while this process runs the check pass.  The
-    # warnings grow after the fork, so only the report's strings may read
-    # them, no job.  The check pass, its warnings and the consistency
-    # refusal come before --out is opened; the report is closed before the
+    # The check pass above, its warnings and the consistency refusal come
+    # before any worker is forked and before --out is opened, so every part
+    # of the report is fixed at the fork.  The report is closed before the
     # pool, which ends the workers.
-    with Pool(report, _workers(a.rows)) as pool:
-        warnings += _branch_cut_warnings(a)
-        with closing(pool.walk()) as pieces:
-            _emit(args.out, pieces)
+    with Pool(report, _workers(a.rows)) as pool, closing(pool.walk()) as pieces:
+        _emit(args.out, pieces)
     return EXIT_OK
 
 
@@ -524,7 +520,9 @@ def cmd_verify(args) -> int:
         )
         _emit(args.out, ["\n".join(lines) + "\n"])
     for idx in failed:
-        print(f"failed: property {idx} {reports[idx].name} with seed {seed}; "
+        case = verification._first_failure(idx, args.cases, seed)
+        at = "" if case is None else f" at case {case}"
+        print(f"failed: property {idx} {reports[idx].name}{at} with seed {seed}; "
               f"replay: qpc verify --seed {seed} --cases {args.cases}", file=sys.stderr)
     return EXIT_NEGATIVE if failed else EXIT_OK
 

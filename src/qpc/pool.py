@@ -1,10 +1,11 @@
 """Forked worker processes that walk a command's output with it.
 
-analyze formats nearly all of its report's floats in them, and verify
-runs its properties in them.  A walk is a callable of no arguments that
+analyze formats nearly all of its report's floats on the pool, and verify
+runs its properties on it.  A walk is a callable of no arguments that
 returns parts as files.doc_parts yields them: strings, and jobs (task, args).
-Importing this module starts nothing; only a Pool of two or more workers
-forks, with os.fork itself: no command imports multiprocessing.  A worker
+Importing this module starts nothing; a Pool of W processes forks W - 1
+workers, with os.fork itself: no command imports multiprocessing.  The
+parent is the last of the W and runs its own share of the jobs.  A worker
 exits once its share of the answers is written, and the parent reaps it.
 """
 
@@ -16,8 +17,6 @@ import signal
 import sys
 from contextlib import suppress
 from itertools import cycle, islice
-
-from .files import run_parts
 
 
 def _widen(end) -> None:
@@ -31,18 +30,19 @@ def _widen(end) -> None:
 
 
 def _fork(walk, w: int, workers: int, results, parent_ends) -> int:
-    """The pid of forked worker w of Pool.  It closes parent_ends, the
-    parent's ends of the pipes, so that the parent's close is an end; it
-    answers each job k of walk() with k % workers == w by (args,
-    task(*args), None), or (args, None, the exception it raised) and no
-    more, pickled to the pipe file results; and once its share is written
-    it exits with os._exit: 0, or 1 when that raised.  So it runs no exit
-    handler, flushes no buffer it inherited and never returns into its
-    parent's code.  The standard streams are flushed before the fork, so
-    that no child keeps a copy of their buffers.  The child ignores Ctrl-C,
-    which reaches the whole process group, so that the parent alone
-    reports it; SIGINT stays blocked across the fork, so that one arriving
-    then reaches the parent, and the child only once it ignores it."""
+    """The pid of forked worker w, w < workers - 1, of a Pool of workers
+    processes.  It closes parent_ends, the parent's ends of the pipes, so
+    that the parent's close is an end; it answers each job k of walk() with
+    k % workers == w by (args, task(*args), None), or (args, None, the
+    exception it raised) and no more, pickled to the pipe file results; and
+    once its share is written it exits with os._exit: 0, or 1 when that
+    raised.  So it runs no exit handler, flushes no buffer it inherited and
+    never returns into its parent's code.  The standard streams are flushed
+    before the fork, so that no child keeps a copy of their buffers.  The
+    child ignores Ctrl-C, which reaches the whole process group, so that the
+    parent alone reports it; SIGINT stays blocked across the fork, so that
+    one arriving then reaches the parent, and the child only once it
+    ignores it."""
     for stream in (sys.stdout, sys.stderr):
         with suppress(AttributeError, ValueError):  # None, or closed
             stream.flush()
@@ -78,29 +78,26 @@ def _fork(walk, w: int, workers: int, results, parent_ends) -> int:
 
 
 class Pool:
-    """Worker processes that walk the walk, a callable that returns parts.
-
-    With workers < 2 there are none, and walk runs every job here.  Else W =
-    workers processes are forked (_fork); they ignore Ctrl-C.  Each
-    calls walk at once, runs its job k when k mod W is its index, and
-    pickles the answer with the job's args to a pipe of its own, of 1 MiB:
-    a worker runs at most that pipe and one job ahead.  So the parent is
-    free to do other work before it walks the same walk, once, and reads
-    job k's answer from worker k mod W; it sends no worker anything, and no
-    task or array is pickled.  A job must not depend on anything that
-    changes after the fork: the parent raises ChildProcessError when an
-    answer's args differ from those of its own job k.  The strings may
-    differ.  A worker exits once it has written its share, or its first
-    exception.  close, or the end of a with block, closes the pipes, which
-    ends a worker that is still writing, and reaps the workers
-    (os.waitpid)."""
+    """W = workers processes that walk the walk, a callable that returns
+    parts: W - 1 forked workers (_fork), which ignore Ctrl-C, and this
+    process, the last of them.  Each worker calls walk at once, runs its
+    job k when k mod W is its index w < W - 1, and pickles the answer with
+    the job's args to a pipe of its own, of 1 MiB: a worker runs at most
+    that pipe and one job ahead.  The parent walks the same walk, once,
+    runs job k itself when k mod W = W - 1 and reads every other answer
+    from worker k mod W; it sends no worker anything, and no task or array
+    is pickled.  With W = 1 nothing is forked and the parent runs every
+    job.  A job must not depend on anything that changes after the fork:
+    the parent raises ChildProcessError when an answer's args differ from
+    those of its own job k.  A worker exits once it has written its share,
+    or its first exception.  close, or the end of a with block, closes the
+    pipes, which ends a worker that is still writing, and reaps the
+    workers (os.waitpid)."""
 
     def __init__(self, walk, workers: int):
         self._walk, self._ends, self._pids = walk, [], []
-        if workers < 2:
-            return
         try:
-            for w in range(workers):
+            for w in range(workers - 1):
                 result_r, result_w = map(open, os.pipe(), ("rb", "wb"))
                 _widen(result_w)
                 self._ends.append(result_r)
@@ -131,20 +128,20 @@ class Pool:
 
     def walk(self):
         """Yield the parts of the walk: a string as it is, and for a job
-        (task, args) task(*args).  An exception the task raised in a worker
-        is raised here, in its turn.  A walk that does not run to its end
-        closes the pool."""
+        (task, args) task(*args), run here in this process's turns.  An
+        exception the task raised, here or in a worker, is raised here, in
+        its turn.  A walk that does not run to its end closes the pool."""
         try:
-            parts = self._walk()
-            if not self._pids:
-                yield from run_parts(parts)
-                return
-            turns = cycle(range(len(self._pids)))
-            for part in parts:
+            last = len(self._ends)  # this process's turn, W - 1
+            turns = cycle(range(last + 1))
+            for part in self._walk():
                 if isinstance(part, str):
                     yield part
                     continue
                 w = next(turns)
+                if w == last:
+                    yield part[0](*part[1])
+                    continue
                 try:
                     args, value, error = pickle.load(self._ends[w])
                 except (EOFError, pickle.UnpicklingError):

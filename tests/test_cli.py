@@ -43,7 +43,7 @@ from qpc import (
 from qpc import cli, comparisons, invariants
 from qpc.cli import BRANCH_CUT_MARGIN, _analysis, _analysis_doc, _branch_cut_warnings, _workers, main
 from qpc.comparisons import phases, principal_angle
-from qpc.files import _FILL_CHUNK, MAX_PHASE_N, dump_doc, row_pieces
+from qpc.files import _FILL_CHUNK, MAX_PHASE_N, dump_doc, row_pieces, run_parts
 from qpc.pool import Pool
 from qpc.verification import run_all
 from tests.conftest import (family_with_orthogonal_pairs, inconsistent_family, slack_gram,
@@ -549,8 +549,9 @@ def _cpus() -> int:
 
 
 def _pooled() -> int:
-    """The workers of an analyze that reaches cli.POOL_MIN_ROWS here."""
-    return _cpus() if _cpus() > 1 else 0
+    """The workers of an analyze that reaches cli.POOL_MIN_ROWS here: the
+    process is the last of one per usable CPU."""
+    return _cpus() - 1
 
 
 def _child_pids() -> list:
@@ -565,6 +566,18 @@ def _children() -> int:
     return len(_child_pids())
 
 
+def _states_within(pids, seconds: float) -> list:
+    """The states of the processes pids, as /proc/<pid>/stat gives them,
+    once all are zombies (Z) or seconds have passed."""
+    deadline = time.monotonic() + seconds
+    while True:
+        states = [Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0]
+                  for pid in pids]
+        if set(states) == {"Z"} or time.monotonic() > deadline:
+            return states
+        time.sleep(0.01)
+
+
 def _doubled(x):
     return 2 * x
 
@@ -577,6 +590,15 @@ def _refuse_seven(x):
     if x == 7:
         raise ValueError(f"item {x} refused")
     return x
+
+
+def _count_forks(monkeypatch) -> list:
+    """The workers qpc.pool forks from now on, one item each."""
+    import qpc.pool
+
+    forks, fork = [], qpc.pool._fork
+    monkeypatch.setattr(qpc.pool, "_fork", lambda *args: forks.append(args[1]) or fork(*args))
+    return forks
 
 
 def _walk(task, items):
@@ -603,9 +625,9 @@ class _Interrupting(_WriteSizes):
 
 
 class TestWorkers:
-    """analyze renders every section of its report on every usable CPU, in
-    one pool of forked workers, while it runs its check pass itself, and
-    prints the same bytes as on one."""
+    """analyze runs its check pass, then renders every section of its
+    report on every usable CPU, in one pool of forked workers and itself,
+    and prints the same bytes as on one."""
 
     # sha256 of analyze on gen --n 80 --seed 7, as printed on one CPU
     SHA256_80 = {
@@ -687,7 +709,7 @@ class TestWorkers:
         walk = lambda: ((tasks[x % 2], (x,)) if x % 3 else str(x)  # noqa: E731
                         for x in range(50))
         with Pool(walk, 3) as pool:
-            assert _children() == 3
+            assert _children() == 2
             assert list(pool.walk()) == [tasks[x % 2](x) if x % 3 else str(x)
                                          for x in range(50)]
         assert _children() == 0
@@ -695,22 +717,14 @@ class TestWorkers:
     def test_a_worker_has_one_pipe_and_exits_once_its_share_is_written(self):
         fds = Path("/proc/self/fd")
         before = len(os.listdir(fds))
-        pool = Pool(_walk(_doubled, range(1, 10)), 2)  # six jobs
+        pool = Pool(_walk(_doubled, range(1, 10)), 2)  # six jobs, three in the worker
         try:
-            assert len(os.listdir(fds)) == before + 2
+            assert len(os.listdir(fds)) == before + 1
             assert list(pool.walk()) == [2, 4, "3", 8, 10, "6", 14, 16, "9"]
             pids = _child_pids()
-            assert len(pids) == 2
-
-            def states():
-                return [Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0]
-                        for pid in pids]
-
+            assert len(pids) == 1
             # a worker is a zombie, exited and not reaped, before close
-            deadline = time.monotonic() + 10
-            while states() != ["Z", "Z"] and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert states() == ["Z", "Z"]
+            assert _states_within(pids, 10) == ["Z"]
         finally:
             pool.close()
         assert _children() == 0
@@ -733,7 +747,7 @@ class TestWorkers:
         with Pool(_walk(_doubled, range(1, 50)), 2) as pool:
             walk = pool.walk()
             assert next(walk) == 2
-            assert _children() == 2
+            assert _children() == 1
             walk.close()
             assert _children() == 0
 
@@ -744,19 +758,55 @@ class TestWorkers:
                 list(pool.walk())
             assert _children() == 0
 
-    def test_the_check_pass_runs_while_the_workers_render(self, monkeypatch, tmp_path,
-                                                          families):
-        alive = []
+    def test_a_pool_of_one_forks_nothing(self, monkeypatch):
+        forks, walk = _count_forks(monkeypatch), _walk(_doubled, range(1, 20))
+        with Pool(walk, 1) as pool:
+            assert list(pool.walk()) == list(run_parts(walk()))
+        assert forks == []
+
+    def test_the_parent_runs_the_last_turn_of_each_round(self):
+        with Pool(lambda: ((os.getpid, ()) for _ in range(10)), 3) as pool:
+            workers = {int(pid) for pid in _child_pids()}
+            pids = list(pool.walk())
+        assert [k for k, pid in enumerate(pids) if pid == os.getpid()] == [2, 5, 8]
+        assert pids[0::3] == 4 * [pids[0]] and pids[1::3] == 3 * [pids[1]]
+        assert {pids[0], pids[1]} == workers and len(workers) == 2
+
+    def test_an_exception_in_the_parents_job_is_raised_in_its_turn(self):
+        # the parent runs job k when k mod 2 = 1: 7 is job 3
+        with Pool(_walk(_refuse_seven, range(2, 50)), 2) as pool:
+            walk = pool.walk()
+            assert [next(walk) for _ in range(5)] == [2, "3", 4, 5, "6"]
+            assert _children() == 1
+            with pytest.raises(ValueError, match="item 7 refused"):
+                next(walk)
+            assert _children() == 0
+
+    def test_workers_with_no_share_exit_at_once(self, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        with Pool(_walk(_doubled, [1, 2]), 4) as pool:
+            pids = _child_pids()
+            # worker 2 and the parent have no job, workers 0 and 1 one each,
+            # which their pipes hold: every worker exits before any is read
+            assert _states_within(pids, 10) == ["Z"] * 3
+            assert list(pool.walk()) == [2, 4]
+        assert (forks, len(pids)) == ([0, 1, 2], 3)
+        assert _children() == 0
+
+    def test_the_check_pass_runs_before_any_worker_is_forked(self, monkeypatch, tmp_path,
+                                                             families):
+        alive, forks = [], _count_forks(monkeypatch)
 
         def recorded(a):
-            alive.append(_children())
+            alive.append((_children(), len(forks)))
             return _branch_cut_warnings(a)
 
         monkeypatch.setattr(cli, "_branch_cut_warnings", recorded)
         monkeypatch.setattr(cli, "_workers", lambda rows: 3)
         out = tmp_path / "report"
         assert main(["analyze", families["gen80"], "--out", str(out)]) == 0
-        assert alive == [3]
+        assert alive == [(0, 0)]
+        assert len(forks) == 2
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256_80["text"]
         assert _children() == 0
 
@@ -800,17 +850,16 @@ class TestWorkers:
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_a_pooled_refusal_exits_2_before_the_report(self, monkeypatch, capsys, tmp_path,
                                                         fmt):
-        # the workers render however few the rows, while the check refuses
-        if _cpus() < 2:
-            pytest.skip("one usable CPU")
-        used = []
+        # however few the rows, the report would run on the pool; the check
+        # refuses before it, and nothing is forked
+        used, forks = [], _count_forks(monkeypatch)
         monkeypatch.setattr(cli, "POOL_MIN_ROWS", 0)
         monkeypatch.setattr(cli, "_workers", lambda rows: used.append(_workers(rows)) or used[-1])
         path = tmp_path / "tiny.json"
         save_text(str(path), family_to_json(inconsistent_family()))
         out = tmp_path / "report"
         code = main(["analyze", str(path), "--zero-tol", "0", "--format", fmt, "--out", str(out)])
-        assert used == [_cpus()]
+        assert (used, forks) == ([], [])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == REFUSAL
@@ -821,7 +870,7 @@ class TestWorkers:
                                            "worker exception"])
     def test_every_exit_path_joins_the_workers(self, monkeypatch, capsys, tmp_path, families,
                                                exit_path):
-        started = []
+        started, forks = [], _count_forks(monkeypatch)
 
         class Recorded(Pool):
             def __init__(self, *args):
@@ -857,7 +906,9 @@ class TestWorkers:
             "interrupted": (130, "error: interrupted\n"),
             "worker exception": (2, "error: block 20 refused\n"),
         }[exit_path]
-        assert started == [_pooled()]
+        # a refusal forks nothing
+        assert (started, len(forks)) == (([], 0) if exit_path == "refused"
+                                         else ([_pooled()], _pooled()))
         assert _children() == 0
 
 
@@ -1165,8 +1216,9 @@ class TestVerify:
         failing = capsys.readouterr()
         assert code == 1
         names = [r.name for r in run_all(cases=1, seed=0)]
+        # every case of them fails: the lines name the first, case 0
         expected = [
-            f"failed: property {idx} {name} with seed 5; "
+            f"failed: property {idx} {name} at case 0 with seed 5; "
             "replay: qpc verify --seed 5 --cases 2"
             for idx, name in enumerate(names) if name in BARGMANN_PROPERTIES
         ]
@@ -1177,6 +1229,39 @@ class TestVerify:
         else:
             assert failing.out.count("FAIL") == len(expected)
         assert "replay" not in failing.out
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("failure", [math.nan, 1.0])
+    def test_a_failing_line_names_the_first_failing_case(self, capsys, monkeypatch, workers,
+                                                         failure):
+        from qpc import verification
+
+        # a property registered last, as qpc.verification says to add one,
+        # whose case 3 alone fails on the stream of seed 5, by NaN or over
+        # its tolerance; with 3 workers it runs in a worker
+        props = list(verification.PROPERTIES)
+        monkeypatch.setattr(verification, "PROPERTIES", props)
+        draws = np.random.default_rng([5, len(props)]).random(50)
+        verification._property("fails_at_case_3", 0.5)(
+            lambda rng: failure if rng.random() == draws[3] else 0.0)
+        monkeypatch.setattr(cli, "_workers", lambda *args: workers)
+        assert main(["verify", "--cases", "50", "--seed", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out.count("FAIL") == 1
+        assert err == (f"failed: property {len(props) - 1} fails_at_case_3 at case 3 "
+                       "with seed 5; replay: qpc verify --seed 5 --cases 50\n")
+        assert _children() == 0
+
+    def test_a_property_that_samples_nothing_names_no_case(self, capsys, monkeypatch):
+        from qpc import oracles, verification
+
+        assert verification.PROPERTIES[0] is verification._prop_pauli
+        monkeypatch.setattr(verification, "oracle_pauli_traces", lambda: oracles.OracleReport(
+            "pauli_trace_identities", 36, math.nan, 1e-12))
+        assert main(["verify", "--cases", "2", "--seed", "5"]) == 1
+        assert capsys.readouterr().err == (
+            "failed: property 0 pauli_trace_identities with seed 5; "
+            "replay: qpc verify --seed 5 --cases 2\n")
 
 
 class _BrokenPipe(_WriteSizes):
@@ -1256,11 +1341,12 @@ class TestPooledVerify:
         code, (out, err) = runs[1]
         assert code == 1 and len(err.splitlines()) == len(BARGMANN_PROPERTIES)
         assert err.startswith("failed: property 1 bargmann_matches_componentwise_oracle "
-                              "with seed 5; replay: qpc verify --seed 5 --cases 50\n")
+                              "at case 0 with seed 5; replay: qpc verify --seed 5 --cases 50\n")
 
     def test_a_property_that_raises_in_a_worker_is_raised_in_its_turn(self, monkeypatch,
                                                                       capsys):
-        # property 5 raises in another worker than property 3, and maybe first
+        # property 3 raises in worker 0, and property 5 in the parent, which
+        # runs every third job
         def refused(idx):
             def prop(cases, rng):
                 raise ValueError(f"property {idx} refused")
@@ -1307,7 +1393,7 @@ class TestPooledVerify:
             "interrupted": (130, "error: interrupted\n"),
             "worker exception": (2, "error: property 7 refused\n"),
         }[exit_path]
-        assert started == [3]
+        assert started == [2]
         assert _children() == 0
 
 
