@@ -112,25 +112,17 @@ def _section(heading: str, rows: int, lines):
 # a margin for a noisier or slower host.
 POOL_MIN_ROWS = 13_000
 
-# The --cases from which verify runs its properties on a pool of one process
-# per usable CPU, itself and forked workers, a job per property.  On two
-# CPUs paired cold runs show no time won or lost at 20, 50 or 100 cases,
-# but at 50 the pool's parent peaks about 1.5 MB lower than one process
-# (38.0 against 39.5 MB), so the bound stays below 50.
-VERIFY_POOL_MIN_CASES = 32
 
-
-def _workers(rows: int, least: int | None = None) -> int:
-    """The processes that run a command's stages of rows rows (or cases):
-    every usable CPU when there are several, rows reach least
-    (POOL_MIN_ROWS when None) and this process may fork workers (os.fork
-    exists, no other thread runs that a child could inherit holding a
-    lock, and this is no daemonic multiprocessing worker, which may start
-    no process); else 1.  multiprocessing is not imported for the last
-    test: a process that never imported it is no worker of it."""
+def _workers(rows: int) -> int:
+    """The processes that run analyze's report of rows rows: every usable
+    CPU when there are several, rows reach POOL_MIN_ROWS and this process
+    may fork workers (os.fork exists, no other thread runs that a child
+    could inherit holding a lock, and this is no daemonic multiprocessing
+    worker, which may start no process); else 1.  multiprocessing is not
+    imported for the last test: a process that never imported it is no
+    worker of it."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    least = POOL_MIN_ROWS if least is None else least
-    if rows < least or cpus < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if rows < POOL_MIN_ROWS or cpus < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     multiprocessing = sys.modules.get("multiprocessing")
     return 1 if multiprocessing and multiprocessing.current_process().daemon else cpus
@@ -503,8 +495,7 @@ def cmd_verify(args) -> int:
     from . import verification
 
     seed = _resolve_seed(args)
-    reports = verification.run_all(args.cases, seed,
-                                   _workers(args.cases, VERIFY_POOL_MIN_CASES))
+    reports = verification.run_all(args.cases, seed)
     failed = [idx for idx, r in enumerate(reports) if not r.passed]
     if args.format == "structured":
         doc = {

@@ -42,9 +42,9 @@ def moduli(a: np.ndarray) -> np.ndarray:
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Elementwise x * y, broadcast, rounded as the scalar complex product."""
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
+    real = x.real * y.real - x.imag * y.imag
+    out = np.empty(real.shape, dtype=complex)
+    out.real, out.imag = real, x.real * y.imag + x.imag * y.real
     return out
 
 
@@ -93,7 +93,8 @@ def deviations(a: np.ndarray) -> tuple[float, float]:
     inf, silently, only when the deviation itself exceeds the largest
     float.  On a real matrix a* is the transpose.
     """
-    herm = 2.0 * float(np.max(np.abs(a / 2.0 - a.conj().T / 2.0)))
+    h = a / 2.0
+    herm = 2.0 * float(np.max(np.abs(h - h.conj().T)))
     return herm, float(np.max(np.abs(np.diagonal(a) - 1.0)))
 
 

@@ -247,9 +247,10 @@ class Triples:
 
     def __init__(self, mask: np.ndarray):
         self._up = up = np.triu(mask, 1)
-        # the triples of each first vertex: the pairs among its later neighbours
-        counts = [np.count_nonzero(up[np.ix_(nb, nb)]) for nb in map(np.flatnonzero, up)]
-        self._first = np.concatenate([[0], np.cumsum(counts, dtype=int)])
+        # the triples of each first vertex i: the pairs j < k of its later
+        # neighbours with j ~ k, sum_k (A A)_ik A_ik for A the upper mask
+        a = up.astype(int)
+        self._first = np.concatenate([[0], np.cumsum(((a @ a) * a).sum(axis=1))])
         # the rows of the last first vertex made: consecutive ranges share it
         self._last = -1, None
 

@@ -1,12 +1,12 @@
 """Forked worker processes that walk a command's output with it.
 
-analyze formats nearly all of its report's floats on the pool, and verify
-runs its properties on it.  A walk is a callable of no arguments that
-returns parts as files.doc_parts yields them: strings, and jobs (task, args).
-Importing this module starts nothing; a Pool of W processes forks W - 1
-workers, with os.fork itself: no command imports multiprocessing.  The
-parent is the last of the W and runs its own share of the jobs.  A worker
-exits once its share of the answers is written, and the parent reaps it.
+analyze formats nearly all of its report's floats on the pool, in jobs of
+even cost; no other command forks.  A walk is a callable of no arguments
+that returns parts as files.doc_parts yields them: strings, and jobs
+(task, args).  Importing this module starts nothing; a Pool of W processes
+forks W - 1 workers with os.fork, not multiprocessing.  The parent is the
+last of the W and runs its own share of the jobs.  A worker exits once its
+share of the answers is written, and the parent reaps it.
 """
 
 from __future__ import annotations

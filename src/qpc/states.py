@@ -205,25 +205,27 @@ def from_bloch(n) -> QubitState:
 
 
 def random_state(seed) -> QubitState:
-    """Haar-random state; deterministic for a fixed seed.
-
-    Draws two independent standard complex Gaussian amplitudes and
-    normalizes by the scalar _modulus; a numpy Generator shares its stream.
-    """
-    rng = np.random.default_rng(seed)
-    while True:
-        c0, c1 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)).tolist()
-        norm = _modulus(c0, c1)
-        if norm > 1e-6:
-            return QubitState(c0 / norm, c1 / norm)
+    """Haar-random state; deterministic for a fixed seed: the one state of
+    random_family(1, seed), so a numpy Generator shares its stream."""
+    return random_family(1, seed)[0]
 
 
 def random_family(n: int, seed) -> StateFamily:
-    """Family of n independent Haar-random states from one seeded stream."""
+    """Family of n independent Haar-random states from one seeded stream.
+    Each state takes the next four standard normals, the real and then the
+    imaginary parts of (c0, c1), normalized by the scalar _modulus, and is
+    drawn again at a modulus of 1e-6 or less; the normals of all the states
+    still missing are drawn in one call."""
     if n < 1:
         raise ValueError(f"family size must be positive, got {n}")
-    rng = np.random.default_rng(seed)
-    return StateFamily(tuple(random_state(rng) for _ in range(n)))
+    rng, found = np.random.default_rng(seed), []
+    while len(found) < n:
+        draws = rng.standard_normal((n - len(found), 2, 2))
+        for c0, c1 in (draws[:, 0] + 1j * draws[:, 1]).tolist():
+            norm = _modulus(c0, c1)
+            if norm > 1e-6:
+                found.append(QubitState(c0 / norm, c1 / norm))
+    return StateFamily(tuple(found))
 
 
 def rays_equal(a: QubitState, b: QubitState, tol: float) -> bool:

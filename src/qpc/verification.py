@@ -3,9 +3,9 @@
 Each property evaluates a claimed identity along two independent routes
 on seeded random instances and reports the worst discrepancy as an
 OracleReport.  run_all drives every registered property with a shared
-seed, deterministically: property idx draws from the stream
-np.random.default_rng([seed, idx]), in whichever process runs it, so the
-reports are the same on any number of workers.
+seed, in order and in this process: property idx draws from the stream
+np.random.default_rng([seed, idx]), so each report depends only on the
+seed, the case count and the property's place.
 
 To add a property, write one case function that draws a single instance
 from the generator it is given and returns that instance's discrepancy
@@ -24,11 +24,10 @@ import cmath
 from itertools import combinations
 
 import numpy as np
-from numpy.random import default_rng  # numpy loads it on first use: before any fork, here
+from numpy.random import default_rng  # numpy loads it on first use, which is here
 
 from . import comparisons, invariants, realizability, states
 from .oracles import OracleReport, oracle_bargmann_direct, oracle_pauli_traces, oracle_trace_product
-from .pool import Pool
 
 
 def _worst(discrepancies) -> float:
@@ -293,12 +292,9 @@ def _first_failure(idx: int, cases: int, seed: int) -> int | None:
     return None if replay is None else replay(cases, default_rng([seed, idx]))
 
 
-def run_all(cases: int, seed: int, workers: int = 1) -> list[OracleReport]:
+def run_all(cases: int, seed: int) -> list[OracleReport]:
     """Run every registered property with its own seeded stream, in
-    order, as the walk of a pool.Pool of workers processes with a job per
-    property; a property that raises raises here, in its turn."""
+    order; a property that raises raises here, in its turn."""
     if cases < 1:
         raise ValueError(f"cases must be positive, got {cases}")
-    jobs = lambda: ((_report, (idx, cases, seed)) for idx in range(len(PROPERTIES)))
-    with Pool(jobs, workers) as pool:
-        return list(pool.walk())
+    return [_report(idx, cases, seed) for idx in range(len(PROPERTIES))]

@@ -1230,25 +1230,24 @@ class TestVerify:
             assert failing.out.count("FAIL") == len(expected)
         assert "replay" not in failing.out
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("case", [1, 3])
     @pytest.mark.parametrize("failure", [math.nan, 1.0])
-    def test_a_failing_line_names_the_first_failing_case(self, capsys, monkeypatch, workers,
+    def test_a_failing_line_names_the_first_failing_case(self, capsys, monkeypatch, case,
                                                          failure):
         from qpc import verification
 
         # a property registered last, as qpc.verification says to add one,
-        # whose case 3 alone fails on the stream of seed 5, by NaN or over
-        # its tolerance; with 3 workers it runs in a worker
+        # whose case alone fails on the stream of seed 5, by NaN or over its
+        # tolerance
         props = list(verification.PROPERTIES)
         monkeypatch.setattr(verification, "PROPERTIES", props)
         draws = np.random.default_rng([5, len(props)]).random(50)
-        verification._property("fails_at_case_3", 0.5)(
-            lambda rng: failure if rng.random() == draws[3] else 0.0)
-        monkeypatch.setattr(cli, "_workers", lambda *args: workers)
+        verification._property("fails_at_one_case", 0.5)(
+            lambda rng: failure if rng.random() == draws[case] else 0.0)
         assert main(["verify", "--cases", "50", "--seed", "5"]) == 1
         out, err = capsys.readouterr()
         assert out.count("FAIL") == 1
-        assert err == (f"failed: property {len(props) - 1} fails_at_case_3 at case 3 "
+        assert err == (f"failed: property {len(props) - 1} fails_at_one_case at case {case} "
                        "with seed 5; replay: qpc verify --seed 5 --cases 50\n")
         assert _children() == 0
 
@@ -1282,9 +1281,9 @@ def _replace_properties(monkeypatch, replaced: dict) -> None:
 
 
 class TestPooledVerify:
-    """verify runs its properties on every usable CPU from
-    cli.VERIFY_POOL_MIN_CASES cases on, a job per property, and prints the
-    same bytes as on one."""
+    """verify runs its properties in this process at every --cases: it forks
+    nothing, prints the same bytes on every CPU and on one, and leaves no
+    child process on any exit path."""
 
     # sha256 of verify --cases 50 --format structured under
     # OPENBLAS_CORETYPE=Prescott, the oldest x86-64 kernel of OpenBLAS.  Some
@@ -1292,18 +1291,6 @@ class TestPooledVerify:
     # factorization round trip), whose last digits differ between kernels,
     # as the README says, so the bytes are pinned under one named kernel.
     SHA256_50_PRESCOTT = "1cbaeda434ff58b820cba5be2256bd9bf1d7cdd1158b4d1191e9be50fc8e7e8c"
-
-    def test_the_bytes_do_not_depend_on_the_workers(self, monkeypatch, tmp_path):
-        used, digests = [], []
-        for workers in (1, 3):
-            monkeypatch.setattr(cli, "_workers", lambda *args: used.append(args) or workers)
-            out = tmp_path / f"report-{workers}"
-            argv = ["verify", "--cases", "50", "--format", "structured", "--out", str(out)]
-            assert main(argv) == 0
-            assert _children() == 0
-            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-        assert used == 2 * [(50, cli.VERIFY_POOL_MIN_CASES)]
-        assert digests[0] == digests[1]
 
     def test_the_bytes_under_one_kernel_are_pinned(self):
         if platform.machine().lower() not in ("x86_64", "amd64"):
@@ -1316,44 +1303,31 @@ class TestPooledVerify:
                 env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_CORETYPE="Prescott")).stdout
             ).hexdigest()
 
-        # on every CPU, pooled where two are usable, and on one
+        # on every CPU and on one
         assert digest() == self.SHA256_50_PRESCOTT
         if hasattr(os, "sched_setaffinity"):
             assert digest(_pin_to_one_cpu) == self.SHA256_50_PRESCOTT
-
-    def test_when_workers_are_used(self):
-        least = cli.VERIFY_POOL_MIN_CASES
-        assert 1 < least < 50  # the benchmark's verify --cases 50 runs on the pool
-        assert _workers(least - 1, least) == 1
-        assert _workers(least, least) == (_cpus() if _cpus() > 1 else 1)
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_failing_properties_in_workers_print_the_same_lines(self, capsys, monkeypatch,
                                                                 fmt):
         monkeypatch.setattr(invariants, "bargmann", lambda *args: complex(math.nan, 0.0))
-        runs = []
-        for workers in (1, 3):
-            monkeypatch.setattr(cli, "_workers", lambda *args: workers)
-            runs.append((main(["verify", "--cases", "50", "--seed", "5", "--format", fmt]),
-                         capsys.readouterr()))
-            assert _children() == 0
-        assert runs[0] == runs[1]
-        code, (out, err) = runs[1]
+        code = main(["verify", "--cases", "50", "--seed", "5", "--format", fmt])
+        err = capsys.readouterr().err
+        assert _children() == 0
         assert code == 1 and len(err.splitlines()) == len(BARGMANN_PROPERTIES)
         assert err.startswith("failed: property 1 bargmann_matches_componentwise_oracle "
                               "at case 0 with seed 5; replay: qpc verify --seed 5 --cases 50\n")
 
     def test_a_property_that_raises_in_a_worker_is_raised_in_its_turn(self, monkeypatch,
                                                                       capsys):
-        # property 3 raises in worker 0, and property 5 in the parent, which
-        # runs every third job
+        # properties 3 and 5 raise: 3 comes first, and nothing is printed
         def refused(idx):
             def prop(cases, rng):
                 raise ValueError(f"property {idx} refused")
             return prop
 
         _replace_properties(monkeypatch, {3: refused(3), 5: refused(5)})
-        monkeypatch.setattr(cli, "_workers", lambda *args: 3)
         assert main(["verify", "--cases", "50"]) == 2
         assert capsys.readouterr() == ("", "error: property 3 refused\n")
         assert _children() == 0
@@ -1363,28 +1337,28 @@ class TestPooledVerify:
     def test_every_exit_path_joins_the_workers(self, monkeypatch, capsys, exit_path):
         from qpc import verification
 
-        started, prop = [], verification.PROPERTIES[7]
-
-        class Recorded(Pool):
-            def __init__(self, *args):
-                super().__init__(*args)
-                started.append(_children())
+        running, prop = [], verification.PROPERTIES[7]
 
         def interrupting(cases, rng):
-            # a Ctrl-C reaches the parent while it waits for the workers
-            os.kill(os.getppid(), signal.SIGINT)
+            # a Ctrl-C reaches the process while it runs a property
+            os.kill(os.getpid(), signal.SIGINT)
             return prop(cases, rng)
 
         def refusing(cases, rng):
             raise ValueError("property 7 refused")
 
-        monkeypatch.setattr(verification, "Pool", Recorded)
-        monkeypatch.setattr(cli, "_workers", lambda *args: 3)
+        def recorded(cases, rng):
+            running.append(_children())
+            return {"interrupted": interrupting, "worker exception": refusing}.get(
+                exit_path, prop)(cases, rng)
+
+        def forbidden():
+            raise AssertionError("verify forked")
+
+        monkeypatch.setattr(os, "fork", forbidden)
         if exit_path == "broken pipe":
             monkeypatch.setattr(sys, "stdout", _BrokenPipe())
-        elif exit_path in ("interrupted", "worker exception"):
-            _replace_properties(monkeypatch, {
-                7: interrupting if exit_path == "interrupted" else refusing})
+        _replace_properties(monkeypatch, {7: recorded})
         code = main(["verify", "--cases", "50"])
         err = capsys.readouterr().err
         assert (code, err) == {
@@ -1393,7 +1367,7 @@ class TestPooledVerify:
             "interrupted": (130, "error: interrupted\n"),
             "worker exception": (2, "error: property 7 refused\n"),
         }[exit_path]
-        assert started == [2]
+        assert running == [0]
         assert _children() == 0
 
 

@@ -113,15 +113,14 @@ def test_the_coherence_test_walks_no_triangles():
     assert proc.returncode == 0, proc.stderr
 
 
-# A child that runs the command as python -m qpc does, counting the workers
-# qpc.pool forks, then reports its exit code, that count, the modules it
-# loaded and the diagnostics line of a realize.
+# A child that runs the command as python -m qpc does, counting its calls
+# of os.fork, then reports its exit code, that count, the modules it loaded
+# and the diagnostics line of a realize.
 PROBE = textwrap.dedent("""
     import contextlib, io, json, os, sys
-    import qpc.pool
 
-    fork, forks = qpc.pool._fork, []
-    qpc.pool._fork = lambda *args: forks.append(args) or fork(*args)
+    fork, forks = os.fork, []
+    os.fork = lambda: forks.append(1) or fork()
     from qpc.__main__ import run
 
     out = io.StringIO()
@@ -139,7 +138,8 @@ def _cpus() -> int:
 class TestEachCommandLoadsWhatItRuns:
     """A phase search loads numpy.random, and with it secrets and hashlib,
     only for a random restart; check and realize load no triangle module,
-    gen no comparisons; the pool forks without multiprocessing."""
+    gen no comparisons, verify no pool; analyze's pool forks without
+    multiprocessing."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -182,17 +182,17 @@ class TestEachCommandLoadsWhatItRuns:
         (["gen", "--n", "8"], {"qpc.comparisons", "qpc.invariants"}),
         (["check", "gram"], {"qpc.invariants", "numpy.random"}),
         (["realize", "gram"], {"qpc.invariants", "numpy.random"}),
-    ], ids=["gen", "check", "realize-gram"])
+        (["verify", "--cases", "50"], {"qpc.pool", "multiprocessing", "concurrent"}),
+    ], ids=["gen", "check", "realize-gram", "verify-50"])
     def test_no_module_the_command_does_not_run(self, inputs, argv, unused):
         code, forks, loaded, _ = self.probe(inputs(argv))
         assert (code, forks) == (0, 0)
         assert unused.isdisjoint(loaded), sorted(unused & set(loaded))
 
-    @pytest.mark.parametrize("argv", [["analyze", "family40"], ["verify", "--cases", "50"]],
-                             ids=["analyze-40", "verify-50"])
+    @pytest.mark.parametrize("argv", [["analyze", "family40"]], ids=["analyze-40"])
     def test_the_pool_forks_without_multiprocessing(self, inputs, argv):
         code, forks, loaded, _ = self.probe(inputs(argv))
-        # 14,640 report rows and 50 cases reach the pool where two CPUs are
-        # usable, and the process is the last of one per CPU
+        # 14,640 report rows reach the pool where two CPUs are usable, and
+        # the process is the last of one per CPU
         assert (code, forks) == (0, _cpus() - 1)
         assert not [m for m in loaded if m.partition(".")[0] in ("multiprocessing", "concurrent")]

@@ -208,6 +208,56 @@ class TestRandomState:
         with pytest.raises(ValueError, match="positive"):
             random_family(0, 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    def test_a_family_is_the_states_drawn_one_at_a_time(self, n):
+        rngs = [np.random.default_rng(5) for _ in range(3)]
+        family = random_family(n, rngs[0]).states
+        one_by_one = [random_state(rngs[1]) for _ in range(n)]
+        assert _pairs(family) == _pairs(one_by_one) == _drawn_one_at_a_time(rngs[2], n)
+        # and the stream goes on from the same place
+        assert len({tuple(rng.standard_normal(3).tolist()) for rng in rngs}) == 1
+
+    def test_a_state_of_tiny_modulus_is_drawn_again(self):
+        rngs = [_ShrinksTheSecondState(5) for _ in range(3)]
+        family = random_family(3, rngs[0]).states
+        one_by_one = [random_state(rngs[1]) for _ in range(3)]
+        assert _pairs(family) == _pairs(one_by_one) == _drawn_one_at_a_time(rngs[2], 3)
+        assert [rng.drawn for rng in rngs] == [16, 16, 16]
+
+
+def _pairs(states) -> list:
+    return [(s.c0, s.c1) for s in states]
+
+
+def _drawn_one_at_a_time(rng, n: int) -> list:
+    """The amplitude pairs of n Haar-random states drawn as two real and then
+    two imaginary normals each, normalized by math.hypot of the moduli, and
+    drawn again at a modulus of 1e-6 or less."""
+    pairs = []
+    while len(pairs) < n:
+        c0, c1 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)).tolist()
+        norm = math.hypot(abs(c0), abs(c1))
+        if norm > 1e-6:
+            pairs.append((c0 / norm, c1 / norm))
+    return pairs
+
+
+class _ShrinksTheSecondState(np.random.Generator):
+    """A generator whose normals 4 to 7 of its stream, the second state's,
+    are 1e-7 times those of PCG64(seed), so that their modulus is refused;
+    drawn counts the normals it has given."""
+
+    def __init__(self, seed: int):
+        super().__init__(np.random.PCG64(seed))
+        self.drawn = 0
+
+    def standard_normal(self, size):
+        x = super().standard_normal(size)
+        at = np.arange(self.drawn, self.drawn + x.size).reshape(x.shape)
+        x[(4 <= at) & (at < 8)] *= 1e-7
+        self.drawn += x.size
+        return x
+
 
 class TestRaysEqual:
     def test_same_ray_under_rephasing(self):
