@@ -409,21 +409,8 @@ def _verdict_text(verdict) -> str:
     lines.append(f"rank estimate: {verdict.rank_estimate}")
     lines.append("eigenvalues: " + "  ".join(_REAL % x for x in verdict.eigenvalues))
     lines.append("worst violation: " + _REAL % verdict.worst_violation)
-    lines.append(
-        "verdict: realizable by qubit states"
-        if verdict.all_ok
-        else "verdict: not realizable by qubit states"
-    )
+    lines.append(f"verdict: {'realizable' if verdict.all_ok else 'not realizable'} by qubit states")
     return "\n".join(lines) + "\n"
-
-
-def _emit_verdict(args, verdict) -> int:
-    """Write a Gram verdict in the chosen format; its exit code."""
-    if args.format == "structured":
-        _emit(args.out, [dump_doc(_verdict_doc(verdict))])
-    else:
-        _emit(args.out, [_verdict_text(verdict)])
-    return EXIT_OK if verdict.all_ok else EXIT_NEGATIVE
 
 
 def cmd_check(args) -> int:
@@ -432,7 +419,10 @@ def cmd_check(args) -> int:
     kind, payload = matrix_from_json(load_text(args.matrix))
     if kind != "gram":
         raise FileFormatError(f"check requires a gram matrix file, got kind {kind!r}")
-    return _emit_verdict(args, realizability.check_gram(payload))
+    verdict = realizability.check_gram(payload)
+    text = _verdict_text(verdict) if args.format == "text" else dump_doc(_verdict_doc(verdict))
+    _emit(args.out, [text])
+    return EXIT_OK if verdict.all_ok else EXIT_NEGATIVE
 
 
 def _result_doc(result) -> dict:
@@ -465,18 +455,11 @@ def cmd_realize(args) -> int:
             "realize requires a gram or phase matrix file, got kind 'probability'"
         )
     if kind == "gram":
-        try:
-            result = realizability.realize_gram(payload)
-        except realizability.GramRefusal as e:
-            return _emit_verdict(args, e.verdict)
+        result = realizability.realize_gram(payload)
     else:
-        cfg = realizability.SearchConfig(
-            restarts=args.restarts,
-            max_iters=args.max_iters,
-            seed=_resolve_seed(args),
-            realize_tol=realizability.REALIZE_TOL if args.realize_tol is None
-            else args.realize_tol,
-        )
+        tol = realizability.REALIZE_TOL if args.realize_tol is None else args.realize_tol
+        cfg = realizability.SearchConfig(restarts=args.restarts, max_iters=args.max_iters,
+                                         seed=_resolve_seed(args), realize_tol=tol)
         result = realizability.realize_phases(payload, cfg)
     text = dump_doc(_result_doc(result)) if args.format == "structured" else _result_text(result)
     if args.out and result.certificate is not None:

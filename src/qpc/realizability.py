@@ -5,9 +5,9 @@ exactly when it is Hermitian with unit diagonal, positive semidefinite,
 and of rank at most two.  check_gram judges the four conditions and
 factor_states reconstructs a witness family from the top two eigenpairs.
 Both take a GramMatrix or a raw finite square array.  check_gram is
-the one judge: factor_states takes its verdict on the matrix as given
-and raises GramRefusal, carrying that verdict, exactly when it fails;
-realize_gram is factor_states plus the residual against the input.
+the one judge: factor_states raises GramRefusal, carrying its verdict
+on the matrix as given, exactly when it fails, and realize_gram then
+answers not_realizable with that verdict as evidence, its proof.
 
 For phase-level data the full matrix is not available, only unit phases
 on the support graph.  Coherent prescriptions, u_ij = lam_i conj(lam_j)
@@ -31,6 +31,7 @@ realize_phases return a RealizabilityResult.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -110,12 +111,13 @@ class SearchConfig:
     realize_tol: float = REALIZE_TOL
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be positive, got {self.restarts}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                rule = "positive" if least else "non-negative"
+                raise ValueError(f"{name} must be {rule}, got {value}")
         _match_tol(self.realize_tol, "realize_tol")
 
 
@@ -123,22 +125,28 @@ class SearchConfig:
 class RealizabilityResult:
     """Verdict of a realization attempt.
 
-    residual is max |gram(certificate) - a| for a gram matrix a, and the
-    largest per-edge chordal distance between the certificate's phases
-    and a phase prescription; for a negative or inconclusive verdict it
-    refers to the best candidate found.
+    realizable needs a certificate, and not_realizable a proof: a failed
+    GramVerdict in evidence.  residual is max |gram(certificate) - a| for
+    a gram matrix a, and the largest per-edge chordal distance between
+    the certificate's phases and a phase prescription; for search_failed
+    it refers to the best candidate found, for not_realizable it is the
+    evidence's worst violation.
     """
 
     status: str
     certificate: StateFamily | None
     residual: float
     diagnostics: str
+    evidence: GramVerdict | None = None
 
     def __post_init__(self) -> None:
         if self.status not in (REALIZABLE, NOT_REALIZABLE, SEARCH_FAILED):
             raise ValueError(f"unknown status {self.status!r}")
         if self.status == REALIZABLE and self.certificate is None:
             raise ValueError("a realizable verdict requires a certificate")
+        proved = isinstance(self.evidence, GramVerdict) and not self.evidence.all_ok
+        if self.status == NOT_REALIZABLE and not proved:
+            raise ValueError("a not_realizable verdict requires a failed GramVerdict as evidence")
 
 
 def check_gram(g) -> GramVerdict:
@@ -232,9 +240,14 @@ def factor_states(g) -> StateFamily:
 
 def realize_gram(g) -> RealizabilityResult:
     """factor_states(g) as a certificate, with the residual measured
-    against the matrix as given (GramRefusal if check_gram fails)."""
+    against the matrix as given; where check_gram refuses g, not_realizable
+    with the GramRefusal's verdict as evidence and its message as diagnostics."""
     a = _matrix(g)
-    family = factor_states(a)
+    try:
+        family = factor_states(a)
+    except GramRefusal as refusal:
+        v = refusal.verdict
+        return RealizabilityResult(NOT_REALIZABLE, None, v.worst_violation, str(refusal), v)
     # looked up on the module, so perfbench's comparisons.gram hook sees the call
     residual = float(np.max(np.abs(comparisons.gram(family).entries - a)))
     return RealizabilityResult(REALIZABLE, family, residual, "factored from eigenpairs")

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The README's command-line block as processes, then the demos and the
 # README's fenced python block.  Every command exits 0, and the script
-# stops on any other code, except the closed pipe, whose exit code is
-# tested.  No command may load scipy, which is no dependency of qpc; where
-# scipy is not installed that check passes trivially.
+# stops on any other code, except the closed pipe and the rank-3 gram
+# file, whose exit codes are tested.  No command may load scipy, which
+# is no dependency of qpc; where scipy is not installed that check passes
+# trivially.
 #
 # Run from anywhere: bash tests/smoke.sh
 set -euo pipefail
@@ -39,6 +40,15 @@ test "$status" = 2
 qpc check "$d/gram.json"
 qpc realize "$d/gram.json" --out "$d/certificate.json"
 test -s "$d/certificate.json"
+# the identity on three states has rank 3: check and realize both answer
+# no, with exit 1, and realize says not_realizable
+python -W error -c "import sys, numpy, qpc; qpc.save_text(sys.argv[1], qpc.matrix_to_json('gram', numpy.eye(3)))" "$d/rank3.json"
+for command in check realize; do
+  status=0
+  qpc "$command" "$d/rank3.json" > "$d/rank3.$command" || status=$?
+  test "$status" = 1
+done
+grep -qx "status: not_realizable" "$d/rank3.realize"
 qpc realize "$d/phase.json" --restarts 32
 # some OpenBLAS kernels call a damped system of this file's search singular
 qpc realize tests/data/realize/singular-solve-4.json

@@ -45,6 +45,7 @@ from qpc.cli import BRANCH_CUT_MARGIN, _analysis, _analysis_doc, _branch_cut_war
 from qpc.comparisons import phases, principal_angle
 from qpc.files import _FILL_CHUNK, MAX_PHASE_N, dump_doc, row_pieces, run_parts
 from qpc.pool import Pool
+from qpc.realizability import GramRefusal, check_gram
 from qpc.verification import run_all
 from tests.conftest import (family_with_orthogonal_pairs, inconsistent_family, slack_gram,
                             uniform_phases)
@@ -1048,7 +1049,8 @@ class TestRealize:
         )
         code, out = run_cli(capsys, "realize", str(path))
         assert code == 1
-        assert "positive semidefinite: FAIL" in out
+        assert "status: not_realizable" in out
+        assert "failed positive semidefinite" in out
 
     def test_phase_route_coherent(self, capsys, tmp_path):
         angles = [0.0, 0.4, -1.3]
@@ -1153,24 +1155,57 @@ class TestRealize:
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     @pytest.mark.parametrize("matrix", [np.eye(3), [[1.0, 1.2], [1.2, 1.0]]])
     def test_a_failing_gram_prints_the_check_verdict(self, capsys, tmp_path, matrix, fmt, out):
+        # check prints the verdict, and realize answers not_realizable in its
+        # own shape, its residual the verdict's worst violation; both exit 1
         path = tmp_path / "bad.json"
         save_text(str(path), matrix_to_json("gram", np.array(matrix, dtype=complex)))
-        seen = []
+        reports = {}
         for command in ("check", "realize"):
             dest = tmp_path / f"{command}.out"
             argv = [command, str(path), "--format", fmt] + (["--out", str(dest)] if out else [])
             code = main(argv)
             captured = capsys.readouterr()
-            seen.append((code, captured.out, captured.err, dest.read_bytes() if out else None))
-        assert seen[0] == seen[1]
-        code, stdout, stderr, written = seen[0]
-        assert code == 1 and stderr == ""
-        assert (stdout == "") == out
-        report = written.decode() if out else stdout
+            assert code == 1 and captured.err == ""
+            assert (captured.out == "") == out
+            reports[command] = dest.read_text() if out else captured.out
+        verdict = check_gram(np.array(matrix, dtype=complex))
+        diagnostics = str(GramRefusal(verdict))
         if fmt == "structured":
-            assert json.loads(report)["realizable"] is False
+            assert reports["check"] == dump_doc(cli._verdict_doc(verdict))
+            assert json.loads(reports["check"])["realizable"] is False
+            assert json.loads(reports["realize"]) == {
+                "status": "not_realizable", "residual": verdict.worst_violation,
+                "diagnostics": diagnostics, "certificate": None}
         else:
-            assert "verdict: not realizable by qubit states" in report
+            assert reports["check"] == cli._verdict_text(verdict)
+            assert "verdict: not realizable by qubit states" in reports["check"]
+            residual = "%.15g" % verdict.worst_violation
+            assert reports["realize"] == (
+                f"status: not_realizable\nresidual: {residual}\ndiagnostics: {diagnostics}\n")
+
+    def test_an_indefinite_gram_prints_pinned_bytes(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        save_text(str(path), matrix_to_json("gram", np.array([[1.0, 1.2], [1.2, 1.0]])))
+        refusal = ("matrix is not a qubit Gram matrix: failed positive semidefinite; "
+                   "worst violation 0.1999999999999999")
+        expected = {
+            ("check", "text"): (
+                "hermitian: ok\nunit diagonal: ok\npositive semidefinite: FAIL\n"
+                "rank at most 2: ok\nrank estimate: 1\neigenvalues: 2.2  -0.2\n"
+                "worst violation: 0.2\nverdict: not realizable by qubit states\n"),
+            ("check", "structured"): (
+                '{\n  "hermitian_ok": true,\n  "unit_diag_ok": true,\n  "psd_ok": false,\n'
+                '  "rank_ok": true,\n  "rank_estimate": 1,\n  "eigenvalues": [\n    2.2,\n'
+                '    -0.1999999999999999\n  ],\n  "worst_violation": 0.1999999999999999,\n'
+                '  "realizable": false\n}\n'),
+            ("realize", "text"): (
+                f"status: not_realizable\nresidual: 0.2\ndiagnostics: {refusal}\n"),
+            ("realize", "structured"): (
+                '{\n  "status": "not_realizable",\n  "residual": 0.1999999999999999,\n'
+                f'  "diagnostics": "{refusal}",\n  "certificate": null\n}}\n'),
+        }
+        for (command, fmt), report in expected.items():
+            assert run_cli(capsys, command, str(path), "--format", fmt) == (1, report)
 
     def test_structured_result(self, capsys, octant_gram_file):
         code, out = run_cli(

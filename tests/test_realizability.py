@@ -278,12 +278,17 @@ class TestRealizeGram:
         assert (2, SLACK_C[2], SLACK_D[2]) in accepted
 
     def test_refuses_what_the_verdict_refuses(self):
-        with pytest.raises(ValueError, match="rank at most 2"):
-            realize_gram(np.eye(3))
-        with pytest.raises(ValueError, match="not a qubit Gram matrix"):
-            realize_gram(np.array([[1.0, 0.5], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="not a qubit Gram matrix"):
-            realize_gram(np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]]))
+        # a refusal is an answer, not_realizable, with the failed verdict as its proof
+        for a, failed in ((np.eye(3), "rank at most 2 (estimated rank 3)"),
+                          (np.array([[1.0, 0.5], [0.0, 1.0]]), "hermitian"),
+                          (np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]]), "unit diagonal")):
+            res = realize_gram(a)
+            assert res.status == NOT_REALIZABLE
+            assert res.certificate is None
+            assert res.evidence == check_gram(a)
+            assert res.residual == res.evidence.worst_violation
+            assert res.diagnostics == str(GramRefusal(res.evidence))
+            assert res.diagnostics.startswith(f"matrix is not a qubit Gram matrix: failed {failed}")
 
 
 class TestCoherence:
@@ -705,6 +710,18 @@ class TestSearchInternals:
             SearchConfig(max_iters=0)
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             SearchConfig(seed=-1)
+        # a count that is not an integer is refused here, not by range() or
+        # the random generator at the search's first restart
+        for name, value in (("restarts", 2.5), ("max_iters", 10.0), ("seed", 1.5),
+                            ("seed", "1"), ("restarts", None), ("max_iters", np.float64(3))):
+            message = re.escape(f"{name} must be an integer, got {value!r}")
+            with pytest.raises(ValueError, match=message):
+                SearchConfig(**{name: value})
+        # numpy integers stay accepted, and search as the same Python ints do
+        typed = realize_phases(holonomy_square(),
+                               SearchConfig(np.int64(2), np.int32(5), np.uint8(3)))
+        plain = realize_phases(holonomy_square(), SearchConfig(2, 5, 3))
+        assert (typed.status, typed.residual) == (plain.status, plain.residual)
         for tol in (0.0, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="realize_tol must be positive and finite"):
                 SearchConfig(realize_tol=tol)
@@ -715,8 +732,15 @@ class TestSearchInternals:
         with pytest.raises(ValueError, match="requires a certificate"):
             RealizabilityResult(REALIZABLE, None, 0.0, "")
         ok = RealizabilityResult(SEARCH_FAILED, None, 0.5, "best effort")
-        assert ok.status == SEARCH_FAILED
+        assert ok.status == SEARCH_FAILED and ok.evidence is None
         assert NOT_REALIZABLE == "not_realizable"
+        # not_realizable needs a proof: a failed verdict, not none or a passing one
+        failed, passed = check_gram(np.eye(3)), check_gram(np.eye(2))
+        for evidence in (None, passed, "rank 3"):
+            with pytest.raises(ValueError, match="requires a failed GramVerdict as evidence"):
+                RealizabilityResult(NOT_REALIZABLE, None, 1.0, "", evidence)
+        proved = RealizabilityResult(NOT_REALIZABLE, None, 1.0, "", failed)
+        assert proved.evidence is failed
 
 
 class TestSolverPatchPoint:
