@@ -464,9 +464,7 @@ def cmd_realize(args) -> int:
     text = dump_doc(_result_doc(result)) if args.format == "structured" else _result_text(result)
     if args.out and result.certificate is not None:
         save_text(args.out, family_to_json(result.certificate))
-        _emit(None, [text])
-    else:
-        _emit(args.out, [text])
+    _emit(None, [text])
     return {
         realizability.REALIZABLE: EXIT_OK,
         realizability.NOT_REALIZABLE: EXIT_NEGATIVE,

@@ -113,7 +113,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            # bool is an Integral, but True is no count of restarts
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 rule = "positive" if least else "non-negative"
@@ -207,12 +208,13 @@ class GramRefusal(ValueError):
     """factor_states' refusal: the failed check_gram verdict is .verdict."""
 
     def __init__(self, verdict: GramVerdict):
-        super().__init__(
-            "matrix is not a qubit Gram matrix: failed "
-            f"{', '.join(verdict.failed_conditions())}; "
-            f"worst violation {verdict.worst_violation!r}"
-        )
+        super().__init__(f"{_refused(verdict)}; worst violation {verdict.worst_violation!r}")
         self.verdict = verdict
+
+
+def _refused(verdict: GramVerdict) -> str:
+    """The conditions a failed verdict names, as one line."""
+    return f"matrix is not a qubit Gram matrix: failed {', '.join(verdict.failed_conditions())}"
 
 
 def factor_states(g) -> StateFamily:
@@ -241,13 +243,14 @@ def factor_states(g) -> StateFamily:
 def realize_gram(g) -> RealizabilityResult:
     """factor_states(g) as a certificate, with the residual measured
     against the matrix as given; where check_gram refuses g, not_realizable
-    with the GramRefusal's verdict as evidence and its message as diagnostics."""
+    with the GramRefusal's verdict as evidence, its failed conditions as
+    diagnostics and its worst violation as residual."""
     a = _matrix(g)
     try:
         family = factor_states(a)
     except GramRefusal as refusal:
         v = refusal.verdict
-        return RealizabilityResult(NOT_REALIZABLE, None, v.worst_violation, str(refusal), v)
+        return RealizabilityResult(NOT_REALIZABLE, None, v.worst_violation, _refused(v), v)
     # looked up on the module, so perfbench's comparisons.gram hook sees the call
     residual = float(np.max(np.abs(comparisons.gram(family).entries - a)))
     return RealizabilityResult(REALIZABLE, family, residual, "factored from eigenpairs")

@@ -1137,13 +1137,16 @@ class TestRealize:
         save_text(str(upath), matrix_to_json("phase", phases(gram(octant_family))))
         # one evaluation per restart: the octant's phases are exact enough that a
         # converged search can land within 1e-30 of them (2.3e-41 has been seen)
+        # --out holds a certificate or nothing: the report goes to stdout
+        cert = tmp_path / "certificate.json"
         code, out = run_cli(
             capsys, "realize", str(upath),
-            "--restarts", "2", "--max-iters", "1", "--realize-tol", "1e-30",
+            "--restarts", "2", "--max-iters", "1", "--realize-tol", "1e-30", "--out", str(cert),
         )
         assert code == 3
         assert "status: search_failed" in out
         assert "not a proof" in out
+        assert not cert.exists()
 
     def test_probability_kind_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "p.json"
@@ -1156,7 +1159,10 @@ class TestRealize:
     @pytest.mark.parametrize("matrix", [np.eye(3), [[1.0, 1.2], [1.2, 1.0]]])
     def test_a_failing_gram_prints_the_check_verdict(self, capsys, tmp_path, matrix, fmt, out):
         # check prints the verdict, and realize answers not_realizable in its
-        # own shape, its residual the verdict's worst violation; both exit 1
+        # own shape, its residual the verdict's worst violation; both exit 1.
+        # check's --out file holds the verdict; realize's --out holds a
+        # certificate or nothing, so here its report goes to stdout and the
+        # file is never written
         path = tmp_path / "bad.json"
         save_text(str(path), matrix_to_json("gram", np.array(matrix, dtype=complex)))
         reports = {}
@@ -1166,10 +1172,12 @@ class TestRealize:
             code = main(argv)
             captured = capsys.readouterr()
             assert code == 1 and captured.err == ""
-            assert (captured.out == "") == out
-            reports[command] = dest.read_text() if out else captured.out
+            to_file = out and command == "check"
+            assert (captured.out == "") == to_file
+            assert dest.exists() == to_file
+            reports[command] = dest.read_text() if to_file else captured.out
         verdict = check_gram(np.array(matrix, dtype=complex))
-        diagnostics = str(GramRefusal(verdict))
+        diagnostics = str(GramRefusal(verdict)).partition("; worst violation")[0]
         if fmt == "structured":
             assert reports["check"] == dump_doc(cli._verdict_doc(verdict))
             assert json.loads(reports["check"])["realizable"] is False
@@ -1186,8 +1194,7 @@ class TestRealize:
     def test_an_indefinite_gram_prints_pinned_bytes(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         save_text(str(path), matrix_to_json("gram", np.array([[1.0, 1.2], [1.2, 1.0]])))
-        refusal = ("matrix is not a qubit Gram matrix: failed positive semidefinite; "
-                   "worst violation 0.1999999999999999")
+        refusal = "matrix is not a qubit Gram matrix: failed positive semidefinite"
         expected = {
             ("check", "text"): (
                 "hermitian: ok\nunit diagonal: ok\npositive semidefinite: FAIL\n"

@@ -287,8 +287,10 @@ class TestRealizeGram:
             assert res.certificate is None
             assert res.evidence == check_gram(a)
             assert res.residual == res.evidence.worst_violation
-            assert res.diagnostics == str(GramRefusal(res.evidence))
+            # the failed conditions; the worst violation is the residual alone
             assert res.diagnostics.startswith(f"matrix is not a qubit Gram matrix: failed {failed}")
+            assert str(GramRefusal(res.evidence)) == (
+                f"{res.diagnostics}; worst violation {res.residual!r}")
 
 
 class TestCoherence:
@@ -713,7 +715,9 @@ class TestSearchInternals:
         # a count that is not an integer is refused here, not by range() or
         # the random generator at the search's first restart
         for name, value in (("restarts", 2.5), ("max_iters", 10.0), ("seed", 1.5),
-                            ("seed", "1"), ("restarts", None), ("max_iters", np.float64(3))):
+                            ("seed", "1"), ("restarts", None), ("max_iters", np.float64(3)),
+                            # bool is an Integral, but no count
+                            ("restarts", True), ("max_iters", False), ("seed", True)):
             message = re.escape(f"{name} must be an integer, got {value!r}")
             with pytest.raises(ValueError, match=message):
                 SearchConfig(**{name: value})
