@@ -17,7 +17,6 @@ when --seed is absent.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -30,7 +29,6 @@ import numpy as np
 
 from . import states
 from .files import (
-    _FILL_CHUNK,
     FileFormatError,
     Records,
     doc_parts,
@@ -43,7 +41,7 @@ from .files import (
     matrix_from_json,
     matrix_to_json,
     re_im,
-    row_chunk,
+    row_jobs,
     row_pieces,
     save_text,
 )
@@ -340,30 +338,26 @@ def _analysis_doc(family, a: SimpleNamespace, warnings: list) -> dict:
 
 def _analysis_text(family, a: SimpleNamespace, warnings: list):
     """Yield the parts of the text report (see files.doc_parts): strings,
-    and the jobs that make its rows, each one chunk of rows: a row_chunk
-    of its first row, or of the triangles, _triangle_lines of a block."""
+    and the jobs that make its rows, each one chunk of rows: those of
+    files.row_jobs, or of the triangles, _triangle_lines of a block."""
     from .comparisons import principal_angle
-
-    def chunks(row, sep, rows, columns):
-        task = partial(row_chunk, row, sep, rows, columns)
-        return ((task, (start,)) for start in range(0, rows, _FILL_CHUNK))
 
     n = len(family)
     yield f"family of {n} state(s)"
     if family.labels is not None:
         yield "\nlabels: " + ", ".join(family.labels)
-    yield from _section("gram matrix:", n, chunks(
+    yield from _section("gram matrix:", n, row_jobs(
         "\n" + ("  " + _COMPLEX) * n, "", n, _complex_columns(a.g.entries.ravel())))
-    yield from _section("probability matrix:", n, chunks(
+    yield from _section("probability matrix:", n, row_jobs(
         "\n" + ("  " + _REAL) * n, "", n, [a.p.entries.ravel()]))
     i, j = a.u.support.pairs
     z = a.u.entries[i, j]
-    yield from _section("phases on support pairs:", len(z), chunks(
+    yield from _section("phases on support pairs:", len(z), row_jobs(
         "\n  (%d, %d): " + _COMPLEX + "  angle " + _REAL, "", len(z),
         [i, j, *_complex_columns(z), principal_angle(z)]))
     yield "\northogonal pairs: "
     oi, oj = a.og.pairs
-    yield from chunks("(%d, %d)", ", ", len(oi), [oi, oj]) if len(oi) else ["none"]
+    yield from row_jobs("(%d, %d)", ", ", len(oi), [oi, oj]) if len(oi) else ["none"]
     yield f"\northogonality graph is a matching: {'yes' if a.matching else 'no'}"
     triangles = partial(_triangle_lines, a.kernel)
     yield from _section("triangles:", len(a.triples), (
@@ -481,7 +475,9 @@ def cmd_verify(args) -> int:
     if args.format == "structured":
         doc = {
             "cases": args.cases,
-            "reports": [{**dataclasses.asdict(r), "passed": r.passed} for r in reports],
+            "reports": [{"name": r.name, "cases_run": r.cases_run,
+                         "max_discrepancy": r.max_discrepancy, "tolerance": r.tolerance,
+                         "passed": r.passed} for r in reports],
             "all_passed": not failed,
         }
         _emit(args.out, [dump_doc(doc)])
@@ -492,7 +488,7 @@ def cmd_verify(args) -> int:
         )
         _emit(args.out, ["\n".join(lines) + "\n"])
     for idx in failed:
-        case = verification._first_failure(idx, args.cases, seed)
+        case = reports[idx].first_failure
         at = "" if case is None else f" at case {case}"
         print(f"failed: property {idx} {reports[idx].name}{at} with seed {seed}; "
               f"replay: qpc verify --seed {seed} --cases {args.cases}", file=sys.stderr)

@@ -216,10 +216,18 @@ def row_pieces(row: str, sep: str, rows: int, columns: list):
     columns taken element by element: element 0 of every column, then
     element 1, and so on; each row takes len(column) // rows elements of
     every column."""
-    return map(partial(row_chunk, row, sep, rows, columns), range(0, rows, _FILL_CHUNK))
+    return (task(*args) for task, args in row_jobs(row, sep, rows, columns))
 
 
-def row_chunk(row: str, sep: str, rows: int, columns: list, start: int) -> str:
+def row_jobs(row: str, sep: str, rows: int, columns: list):
+    """The jobs (task, args) of row_pieces(row, sep, rows, columns), one
+    per chunk and in order, as doc_parts yields them: task(*args) is the
+    chunk, and args is (its first row,)."""
+    task = partial(_row_chunk, row, sep, rows, columns)
+    return ((task, (start,)) for start in range(0, rows, _FILL_CHUNK))
+
+
+def _row_chunk(row: str, sep: str, rows: int, columns: list, start: int) -> str:
     """The chunk of row_pieces(row, sep, rows, columns) that begins at row start."""
     per_row = len(columns[0]) // rows
     count = min(_FILL_CHUNK, rows - start)

@@ -18,12 +18,15 @@ from .states import QubitState, StateFamily
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Result of one verification property over a batch of cases."""
+    """Result of one verification property over a batch of cases;
+    first_failure is the index of its first case over the tolerance or
+    NaN, None when every case passes or nothing is sampled."""
 
     name: str
     cases_run: int
     max_discrepancy: float
     tolerance: float
+    first_failure: int | None = None
 
     def __post_init__(self) -> None:
         # plain Python scalars, whatever numeric type the check produced

@@ -161,8 +161,12 @@ def check_gram(g) -> GramVerdict:
     verdict, so it is the only judge of a Gram matrix.
     """
     a = _matrix(g)
-    # eigvalsh: the verdict needs no eigenvectors, and eigh costs about
-    # three times as much on large matrices (ROADMAP item 2).
+    # eigvalsh: the verdict needs no eigenvectors, and eigh cost 1.7 times
+    # as much at n = 8, 2.2 times at n = 200 and 3.7 to 3.8 times at
+    # n = 1000 (one BLAS thread of a 2-vCPU x86-64 host).  eigh's eigenvalues
+    # also differ from these in the last bits on random Haar Gram matrices,
+    # so check and realize both judge by eigvalsh (see tests/test_cli.py,
+    # TestRealize's test_realizes_a_matrix_near_the_thresholds_that_check_accepts).
     eigs = np.linalg.eigvalsh(hermitian_part(a))[::-1]
     if not np.isfinite(eigs).all():
         raise ValueError("eigenvalues are not finite: the matrix overflows the eigensolver")

@@ -13,9 +13,8 @@ as a float, and register it with @_property(name, tolerance) below the
 last registered case.  Appending keeps the seed streams of all earlier
 properties, so their reports do not change.  The shared driver runs the
 cases and takes their maximum; a NaN discrepancy propagates into the
-report and fails it.  For a failed report, _first_failure replays the
-property's stream one case at a time and names the first case over the
-tolerance or NaN.
+report and fails it.  The report also names the first case over the
+tolerance or NaN, as measured in the same run.
 """
 
 from __future__ import annotations
@@ -48,13 +47,10 @@ def _property(name: str, tolerance: float):
 
     def register(case):
         def prop(cases: int, rng: np.random.Generator) -> OracleReport:
-            worst = _worst(case(rng) for _ in range(cases))
-            return OracleReport(name, cases, worst, tolerance)
+            ds = [case(rng) for _ in range(cases)]
+            first = next((k for k, d in enumerate(ds) if not d <= tolerance), None)
+            return OracleReport(name, cases, _worst(ds), tolerance, first)
 
-        def first_failure(cases: int, rng: np.random.Generator) -> int | None:
-            return next((k for k in range(cases) if not case(rng) <= tolerance), None)
-
-        prop.first_failure = first_failure
         PROPERTIES.append(prop)
         return case
 
@@ -279,22 +275,9 @@ def _potential_vs_triangles(rng: np.random.Generator) -> float:
     return max(0.0, res - worst, worst - 3.0 * res)
 
 
-def _report(idx: int, cases: int, seed: int) -> OracleReport:
-    """The report of property idx on its own seeded stream."""
-    return PROPERTIES[idx](cases, default_rng([seed, idx]))
-
-
-def _first_failure(idx: int, cases: int, seed: int) -> int | None:
-    """The index of the first case of property idx, replayed one at a time
-    on its seeded stream, whose discrepancy is over the tolerance or NaN;
-    None when every case passes, or for a property that samples nothing."""
-    replay = getattr(PROPERTIES[idx], "first_failure", None)
-    return None if replay is None else replay(cases, default_rng([seed, idx]))
-
-
 def run_all(cases: int, seed: int) -> list[OracleReport]:
     """Run every registered property with its own seeded stream, in
     order; a property that raises raises here, in its turn."""
     if cases < 1:
         raise ValueError(f"cases must be positive, got {cases}")
-    return [_report(idx, cases, seed) for idx in range(len(PROPERTIES))]
+    return [prop(cases, default_rng([seed, idx])) for idx, prop in enumerate(PROPERTIES)]

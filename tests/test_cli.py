@@ -1284,13 +1284,20 @@ class TestVerify:
         props = list(verification.PROPERTIES)
         monkeypatch.setattr(verification, "PROPERTIES", props)
         draws = np.random.default_rng([5, len(props)]).random(50)
-        verification._property("fails_at_one_case", 0.5)(
-            lambda rng: failure if rng.random() == draws[case] else 0.0)
+        calls = []
+
+        def fails_at_one_case(rng):
+            calls.append(rng.random())
+            return failure if calls[-1] == draws[case] else 0.0
+
+        verification._property("fails_at_one_case", 0.5)(fails_at_one_case)
         assert main(["verify", "--cases", "50", "--seed", "5"]) == 1
         out, err = capsys.readouterr()
         assert out.count("FAIL") == 1
         assert err == (f"failed: property {len(props) - 1} fails_at_one_case at case {case} "
                        "with seed 5; replay: qpc verify --seed 5 --cases 50\n")
+        # one pass: 50 calls, one per case in stream order, and no replay
+        assert calls == draws.tolist()
         assert _children() == 0
 
     def test_a_property_that_samples_nothing_names_no_case(self, capsys, monkeypatch):
@@ -1322,7 +1329,7 @@ def _replace_properties(monkeypatch, replaced: dict) -> None:
     monkeypatch.setattr(verification, "PROPERTIES", props)
 
 
-class TestPooledVerify:
+class TestOneProcessVerify:
     """verify runs its properties in this process at every --cases: it forks
     nothing, prints the same bytes on every CPU and on one, and leaves no
     child process on any exit path."""
@@ -1351,8 +1358,7 @@ class TestPooledVerify:
             assert digest(_pin_to_one_cpu) == self.SHA256_50_PRESCOTT
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
-    def test_failing_properties_in_workers_print_the_same_lines(self, capsys, monkeypatch,
-                                                                fmt):
+    def test_failing_properties_print_one_line_each(self, capsys, monkeypatch, fmt):
         monkeypatch.setattr(invariants, "bargmann", lambda *args: complex(math.nan, 0.0))
         code = main(["verify", "--cases", "50", "--seed", "5", "--format", fmt])
         err = capsys.readouterr().err
@@ -1361,8 +1367,7 @@ class TestPooledVerify:
         assert err.startswith("failed: property 1 bargmann_matches_componentwise_oracle "
                               "at case 0 with seed 5; replay: qpc verify --seed 5 --cases 50\n")
 
-    def test_a_property_that_raises_in_a_worker_is_raised_in_its_turn(self, monkeypatch,
-                                                                      capsys):
+    def test_a_property_that_raises_is_raised_in_its_turn(self, monkeypatch, capsys):
         # properties 3 and 5 raise: 3 comes first, and nothing is printed
         def refused(idx):
             def prop(cases, rng):
@@ -1375,8 +1380,8 @@ class TestPooledVerify:
         assert _children() == 0
 
     @pytest.mark.parametrize("exit_path", ["finished", "broken pipe", "interrupted",
-                                           "worker exception"])
-    def test_every_exit_path_joins_the_workers(self, monkeypatch, capsys, exit_path):
+                                           "property exception"])
+    def test_every_exit_path_leaves_no_child(self, monkeypatch, capsys, exit_path):
         from qpc import verification
 
         running, prop = [], verification.PROPERTIES[7]
@@ -1391,7 +1396,7 @@ class TestPooledVerify:
 
         def recorded(cases, rng):
             running.append(_children())
-            return {"interrupted": interrupting, "worker exception": refusing}.get(
+            return {"interrupted": interrupting, "property exception": refusing}.get(
                 exit_path, prop)(cases, rng)
 
         def forbidden():
@@ -1407,7 +1412,7 @@ class TestPooledVerify:
             "finished": (0, ""),
             "broken pipe": (2, "error: [Errno 32] Broken pipe\n"),
             "interrupted": (130, "error: interrupted\n"),
-            "worker exception": (2, "error: property 7 refused\n"),
+            "property exception": (2, "error: property 7 refused\n"),
         }[exit_path]
         assert running == [0]
         assert _children() == 0
@@ -1425,7 +1430,7 @@ class TestSearchedRealize:
     # restart 3, and uniform random phases on the 10 pairs of 5 states,
     # which exhaust the default 32 restarts.  The search's sums and solves
     # go through BLAS and LAPACK, whose last digits differ between kernels
-    # (see TestPooledVerify), so the bytes are pinned under one named kernel.
+    # (see TestOneProcessVerify), so the bytes are pinned under one named kernel.
     PINS = {
         "witnessed-7.json": (0, "local search succeeded after 4 restart(s)",
                              "fce8c855131827633e9c412cf862f6f394327a90cd15f0a69884817f1a1c36c4"),

@@ -24,6 +24,7 @@ def test_every_property_passes():
     assert len(reports) == len(PROPERTIES)
     failed = [r.name for r in reports if not r.passed]
     assert failed == []
+    assert [r.first_failure for r in reports] == [None] * len(reports)
 
 
 def test_names_are_distinct():
@@ -48,6 +49,7 @@ def test_nan_discrepancy_fails_its_property(monkeypatch):
     for name in BARGMANN_PROPERTIES:
         assert math.isnan(reports[name].max_discrepancy)
         assert reports[name].passed is False
+        assert reports[name].first_failure == 0
         assert reports[name].line().endswith("FAIL")
 
 
