@@ -385,6 +385,11 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _json_number(x: float):
+    """x, or None where it is infinite or NaN, which strict JSON cannot write."""
+    return x if math.isfinite(x) else None
+
+
 def _verdict_doc(verdict) -> dict:
     return {
         "hermitian_ok": verdict.hermitian_ok,
@@ -393,7 +398,7 @@ def _verdict_doc(verdict) -> dict:
         "rank_ok": verdict.rank_ok,
         "rank_estimate": verdict.rank_estimate,
         "eigenvalues": list(verdict.eigenvalues),
-        "worst_violation": verdict.worst_violation,
+        "worst_violation": _json_number(verdict.worst_violation),
         "realizable": verdict.all_ok,
     }
 
@@ -423,7 +428,7 @@ def _result_doc(result) -> dict:
     cert = result.certificate
     return {
         "status": result.status,
-        "residual": result.residual,
+        "residual": _json_number(result.residual),
         "diagnostics": result.diagnostics,
         "certificate": family_doc(cert) if cert is not None else None,
     }
@@ -476,8 +481,8 @@ def cmd_verify(args) -> int:
         doc = {
             "cases": args.cases,
             "reports": [{"name": r.name, "cases_run": r.cases_run,
-                         "max_discrepancy": r.max_discrepancy, "tolerance": r.tolerance,
-                         "passed": r.passed} for r in reports],
+                         "max_discrepancy": _json_number(r.max_discrepancy),
+                         "tolerance": r.tolerance, "passed": r.passed} for r in reports],
             "all_passed": not failed,
         }
         _emit(args.out, [dump_doc(doc)])

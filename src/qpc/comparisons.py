@@ -98,6 +98,19 @@ def deviations(a: np.ndarray) -> tuple[float, float]:
     return herm, float(np.max(np.abs(np.diagonal(a) - 1.0)))
 
 
+def _self_adjoint(a: np.ndarray, adjoint: str, x: str, mark: str) -> np.ndarray:
+    """a, refused with ValueError unless it is a nonempty, finite square
+    matrix, adjoint ("Hermitian" or "symmetric") with unit diagonal to
+    TOL_STRUCT; a message writes an entry as x and its adjoint as x mark."""
+    require_square(a)
+    herm, diag = deviations(a)
+    if not herm <= TOL_STRUCT:
+        raise ValueError(f"matrix is not {adjoint}: max |{x} - {x}{mark}| = {herm!r}")
+    if not diag <= TOL_STRUCT:
+        raise ValueError(f"diagonal is not 1: max |{x}_ii - 1| = {diag!r}")
+    return a
+
+
 @dataclass(frozen=True)
 class GramMatrix:
     """Hermitian matrix of pairwise overlaps with unit diagonal."""
@@ -105,13 +118,7 @@ class GramMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=complex)
-        require_square(a)
-        herm, diag = deviations(a)
-        if not herm <= TOL_STRUCT:
-            raise ValueError(f"matrix is not Hermitian: max |g - g*| = {herm!r}")
-        if not diag <= TOL_STRUCT:
-            raise ValueError(f"diagonal is not 1: max |g_ii - 1| = {diag!r}")
+        a = _self_adjoint(np.array(self.entries, dtype=complex), "Hermitian", "g", "*")
         object.__setattr__(self, "entries", _read_only(a))
 
     @property
@@ -129,13 +136,7 @@ class ProbabilityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=float)
-        require_square(a)
-        sym, diag = deviations(a)
-        if not sym <= TOL_STRUCT:
-            raise ValueError(f"matrix is not symmetric: max |p - p^T| = {sym!r}")
-        if not diag <= TOL_STRUCT:
-            raise ValueError(f"diagonal is not 1: max |p_ii - 1| = {diag!r}")
+        a = _self_adjoint(np.array(self.entries, dtype=float), "symmetric", "p", "^T")
         if not (np.min(a) >= -TOL_STRUCT and np.max(a) <= 1.0 + TOL_STRUCT):
             raise ValueError("probabilities must lie in [0, 1]")
         object.__setattr__(self, "entries", _read_only(a))
@@ -284,20 +285,16 @@ class PhaseMatrix:
 
     @classmethod
     def from_edges(cls, n: int, values: dict) -> "PhaseMatrix":
-        """Build from {(i, j): u_ij}, each pair in one order; reciprocals are filled in."""
+        """Build from {(i, j): u_ij}, each pair in one order; reciprocals are
+        filled in.  The pairs are refused as SupportGraph(n, pairs) refuses them."""
         a = np.eye(n, dtype=complex)
-        mask = np.zeros((n, n), dtype=bool)
+        support, given = SupportGraph(n, values), set()
         for (i, j), u in values.items():
-            if i == j:
-                raise ValueError(f"pair ({i}, {j}) is not an edge")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n = {n}")
-            if mask[i, j]:
+            if (j, i) in given:
                 raise ValueError(f"pair ({i}, {j}) is given in both orders")
-            a[i, j] = u
-            a[j, i] = complex(u).conjugate()
-            mask[i, j] = mask[j, i] = True
-        return cls(n, a, SupportGraph.from_mask(mask))
+            given.add((i, j))
+            a[i, j], a[j, i] = u, complex(u).conjugate()
+        return cls(n, a, support)
 
     def has(self, i: int, j: int) -> bool:
         return 0 <= i == j < self.n or self.support.has_edge(i, j)

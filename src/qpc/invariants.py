@@ -33,7 +33,7 @@ all_triangles rounds by the rules in comparisons (_mul, principal_angle).
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -217,13 +217,13 @@ def bargmann_bloch(ni, nj, nk) -> complex:
 def solid_angle(ni, nj, nk) -> float:
     """Oriented solid angle of a geodesic triangle on the unit sphere.
 
-    Returns a value in [-2 pi, 2 pi), with the sign convention matched
-    to the defect: exp(-i Omega / 2) = u_ij u_jk u_ki.  Degenerate
-    triangles (a repeated vertex, or vertices on a common great circle
-    with the short arcs enclosing nothing) give 0; a great-circle triple
-    that bounds a hemisphere gives -2 pi.  Pairs that are antipodal
-    within 1e-9 leave the geodesic ill-defined and are rejected.  The
-    vertices are taken, or refused, as bargmann_bloch takes them.
+    Omega = -2 arg B in [-2 pi, 2 pi), B = bargmann_bloch(ni, nj, nk),
+    by the identity exp(-i Omega / 2) = B / |B| = u_ij u_jk u_ki.
+    Degenerate triangles (a repeated vertex, or vertices on a common
+    great circle with the short arcs enclosing nothing) give 0; a
+    great-circle triple that bounds a hemisphere gives -2 pi.  Pairs that
+    are antipodal within 1e-9 leave the geodesic ill-defined and are
+    rejected; the vertices are taken, or refused, as bargmann_bloch takes them.
     """
     a, b, c = _as_unit3(ni), _as_unit3(nj), _as_unit3(nk)
     for u, v, name in ((a, b, "first/second"), (b, c, "second/third"), (c, a, "third/first")):
@@ -231,9 +231,7 @@ def solid_angle(ni, nj, nk) -> float:
             raise ValueError(
                 f"geodesic triangle degenerate: {name} vertices are antipodal"
             )
-    dots = float(a @ b + b @ c + c @ a)
-    triple = float(a @ np.cross(b, c))
-    return -2.0 * math.atan2(triple, 1.0 + dots)
+    return -2.0 * cmath.phase(bargmann_bloch(a, b, c))
 
 
 class Triples:

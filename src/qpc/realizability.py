@@ -13,11 +13,12 @@ For phase-level data the full matrix is not available, only unit phases
 on the support graph.  Coherent prescriptions, u_ij = lam_i conj(lam_j)
 for some unit numbers lam, are realized exactly by rephasing copies of
 a single base state.  is_coherent, realize_coherent and realize_phases
-all decide coherence by the one rephasing-potential test: lam is
-propagated over a spanning forest of the support, and the single-ray
-family it gives is accepted when its phase residual, the chordal
-distance checked on every support edge, meets the tolerance.  So every
-loop of the support is judged, not only its triangles.  Other
+all decide coherence by one test at one tolerance, REALIZE_TOL unless
+the caller names another: lam is propagated over a spanning forest of
+the support, and the single-ray family it gives is accepted when its
+phase residual, the chordal distance checked on every support edge,
+meets the tolerance.  So every loop of the support is judged, not only
+its triangles.  Other
 prescriptions are attacked by a seeded multi-start local search whose
 unknowns are the (n, 2) amplitude rows, unnormalized and not gauge-fixed,
 since the phases see neither a row's length nor a unitary acting on all
@@ -47,7 +48,6 @@ RANK_TOL = 1e-10       # eigenvalues below this fraction of the largest are nois
 HERMITIAN_TOL = 1e-10  # verdict tolerance for Hermiticity
 UNIT_DIAG_TOL = 1e-10  # verdict tolerance for the diagonal
 REALIZE_TOL = 1e-7     # per-edge phase mismatch accepted as realized
-COHERENCE_TOL = 1e-9   # per-edge phase mismatch realize_coherent accepts by default
 SOFT_FLOOR = 1e-6      # overlap modulus below which the search residual stops normalizing
 LM_TOL = 1e-15         # least_squares' floor on step length, gradient and residual norm
 MU_START = 1e-3        # least_squares' first damping, relative to the scaling D
@@ -170,27 +170,22 @@ def check_gram(g) -> GramVerdict:
     eigs = np.linalg.eigvalsh(hermitian_part(a))[::-1]
     if not np.isfinite(eigs).all():
         raise ValueError("eigenvalues are not finite: the matrix overflows the eigensolver")
-    n = a.shape[0]
     herm_dev, diag_dev = deviations(a)
-    lam_max = float(eigs[0])
-    lam_min = float(eigs[-1])
-    psd_ok = lam_min >= -PSD_TOL * max(1.0, lam_max)
+    lam_max, lam_min = float(eigs[0]), float(eigs[-1])
     rank_estimate = int(np.sum(eigs > RANK_TOL * max(lam_max, 0.0)))
-    rank_excess = float(eigs[2]) if n >= 3 and eigs[2] > 0.0 else 0.0
-    violations = [
-        herm_dev if herm_dev > HERMITIAN_TOL else 0.0,
-        diag_dev if diag_dev > UNIT_DIAG_TOL else 0.0,
-        -lam_min if not psd_ok else 0.0,
-        rank_excess if rank_estimate > 2 else 0.0,
+    # (deviation, holds) of each condition, in verdict order; the rank
+    # condition fails only on a third eigenvalue above 0
+    conditions = [
+        (herm_dev, herm_dev <= HERMITIAN_TOL),
+        (diag_dev, diag_dev <= UNIT_DIAG_TOL),
+        (-lam_min, lam_min >= -PSD_TOL * max(1.0, lam_max)),
+        (float(eigs[2]) if len(eigs) > 2 else 0.0, rank_estimate <= 2),
     ]
     return GramVerdict(
-        hermitian_ok=herm_dev <= HERMITIAN_TOL,
-        unit_diag_ok=diag_dev <= UNIT_DIAG_TOL,
-        psd_ok=psd_ok,
-        rank_ok=rank_estimate <= 2,
+        *(ok for _, ok in conditions),
         eigenvalues=tuple(float(x) for x in eigs),
         rank_estimate=rank_estimate,
-        worst_violation=max(violations),
+        worst_violation=max((dev for dev, ok in conditions if not ok), default=0.0),
     )
 
 
@@ -304,14 +299,15 @@ def is_coherent(u: PhaseMatrix, tol: float) -> bool:
     return _phase_residual(_potential(u, u.support.connected_components()), u) <= _match_tol(tol)
 
 
-def realize_coherent(u: PhaseMatrix, tol: float = COHERENCE_TOL) -> StateFamily:
+def realize_coherent(u: PhaseMatrix, tol: float = REALIZE_TOL) -> StateFamily:
     """Realize a coherent phase prescription on a single ray.
 
     Phases of a rank-1 family split as u_ij = lam_i / lam_j, with lam the
     rephasing potential of the support, rooted in each component.  The
     states returned are conj(lam_i) times a fixed base state, accepted
     only when every support edge's phase is realized within tol:
-    is_coherent's rule, which realize_phases applies with cfg.realize_tol.
+    is_coherent's rule, which realize_phases applies with cfg.realize_tol,
+    by default the same REALIZE_TOL.
     """
     vecs = _potential(u, u.support.connected_components())
     i, j, dev = _edge_distances(vecs, u)

@@ -1542,6 +1542,9 @@ class TestMalformedFields:
             ("analyze", {"version": 1, "states": [{"c0": {"re": 1.7e308, "im": 1.7e308},
                                                    "c1": ZERO_C}]},
              "error: state 0: not normalized, |amplitudes| = inf"),
+            ("realize", {"version": 1, "kind": "phase", "n": 3, "support": [[1, 1]],
+                         "entries": [ONE_C]},
+             "error: invalid phase matrix: self-loop at vertex 1"),
         ],
     )
     def test_exits_2_naming_the_field(self, capsys, tmp_path, command, doc, error):
@@ -1695,6 +1698,8 @@ class TestStructuredOutputIsStrictJson:
         write("family", family_to_json(octant_family))
         write("gram", matrix_to_json("gram", gram(octant_family).entries))
         write("huge", matrix_to_json("gram", np.array([[1, 1e308], [1e308, 1]], dtype=complex)))
+        # finite, but its Hermitian deviation overflows to inf
+        write("skew", matrix_to_json("gram", np.array([[1, 1e308], [-1e308, 1]], dtype=complex)))
         write("rank3", matrix_to_json("gram", np.eye(3, dtype=complex)))
         write("coherent", matrix_to_json("phase", PhaseMatrix.from_edges(
             3, {(0, 1): 1j, (1, 2): -1.0, (0, 2): -1j})))
@@ -1712,11 +1717,31 @@ class TestStructuredOutputIsStrictJson:
         ["realize", "coherent"],
         ["realize", "frustrated", "--restarts", "2", "--max-iters", "20"],
         ["verify", "--cases", "2"],
+        ["check", "skew"],
+        ["realize", "skew"],
     ])
     def test_parses_strictly(self, capsys, inputs, argv):
         argv = [inputs.get(a, a) for a in argv]
         assert main(argv + ["--format", "structured"]) in (0, 1, 3)
         json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+
+    @pytest.mark.parametrize("command, key, text", [
+        ("check", "worst_violation", "worst violation: inf\n"),
+        ("realize", "residual", "residual: inf\n"),
+    ])
+    def test_an_infinite_number_is_null_and_its_text_is_kept(
+            self, capsys, inputs, command, key, text):
+        assert main([command, inputs["skew"], "--format", "structured"]) == 1
+        assert json.loads(capsys.readouterr().out)[key] is None
+        assert main([command, inputs["skew"]]) == 1
+        assert text in capsys.readouterr().out
+
+    def test_a_nan_discrepancy_is_null(self, capsys, monkeypatch):
+        monkeypatch.setattr(invariants, "bargmann", lambda *args: complex(math.nan, 0.0))
+        assert main(["verify", "--cases", "2", "--format", "structured"]) == 1
+        doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        failed = [r["max_discrepancy"] for r in doc["reports"] if not r["passed"]]
+        assert failed == [None] * len(BARGMANN_PROPERTIES)
 
 
 class TestComplexFormat:

@@ -25,6 +25,7 @@ from qpc import (
     gram,
     load_text,
     phases,
+    random_family,
     solid_angle,
     to_bloch,
     triangle_report,
@@ -275,6 +276,12 @@ class TestSolidAngle:
             omega = solid_angle(*ns)
             kappa = defect(phases(g), 0, 1, 2)
             assert cmath.exp(-0.5j * omega) == pytest.approx(kappa, abs=1e-9)
+
+    def test_is_minus_twice_the_phase_of_bargmann_bloch_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        for _ in range(1000):
+            ns = [to_bloch(s) for s in random_family(3, rng).states]
+            assert solid_angle(*ns) == -2.0 * cmath.phase(bargmann_bloch(*ns))
 
 
 class TestBlochInputs:

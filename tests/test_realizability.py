@@ -32,9 +32,9 @@ from qpc import (
 from qpc import realizability
 from qpc.cli import main
 from qpc.realizability import (
-    COHERENCE_TOL,
     NOT_REALIZABLE,
     REALIZABLE,
+    REALIZE_TOL,
     SEARCH_FAILED,
     SOFT_FLOOR,
     _edge_distances,
@@ -395,6 +395,19 @@ class TestRealizeCoherent:
         with pytest.raises(ValueError, match="no consistent rephasing potential"):
             realize_coherent(holonomy_square())
 
+    def test_takes_by_default_what_realize_phases_certifies_as_coherent(self):
+        # u_ij = lam_i conj(lam_j) exp(1e-8 i (i + j)): the potential's worst
+        # edge misses by 4e-8, over 1e-9 and within REALIZE_TOL
+        lam = [cmath.exp(1j * a) for a in (0.0, 0.3, 1.1, -0.7)]
+        u = PhaseMatrix.from_edges(4, {
+            (i, j): lam[i] * lam[j].conjugate() * cmath.exp(1e-8j * (i + j))
+            for i in range(4) for j in range(i + 1, 4)})
+        res = realize_phases(u)
+        assert res.status == REALIZABLE and "single base state" in res.diagnostics
+        assert 1e-9 < res.residual <= REALIZE_TOL
+        fam = realize_coherent(u)
+        assert fam == res.certificate and _phase_residual(fam.vectors, u) == res.residual
+
 
 class TestRealizeCoherentCertifiesByItsResidual:
     def test_refuses_a_triangle_free_cycle_the_potential_misses(self):
@@ -546,10 +559,10 @@ def tilted_coherent(rng, n: int, angle: float) -> PhaseMatrix:
 
 class TestPotentialDecidesCoherence:
     def test_a_defect_within_realize_tol_takes_the_single_ray(self):
-        # a triangle defect of about 3e-8 fails is_coherent's default
-        # tolerance but meets the default realize_tol
+        # a triangle defect of about 3e-8 fails a tolerance of 1e-9 but
+        # meets the default realize_tol
         u = tilted(potential_phases([0.0, 0.3, 1.1, -0.7, 2.4]), 1, 3, 3e-8)
-        assert not is_coherent(u, COHERENCE_TOL)
+        assert not is_coherent(u, 1e-9)
         res = realize_phases(u)
         assert res.status == REALIZABLE and "single base state" in res.diagnostics
         assert 1e-9 < res.residual <= 1e-7
