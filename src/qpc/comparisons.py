@@ -7,10 +7,12 @@ A family of N states is compared pairwise on three levels:
     phases         u_ij = g_ij / |g_ij|       unit phases, where defined
 
 The phase level is partial: u_ij exists only where the overlap does not
-vanish, and the pairs that carry a phase form the support graph.  The
-complementary graph records orthogonal pairs.  For families of pairwise
-distinct rays the orthogonality graph is always a matching: no qubit ray
-has two distinct orthogonal rays.
+vanish, and the pairs that carry a phase form the support graph.  It holds
+one unit number per unordered pair, u_ji = conj(u_ij), and one constructor
+states the pair rules of from_edges and phase files.  The complementary
+graph records orthogonal pairs.  For families of pairwise distinct rays
+the orthogonality graph is always a matching: no qubit ray has two
+distinct orthogonal rays.
 
 Every number gen and analyze print is rounded as its scalar formula rounds
 it, by moduli, _mul, overlaps and principal_angle here: they work on the
@@ -21,6 +23,7 @@ host.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -106,9 +109,14 @@ def _self_adjoint(a: np.ndarray, adjoint: str, x: str, mark: str) -> np.ndarray:
     herm, diag = deviations(a)
     if not herm <= TOL_STRUCT:
         raise ValueError(f"matrix is not {adjoint}: max |{x} - {x}{mark}| = {herm!r}")
+    _unit_diagonal(diag, x)
+    return a
+
+
+def _unit_diagonal(diag: float, x: str) -> None:
+    """Refuse with ValueError a diagonal whose max |x_ii - 1| = diag exceeds TOL_STRUCT."""
     if not diag <= TOL_STRUCT:
         raise ValueError(f"diagonal is not 1: max |{x}_ii - 1| = {diag!r}")
-    return a
 
 
 @dataclass(frozen=True)
@@ -151,25 +159,47 @@ def _require_vertices(n: int) -> None:
         raise ValueError(f"graph needs at least one vertex, got n = {n}")
 
 
+def _is_integer(kind: type) -> bool:
+    """Whether kind is an integer type; bool is an Integral, but True is no index."""
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
+
+
+def _edge_mask(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mask, i, j): the symmetric boolean mask of the pairs in edges and their
+    index arrays, in input order.  ValueError names the first pair holding a
+    non-integer index, else the first self-loop or index outside 0 .. n-1."""
+    _require_vertices(n)
+    edges = list(edges)
+    ij = np.array(edges, dtype=object).reshape(len(edges), 2).T
+    if not all(map(_is_integer, set(map(type, ij.flat)))):
+        k = next(k for k, pair in enumerate(ij.T) if not all(_is_integer(type(x)) for x in pair))
+        raise ValueError(f"edge ({ij[0, k]!r}, {ij[1, k]!r}) must hold integers")
+    bad = (ij[0] == ij[1]) | ((ij < 0) | (ij >= n)).any(axis=0)
+    if bad.any():
+        i, j = ij[:, bad.argmax()]
+        raise ValueError(f"self-loop at vertex {i}" if i == j
+                         else f"edge ({i}, {j}) out of range for n = {n}")
+    # allocated before the cast, so that an n past any array is refused with
+    # numpy's ValueError rather than the cast's OverflowError
+    mask = np.zeros((n, n), dtype=bool)
+    i, j = ij.astype(np.intp)
+    mask[i, j] = mask[j, i] = True
+    return mask, i, j
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class SupportGraph:
     """Undirected simple graph on vertices 0 .. n-1, stored as its one
     representation: the read-only symmetric boolean adjacency mask, False
     on the diagonal.  Graphs are equal when their masks are; like the
-    matrix types, they are not hashable."""
+    matrix types, they are not hashable.  SupportGraph(n, edges) refuses
+    a non-integer index (a bool or a float), a self-loop or an index out of
+    range, naming the first such edge; a pair given twice is one edge."""
 
     mask: np.ndarray
 
     def __init__(self, n: int, edges) -> None:
-        _require_vertices(n)
-        mask = np.zeros((n, n), dtype=bool)
-        for i, j in edges:
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n = {n}")
-            mask[i, j] = mask[j, i] = True
-        object.__setattr__(self, "mask", _read_only(mask))
+        object.__setattr__(self, "mask", _read_only(_edge_mask(n, edges)[0]))
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "SupportGraph":
@@ -266,9 +296,7 @@ class PhaseMatrix:
         require_square(a)
         if self.support.n != self.n:
             raise ValueError("support graph size does not match the matrix")
-        diag = float(np.max(np.abs(np.diagonal(a) - 1.0)))
-        if not diag <= TOL_STRUCT:
-            raise ValueError(f"diagonal phases must be 1: max deviation {diag!r}")
+        _unit_diagonal(deviations(a)[1], "u")
         i, j = self.support.pairs
         bad = ~(np.abs(moduli(a[i, j]) - 1.0) <= TOL_STRUCT)
         if bad.any():
@@ -285,16 +313,26 @@ class PhaseMatrix:
 
     @classmethod
     def from_edges(cls, n: int, values: dict) -> "PhaseMatrix":
-        """Build from {(i, j): u_ij}, each pair in one order; reciprocals are
-        filled in.  The pairs are refused as SupportGraph(n, pairs) refuses them."""
+        """Build from {(i, j): u_ij}, filling in u_ji = conj(u_ij); the pairs
+        are refused as SupportGraph(n, pairs) refuses them, and a pair given
+        in both orders is refused too."""
+        return cls._of_pairs(n, values, list(values.values()))
+
+    @classmethod
+    def _of_pairs(cls, n: int, pairs, values) -> "PhaseMatrix":
+        """u_ij = values[k] and u_ji = conj(u_ij) for the k-th pair (i, j) of pairs,
+        refused as _edge_mask refuses them and at the first pair given twice."""
+        # allocated first: at an n whose boolean mask is merely too large to
+        # allocate (MemoryError), the complex matrix is refused as too big (ValueError)
         a = np.eye(n, dtype=complex)
-        support, given = SupportGraph(n, values), set()
-        for (i, j), u in values.items():
-            if (j, i) in given:
-                raise ValueError(f"pair ({i}, {j}) is given in both orders")
-            given.add((i, j))
-            a[i, j], a[j, i] = u, complex(u).conjugate()
-        return cls(n, a, support)
+        mask, i, j = _edge_mask(n, pairs)
+        if np.count_nonzero(mask) < 2 * len(i):
+            _, first = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_index=True)
+            k = np.setdiff1d(np.arange(len(i)), first)[0]
+            raise ValueError(f"pair ({i[k]}, {j[k]}) is given twice")
+        u = np.asarray(values, dtype=complex)
+        a[i, j], a[j, i] = u, u.conj()
+        return cls(n, a, SupportGraph.from_mask(mask))
 
     def has(self, i: int, j: int) -> bool:
         return 0 <= i == j < self.n or self.support.has_edge(i, j)

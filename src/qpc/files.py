@@ -33,7 +33,7 @@ from itertools import chain
 
 import numpy as np
 
-from .states import TOL_NORM, QubitState, StateFamily, _length, _modulus, from_bloch
+from .states import QubitState, StateFamily, _length, _modulus, _unit_norm, from_bloch
 
 FAMILY_VERSION = 1
 MATRIX_VERSION = 1
@@ -351,9 +351,8 @@ def family_from_json(text: str):
             c1 = _parse_c(rec["c1"], f"{where} c1")
             norm = _modulus(c0, c1)
             _window(norm, where, "not normalized", "|amplitudes|", warnings)
-            # mirror the constructor's own acceptance predicate so that
             # records already valid as states are kept bit for bit
-            if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > TOL_NORM:
+            if not _unit_norm(c0, c1):
                 c0, c1 = c0 / norm, c1 / norm
             parsed.append(QubitState(c0, c1))
         else:
@@ -441,18 +440,15 @@ def matrix_from_json(text: str):
         raise FileFormatError(
             f"{len(support)} support edges but {len(entries)} entries"
         )
-    values = {}
+    values = []
     for pos, (edge, entry) in enumerate(zip(support, entries)):
         if not isinstance(edge, list) or len(edge) != 2:
             raise FileFormatError(f"support edge {pos} must be a pair")
-        i, j = edge
-        if not (_is_int(i) and _is_int(j)):
+        if not (_is_int(edge[0]) and _is_int(edge[1])):
             raise FileFormatError(f"support edge {pos} must hold integers")
-        if (i, j) in values or (j, i) in values:
-            raise FileFormatError(f"support edge {pos} repeats pair ({i}, {j})")
-        values[(i, j)] = _parse_c(entry, f"entry {pos}")
+        values.append(_parse_c(entry, f"entry {pos}"))
     try:
-        u = PhaseMatrix.from_edges(n, values)
+        u = PhaseMatrix._of_pairs(n, support, values)
     except ValueError as e:
         raise FileFormatError(f"invalid phase matrix: {e}") from e
     return kind, u

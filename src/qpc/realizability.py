@@ -32,15 +32,14 @@ realize_phases return a RealizabilityResult.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import comparisons
-from .comparisons import (GramMatrix, PhaseMatrix, SupportGraph, deviations, moduli, overlaps,
-                          require_square)
+from .comparisons import (GramMatrix, PhaseMatrix, SupportGraph, _is_integer, deviations, moduli,
+                          overlaps, require_square)
 from .states import QubitState, StateFamily, _match_tol, random_family
 
 PSD_TOL = 1e-10        # eigenvalue floor, relative to max(1, largest eigenvalue)
@@ -113,8 +112,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
             value = getattr(self, name)
-            # bool is an Integral, but True is no count of restarts
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_integer(type(value)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 rule = "positive" if least else "non-negative"

@@ -43,6 +43,11 @@ def _sum_sq(*xs) -> float:
         return math.inf
 
 
+def _unit_norm(c0: complex, c1: complex) -> bool:
+    """Whether |c0|^2 + |c1|^2 is within TOL_NORM of 1, as a QubitState must be."""
+    return abs(_sum_sq(c0, c1) - 1.0) <= TOL_NORM
+
+
 def _modulus(c0: complex, c1: complex) -> float:
     """hypot(|c0|, |c1|); inf where a modulus is past the float range."""
     try:
@@ -72,11 +77,9 @@ class QubitState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "c0", complex(self.c0))
         object.__setattr__(self, "c1", complex(self.c1))
-        norm_sq = _sum_sq(self.c0, self.c1)
-        if not abs(norm_sq - 1.0) <= TOL_NORM:
-            raise ValueError(
-                f"state not normalized: |c0|^2 + |c1|^2 = {norm_sq!r}"
-            )
+        if not _unit_norm(self.c0, self.c1):
+            raise ValueError(f"state not normalized: |c0|^2 + |c1|^2 = "
+                             f"{_sum_sq(self.c0, self.c1)!r}")
 
     @classmethod
     def normalized(cls, c0: complex, c1: complex) -> "QubitState":

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # The README's command-line block as processes, then the demos and the
 # README's fenced python block.  Every command exits 0, and the script
-# stops on any other code, except the closed pipe and the rank-3 gram
-# file, whose exit codes are tested.  No command may load scipy, which
-# is no dependency of qpc; where scipy is not installed that check passes
-# trivially.
+# stops on any other code, except the closed pipe, the rank-3 gram file
+# and the refused phase file, whose exit codes are tested.  No command
+# may load scipy, which is no dependency of qpc; where scipy is not
+# installed that check passes trivially.
 #
 # Run from anywhere: bash tests/smoke.sh
 set -euo pipefail
@@ -50,6 +50,14 @@ for command in check realize; do
 done
 grep -qx "status: not_realizable" "$d/rank3.realize"
 qpc realize "$d/phase.json" --restarts 32
+# the README's refused phase file: a pair given in both orders exits 2
+# with the one text of a repeated pair
+one='{"re": 1.0, "im": 0.0}'
+echo "{\"version\": 1, \"kind\": \"phase\", \"n\": 3, \"support\": [[0, 1], [1, 0]], \"entries\": [$one, $one]}" > "$d/repeat.json"
+status=0
+qpc realize "$d/repeat.json" 2> "$d/repeat.err" || status=$?
+test "$status" = 2
+test "$(cat "$d/repeat.err")" = "error: invalid phase matrix: pair (1, 0) is given twice"
 # some OpenBLAS kernels call a damped system of this file's search singular
 qpc realize tests/data/realize/singular-solve-4.json
 python -W error -c "import sys, qpc.cli; sys.exit(qpc.cli.main(['realize', sys.argv[1]]) or any(m.partition('.')[0] == 'scipy' for m in sys.modules))" "$d/phase.json"

@@ -1545,6 +1545,10 @@ class TestMalformedFields:
             ("realize", {"version": 1, "kind": "phase", "n": 3, "support": [[1, 1]],
                          "entries": [ONE_C]},
              "error: invalid phase matrix: self-loop at vertex 1"),
+            *[("realize", {"version": 1, "kind": "phase", "n": 3, "support": support,
+                           "entries": [ONE_C, ONE_C]},
+               f"error: invalid phase matrix: pair {repeat} is given twice")
+              for support, repeat in [([[0, 1], [1, 0]], "(1, 0)"), ([[0, 1], [0, 1]], "(0, 1)")]],
         ],
     )
     def test_exits_2_naming_the_field(self, capsys, tmp_path, command, doc, error):

@@ -1,6 +1,7 @@
 """Tests for the three comparison levels and their container types."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -170,8 +171,22 @@ class TestPhases:
 
     def test_from_edges_refuses_a_pair_given_in_both_orders(self):
         # the later, conjugated value would silently overwrite the first
-        with pytest.raises(ValueError, match=r"^pair \(1, 0\) is given in both orders$"):
+        with pytest.raises(ValueError, match=r"^pair \(1, 0\) is given twice$"):
             PhaseMatrix.from_edges(2, {(0, 1): 1j, (1, 0): 1j})
+
+    def test_from_edges_names_the_first_repeat_in_input_order(self):
+        with pytest.raises(ValueError, match=r"^pair \(1, 0\) is given twice$"):
+            PhaseMatrix.from_edges(4, {(2, 3): 1, (0, 1): 1, (1, 0): 1, (3, 2): 1})
+
+    @pytest.mark.parametrize("pair", [(True, 2), (False, 1), (0.0, 1), (0, 2.5), ("0", 1)])
+    def test_from_edges_refuses_an_index_that_is_no_integer(self, pair):
+        # True and False once indexed the mask as 1 and 0, and a float raised IndexError
+        with pytest.raises(ValueError, match=f"^{re.escape(f'edge {pair!r} must hold integers')}$"):
+            PhaseMatrix.from_edges(3, {(0, 2): 1, pair: 1})
+
+    def test_from_edges_takes_numpy_integers(self):
+        u = PhaseMatrix.from_edges(3, {(np.int64(0), np.uint8(2)): 1j})
+        assert u.support == SupportGraph(3, [(0, 2)]) and u.entry(2, 0) == -1j
 
     def test_from_edges_rejects_diagonal_pair(self):
         with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
@@ -185,6 +200,12 @@ class TestPhases:
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError, match="unimodular"):
             PhaseMatrix.from_edges(2, {(0, 1): 0.5})
+
+    def test_diagonal_is_refused_in_the_words_of_the_gram_matrix(self):
+        with pytest.raises(ValueError, match=r"^diagonal is not 1: max \|u_ii - 1\| = 0\.5$"):
+            PhaseMatrix(2, [[1, 0], [0, 0.5]], SupportGraph(2, []))
+        with pytest.raises(ValueError, match=r"^diagonal is not 1: max \|g_ii - 1\| = 0\.5$"):
+            GramMatrix([[1, 0], [0, 0.5]])
 
     def test_rejects_non_reciprocal(self):
         a = np.eye(3, dtype=complex)
@@ -284,6 +305,39 @@ class TestSupportGraph:
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(ValueError, match="out of range"):
             SupportGraph(2, frozenset({(0, 2)}))
+
+    @pytest.mark.parametrize("edges", [
+        [(True, 2)], [(False, 1)], [(0.0, 1)], [(0, 1), (2, np.float64(1.0))], [(0, 1), (None, 2)],
+    ])
+    def test_rejects_an_index_that_is_no_integer(self, edges):
+        # (True, 2) wrote an asymmetric mask with a self-loop, (False, 1)
+        # dropped the edge, and (0.0, 1) raised IndexError
+        message = f"edge {edges[-1]!r} must hold integers"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SupportGraph(3, edges)
+
+    def test_names_the_first_offending_pair_in_input_order(self):
+        with pytest.raises(ValueError, match=r"^edge \(0, 5\) out of range for n = 3$"):
+            SupportGraph(3, [(0, 1), (0, 5), (1, 1)])
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
+            SupportGraph(3, [(0, 1), (1, 1), (0, 5)])
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 4$"):
+            SupportGraph(3, [(4, 4)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                             .filter(lambda e: e[0] != e[1]), max_size=30))))
+    def test_mask_matches_one_built_pair_by_pair(self, n_edges):
+        # edge lists with repeats and reversed pairs, as any iterable would give them
+        n, edges = n_edges
+        edges = edges + [(j, i) for i, j in edges[::2]]
+        expected = np.zeros((n, n), dtype=bool)
+        for i, j in edges:
+            expected[i, j] = expected[j, i] = True
+        mask = SupportGraph(n, edges).mask
+        assert np.array_equal(mask, mask.T) and not mask.diagonal().any()
+        assert np.array_equal(mask, expected)
 
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -436,7 +490,7 @@ class TestMatrixConditions:
         (lambda: ProbabilityMatrix([[1, 0.2], [0.3, 1]]), "max |p - p^T| = 0.09999999999999998"),
         (lambda: ProbabilityMatrix([[1, 0.2], [0.2, 0.5]]), "max |p_ii - 1| = 0.5"),
         (lambda: PhaseMatrix(1, [[1j]], SupportGraph(1, frozenset())),
-         "max deviation 1.4142135623730951"),
+         "max |u_ii - 1| = 1.4142135623730951"),
         (lambda: PhaseMatrix.from_edges(2, {(0, 1): 0.5}), "|u| = 0.5"),
     ])
     def test_messages_print_plain_floats(self, make, message):

@@ -75,6 +75,20 @@ class TestFamilyFiles:
         _, warnings = family_from_json(family_record(1.0 + 5e-10, 0.0))
         assert warnings == []
 
+    @pytest.mark.parametrize("c0, valid", [(1.0 + 4e-13, True), (1.0 + 6e-13, False)])
+    def test_a_record_valid_as_a_state_keeps_its_bits(self, c0, valid):
+        # |c0|^2 - 1 is about 8e-13 and 1.2e-12, either side of TOL_NORM (1e-12);
+        # both are accepted silently, and only the record that QubitState
+        # refuses is divided by its norm
+        if valid:
+            assert QubitState(c0, 0.0).c0 == c0
+        else:
+            with pytest.raises(ValueError, match="not normalized"):
+                QubitState(c0, 0.0)
+        fam, warnings = family_from_json(family_record(complex(c0), 0j))
+        assert warnings == []
+        assert fam.states[0].c0 == (c0 if valid else c0 / abs(c0))
+
     def test_moderate_deviation_renormalizes_with_warning(self):
         fam, warnings = family_from_json(family_record(1.0 + 1e-7, 0.0))
         assert len(warnings) == 1 and "state 0" in warnings[0]
@@ -181,7 +195,10 @@ class TestMatrixFiles:
             "support": [[0, 1], [1, 0]],
             "entries": [{"re": 1.0, "im": 0.0}, {"re": 1.0, "im": 0.0}],
         }
-        with pytest.raises(FileFormatError, match="repeats"):
+        with pytest.raises(FileFormatError, match=r"^invalid phase matrix: pair \(1, 0\) is given twice$"):
+            matrix_from_json(json.dumps(doc))
+        doc["support"] = [[0, 1], [0, 1]]
+        with pytest.raises(FileFormatError, match=r"^invalid phase matrix: pair \(0, 1\) is given twice$"):
             matrix_from_json(json.dumps(doc))
 
     def test_phase_round_trip_complete_support_n200(self):
