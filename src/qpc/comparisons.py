@@ -98,7 +98,12 @@ def deviations(a: np.ndarray) -> tuple[float, float]:
     """
     h = a / 2.0
     herm = 2.0 * float(np.max(np.abs(h - h.conj().T)))
-    return herm, float(np.max(np.abs(np.diagonal(a) - 1.0)))
+    return herm, _diagonal_deviation(a)
+
+
+def _diagonal_deviation(a: np.ndarray) -> float:
+    """max |a_ii - 1| of a nonempty square matrix."""
+    return float(np.max(np.abs(np.diagonal(a) - 1.0)))
 
 
 def _self_adjoint(a: np.ndarray, adjoint: str, x: str, mark: str) -> np.ndarray:
@@ -296,7 +301,7 @@ class PhaseMatrix:
         require_square(a)
         if self.support.n != self.n:
             raise ValueError("support graph size does not match the matrix")
-        _unit_diagonal(deviations(a)[1], "u")
+        _unit_diagonal(_diagonal_deviation(a), "u")
         i, j = self.support.pairs
         bad = ~(np.abs(moduli(a[i, j]) - 1.0) <= TOL_STRUCT)
         if bad.any():

@@ -28,7 +28,9 @@ the geodesic triangle (n_i, n_j, n_k):
 with the sign convention fixed so that this identity holds, so the
 octant triple (z, x, y) has Omega = -pi/2 and geometric phase +pi/4.
 
-all_triangles rounds by the rules in comparisons (_mul, principal_angle).
+all_triangles rounds by the rules in comparisons (_mul, principal_angle),
+and bargmann_bloch and solid_angle write their dot products out, so no
+BLAS kernel decides a bit of them.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .comparisons import (DEFAULT_ZERO_TOL, GramMatrix, PhaseMatrix, _mul, _read_only, _zero_tol,
-                          moduli, phases, principal_angle)
+from .comparisons import (DEFAULT_ZERO_TOL, GramMatrix, PhaseMatrix, _is_integer, _mul, _read_only,
+                          _zero_tol, moduli, phases, principal_angle)
 from .states import BlochVector, _on_sphere
 
 DEFECT_CONSISTENCY_TOL = 1e-12  # the two defect computations must agree
@@ -111,6 +113,10 @@ class TriangleTable:
 
 
 def _check_triple(n: int, i: int, j: int, k: int) -> None:
+    """Refuse with ValueError a triple holding a non-integer index (a bool or
+    a float), an index outside 0 .. n-1 or a repeated index."""
+    if not all(_is_integer(type(v)) for v in (i, j, k)):
+        raise ValueError(f"triple ({i!r}, {j!r}, {k!r}) must hold integers")
     for v in (i, j, k):
         if not 0 <= v < n:
             raise ValueError(f"index {v} out of range for {n} states")
@@ -208,10 +214,16 @@ def bargmann_bloch(ni, nj, nk) -> complex:
     from_bloch accepts it; any other, NaN or infinite ones included,
     raises ValueError.
     """
-    a, b, c = _as_unit3(ni), _as_unit3(nj), _as_unit3(nk)
-    dots = float(a @ b + b @ c + c @ a)
-    triple = float(a @ np.cross(b, c))
-    return complex(0.25 * (1.0 + dots), 0.25 * triple)
+    a, b, c = (_as_unit3(v).tolist() for v in (ni, nj, nk))
+    cross = [b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2], b[0] * c[1] - b[1] * c[0]]
+    dots = _dot(a, b) + _dot(b, c) + _dot(c, a)
+    return complex(0.25 * (1.0 + dots), 0.25 * _dot(a, cross))
+
+
+def _dot(u: list, v: list) -> float:
+    """u . v of two 3-vectors of floats, summed in index order: no BLAS
+    kernel rounds it."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def solid_angle(ni, nj, nk) -> float:
@@ -227,7 +239,7 @@ def solid_angle(ni, nj, nk) -> float:
     """
     a, b, c = _as_unit3(ni), _as_unit3(nj), _as_unit3(nk)
     for u, v, name in ((a, b, "first/second"), (b, c, "second/third"), (c, a, "third/first")):
-        if 1.0 + float(u @ v) <= DEGENERACY_TOL:
+        if 1.0 + _dot(u.tolist(), v.tolist()) <= DEGENERACY_TOL:
             raise ValueError(
                 f"geodesic triangle degenerate: {name} vertices are antipodal"
             )

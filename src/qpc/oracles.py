@@ -1,8 +1,9 @@
 """Independent recomputation paths used to cross-check the main code.
 
-Everything here is evaluated by naive expansion: inner products written
-out component by component, projector products multiplied as explicit
-2x2 arrays, Pauli algebra checked entry by entry.  This module imports
+Everything here is evaluated by naive expansion in Python complex
+numbers: inner products written out component by component, projectors
+and Pauli matrices as explicit 2x2 nested lists multiplied entry by
+entry, so no BLAS kernel or SIMD loop decides a bit.  This module imports
 only the state types; it deliberately shares no helper with the
 comparison and invariant code it is used to check.
 """
@@ -10,8 +11,6 @@ comparison and invariant code it is used to check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .states import QubitState, StateFamily
 
@@ -59,11 +58,20 @@ def oracle_bargmann_direct(family: StateFamily, i: int, j: int, k: int) -> compl
 def oracle_trace_product(family: StateFamily, i: int, j: int, k: int) -> complex:
     """Bargmann invariant as the trace of three explicit projectors."""
 
-    def proj(s: QubitState) -> np.ndarray:
-        v = np.array([s.c0, s.c1], dtype=complex)
-        return np.outer(v, v.conj())
+    def proj(s: QubitState) -> list:
+        v = (s.c0, s.c1)
+        return [[x * y.conjugate() for y in v] for x in v]
 
-    return complex(np.trace(proj(family[i]) @ proj(family[j]) @ proj(family[k])))
+    return _trace(_product(_product(proj(family[i]), proj(family[j])), proj(family[k])))
+
+
+def _product(x: list, y: list) -> list:
+    """The 2x2 matrix product x y of nested lists, entry by entry."""
+    return [[x[r][0] * y[0][c] + x[r][1] * y[1][c] for c in range(2)] for r in range(2)]
+
+
+def _trace(x: list) -> complex:
+    return x[0][0] + x[1][1]
 
 
 def oracle_pauli_traces() -> OracleReport:
@@ -72,9 +80,9 @@ def oracle_pauli_traces() -> OracleReport:
     Verifies tr(s_a s_b) = 2 delta_ab and tr(s_a s_b s_c) = 2i eps_abc
     for all index combinations, 36 identities in total.
     """
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    sx = [[0j, 1 + 0j], [1 + 0j, 0j]]
+    sy = [[0j, -1j], [1j, 0j]]
+    sz = [[1 + 0j, 0j], [0j, -1 + 0j]]
     sigma = (sx, sy, sz)
 
     def eps(a: int, b: int, c: int) -> int:
@@ -85,13 +93,13 @@ def oracle_pauli_traces() -> OracleReport:
     for a in range(3):
         for b in range(3):
             expected = 2.0 if a == b else 0.0
-            worst = max(worst, abs(np.trace(sigma[a] @ sigma[b]) - expected))
+            worst = max(worst, abs(_trace(_product(sigma[a], sigma[b])) - expected))
             cases += 1
     for a in range(3):
         for b in range(3):
             for c in range(3):
                 expected = 2.0j * eps(a, b, c)
-                got = np.trace(sigma[a] @ sigma[b] @ sigma[c])
+                got = _trace(_product(_product(sigma[a], sigma[b]), sigma[c]))
                 worst = max(worst, abs(got - expected))
                 cases += 1
     return OracleReport(

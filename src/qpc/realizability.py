@@ -3,11 +3,12 @@
 A complex matrix is the overlap matrix of some family of qubit states
 exactly when it is Hermitian with unit diagonal, positive semidefinite,
 and of rank at most two.  check_gram judges the four conditions and
-factor_states reconstructs a witness family from the top two eigenpairs.
-Both take a GramMatrix or a raw finite square array.  check_gram is
-the one judge: factor_states raises GramRefusal, carrying its verdict
-on the matrix as given, exactly when it fails, and realize_gram then
-answers not_realizable with that verdict as evidence, its proof.
+factor_states reconstructs a witness family from two pivot columns, two
+steps of diagonal-pivoted Cholesky (Higham 1990).  Both take a
+GramMatrix or a raw finite square array.  check_gram is the one judge:
+factor_states raises GramRefusal, carrying its verdict on the matrix as
+given, exactly when it fails, and realize_gram then answers
+not_realizable with that verdict as evidence, its proof.
 
 For phase-level data the full matrix is not available, only unit phases
 on the support graph.  Coherent prescriptions, u_ij = lam_i conj(lam_j)
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import comparisons
-from .comparisons import (GramMatrix, PhaseMatrix, SupportGraph, _is_integer, deviations, moduli,
-                          overlaps, require_square)
+from .comparisons import (GramMatrix, PhaseMatrix, SupportGraph, _is_integer, _mul, deviations,
+                          moduli, overlaps, require_square)
 from .states import QubitState, StateFamily, _match_tol, random_family
 
 PSD_TOL = 1e-10        # eigenvalue floor, relative to max(1, largest eigenvalue)
@@ -161,10 +162,11 @@ def check_gram(g) -> GramVerdict:
     a = _matrix(g)
     # eigvalsh: the verdict needs no eigenvectors, and eigh cost 1.7 times
     # as much at n = 8, 2.2 times at n = 200 and 3.7 to 3.8 times at
-    # n = 1000 (one BLAS thread of a 2-vCPU x86-64 host).  eigh's eigenvalues
-    # also differ from these in the last bits on random Haar Gram matrices,
-    # so check and realize both judge by eigvalsh (see tests/test_cli.py,
-    # TestRealize's test_realizes_a_matrix_near_the_thresholds_that_check_accepts).
+    # n = 1000 (one BLAS thread of a 2-vCPU x86-64 host).  factor_states
+    # takes its factor from two pivot columns, so this is the one
+    # decomposition of check and of the gram route of realize, and both
+    # judge by these eigenvalues (see tests/test_cli.py, TestRealize's
+    # test_realizes_a_matrix_near_the_thresholds_that_check_accepts).
     eigs = np.linalg.eigvalsh(hermitian_part(a))[::-1]
     if not np.isfinite(eigs).all():
         raise ValueError("eigenvalues are not finite: the matrix overflows the eigensolver")
@@ -219,22 +221,44 @@ def factor_states(g) -> StateFamily:
 
     Accepts what check_gram accepts: a GramMatrix or a raw finite square
     array, refused with GramRefusal unless check_gram's verdict on it
-    holds.  The eigenvectors then come from eigh of the Hermitian part,
-    whose eigenvalues judge nothing: state i gets the amplitudes
-    (sqrt(l1) conj(q1[i]), sqrt(l2) conj(q2[i])), renormalized.  The
-    family reproduces g up to the discarded eigenvalue mass and the
-    diagonal slack, both of which the verdict bounds.
+    holds.  The factor then takes two steps of diagonal-pivoted Cholesky
+    on the Hermitian part H: the first column is H[:, p] / sqrt(h_pp) at
+    the largest diagonal entry p, the second is the same step on the
+    updated diagonal and H less the first column's outer product, and it
+    is zero where the verdict's rank estimate is below 2 or no updated
+    diagonal entry is positive, as an indefinite H within the verdict's
+    slack may leave it.  State i gets the conjugated entries i of the two
+    columns, renormalized.  Every step is elementwise real arithmetic
+    (comparisons._mul and moduli), so no BLAS kernel or SIMD loop decides
+    a bit.  The family reproduces g up to the slack the verdict allows
+    off rank 2 and off the unit diagonal.
     """
     a = _matrix(g)
     # looked up on the module, so perfbench's check_gram hook sees the call
     verdict = check_gram(a)
     if not verdict.all_ok:
         raise GramRefusal(verdict)
-    vecs = _top_two(*np.linalg.eigh(hermitian_part(a)))
-    norms = np.linalg.norm(vecs, axis=1)
+    h = hermitian_part(a)
+    d = h.diagonal().real
+    p = int(np.argmax(d))
+    c1 = _divided(h[:, p], math.sqrt(d[p]))
+    c2 = np.zeros(len(a), dtype=complex)
+    d = d - (c1.real * c1.real + c1.imag * c1.imag)
+    q = int(np.argmax(d))
+    if verdict.rank_estimate >= 2 and d[q] > 0.0:
+        c2 = _divided(h[:, q] - _mul(c1, c1[q].conjugate()), math.sqrt(d[q]))
+    norms = np.hypot(moduli(c1), moduli(c2))
     if np.min(norms) < 0.5:
         raise ArithmeticError("factorization produced a near-zero state")
-    return _family(vecs / norms[:, None])
+    return _family(np.column_stack([_divided(c1.conj(), norms), _divided(c2.conj(), norms)]))
+
+
+def _divided(z: np.ndarray, s) -> np.ndarray:
+    """z / s for a real scalar s or real array s of z's shape, divided part
+    by part as real division rounds."""
+    out = np.empty(z.shape, dtype=complex)
+    out.real, out.imag = z.real / s, z.imag / s
+    return out
 
 
 def realize_gram(g) -> RealizabilityResult:
@@ -249,28 +273,13 @@ def realize_gram(g) -> RealizabilityResult:
         v = refusal.verdict
         return RealizabilityResult(NOT_REALIZABLE, None, v.worst_violation, _refused(v), v)
     # looked up on the module, so perfbench's comparisons.gram hook sees the call
-    residual = float(np.max(np.abs(comparisons.gram(family).entries - a)))
-    return RealizabilityResult(REALIZABLE, family, residual, "factored from eigenpairs")
+    residual = float(np.max(moduli(comparisons.gram(family).entries - a)))
+    return RealizabilityResult(REALIZABLE, family, residual, "factored from two pivot columns")
 
 
 def _family(vecs: np.ndarray) -> StateFamily:
     """The family whose amplitudes are the rows of an (n, 2) array."""
     return StateFamily(tuple(QubitState(v[0], v[1]) for v in vecs))
-
-
-def _top_two(w: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Rows (sqrt(l1) conj(q1[i]), sqrt(l2) conj(q2[i])) from the top two
-    eigenpairs of an eigh result (w ascending, eigenvectors in the columns
-    of q); negative eigenvalues count as 0 and a 1 x 1 matrix gets a zero
-    second column."""
-    l1 = max(float(w[-1]), 0.0)
-    u1 = q[:, -1]
-    if len(w) >= 2:
-        l2 = max(float(w[-2]), 0.0)
-        u2 = q[:, -2]
-    else:
-        l2, u2 = 0.0, np.zeros(len(w), dtype=complex)
-    return np.column_stack([math.sqrt(l1) * u1.conj(), math.sqrt(l2) * u2.conj()])
 
 
 def _potential(u: PhaseMatrix, comps: list[list[int]]) -> np.ndarray:
@@ -352,13 +361,16 @@ def _residuals(x, idx_i, idx_j, targets):
 
 
 def _spectral_guess(u: PhaseMatrix) -> np.ndarray:
-    """Starting rows from the top two eigenpairs of the phase matrix,
-    normalized, with (1, 0) for a vanishing row.
+    """Starting rows (sqrt(l1) conj(q1[i]), sqrt(l2) conj(q2[i])) from the
+    top two eigenpairs of the phase matrix, a negative eigenvalue counting
+    as 0, normalized, with (1, 0) for a vanishing row.
 
     Treats the prescription itself as if it were a Gram matrix; for
-    realizable data this lands near a feasible family.
+    realizable data this lands near a feasible family.  A searched
+    component has at least two states, so there are two eigenpairs.
     """
-    vecs = _top_two(*np.linalg.eigh(u.entries))
+    w, q = np.linalg.eigh(u.entries)
+    vecs = np.column_stack([math.sqrt(max(float(w[-k]), 0.0)) * q[:, -k].conj() for k in (1, 2)])
     norms = np.linalg.norm(vecs, axis=1)[:, None]
     zero = norms < 1e-9
     return np.where(zero, [1.0, 0.0], vecs / np.where(zero, 1.0, norms))

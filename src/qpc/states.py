@@ -159,9 +159,10 @@ def inner(a: QubitState, b: QubitState) -> complex:
 
 
 def projector(s: QubitState) -> np.ndarray:
-    """Rank-1 density matrix |s><s| as a 2x2 complex array."""
-    v = s.vector
-    return np.outer(v, v.conj())
+    """Rank-1 density matrix |s><s| as a 2x2 complex array, each entry
+    c_r conj(c_c) a scalar product, which no SIMD loop rounds."""
+    v = (s.c0, s.c1)
+    return np.array([[x * y.conjugate() for y in v] for x in v])
 
 
 def to_bloch(s: QubitState) -> BlochVector:

@@ -62,7 +62,7 @@ def _family_with_support(rng: np.random.Generator, n: int, min_overlap: float = 
     while True:
         fam = states.random_family(n, rng)
         g = comparisons.gram(fam)
-        off = np.abs(g.entries[~np.eye(n, dtype=bool)])
+        off = comparisons.moduli(g.entries[~np.eye(n, dtype=bool)])
         if off.min() > min_overlap:
             return fam, g
 
@@ -104,9 +104,10 @@ def _probability_bloch(rng: np.random.Generator) -> float:
     n = int(rng.integers(2, 9))
     fam = states.random_family(n, rng)
     p = comparisons.probabilities(comparisons.gram(fam)).entries
-    bloch = np.array([states.to_bloch(s).vector for s in fam.states])
-    predicted = (1.0 + bloch @ bloch.T) / 2.0
-    return float(np.max(np.abs(p - predicted)))
+    b = np.array([states.to_bloch(s).vector for s in fam.states])
+    # the dot products written out, so that no BLAS kernel rounds them
+    dots = b[:, None, 0] * b[:, 0] + b[:, None, 1] * b[:, 1] + b[:, None, 2] * b[:, 2]
+    return float(np.max(np.abs(p - (1.0 + dots) / 2.0)))
 
 
 @_property("bargmann_matches_bloch_formula", 1e-12)
@@ -160,7 +161,7 @@ def _factorization(rng: np.random.Generator) -> float:
     n = int(rng.integers(2, 11))
     g = comparisons.gram(states.random_family(n, rng))
     rebuilt = comparisons.gram(realizability.factor_states(g))
-    return float(np.max(np.abs(rebuilt.entries - g.entries)))
+    return float(np.max(comparisons.moduli(rebuilt.entries - g.entries)))
 
 
 @_property("bloch_round_trip", 1e-9)
@@ -214,10 +215,13 @@ def _purity(rng: np.random.Generator) -> float:
         + n.ny * states.SIGMA_Y
         + n.nz * states.SIGMA_Z
     )
+    r = rho.tolist()
+    # tr(rho rho) written out, so that no BLAS kernel rounds it
+    purity = sum(r[a][b] * r[b][a] for a in range(2) for b in range(2))
     return _worst([
-        abs(np.trace(rho) - 1.0),
-        abs(np.trace(rho @ rho) - 1.0),
-        float(np.max(np.abs(rho - states.projector(s)))),
+        abs(r[0][0] + r[1][1] - 1.0),
+        abs(purity - 1.0),
+        float(np.max(comparisons.moduli(rho - states.projector(s)))),
     ])
 
 

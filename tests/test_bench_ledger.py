@@ -1,19 +1,30 @@
 """The ledger runner of bench/: the order of its runs, its failures, the
 shape of its records and its probe, on python -c commands that take
-milliseconds (and one qpc gen for the probe)."""
+milliseconds (and one qpc gen for the probe); and the input the gram
+ledger writes."""
 
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "ledger", Path(__file__).resolve().parent.parent / "bench" / "ledger.py")
-ledger = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ledger)
+from qpc.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ledger = _load("ledger")
 
 # A kind's command: it appends its name to the log, prints its name (and,
 # when asked to vary, the number of runs logged before it) and exits code.
@@ -96,3 +107,13 @@ def test_the_probe_counts_forks():
     code, loads, workers = ledger.probe([sys.executable, "-c", fork_once],
                                         ledger.environment())
     assert (code, workers, loads["qpc"]) == (4, 1, [])
+
+
+def test_the_gram_ledger_writes_the_file_analyze_emits(tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "ledger", ledger)
+    written, family, emitted = (str(tmp_path / name) for name in ("w.json", "f.json", "e.json"))
+    subprocess.run([sys.executable, "-c", _load("gram").WRITE, "8", written],
+                   env=ledger.environment(), check=True)
+    assert main(["gen", "--n", "8", "--seed", "7", "--out", family]) == 0
+    assert main(["analyze", family, "--emit-gram", emitted, "--out", os.devnull]) == 0
+    assert Path(written).read_bytes() == Path(emitted).read_bytes()

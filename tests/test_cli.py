@@ -545,6 +545,25 @@ def _pin_to_one_cpu():
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
+# OpenBLAS' default kernel and three named x86-64 ones, numpy without its
+# AVX2 and AVX-512 loops, and one BLAS thread
+KERNEL_SETTINGS = [{}, {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Prescott"},
+                   {"OPENBLAS_CORETYPE": "Sandybridge"},
+                   {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4"}, {"OPENBLAS_NUM_THREADS": "1"}]
+
+
+def _digests_under_every_kernel(*argv) -> set:
+    """The sha256 digests of what python -m qpc argv prints under each of
+    KERNEL_SETTINGS, on every CPU and pinned to one; skipped off x86-64."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the kernels named are x86-64 kernels")
+    pins = [None] + ([_pin_to_one_cpu] if hasattr(os, "sched_setaffinity") else [])
+    return {hashlib.sha256(subprocess.run(
+        [sys.executable, "-m", "qpc", *argv], capture_output=True, check=True, preexec_fn=pin,
+        env=dict(os.environ, PYTHONPATH=SRC, **setting)).stdout).hexdigest()
+        for setting in KERNEL_SETTINGS for pin in pins}
+
+
 def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
@@ -1130,6 +1149,19 @@ class TestRealize:
         assert realize(OPENBLAS_CORETYPE="Prescott") == first
         assert realize(NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4") == first
 
+    # sha256 of realize --format structured on the analyze --emit-gram file of
+    # gen --n 40 --seed 7: check_gram's eigenvalues print nothing here, and the
+    # pivot factor and its residual are elementwise real arithmetic
+    SHA256_GRAM_40 = "98c85eccb22c3f20416650c721d0b26100c2427add56002701ee95ce1f57f92a"
+
+    def test_the_gram_route_prints_the_same_bytes_under_every_kernel(self, capsys, tmp_path):
+        family, path = str(tmp_path / "family.json"), str(tmp_path / "gram.json")
+        assert main(["gen", "--n", "40", "--seed", "7", "--out", family]) == 0
+        assert main(["analyze", family, "--emit-gram", path, "--out", os.devnull]) == 0
+        capsys.readouterr()
+        assert _digests_under_every_kernel(
+            "realize", path, "--format", "structured") == {self.SHA256_GRAM_40}
+
     def test_unreachable_tolerance_is_inconclusive(self, capsys, tmp_path, octant_family):
         from qpc import phases
 
@@ -1331,31 +1363,18 @@ def _replace_properties(monkeypatch, replaced: dict) -> None:
 
 class TestOneProcessVerify:
     """verify runs its properties in this process at every --cases: it forks
-    nothing, prints the same bytes on every CPU and on one, and leaves no
-    child process on any exit path."""
+    nothing, prints the same bytes under every kernel, on every CPU and on
+    one, and leaves no child process on any exit path."""
 
-    # sha256 of verify --cases 50 --format structured under
-    # OPENBLAS_CORETYPE=Prescott, the oldest x86-64 kernel of OpenBLAS.  Some
-    # discrepancies come from BLAS and LAPACK (the eigh of the gram
-    # factorization round trip), whose last digits differ between kernels,
-    # as the README says, so the bytes are pinned under one named kernel.
-    SHA256_50_PRESCOTT = "1cbaeda434ff58b820cba5be2256bd9bf1d7cdd1158b4d1191e9be50fc8e7e8c"
+    # sha256 of verify --cases 50 --format structured.  Every property
+    # rounds by scalar or elementwise arithmetic, the pivot factor of the
+    # gram round trip included, so no BLAS kernel, SIMD loop or thread count
+    # picks a bit, and the bytes are the same on every CPU and on one
+    SHA256_50 = "a6b884f5485942b1a06912634afe2d3fbe5094c4ece54420e77d8f73dc8bdbbe"
 
-    def test_the_bytes_under_one_kernel_are_pinned(self):
-        if platform.machine().lower() not in ("x86_64", "amd64"):
-            pytest.skip("OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
-
-        def digest(preexec_fn=None):
-            return hashlib.sha256(subprocess.run(
-                [sys.executable, "-m", "qpc", "verify", "--cases", "50", "--format", "structured"],
-                capture_output=True, check=True, preexec_fn=preexec_fn,
-                env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_CORETYPE="Prescott")).stdout
-            ).hexdigest()
-
-        # on every CPU and on one
-        assert digest() == self.SHA256_50_PRESCOTT
-        if hasattr(os, "sched_setaffinity"):
-            assert digest(_pin_to_one_cpu) == self.SHA256_50_PRESCOTT
+    def test_the_bytes_are_pinned_under_every_kernel(self):
+        assert _digests_under_every_kernel(
+            "verify", "--cases", "50", "--format", "structured") == {self.SHA256_50}
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_failing_properties_print_one_line_each(self, capsys, monkeypatch, fmt):
@@ -1429,8 +1448,8 @@ class TestSearchedRealize:
     # phases of a 7-state Haar family on 18 of its 21 pairs, certified at
     # restart 3, and uniform random phases on the 10 pairs of 5 states,
     # which exhaust the default 32 restarts.  The search's sums and solves
-    # go through BLAS and LAPACK, whose last digits differ between kernels
-    # (see TestOneProcessVerify), so the bytes are pinned under one named kernel.
+    # go through BLAS and LAPACK, whose last digits differ between kernels,
+    # so the bytes are pinned under one named kernel.
     PINS = {
         "witnessed-7.json": (0, "local search succeeded after 4 restart(s)",
                              "fce8c855131827633e9c412cf862f6f394327a90cd15f0a69884817f1a1c36c4"),
@@ -1671,8 +1690,7 @@ class TestOptions:
             f"error: n = {10**12} exceeds the limit of {MAX_PHASE_N} states of a phase file\n"
         )
 
-    @pytest.mark.parametrize("command, solver", [
-        ("check", "eigvalsh"), ("realize", "eigvalsh"), ("realize", "eigh")])
+    @pytest.mark.parametrize("command, solver", [("check", "eigvalsh"), ("realize", "eigvalsh")])
     def test_linalg_error_exits_2(self, capsys, monkeypatch, octant_gram_file, command, solver):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

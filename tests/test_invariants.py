@@ -92,6 +92,20 @@ class TestBargmann:
         with pytest.raises(ValueError, match="repeated"):
             bargmann(gram(octant_family), 0, 1, 1)
 
+    @pytest.mark.parametrize("f", ["bargmann", "defect", "triangle_report"])
+    @pytest.mark.parametrize("triple", [
+        (True, 2, 0), (0.0, 1, 2), (0, 1, np.float64(2.0)), (0, np.bool_(True), 2)])
+    def test_rejects_a_non_integer_index(self, octant_family, f, triple):
+        g = gram(octant_family)
+        target = phases(g) if f == "defect" else g
+        shown = re.escape(f"triple ({', '.join(map(repr, triple))}) must hold integers")
+        with pytest.raises(ValueError, match=shown):
+            getattr(invariants, f)(target, *triple)
+
+    def test_takes_numpy_integer_indices(self, octant_family):
+        g = gram(octant_family)
+        assert bargmann(g, *np.array([0, 1, 2])) == bargmann(g, 0, 1, 2)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3))
     def test_rephasing_invariance(self, thetas):
@@ -317,12 +331,18 @@ class TestBlochInputs:
         assert f(tilted, x, y) == expected
 
     def test_bloch_vectors_keep_their_bits(self):
+        # the dot products summed in index order, in Python floats, which no
+        # BLAS kernel rounds
+        def dot(u, v):
+            return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
         rng = np.random.default_rng(43)
         for _ in range(25):
             fam, _ = family_with_support(rng, 3)
             ns = [to_bloch(s) for s in fam.states]
-            a, b, c = (n.vector for n in ns)
-            dots, triple = float(a @ b + b @ c + c @ a), float(a @ np.cross(b, c))
+            a, b, c = (n.vector.tolist() for n in ns)
+            cross = [b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2], b[0] * c[1] - b[1] * c[0]]
+            dots, triple = dot(a, b) + dot(b, c) + dot(c, a), dot(a, cross)
             assert bargmann_bloch(*ns) == complex(0.25 * (1.0 + dots), 0.25 * triple)
             assert solid_angle(*ns) == -2.0 * math.atan2(triple, 1.0 + dots)
 

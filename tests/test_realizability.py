@@ -44,7 +44,8 @@ from qpc.realizability import (
     _search_component,
     least_squares,
 )
-from tests.conftest import SLACK_C, SLACK_D, family_with_support, slack_gram, uniform_phases
+from qpc.comparisons import moduli
+from tests.conftest import SQ2, SLACK_C, SLACK_D, family_with_support, slack_gram, uniform_phases
 
 
 def potential_phases(angles) -> PhaseMatrix:
@@ -192,7 +193,7 @@ class TestFactorStates:
         with pytest.raises(ValueError, match="rank"):
             factor_states(GramMatrix(np.eye(3, dtype=complex)))
 
-    def test_one_eigvalsh_judges_and_one_eigh_factors(self, monkeypatch, tmp_path, capsys):
+    def test_one_eigvalsh_judges_and_no_eigh_factors(self, monkeypatch, tmp_path, capsys):
         calls = []
         for name in ("eigh", "eigvalsh"):
             solve = getattr(np.linalg, name)
@@ -200,14 +201,39 @@ class TestFactorStates:
                                 lambda a, name=name, solve=solve: calls.append(name) or solve(a))
         g = gram(random_family(5, seed=3))
         factor_states(g)
-        assert calls == ["eigvalsh", "eigh"]
+        assert calls == ["eigvalsh"]
         path = tmp_path / "gram.json"
         save_text(str(path), matrix_to_json("gram", g.entries))
-        for command, expected in (("realize", ["eigvalsh", "eigh"]), ("check", ["eigvalsh"])):
+        for command in ("realize", "check"):
             calls.clear()
             assert main([command, str(path)]) == 0
-            assert calls == expected
+            assert calls == ["eigvalsh"]
         capsys.readouterr()
+
+    @pytest.mark.parametrize("family", [
+        StateFamily((QubitState(0.6, 0.8j),)),
+        StateFamily((QubitState(0.6, 0.8j), QubitState(0.8, -0.6))),
+        # one ray, rephased: rank 1, so the second column is zero
+        StateFamily(tuple(QubitState(0.6 * cmath.exp(1j * t), 0.8j * cmath.exp(1j * t))
+                          for t in (0.0, 1.0, -2.5, 3.0))),
+        # states 0 and 3 orthogonal: a zero entry in the first pivot column
+        StateFamily((QubitState(0.6, 0.8j), QubitState(SQ2, SQ2), QubitState(1.0, 0.0),
+                     QubitState(0.8, 0.6j))),
+    ], ids=["n=1", "n=2", "rank-1", "orthogonal-pair"])
+    def test_the_pivot_factor_reproduces_small_and_degenerate_families(self, family):
+        g = gram(family).entries
+        fam = factor_states(g)
+        assert np.max(np.abs(gram(fam).entries - g)) <= 1e-15
+        assert check_gram(gram(fam)).rank_estimate == check_gram(g).rank_estimate
+
+    def test_the_pivot_factor_folds_the_slack_the_verdict_allows(self):
+        # third eigenvalues and diagonals off by amounts near the thresholds,
+        # the 800-ulp window included
+        c0 = 3.3731094454003967e-10
+        for a in (slack_gram(2, 3.5e-10, 1.4e-10), *(slack_gram(0, c, 1.2e-10) for c in
+                                                      c0 + np.arange(-400, 400, 40) * np.spacing(c0))):
+            if check_gram(a).all_ok:
+                assert np.max(np.abs(gram(factor_states(a)).entries - a)) <= 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_a_raw_array_factors_as_its_gram_matrix(self, n):
@@ -248,8 +274,8 @@ class TestRealizeGram:
     def test_factors_a_family_gram(self):
         g = gram(random_family(4, seed=6))
         res = realize_gram(g)
-        assert res.status == REALIZABLE and res.diagnostics == "factored from eigenpairs"
-        assert res.residual == float(np.max(np.abs(gram(res.certificate).entries - g.entries)))
+        assert res.status == REALIZABLE and res.diagnostics == "factored from two pivot columns"
+        assert res.residual == float(np.max(moduli(gram(res.certificate).entries - g.entries)))
         assert res.residual <= 1e-12
 
     def test_folds_diagonal_slack_the_verdict_allows(self):
