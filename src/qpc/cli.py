@@ -42,7 +42,7 @@ from .files import (
     matrix_to_json,
     re_im,
     row_jobs,
-    row_pieces,
+    run_parts,
     save_text,
 )
 
@@ -85,12 +85,6 @@ _COMPLEX = "%.15g%+.15gi"
 def _complex_columns(z: np.ndarray) -> list:
     """The _COMPLEX values of every entry of a 1-d complex array, as columns."""
     return [z.real, z.imag + 0.0]
-
-
-def _lines(row: str, rows: int, columns: list):
-    """rows lines of the template row filled from columns, each after a
-    newline, in chunks of rows."""
-    return row_pieces("\n" + row, "", rows, columns)
 
 
 def _section(heading: str, rows: int, lines):
@@ -173,10 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_realize = command("realize", cmd_realize, "reconstruct states from a matrix file",
                         ["--seed", "--out", "--format"])
     p_realize.add_argument("matrix", help="path to a gram or phase matrix file")
-    p_realize.add_argument("--restarts", type=_positive_int, default=32)
-    p_realize.add_argument("--max-iters", type=_positive_int, default=500,
+    # None leaves the search option at its realizability.SearchConfig default
+    p_realize.add_argument("--restarts", type=_positive_int, default=None)
+    p_realize.add_argument("--max-iters", type=_positive_int, default=None,
                            help="residual evaluations each search restart may spend")
-    # None is realizability.REALIZE_TOL, read where realize runs
     p_realize.add_argument("--realize-tol", type=_positive_tolerance, default=None)
 
     p_verify = command("verify", cmd_verify, "run the registered self-check properties",
@@ -247,9 +241,9 @@ _CHECK_BLOCKS = 4
 def _triangle_lines(kernel, r) -> str:
     """The text report's lines of the triangles of the rows of the range r."""
     block = kernel(r)
-    return "".join(_lines(_TRIANGLE_ROW, len(block), [
+    return "".join(run_parts(row_jobs("\n" + _TRIANGLE_ROW, "", len(block), [
         *block.triples.T, *_complex_columns(block.bargmann), *_complex_columns(block.defect),
-        block.pancharatnam, block.solid_angle, block.amplitude_factor]))
+        block.pancharatnam, block.solid_angle, block.amplitude_factor])))
 
 
 def _triangle_record(kernel, r) -> dict:
@@ -286,7 +280,7 @@ def _analysis(family, args) -> SimpleNamespace:
         save_text(args.emit_probability, matrix_to_json("probability", p.entries))
     if args.emit_phase:
         save_text(args.emit_phase, matrix_to_json("phase", u))
-    og = comparisons.orthogonality_graph(g, zero_tol)
+    og = u.support.complement()
     triples, m = invariants.Triples(u.support.mask), comparisons.moduli(g.entries)
     kernel = lambda r: invariants.triangle_table(g.entries, m, u.entries, triples.rows(r))
     n, pairs, edges = len(family), len(u.support.pairs[0]), len(og.pairs[0])
@@ -440,8 +434,8 @@ def _result_text(result) -> str:
         text += f"\ndiagnostics: {result.diagnostics}"
     if result.certificate is not None:
         v = result.certificate.vectors
-        text += "".join(_section("certificate states:", len(v), _lines(
-            ("  " + _COMPLEX) * 2, len(v), _complex_columns(v.ravel()))))
+        text += "".join(run_parts(_section("certificate states:", len(v), row_jobs(
+            "\n" + ("  " + _COMPLEX) * 2, "", len(v), _complex_columns(v.ravel())))))
     return text + "\n"
 
 
@@ -456,9 +450,9 @@ def cmd_realize(args) -> int:
     if kind == "gram":
         result = realizability.realize_gram(payload)
     else:
-        tol = realizability.REALIZE_TOL if args.realize_tol is None else args.realize_tol
-        cfg = realizability.SearchConfig(restarts=args.restarts, max_iters=args.max_iters,
-                                         seed=_resolve_seed(args), realize_tol=tol)
+        given = {name: getattr(args, name) for name in ("restarts", "max_iters", "realize_tol")
+                 if getattr(args, name) is not None}
+        cfg = realizability.SearchConfig(seed=_resolve_seed(args), **given)
         result = realizability.realize_phases(payload, cfg)
     text = dump_doc(_result_doc(result)) if args.format == "structured" else _result_text(result)
     if args.out and result.certificate is not None:

@@ -23,13 +23,12 @@ host.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .states import StateFamily
+from .states import StateFamily, _is_integer
 
 DEFAULT_ZERO_TOL = 1e-10  # |g_ij| at or below this counts as orthogonal
 
@@ -94,16 +93,17 @@ def deviations(a: np.ndarray) -> tuple[float, float]:
     The first is taken as 2 max |a/2 - a*/2|: halving before subtracting
     keeps large finite entries from overflowing, and the doubling goes to
     inf, silently, only when the deviation itself exceeds the largest
-    float.  On a real matrix a* is the transpose.
+    float.  On a real matrix a* is the transpose.  Both are taken with
+    moduli, so no SIMD loop decides their bits.
     """
     h = a / 2.0
-    herm = 2.0 * float(np.max(np.abs(h - h.conj().T)))
+    herm = 2.0 * float(np.max(moduli(h - h.conj().T)))
     return herm, _diagonal_deviation(a)
 
 
 def _diagonal_deviation(a: np.ndarray) -> float:
     """max |a_ii - 1| of a nonempty square matrix."""
-    return float(np.max(np.abs(np.diagonal(a) - 1.0)))
+    return float(np.max(moduli(np.diagonal(a) - 1.0)))
 
 
 def _self_adjoint(a: np.ndarray, adjoint: str, x: str, mark: str) -> np.ndarray:
@@ -162,11 +162,6 @@ class ProbabilityMatrix:
 def _require_vertices(n: int) -> None:
     if n < 1:
         raise ValueError(f"graph needs at least one vertex, got n = {n}")
-
-
-def _is_integer(kind: type) -> bool:
-    """Whether kind is an integer type; bool is an Integral, but True is no index."""
-    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
 
 
 def _edge_mask(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

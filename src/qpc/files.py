@@ -33,7 +33,7 @@ from itertools import chain
 
 import numpy as np
 
-from .states import QubitState, StateFamily, _length, _modulus, _unit_norm, from_bloch
+from .states import QubitState, StateFamily, _is_integer, _length, _modulus, _unit_norm, from_bloch
 
 FAMILY_VERSION = 1
 MATRIX_VERSION = 1
@@ -52,32 +52,28 @@ class FileFormatError(ValueError):
     """A document that cannot be parsed into the requested type."""
 
 
-def _is_int(x) -> bool:
-    """Whether x is a JSON integer; json reads true and false as bools,
-    which Python counts as ints but a file does not."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _number(x, where: str) -> float:
-    # JSON numbers only, never a bool or a string.  JSON admits NaN and
-    # Infinity, 1e999 parses as infinity and an integer literal past the
-    # double range has no float at all; a guard written "dev > tol" lets
-    # NaN through, so all of them are refused here as non-finite.
-    if not (_is_int(x) or isinstance(x, float)):
-        raise FileFormatError(f"{where}: expected a number, got {x!r}")
+def _number(x, where: str, at: int) -> float:
+    # where % at names x, and is formatted only in a refusal.  JSON numbers
+    # only, never a bool or a string.  JSON admits NaN and Infinity, 1e999
+    # parses as infinity and an integer literal past the double range has
+    # no float at all; a guard written "dev > tol" lets NaN through, so all
+    # of them are refused here as non-finite.
+    if not (isinstance(x, float) or _is_integer(type(x))):
+        raise FileFormatError(f"{where % at}: expected a number, got {x!r}")
     try:
         v = float(x)
     except OverflowError:
         v = math.inf if x > 0 else -math.inf
     if not math.isfinite(v):
-        raise FileFormatError(f"{where}: non-finite number {v!r}")
+        raise FileFormatError(f"{where % at}: non-finite number {v!r}")
     return v
 
 
-def _parse_c(obj, where: str) -> complex:
+def _parse_c(obj, where: str, at: int) -> complex:
+    """The {re, im} pair obj as a complex; where % at names it in a refusal."""
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
-        raise FileFormatError(f"{where}: expected a {{re, im}} pair")
-    return complex(_number(obj["re"], where), _number(obj["im"], where))
+        raise FileFormatError(f"{where % at}: expected a {{re, im}} pair")
+    return complex(_number(obj["re"], where, at), _number(obj["im"], where, at))
 
 
 def _document(text: str, what: str, version: int) -> dict:
@@ -88,19 +84,19 @@ def _document(text: str, what: str, version: int) -> dict:
         raise FileFormatError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be an object")
-    if not _is_int(doc.get("version")) or doc["version"] != version:
+    if not _is_integer(type(doc.get("version"))) or doc["version"] != version:
         raise FileFormatError(f"unsupported {what} file version {doc.get('version')!r}")
     return doc
 
 
-def _window(norm: float, where: str, refusal: str, length: str, warnings: list) -> None:
-    """Accept a record whose length deviates from 1 by up to ACCEPT_TOL,
+def _window(norm: float, idx: int, refusal: str, length: str, warnings: list) -> None:
+    """Accept state idx when its length deviates from 1 by up to ACCEPT_TOL,
     warn up to RENORM_TOL (the caller renormalizes), refuse beyond."""
     dev = abs(norm - 1.0)
     if dev > RENORM_TOL:
-        raise FileFormatError(f"{where}: {refusal}, {length} = {norm!r}")
+        raise FileFormatError(f"state {idx}: {refusal}, {length} = {norm!r}")
     if dev > ACCEPT_TOL:
-        warnings.append(f"{where}: renormalized, {length} deviated by {dev:.3e}")
+        warnings.append(f"state {idx}: renormalized, {length} deviated by {dev:.3e}")
 
 
 def re_im(z: np.ndarray) -> dict:
@@ -195,7 +191,8 @@ class Records(Sequence):
         rows = len(columns[0])
         if rows != len(item):
             raise ValueError(f"a record block holds {rows} records, not {len(item)}")
-        return "".join(row_pieces(_indent(level) + _row(shape, level)[0], ",", rows, columns))
+        row = _indent(level) + _row(shape, level)[0]
+        return "".join(run_parts(row_jobs(row, ",", rows, columns)))
 
 
 def _checked(shape):
@@ -210,25 +207,20 @@ def _checked(shape):
 _FILL_CHUNK = 1024  # rows per % operation: bounds the template and the values' Python copies
 
 
-def row_pieces(row: str, sep: str, rows: int, columns: list):
-    """Yield rows copies of the %-template row, joined by sep, in chunks of
-    _FILL_CHUNK rows.  They are filled with the values of the 1-d array
+def row_jobs(row: str, sep: str, rows: int, columns: list):
+    """The jobs (task, args) that make rows copies of the %-template row,
+    joined by sep, one per chunk of _FILL_CHUNK rows and in order, as
+    doc_parts yields them: task(*args) is the chunk, and args is (its
+    first row,).  The rows are filled with the values of the 1-d array
     columns taken element by element: element 0 of every column, then
     element 1, and so on; each row takes len(column) // rows elements of
-    every column."""
-    return (task(*args) for task, args in row_jobs(row, sep, rows, columns))
-
-
-def row_jobs(row: str, sep: str, rows: int, columns: list):
-    """The jobs (task, args) of row_pieces(row, sep, rows, columns), one
-    per chunk and in order, as doc_parts yields them: task(*args) is the
-    chunk, and args is (its first row,)."""
+    every column.  run_parts runs the jobs in this process."""
     task = partial(_row_chunk, row, sep, rows, columns)
     return ((task, (start,)) for start in range(0, rows, _FILL_CHUNK))
 
 
 def _row_chunk(row: str, sep: str, rows: int, columns: list, start: int) -> str:
-    """The chunk of row_pieces(row, sep, rows, columns) that begins at row start."""
+    """The chunk of the rows of row_jobs(row, sep, rows, columns) that begins at row start."""
     per_row = len(columns[0]) // rows
     count = min(_FILL_CHUNK, rows - start)
     part = [c[start * per_row:(start + count) * per_row].tolist() for c in columns]
@@ -338,19 +330,18 @@ def family_from_json(text: str):
     warnings = []
     parsed = []
     for idx, rec in enumerate(records):
-        where = f"state {idx}"
         if not isinstance(rec, dict):
-            raise FileFormatError(f"{where}: expected an object")
+            raise FileFormatError(f"state {idx}: expected an object")
         has_amp = "c0" in rec or "c1" in rec
         if has_amp == ("bloch" in rec):
-            raise FileFormatError(f"{where}: exactly one of amplitudes or bloch is required")
+            raise FileFormatError(f"state {idx}: exactly one of amplitudes or bloch is required")
         if has_amp:
             if "c0" not in rec or "c1" not in rec:
-                raise FileFormatError(f"{where}: both c0 and c1 are required")
-            c0 = _parse_c(rec["c0"], f"{where} c0")
-            c1 = _parse_c(rec["c1"], f"{where} c1")
+                raise FileFormatError(f"state {idx}: both c0 and c1 are required")
+            c0 = _parse_c(rec["c0"], "state %d c0", idx)
+            c1 = _parse_c(rec["c1"], "state %d c1", idx)
             norm = _modulus(c0, c1)
-            _window(norm, where, "not normalized", "|amplitudes|", warnings)
+            _window(norm, idx, "not normalized", "|amplitudes|", warnings)
             # records already valid as states are kept bit for bit
             if not _unit_norm(c0, c1):
                 c0, c1 = c0 / norm, c1 / norm
@@ -358,10 +349,10 @@ def family_from_json(text: str):
         else:
             vec = rec["bloch"]
             if not isinstance(vec, list) or len(vec) != 3:
-                raise FileFormatError(f"{where}: bloch must be a 3-vector")
-            arr = np.array([_number(x, f"{where} bloch") for x in vec])
+                raise FileFormatError(f"state {idx}: bloch must be a 3-vector")
+            arr = np.array([_number(x, "state %d bloch", idx) for x in vec])
             norm = _length(arr)
-            _window(norm, where, "not on sphere", "|n|", warnings)
+            _window(norm, idx, "not on sphere", "|n|", warnings)
             parsed.append(from_bloch(arr / norm))
     labels = doc.get("labels")
     if labels is not None:
@@ -415,7 +406,7 @@ def matrix_from_json(text: str):
     if kind not in MATRIX_KINDS:
         raise FileFormatError(f"unknown matrix kind {kind!r}")
     n = doc.get("n")
-    if not _is_int(n) or n < 1:
+    if not _is_integer(type(n)) or n < 1:
         raise FileFormatError(f"n must be a positive integer, got {n!r}")
     if kind == "phase" and n > MAX_PHASE_N:
         raise FileFormatError(f"n = {n} exceeds the limit of {MAX_PHASE_N} states of a phase file")
@@ -426,10 +417,10 @@ def matrix_from_json(text: str):
         if len(entries) != n * n:
             raise FileFormatError(f"expected {n * n} entries, got {len(entries)}")
         if kind == "gram":
-            g = [_parse_c(e, f"entry {i}") for i, e in enumerate(entries)]
+            g = [_parse_c(e, "entry %d", i) for i, e in enumerate(entries)]
             return kind, np.array(g).reshape(n, n)
         try:
-            p = [_number(x, f"entry {i}") for i, x in enumerate(entries)]
+            p = [_number(x, "entry %d", i) for i, x in enumerate(entries)]
             return kind, ProbabilityMatrix(np.array(p).reshape(n, n)).entries
         except ValueError as e:
             raise FileFormatError(f"invalid probability matrix: {e}") from e
@@ -444,9 +435,9 @@ def matrix_from_json(text: str):
     for pos, (edge, entry) in enumerate(zip(support, entries)):
         if not isinstance(edge, list) or len(edge) != 2:
             raise FileFormatError(f"support edge {pos} must be a pair")
-        if not (_is_int(edge[0]) and _is_int(edge[1])):
+        if not (_is_integer(type(edge[0])) and _is_integer(type(edge[1]))):
             raise FileFormatError(f"support edge {pos} must hold integers")
-        values.append(_parse_c(entry, f"entry {pos}"))
+        values.append(_parse_c(entry, "entry %d", pos))
     try:
         u = PhaseMatrix._of_pairs(n, support, values)
     except ValueError as e:

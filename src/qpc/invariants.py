@@ -41,9 +41,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .comparisons import (DEFAULT_ZERO_TOL, GramMatrix, PhaseMatrix, _is_integer, _mul, _read_only,
-                          _zero_tol, moduli, phases, principal_angle)
-from .states import BlochVector, _on_sphere
+from .comparisons import (DEFAULT_ZERO_TOL, GramMatrix, PhaseMatrix, _mul, _read_only, _zero_tol,
+                          moduli, phases, principal_angle)
+from .states import BlochVector, _is_integer, _on_sphere
 
 DEFECT_CONSISTENCY_TOL = 1e-12  # the two defect computations must agree
 DEGENERACY_TOL = 1e-9           # antipodal pair cutoff for solid angles

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import comparisons
-from .comparisons import (GramMatrix, PhaseMatrix, SupportGraph, _is_integer, _mul, deviations,
-                          moduli, overlaps, require_square)
-from .states import QubitState, StateFamily, _match_tol, random_family
+from .comparisons import (GramMatrix, PhaseMatrix, SupportGraph, _mul, deviations, moduli, overlaps,
+                          require_square)
+from .states import QubitState, StateFamily, _is_integer, _match_tol, random_family
 
 PSD_TOL = 1e-10        # eigenvalue floor, relative to max(1, largest eigenvalue)
 RANK_TOL = 1e-10       # eigenvalues below this fraction of the largest are noise

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,12 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_X.setflags(write=False)
 SIGMA_Y.setflags(write=False)
 SIGMA_Z.setflags(write=False)
+
+
+def _is_integer(kind: type) -> bool:
+    """Whether kind is an integer type, the rule of every index, version and n;
+    bool is an Integral, and json reads true as a bool, but True is no integer."""
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
 
 
 def _sum_sq(*xs) -> float:

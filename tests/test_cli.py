@@ -40,12 +40,12 @@ from qpc import (
     rays_equal,
     save_text,
 )
-from qpc import cli, comparisons, invariants
+from qpc import cli, comparisons, invariants, realizability
 from qpc.cli import BRANCH_CUT_MARGIN, _analysis, _analysis_doc, _branch_cut_warnings, _workers, main
 from qpc.comparisons import phases, principal_angle
-from qpc.files import _FILL_CHUNK, MAX_PHASE_N, dump_doc, row_pieces, run_parts
+from qpc.files import _FILL_CHUNK, MAX_PHASE_N, dump_doc, row_jobs, run_parts
 from qpc.pool import Pool
-from qpc.realizability import GramRefusal, check_gram
+from qpc.realizability import GramRefusal, SearchConfig, check_gram
 from qpc.verification import run_all
 from tests.conftest import (family_with_orthogonal_pairs, inconsistent_family, slack_gram,
                             uniform_phases)
@@ -1470,6 +1470,17 @@ class TestSearchedRealize:
         assert json.loads(proc.stdout)["diagnostics"].startswith(diagnostics)
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
+    def test_without_search_options_the_search_takes_search_config_s_defaults(
+            self, capsys, monkeypatch):
+        # realize states no search default of its own
+        configs, search = [], realizability.realize_phases
+        monkeypatch.setattr(realizability, "realize_phases",
+                            lambda u, cfg: configs.append(cfg) or search(u, cfg))
+        monkeypatch.delenv("QPC_SEED", raising=False)
+        assert main(["realize", str(self.DATA / "witnessed-7.json")]) == 0
+        assert configs == [SearchConfig(seed=0)]
+        assert "local search succeeded after 4 restart(s)" in capsys.readouterr().out
+
     # the phases of a 4-state Haar family on the pairs (0, 1), (1, 2), (1, 3)
     # and (2, 3): on the default and SkylakeX OpenBLAS kernels of an AVX-512
     # machine, LAPACK calls one of the search's damped systems singular
@@ -1568,6 +1579,9 @@ class TestMalformedFields:
                            "entries": [ONE_C, ONE_C]},
                f"error: invalid phase matrix: pair {repeat} is given twice")
               for support, repeat in [([[0, 1], [1, 0]], "(1, 0)"), ([[0, 1], [0, 1]], "(0, 1)")]],
+            ("realize", {"version": 1, "kind": "phase", "n": 3, "support": [[0, 2.0]],
+                         "entries": [ONE_C]},
+             "error: support edge 0 must hold integers"),
         ],
     )
     def test_exits_2_naming_the_field(self, capsys, tmp_path, command, doc, error):
@@ -1772,7 +1786,8 @@ class TestComplexFormat:
         parts = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
                  -2.2250738585072014e-308, 0.1, -0.1, 1.0, -1.0, 1e16, -1e16, 1e300, -1e300]
         z = np.array([complex(r, i) for r in parts for i in parts])
-        assert "".join(row_pieces(cli._COMPLEX, " ", len(z), cli._complex_columns(z))) == " ".join(
+        text = "".join(run_parts(row_jobs(cli._COMPLEX, " ", len(z), cli._complex_columns(z))))
+        assert text == " ".join(
             "%.15g%s%.15gi" % (w.real, "+" if w.imag >= 0 else "-", abs(w.imag)) for w in z)
 
 

@@ -1,8 +1,12 @@
 """Tests for the three comparison levels and their container types."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,8 +374,17 @@ class TestOrthogonalityGraph:
         assert not check_matching(SupportGraph(3, frozenset({(0, 1), (1, 2)})))
 
     def test_complements_phase_support(self):
+        # at every tolerance: analyze takes its orthogonality graph as the
+        # complement of the phase support
         g = gram(random_family(5, seed=5))
         assert orthogonality_graph(g).complement().edges == phases(g).support.edges
+        rng = np.random.default_rng(38)
+        for n in range(2, 20):
+            fam = family_with_orthogonal_pairs(rng, n, 1)
+            fam = StateFamily(fam.states + (fam[n - 1].rephased(0.3),))  # a duplicate ray
+            g = gram(fam)
+            for t in (0.0, DEFAULT_ZERO_TOL, 0.3, 0.7):
+                assert orthogonality_graph(g, t) == phases(g, t).support.complement()
 
 
 class TestMaskOperationsMatchScalarLoops:
@@ -505,8 +518,28 @@ class TestMatrixConditions:
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             herm, diag = deviations(a)
             assert type(herm) is float and type(diag) is float
-            assert herm == np.max(np.abs(a - a.conj().T))
-            assert diag == np.max(np.abs(np.diagonal(a) - 1.0))
+            assert herm == max(map(abs, (a - a.conj().T).ravel().tolist()))
+            assert diag == max(map(abs, (np.diagonal(a) - 1.0).tolist()))
+
+    # sha256 of the reprs of deviations on 300 seeded complex 20 x 20 matrices
+    DEVIATIONS = """
+import hashlib
+import numpy as np
+from qpc.comparisons import deviations
+rng = np.random.default_rng(0)
+out = [repr(deviations(rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))))
+       for _ in range(300)]
+print(hashlib.sha256("\\n".join(out).encode()).hexdigest())
+"""
+
+    @pytest.mark.parametrize("env", [{}, {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4"}])
+    def test_deviations_print_one_hash_without_numpy_s_simd_loops(self, env):
+        # moduli rounds as the scalar abs, so no SIMD level decides a bit
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", self.DEVIATIONS],
+                              capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=src, **env))
+        assert proc.stdout == "1d26ef7d71742440d7be121fb62e7f64c22903bdfeb028916bb96528cc954bcf\n"
 
     def test_empty_matrix_is_refused_with_a_reason(self):
         empty = np.zeros((0, 0))
