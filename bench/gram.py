@@ -8,8 +8,9 @@ random_family(N, 7) (the gram file analyze --emit-gram writes for the
 family of qpc gen --n N --seed 7), for each N of --sizes (200 and 1000),
 each as its own python -m qpc process, R times in turns (3 by default).
 The file holds an accepted matrix of rank 2, so check judges it by one
-eigvalsh and realize factors it from two pivot columns after that same
-judgment.  ledger.main measures them and writes BENCH_gram.json at the
+eigvalsh, and realize factors it from two pivot columns, which alone
+prove check's acceptance: realize calls no eigensolver.  ledger.main
+measures them and writes BENCH_gram.json at the
 root of the checkout (or --out): per kind, the wall and CPU times, the
 peak resident memory, the sha256 of its output and the modules it
 loaded.  Most of each command's time at N = 1000 is the loading of its

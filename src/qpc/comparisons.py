@@ -164,6 +164,15 @@ def _require_vertices(n: int) -> None:
         raise ValueError(f"graph needs at least one vertex, got n = {n}")
 
 
+def _false_mask(n: int) -> np.ndarray:
+    """An (n, n) boolean array of False, refused with ValueError, not
+    MemoryError, where it cannot be allocated."""
+    try:
+        return np.zeros((n, n), dtype=bool)
+    except MemoryError:
+        raise ValueError(f"a support mask on n = {n} vertices cannot be allocated") from None
+
+
 def _edge_mask(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mask, i, j): the symmetric boolean mask of the pairs in edges and their
     index arrays, in input order.  ValueError names the first pair holding a
@@ -181,7 +190,7 @@ def _edge_mask(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                          else f"edge ({i}, {j}) out of range for n = {n}")
     # allocated before the cast, so that an n past any array is refused with
     # numpy's ValueError rather than the cast's OverflowError
-    mask = np.zeros((n, n), dtype=bool)
+    mask = _false_mask(n)
     i, j = ij.astype(np.intp)
     mask[i, j] = mask[j, i] = True
     return mask, i, j
@@ -205,8 +214,11 @@ class SupportGraph:
     def from_mask(cls, mask: np.ndarray) -> "SupportGraph":
         """Graph whose edges are the True pairs i < j of a square mask;
         the diagonal and the lower triangle are not read."""
-        _require_vertices(len(mask))
-        upper = np.triu(mask, 1)
+        n = len(mask)
+        _require_vertices(n)
+        upper = _false_mask(n)
+        np.less.outer(np.arange(n), np.arange(n), out=upper)
+        np.logical_and(upper, mask, out=upper)
         graph = object.__new__(cls)
         object.__setattr__(graph, "mask", _read_only(upper | upper.T))
         return graph
@@ -322,8 +334,6 @@ class PhaseMatrix:
     def _of_pairs(cls, n: int, pairs, values) -> "PhaseMatrix":
         """u_ij = values[k] and u_ji = conj(u_ij) for the k-th pair (i, j) of pairs,
         refused as _edge_mask refuses them and at the first pair given twice."""
-        # allocated first: at an n whose boolean mask is merely too large to
-        # allocate (MemoryError), the complex matrix is refused as too big (ValueError)
         a = np.eye(n, dtype=complex)
         mask, i, j = _edge_mask(n, pairs)
         if np.count_nonzero(mask) < 2 * len(i):

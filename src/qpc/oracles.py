@@ -74,6 +74,21 @@ def _trace(x: list) -> complex:
     return x[0][0] + x[1][1]
 
 
+def _largest_minor(m: list) -> float:
+    """Largest |det| of the 3x3 principal submatrices of a square nested-list
+    matrix, each determinant expanded along its first row; 0.0 for fewer
+    than three rows.  A qubit Gram matrix has every such minor 0."""
+    n = len(m)
+    worst = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                (a, b, c), (d, e, f), (g, h, x) = ([m[r][i], m[r][j], m[r][k]] for r in (i, j, k))
+                det = a * (e * x - f * h) - b * (d * x - f * g) + c * (d * h - e * g)
+                worst = max(worst, abs(det))
+    return worst
+
+
 def oracle_pauli_traces() -> OracleReport:
     """Check the Pauli trace identities by explicit matrix arithmetic.
 

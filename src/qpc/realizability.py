@@ -2,13 +2,17 @@
 
 A complex matrix is the overlap matrix of some family of qubit states
 exactly when it is Hermitian with unit diagonal, positive semidefinite,
-and of rank at most two.  check_gram judges the four conditions and
-factor_states reconstructs a witness family from two pivot columns, two
-steps of diagonal-pivoted Cholesky (Higham 1990).  Both take a
-GramMatrix or a raw finite square array.  check_gram is the one judge:
-factor_states raises GramRefusal, carrying its verdict on the matrix as
-given, exactly when it fails, and realize_gram then answers
-not_realizable with that verdict as evidence, its proof.
+and of rank at most two.  check_gram judges the four conditions from the
+full spectrum and factor_states reconstructs a witness family from two
+pivot columns, two steps of diagonal-pivoted Cholesky (Higham 1990).
+Both take a GramMatrix or a raw finite square array.  factor_states
+accepts exactly what check_gram accepts: the pivot columns alone prove
+check_gram's acceptance of most qubit Gram matrices, by the Schur
+complement of the pivot block (Haynsworth 1968) and two eigenvalue
+bounds, and every other matrix goes to check_gram itself.  factor_states
+raises GramRefusal, carrying check_gram's verdict on the matrix as
+given, exactly when that verdict fails, and realize_gram then answers
+not_realizable with the verdict as evidence, its proof.
 
 For phase-level data the full matrix is not available, only unit phases
 on the support graph.  Coherent prescriptions, u_ij = lam_i conj(lam_j)
@@ -157,27 +161,25 @@ def check_gram(g) -> GramVerdict:
     finite.  Eigenvalues are taken from the Hermitian part, which
     coincides with the input whenever hermitian_ok holds; a spectrum
     that overflows to NaN is refused.  factor_states refuses by this
-    verdict, so it is the only judge of a Gram matrix.
+    verdict, so it is the only judge that refuses a Gram matrix.
     """
     a = _matrix(g)
     # eigvalsh: the verdict needs no eigenvectors, and eigh cost 1.7 times
     # as much at n = 8, 2.2 times at n = 200 and 3.7 to 3.8 times at
-    # n = 1000 (one BLAS thread of a 2-vCPU x86-64 host).  factor_states
-    # takes its factor from two pivot columns, so this is the one
-    # decomposition of check and of the gram route of realize, and both
-    # judge by these eigenvalues (see tests/test_cli.py, TestRealize's
+    # n = 1000 (one BLAS thread of a 2-vCPU x86-64 host).  This is the one
+    # decomposition of check; realize's gram route takes it only where
+    # its pivot columns cannot prove acceptance, and then judges by these
+    # eigenvalues (see tests/test_cli.py, TestRealize's
     # test_realizes_a_matrix_near_the_thresholds_that_check_accepts).
     eigs = np.linalg.eigvalsh(hermitian_part(a))[::-1]
     if not np.isfinite(eigs).all():
         raise ValueError("eigenvalues are not finite: the matrix overflows the eigensolver")
-    herm_dev, diag_dev = deviations(a)
     lam_max, lam_min = float(eigs[0]), float(eigs[-1])
     rank_estimate = int(np.sum(eigs > RANK_TOL * max(lam_max, 0.0)))
     # (deviation, holds) of each condition, in verdict order; the rank
     # condition fails only on a third eigenvalue above 0
     conditions = [
-        (herm_dev, herm_dev <= HERMITIAN_TOL),
-        (diag_dev, diag_dev <= UNIT_DIAG_TOL),
+        *_entry_conditions(a),
         (-lam_min, lam_min >= -PSD_TOL * max(1.0, lam_max)),
         (float(eigs[2]) if len(eigs) > 2 else 0.0, rank_estimate <= 2),
     ]
@@ -187,6 +189,12 @@ def check_gram(g) -> GramVerdict:
         rank_estimate=rank_estimate,
         worst_violation=max((dev for dev, ok in conditions if not ok), default=0.0),
     )
+
+
+def _entry_conditions(a: np.ndarray) -> list[tuple[float, bool]]:
+    """(deviation, holds) of the Hermitian and the unit-diagonal condition."""
+    herm_dev, diag_dev = deviations(a)
+    return [(herm_dev, herm_dev <= HERMITIAN_TOL), (diag_dev, diag_dev <= UNIT_DIAG_TOL)]
 
 
 def _matrix(g) -> np.ndarray:
@@ -200,7 +208,13 @@ def _matrix(g) -> np.ndarray:
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(a + a*) / 2, halved before adding so that large finite entries do
     not overflow; on ordinary input the bits are those of (a + a*) / 2."""
-    return a / 2.0 + a.conj().T / 2.0
+    return _hermitian_rows(a, slice(None))
+
+
+def _hermitian_rows(a: np.ndarray, rows) -> np.ndarray:
+    """The rows of hermitian_part(a) that an index or a slice names, with
+    its bits, signed zeros included; given a.T, its columns."""
+    return a[rows] / 2.0 + a[:, rows].conj().T / 2.0
 
 
 class GramRefusal(ValueError):
@@ -221,36 +235,95 @@ def factor_states(g) -> StateFamily:
 
     Accepts what check_gram accepts: a GramMatrix or a raw finite square
     array, refused with GramRefusal unless check_gram's verdict on it
-    holds.  The factor then takes two steps of diagonal-pivoted Cholesky
-    on the Hermitian part H: the first column is H[:, p] / sqrt(h_pp) at
+    holds.  The factor takes two steps of diagonal-pivoted Cholesky on
+    the Hermitian part H: the first column is H[:, p] / sqrt(h_pp) at
     the largest diagonal entry p, the second is the same step on the
     updated diagonal and H less the first column's outer product, and it
-    is zero where the verdict's rank estimate is below 2 or no updated
+    is zero where check_gram's rank estimate is below 2 or no updated
     diagonal entry is positive, as an indefinite H within the verdict's
-    slack may leave it.  State i gets the conjugated entries i of the two
-    columns, renormalized.  Every step is elementwise real arithmetic
-    (comparisons._mul and moduli), so no BLAS kernel or SIMD loop decides
-    a bit.  The family reproduces g up to the slack the verdict allows
-    off rank 2 and off the unit diagonal.
+    slack may leave it.  Where the two columns alone prove that check_gram
+    accepts g at rank estimate 2 (_pivot_factor), check_gram is not run;
+    the columns are the same either way.  State i gets the conjugated
+    entries i of the two columns, renormalized.  Every step is elementwise
+    real arithmetic (comparisons._mul and moduli), so no BLAS kernel or
+    SIMD loop decides a bit.  The family reproduces g up to the slack the
+    verdict allows off rank 2 and off the unit diagonal.
     """
     a = _matrix(g)
-    # looked up on the module, so perfbench's check_gram hook sees the call
-    verdict = check_gram(a)
-    if not verdict.all_ok:
-        raise GramRefusal(verdict)
-    h = hermitian_part(a)
-    d = h.diagonal().real
-    p = int(np.argmax(d))
-    c1 = _divided(h[:, p], math.sqrt(d[p]))
-    c2 = np.zeros(len(a), dtype=complex)
-    d = d - (c1.real * c1.real + c1.imag * c1.imag)
-    q = int(np.argmax(d))
-    if verdict.rank_estimate >= 2 and d[q] > 0.0:
-        c2 = _divided(h[:, q] - _mul(c1, c1[q].conjugate()), math.sqrt(d[q]))
+    c1, c2, accepted = _pivot_factor(a)
+    if not accepted:
+        # looked up on the module, so perfbench's check_gram hook sees the call
+        verdict = check_gram(a)
+        if not verdict.all_ok:
+            raise GramRefusal(verdict)
+        if verdict.rank_estimate < 2:
+            c2 = np.zeros(len(a), dtype=complex)
     norms = np.hypot(moduli(c1), moduli(c2))
     if np.min(norms) < 0.5:
         raise ArithmeticError("factorization produced a near-zero state")
     return _family(np.column_stack([_divided(c1.conj(), norms), _divided(c2.conj(), norms)]))
+
+
+def _pivot_factor(a: np.ndarray):
+    """(c1, c2, accepted): factor_states' two pivot columns of the Hermitian
+    part H of a, c2 zero where no updated diagonal entry is positive, and
+    whether they alone prove that check_gram accepts a at rank estimate 2.
+    Both columns are None where check_gram's Hermitian or unit-diagonal
+    comparison fails, since its verdict then refuses a.
+
+    The proof.  With h_pp > 0 and the updated diagonal entry d_q > 0, the
+    pivot block P = H[{p, q}] is positive definite, with det P = h_pp d_q
+    and largest eigenvalue at most tr P <= 2 h_pp, so lam_2(P) >= d_q / 2;
+    by Cauchy interlacing lam_2(H) >= lam_2(P).  S = H - c1 c1* - c2 c2*
+    vanishes on rows and columns p and q and is the Schur complement of P
+    in H elsewhere (Haynsworth 1968), and H - S is positive semidefinite
+    of rank 2, so by Weyl lam_3(H) <= |S|_F, lam_min(H) >= -|S|_F and
+    |c1|^2 - |S|_F <= lam_max(H) <= |c1|^2 + |c2|^2 + |S|_F.  The test
+    asks for d_q / 2 above 4 RANK_TOL times that upper bound, and for
+    |S|_F below a quarter of the psd and rank thresholds at the lower
+    one.  eigvalsh's eigenvalues are those of H within a small multiple
+    of n eps lam_max (backward stability), and the safety factor 4 leaves
+    3/4 of each threshold, 7.5e-11 lam_max, to cover that and the
+    roundoff of d_q and |S|_F: check_gram's rank estimate is then 2 and
+    its psd and rank conditions hold.  A non-finite intermediate fails
+    the comparisons, silently, and leaves the verdict to check_gram.
+    """
+    if not all(ok for _, ok in _entry_conditions(a)):
+        return None, None, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = np.diagonal(a)
+        d = (diagonal / 2.0 + diagonal.conj() / 2.0).real
+        p = int(np.argmax(d))
+        c1 = _divided(_hermitian_rows(a.T, p), math.sqrt(d[p]))
+        w1 = c1.real * c1.real + c1.imag * c1.imag
+        d = d - w1
+        q = int(np.argmax(d))
+        if not d[q] > 0.0:
+            return c1, np.zeros(len(a), dtype=complex), False
+        c2 = _divided(_hermitian_rows(a.T, q) - _mul(c1, c1[q].conjugate()), math.sqrt(d[q]))
+        norm_s = _schur_norm(a, c1, c2)
+        c1_sq = float(np.sum(w1))
+        upper = c1_sq + float(np.sum(c2.real * c2.real + c2.imag * c2.imag)) + norm_s
+        accepted = (d[q] / 2.0 > 4.0 * RANK_TOL * upper
+                    and norm_s <= min(PSD_TOL, RANK_TOL) * (c1_sq - norm_s) / 4.0)
+    return c1, c2, bool(accepted)
+
+
+def _schur_norm(a: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> float:
+    """|H - c1 c1* - c2 c2*|_F for H the Hermitian part of a, taken over
+    blocks of 64 rows, so that no n x n temporary is made: the real part
+    of c_i conj(c_j) is x_i x_j + y_i y_j and its imaginary part
+    y_i x_j - x_i y_j, for c = x + i y."""
+    (x1, y1), (x2, y2) = (c1.real, c1.imag), (c2.real, c2.imag)
+    outer = np.multiply.outer
+    total = 0.0
+    for start in range(0, len(a), 64):
+        r = slice(start, start + 64)
+        h = _hermitian_rows(a, r)
+        re = h.real - outer(x1[r], x1) - outer(y1[r], y1) - outer(x2[r], x2) - outer(y2[r], y2)
+        im = h.imag - outer(y1[r], x1) + outer(x1[r], y1) - outer(y2[r], x2) + outer(x2[r], y2)
+        total += float(np.sum(re * re)) + float(np.sum(im * im))
+    return math.sqrt(total)
 
 
 def _divided(z: np.ndarray, s) -> np.ndarray:

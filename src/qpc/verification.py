@@ -26,7 +26,8 @@ import numpy as np
 from numpy.random import default_rng  # numpy loads it on first use, which is here
 
 from . import comparisons, invariants, realizability, states
-from .oracles import OracleReport, oracle_bargmann_direct, oracle_pauli_traces, oracle_trace_product
+from .oracles import (OracleReport, _largest_minor, oracle_bargmann_direct, oracle_pauli_traces,
+                      oracle_trace_product)
 
 
 def _worst(discrepancies) -> float:
@@ -277,6 +278,22 @@ def _potential_vs_triangles(rng: np.random.Generator) -> float:
     res = realizability._phase_residual(realizability._potential(u, [list(range(n))]), u)
     worst = _worst_triangle(u)
     return max(0.0, res - worst, worst - 3.0 * res)
+
+
+@_property("pivot_test_accepts_qubit_grams_only", 0.0)
+def _pivot_test(rng: np.random.Generator) -> float:
+    """1 when factor_states' pivot test, without check_gram, refuses the Gram
+    matrix of qubit states or accepts a matrix with a 3 x 3 principal minor
+    above 1e-8, such as the Gram matrix of qutrit states in general."""
+    n, dim = int(rng.integers(3, 11)), int(rng.integers(2, 4))
+    z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    v = z / np.sqrt(np.sum(z.real * z.real + z.imag * z.imag, axis=1))[:, None]
+    # g_ij = sum_k conj(v_ik) v_jk, written out, so that no BLAS kernel rounds it
+    g = sum(comparisons._mul(v[:, None, k].conj(), v[None, :, k]) for k in range(dim))
+    accepted = realizability._pivot_factor(g)[2]
+    if dim == 2:
+        return float(not accepted)
+    return float(accepted and _largest_minor(g.tolist()) > 1e-8)
 
 
 def run_all(cases: int, seed: int) -> list[OracleReport]:

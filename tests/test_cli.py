@@ -1150,8 +1150,8 @@ class TestRealize:
         assert realize(NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4") == first
 
     # sha256 of realize --format structured on the analyze --emit-gram file of
-    # gen --n 40 --seed 7: check_gram's eigenvalues print nothing here, and the
-    # pivot factor and its residual are elementwise real arithmetic
+    # gen --n 40 --seed 7: the pivot columns accept it without a spectrum, and
+    # the pivot factor and its residual are elementwise real arithmetic
     SHA256_GRAM_40 = "98c85eccb22c3f20416650c721d0b26100c2427add56002701ee95ce1f57f92a"
 
     def test_the_gram_route_prints_the_same_bytes_under_every_kernel(self, capsys, tmp_path):
@@ -1368,9 +1368,10 @@ class TestOneProcessVerify:
 
     # sha256 of verify --cases 50 --format structured.  Every property
     # rounds by scalar or elementwise arithmetic, the pivot factor of the
-    # gram round trip included, so no BLAS kernel, SIMD loop or thread count
-    # picks a bit, and the bytes are the same on every CPU and on one
-    SHA256_50 = "a6b884f5485942b1a06912634afe2d3fbe5094c4ece54420e77d8f73dc8bdbbe"
+    # gram round trip and the pivot test included, so no BLAS kernel, SIMD
+    # loop or thread count picks a bit, and the bytes are the same on every
+    # CPU and on one
+    SHA256_50 = "4c374cd3f5f1f46ddc42e491036704b3c4d1724a9e2b80b7f4fe62e156399850"
 
     def test_the_bytes_are_pinned_under_every_kernel(self):
         assert _digests_under_every_kernel(
@@ -1705,12 +1706,16 @@ class TestOptions:
         )
 
     @pytest.mark.parametrize("command, solver", [("check", "eigvalsh"), ("realize", "eigvalsh")])
-    def test_linalg_error_exits_2(self, capsys, monkeypatch, octant_gram_file, command, solver):
+    def test_linalg_error_exits_2(self, capsys, monkeypatch, tmp_path, command, solver):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+        # one ray: no second pivot column to accept by, so realize, like
+        # check, reaches check_gram's eigvalsh
+        path = tmp_path / "gram.json"
+        save_text(str(path), matrix_to_json("gram", np.ones((3, 3), dtype=complex)))
         monkeypatch.setattr(np.linalg, solver, fail)
-        assert main([command, octant_gram_file]) == 2
+        assert main([command, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: Eigenvalues did not converge\n"

@@ -343,6 +343,20 @@ class TestSupportGraph:
         assert np.array_equal(mask, mask.T) and not mask.diagonal().any()
         assert np.array_equal(mask, expected)
 
+    def test_a_mask_too_large_to_allocate_is_a_value_error(self):
+        # 888 PiB of booleans: numpy refuses the allocation itself, and a
+        # broadcast view of that shape costs nothing to make
+        message = "^a support mask on n = 1000000000 vertices cannot be allocated$"
+        with pytest.raises(ValueError, match=message):
+            SupportGraph(10 ** 9, [])
+        with pytest.raises(ValueError, match=message):
+            SupportGraph.from_mask(np.broadcast_to(True, (10 ** 9, 10 ** 9)))
+
+    def test_from_mask_keeps_the_upper_triangle_of_any_truthy_mask(self):
+        m = np.array([[1, 2, 0], [0, 5, 1], [3, 3, 3]])
+        g = SupportGraph.from_mask(m)
+        assert g.mask.dtype == bool and g == SupportGraph(3, [(0, 1), (1, 2)])
+
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError, match="at least one"):
             SupportGraph(0, frozenset())

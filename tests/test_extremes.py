@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpc import (
@@ -126,7 +126,10 @@ def calls(draw):
     if target == 8:
         index = st.one_of(st.integers(-n, n), st.sampled_from([10 ** 29, -(2 ** 63)]))
         values = {(draw(index), draw(index)): draw(COMPLEX) for _ in range(draw(st.integers(0, 3)))}
-        return PhaseMatrix.from_edges, (draw(SIZES) if draw(st.booleans()) else n, values)
+        size = draw(SIZES) if draw(st.booleans()) else n
+        if draw(st.booleans()):
+            return SupportGraph, (size, list(values))
+        return PhaseMatrix.from_edges, (size, values)
     if target == 9:
         return family_from_json, (family_text(draw),)
     return matrix_from_json, (matrix_text(draw),)
@@ -134,6 +137,7 @@ def calls(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(calls())
+@example((SupportGraph, (10 ** 9, [])))
 def test_raises_value_error_or_returns_without_warning(call):
     fn, args = call
     with warnings.catch_warnings():

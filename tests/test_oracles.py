@@ -17,6 +17,7 @@ from qpc import (
     oracle_trace_product,
     random_family,
 )
+from qpc.oracles import _largest_minor
 
 SQ2 = 2.0 ** -0.5
 
@@ -65,6 +66,18 @@ class TestPauliTraces:
         bad = OracleReport("x", 1, 1.0, 1e-15)
         assert not bad.passed
         assert bad.line().endswith("FAIL")
+
+
+class TestLargestMinor:
+    def test_known_minors(self):
+        assert _largest_minor([[1.0, 0.5], [0.5, 1.0]]) == 0.0
+        assert _largest_minor([[2.0, 0j, 0j], [0j, 1j, 0j], [0j, 0j, 3.0]]) == 6.0
+        # rows and columns 1, 2, 3 of diag(1, 2, 3, 4): 24 beats 6, 8 and 12
+        assert _largest_minor(np.diag([1.0, 2.0, 3.0, 4.0]).tolist()) == 24.0
+
+    def test_a_qubit_gram_matrix_has_no_minor_and_a_qutrit_one_has(self):
+        assert _largest_minor(gram(random_family(6, seed=4)).entries.tolist()) < 1e-15
+        assert _largest_minor(np.eye(3).tolist()) == 1.0
 
 
 class TestIndependence:

@@ -45,7 +45,8 @@ from qpc.realizability import (
     least_squares,
 )
 from qpc.comparisons import moduli
-from tests.conftest import SQ2, SLACK_C, SLACK_D, family_with_support, slack_gram, uniform_phases
+from tests.conftest import (SQ2, SLACK_C, SLACK_D, family_with_orthogonal_pairs, family_with_support,
+                            slack_gram, uniform_phases)
 
 
 def potential_phases(angles) -> PhaseMatrix:
@@ -199,15 +200,20 @@ class TestFactorStates:
             solve = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name,
                                 lambda a, name=name, solve=solve: calls.append(name) or solve(a))
+        # the pivot columns accept a family's Gram matrix without a spectrum;
+        # check prints the spectrum, and a matrix near the thresholds is
+        # judged by check_gram's eigvalsh, once
         g = gram(random_family(5, seed=3))
         factor_states(g)
-        assert calls == ["eigvalsh"]
+        assert calls == []
         path = tmp_path / "gram.json"
-        save_text(str(path), matrix_to_json("gram", g.entries))
-        for command in ("realize", "check"):
-            calls.clear()
-            assert main([command, str(path)]) == 0
-            assert calls == ["eigvalsh"]
+        for a, realize_calls in ((g.entries, []), (slack_gram(0, 3.3731094454003967e-10, 1.2e-10),
+                                                   ["eigvalsh"])):
+            save_text(str(path), matrix_to_json("gram", a))
+            for command, expected in (("realize", realize_calls), ("check", ["eigvalsh"])):
+                calls.clear()
+                assert main([command, str(path)]) == 0
+                assert calls == expected
         capsys.readouterr()
 
     @pytest.mark.parametrize("family", [
@@ -268,6 +274,133 @@ class TestFactorStates:
                 with pytest.raises(GramRefusal) as refusal:
                     factor_states(a)
                 assert refusal.value.verdict == verdict
+
+
+def dense_factor(a) -> StateFamily:
+    """factor_states as it was before its pivot test: check_gram's verdict
+    first, then the two pivot columns of the full Hermitian part, the second
+    taken at rank estimate 2 and a positive updated diagonal only."""
+    verdict = check_gram(a)
+    assert verdict.all_ok
+    h = realizability.hermitian_part(np.asarray(a, dtype=complex))
+    d = h.diagonal().real
+    p = int(np.argmax(d))
+    c1 = realizability._divided(h[:, p], math.sqrt(d[p]))
+    c2 = np.zeros(len(h), dtype=complex)
+    d = d - (c1.real * c1.real + c1.imag * c1.imag)
+    q = int(np.argmax(d))
+    if verdict.rank_estimate >= 2 and d[q] > 0.0:
+        c2 = realizability._divided(h[:, q] - realizability._mul(c1, c1[q].conjugate()),
+                                    math.sqrt(d[q]))
+    norms = np.hypot(moduli(c1), moduli(c2))
+    return realizability._family(np.column_stack([realizability._divided(c1.conj(), norms),
+                                                  realizability._divided(c2.conj(), norms)]))
+
+
+def hermitian_noise(rng, n: int, sigma: float) -> np.ndarray:
+    """A Hermitian matrix of entries of size sigma, zero on the diagonal."""
+    e = sigma * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    e = (e + e.conj().T) / 2.0
+    np.fill_diagonal(e, 0.0)
+    return e
+
+
+def qubit_grams(rng):
+    """Gram matrices of random families, of a family with an orthogonal pair
+    and of one ray rephased, at n in {1, 2, 3, 8, 40, 200}."""
+    for n in (1, 2, 3, 8, 40, 200):
+        yield f"random n={n}", gram(random_family(n, rng)).entries
+        if n >= 2:
+            yield f"orthogonal pair n={n}", gram(family_with_orthogonal_pairs(rng, n, 1)).entries
+        ray = random_family(1, rng)[0]
+        yield f"rank 1 n={n}", gram(StateFamily(tuple(
+            ray.rephased(float(t)) for t in rng.uniform(0, 2 * math.pi, n)))).entries
+
+
+def pivot_corpus(group: str):
+    """(label, matrix) pairs of one group of the pivot test's corpus."""
+    rng = np.random.default_rng([2040, len(group)])
+    if group == "qubit":
+        yield from qubit_grams(rng)
+    elif group == "noisy":
+        # sigma from 1e-14 to 1e-8 straddles RANK_TOL lam_max at every n
+        for label, g in qubit_grams(rng):
+            for sigma in 10.0 ** np.arange(-14.0, -7.9, 0.5):
+                yield f"{label} sigma={sigma:.1e}", g + hermitian_noise(rng, len(g), sigma)
+    elif group == "qutrit":
+        for n in (3, 4, 8, 40, 200):
+            z = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            v = z / np.linalg.norm(z, axis=1, keepdims=True)
+            yield f"qutrit n={n}", v @ v.conj().T
+    elif group == "indefinite":
+        yield "2x2", np.array([[1.0, 1.2], [1.2, 1.0]], dtype=complex)
+        for n in (3, 8, 40):
+            e = hermitian_noise(rng, n, 1.0)
+            yield f"unit-diagonal Hermitian n={n}", e + np.eye(n)
+            g = gram(random_family(n, rng)).entries
+            yield f"gram plus noise of 3e-9 n={n}", g + hermitian_noise(rng, n, 3e-9)
+    else:
+        for seed in range(5):
+            for c in SLACK_C:
+                for d in SLACK_D:
+                    yield f"slack seed={seed} c={c!r} d={d!r}", slack_gram(seed, c, d)
+        c0 = 3.3731094454003967e-10
+        for c in c0 + np.arange(-400, 400) * np.spacing(c0):
+            yield f"800-ulp window c={c!r}", slack_gram(0, c, 1.2e-10)
+
+
+class TestPivotTest:
+    """factor_states' pivot test never accepts what check_gram refuses, and
+    the certificate is the one check_gram and the full Hermitian part give."""
+
+    @pytest.mark.parametrize("group", ["qubit", "noisy", "qutrit", "indefinite", "slack"])
+    def test_accepts_only_what_check_gram_accepts_at_rank_two(self, group):
+        outcomes = []
+        for label, a in pivot_corpus(group):
+            accepted = realizability._pivot_factor(a)[2]
+            verdict = check_gram(a)
+            if accepted:
+                assert verdict.all_ok and verdict.rank_estimate == 2, label
+            if verdict.all_ok:
+                assert factor_states(a).vectors.tobytes() == dense_factor(a).vectors.tobytes(), label
+            else:
+                with pytest.raises(GramRefusal):
+                    factor_states(a)
+            outcomes.append((label, accepted))
+        accepted = {label for label, ok in outcomes if ok}
+        if group == "qubit":
+            # every Gram matrix of two rays or more, and only those
+            assert accepted == {label for label, _ in outcomes
+                                if not label.startswith("rank 1") and label != "random n=1"}
+        elif group == "noisy":
+            # the noise crosses the acceptance bound at every n from 3 on
+            for n in (3, 8, 40, 200):
+                at_n = [ok for label, ok in outcomes
+                        if label.startswith(f"random n={n} ")]
+                assert any(at_n) and not all(at_n), n
+        elif group in ("qutrit", "indefinite"):
+            assert accepted == set()
+
+    def test_a_family_s_gram_matrix_needs_no_eigensolver(self, monkeypatch):
+        def refused(a):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        for n in (2, 8, 200):
+            g = gram(random_family(n, 3))
+            res = realize_gram(g)
+            assert res.status == REALIZABLE and res.residual <= 1e-12
+
+    def test_overflowing_columns_leave_the_verdict_to_check_gram(self):
+        # unit diagonal and Hermitian, so the pivot test runs, on entries whose
+        # squares overflow: it refuses silently, and check_gram refuses
+        a = np.array([[1.0, 1e200, 0.0], [1e200, 1.0, 1e-300], [0.0, 1e-300, 1.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert realizability._pivot_factor(a)[2] is False
+            with pytest.raises(GramRefusal, match="positive semidefinite"):
+                factor_states(a)
 
 
 class TestRealizeGram:

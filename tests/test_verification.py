@@ -28,11 +28,13 @@ def test_every_property_passes():
 
 
 def test_every_property_passes_without_eigh(monkeypatch):
-    # the gram round trip factors by pivots: no self-check needs eigenvectors
+    # the gram round trip factors by pivots, whose columns accept every
+    # qubit Gram matrix: no self-check needs an eigensolver
     def refused(a):
-        raise AssertionError("eigh called")
+        raise AssertionError("eigensolver called")
 
     monkeypatch.setattr(np.linalg, "eigh", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
     assert [r.name for r in run_all(cases=50, seed=0) if not r.passed] == []
 
 
@@ -76,6 +78,16 @@ def test_potential_property_sees_a_potential_that_ignores_the_phases(monkeypatch
         return np.repeat([[1.0 + 0.0j, 0.0j]], u.n, axis=0)
 
     monkeypatch.setattr(realizability, "_potential", single_ray)
-    report = PROPERTIES[-1](10, np.random.default_rng(0))
+    report = PROPERTIES[18](10, np.random.default_rng(0))
     assert report.name == "potential_residual_brackets_worst_triangle"
+    assert report.passed is False
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_pivot_property_sees_a_pivot_test_that_ignores_the_matrix(monkeypatch, verdict):
+    # accepting everything accepts qutrit Gram matrices, refusing everything
+    # refuses qubit ones
+    monkeypatch.setattr(realizability, "_pivot_factor", lambda a: (None, None, verdict))
+    report = PROPERTIES[19](50, np.random.default_rng(0))
+    assert report.name == "pivot_test_accepts_qubit_grams_only"
     assert report.passed is False
